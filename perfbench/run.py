@@ -4,9 +4,14 @@
 
 With ``--trace 0`` it measures the end-to-end metrics: after set-up it
 starts op after op (one ``qpac.experiments.run_command`` call each)
-until ``--seconds`` have passed. With ``--trace 1`` it runs the
-workload's fixed number of ops once untraced and once traced, and
-reports per-layer metrics. Every op's tables are read back and checked
+until ``--seconds`` have passed. Times are CPU seconds of the process
+(user + system, every thread) scaled to the reference host speed by a
+fixed kernel timed between ops (see ``calibration.py``): on the shared
+reference VM wall time and raw CPU time both follow the host more than
+the program. ``learn-n10`` alone reports raw CPU time (see
+``workloads.py``). Raw CPU and wall times are printed alongside. With
+``--trace 1`` it runs the workload's fixed number of ops once untraced
+and once traced, and reports per-layer metrics. Every op's tables are read back and checked
 (see ``checks.py``). The last line of standard output is the result as
 JSON; the exit code is 1 when an output was wrong or an op raised.
 """
@@ -25,12 +30,20 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import NamedTuple  # noqa: E402
 
 import workloads  # noqa: E402
 
 # inputs generated up front; more ops than this never fit in one run
 MAX_OPS = 1000
 CHILD_TIMEOUT_S = 150
+
+
+class Op(NamedTuple):
+    wall_s: float
+    cpu_s: float
+    fw_steps: int
+    trials: int
 
 
 def parse_args(argv=None):
@@ -72,20 +85,21 @@ class Bench:
         self.run_op(warmup, self.references["warmup"])
 
     def run_op(self, config, reference=None, steps=None):
-        """One op and its checks; returns (seconds, fw steps, trials)."""
+        """One op and its checks; returns an :class:`Op`."""
         steps = steps or self.steps
         self.attempted += 1
         before = steps.fw_steps
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         try:
             self.qpac.experiments.run_command(config)
-            seconds = time.perf_counter() - start
+            wall_s = time.perf_counter() - start
+            cpu_s = time.process_time() - start_cpu
             taken = steps.fw_steps - before
             summary, problems = self.checks.check_op(config.command, self.work_dir, taken)
         except Exception:
             traceback.print_exc()
             self.failed += 1
-            return time.perf_counter() - start, 0, 0
+            return Op(time.perf_counter() - start, time.process_time() - start_cpu, 0, 0)
         if reference is not None and not problems:
             problems = self.checks.compare(summary, reference)
         if problems:
@@ -95,7 +109,7 @@ class Bench:
         if self.workload.has_trials():
             with open(self.work_dir / "trials.csv") as fh:
                 trials = sum(1 for _ in fh) - 2
-        return seconds, taken, trials
+        return Op(wall_s, cpu_s, taken, trials)
 
     def reference(self, k: int):
         ops = self.references["ops"]
@@ -103,27 +117,43 @@ class Bench:
 
     def measure(self, seconds: float):
         """Closed loop: op after op until ``seconds`` have passed (at
-        least one op)."""
-        ops = []
+        least one op). On a calibrated workload the calibration kernel
+        runs before the first op and after each. Returns the ops and each
+        op's CPU time as reported: scaled to the reference speed by the
+        mean of the kernel times around it, or raw."""
+        calibrated = self.workload.calibrated
+        if calibrated:
+            import calibration
+        ops, kernels = [], [calibration.kernel_s()] if calibrated else []
         start = time.perf_counter()
         while len(ops) < len(self.configs) and (
             not ops or time.perf_counter() - start < seconds
         ):
             ops.append(self.run_op(self.configs[len(ops)], self.reference(len(ops))))
-        return ops
+            if calibrated:
+                kernels.append(calibration.kernel_s())
+        if not calibrated:
+            return ops, [op.cpu_s for op in ops]
+        print(f"calibration kernel (not a metric): {[round(k, 4) for k in kernels]} s CPU")
+        ref_cpu_s = [
+            calibration.scale(op.cpu_s, (before + after) / 2)
+            for op, before, after in zip(ops, kernels, kernels[1:])
+        ]
+        return ops, ref_cpu_s
 
     def trace(self, spans_path: Path):
         """The workload's fixed ops, untraced then traced."""
         count = self.workload.trace_ops
         untraced = sum(
-            self.run_op(self.configs[k], self.reference(k))[0] for k in range(count)
+            self.run_op(self.configs[k], self.reference(k)).wall_s for k in range(count)
         )
         self.steps.remove()
         tracer = self.tracing.Tracer()
         tracer.install()
         try:
             traced = sum(
-                self.run_op(self.configs[k], self.reference(k), tracer)[0] for k in range(count)
+                self.run_op(self.configs[k], self.reference(k), tracer).wall_s
+                for k in range(count)
             )
         finally:
             tracer.remove()
@@ -135,7 +165,8 @@ class Bench:
 
 
 def child_setup_seconds(args) -> float:
-    """Set-up time of a fresh process running the same workload."""
+    """Set-up CPU time, as reported, of a fresh process running the same
+    workload."""
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
          "--seed", str(args.seed), "--setup-only"],
@@ -171,7 +202,14 @@ def main(argv=None) -> int:
     work_dir.mkdir(exist_ok=True)
     try:
         bench = Bench(workload, args.seed, work_dir)
-        setup_s = time.perf_counter() - T_START
+        # CPU time since the process started, interpreter start-up included
+        setup_cpu_s = time.process_time()
+        setup_wall_s = time.perf_counter() - T_START
+        setup_s = setup_cpu_s
+        if workload.calibrated:
+            import calibration
+
+            setup_s = calibration.scale(setup_cpu_s, calibration.kernel_s())
         if args.setup_only:
             # the timing is all a set-up sample gives: the parent ran and
             # checked the same warm-up op itself
@@ -186,20 +224,29 @@ def main(argv=None) -> int:
             # median spans the machine's speed drift over the run
             setups = [setup_s]
             setups += [child_setup_seconds(args) for _ in range(workload.setup_samples // 2)]
-            ops = bench.measure(args.seconds)
+            ops, op_cpu_s = bench.measure(args.seconds)
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
             setups += [child_setup_seconds(args) for _ in range(workload.setup_samples - len(setups))]
-            busy = sum(s for s, _, _ in ops)
+            busy = sum(op_cpu_s)
             metrics = {
                 "setup_s": (statistics.median(setups), "s"),
-                "op_s_p50": (statistics.median(s for s, _, _ in ops), "s"),
-                "trials_per_s": (sum(t for _, _, t in ops) / busy, "1/s"),
-                "fw_steps_per_s": (sum(k for _, k, _ in ops) / busy, "1/s"),
+                "op_cpu_s_p50": (statistics.median(op_cpu_s), "s"),
+                "trials_per_cpu_s": (sum(op.trials for op in ops) / busy, "1/s"),
+                "fw_steps_per_cpu_s": (sum(op.fw_steps for op in ops) / busy, "1/s"),
                 "peak_rss_mb": (peak_rss_mb, "MB"),
             }
-            print(f"ops: {len(ops)} measured, op_s_p50 is their median: "
-                  f"{[round(s, 3) for s, _, _ in ops]} s; set-up samples "
-                  f"{[round(s, 3) for s in setups]} s")
+            speed = "at reference speed" if workload.calibrated else "(not calibrated)"
+            print(f"ops: {len(ops)} measured, op_cpu_s_p50 is their median: "
+                  f"{[round(s, 3) for s in op_cpu_s]} s CPU {speed}; "
+                  f"set-up samples {[round(s, 3) for s in setups]} s")
+            print(f"raw CPU time (not a metric): op median "
+                  f"{statistics.median(op.cpu_s for op in ops):.4f} s, "
+                  f"{[round(op.cpu_s, 3) for op in ops]} s; in-process set-up "
+                  f"{setup_cpu_s:.4f} s")
+            print(f"wall time (not a metric): op median "
+                  f"{statistics.median(op.wall_s for op in ops):.4f} s, "
+                  f"{[round(op.wall_s, 3) for op in ops]} s; in-process set-up "
+                  f"{setup_wall_s:.4f} s")
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
 

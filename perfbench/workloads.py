@@ -41,6 +41,9 @@ class Workload:
     trace_ops: int = 2
     # set-ups timed per run (this process plus fresh ones) for setup_s
     setup_samples: int = 5
+    # CPU times scaled to the reference speed by the calibration kernel
+    # (calibration.py); off where that made a workload less steady
+    calibrated: bool = True
 
     @property
     def pool_threads(self) -> int:
@@ -67,14 +70,21 @@ WORKLOADS = {
             trace_ops=3,
         ),
         # the only dim-1024 workload: dense fidelity and DensityMatrix
-        # validation dominate, the eigen-step barely shows
+        # validation dominate, the eigen-step barely shows. One BLAS
+        # thread: a second one cut wall time but spun the op's CPU time
+        # from 5.5 s up to 7-9 s, varying by 25 % between ops
         Workload(
             name="learn-n10",
             config=dict(command="learn", n=10, dist="d1", m=20, threads=1),
-            blas_threads=min(2, NPROC),
+            blas_threads=1,
             trace_ops=2,
-            # each set-up here runs a full 3-4 s op as its warm-up
+            # each set-up here runs a full 5-6 s op as its warm-up
             setup_samples=3,
+            # its 5 s ops average over the host's second-scale speed
+            # changes, which the 0.25 s kernel samples one at a time:
+            # over ten workload seeds raw CPU time spread 0.08, scaled
+            # CPU time 0.135
+            calibrated=False,
         ),
         # fig4-gamma protocol: the only workload that reuses TrialCache
         # entries and runs the --threads worker pool
