@@ -39,7 +39,14 @@ from .sampling import (
     distribution_from_generators,
     sample_training_set,
 )
-from .states import DensityMatrix, fidelity, ghz_density, maximally_mixed, to_dense
+from .states import (
+    MAX_QUBITS,
+    DensityMatrix,
+    _pauli_action,
+    fidelity,
+    ghz_density,
+    maximally_mixed,
+)
 from .table import ResultTable, read_table
 
 OUT_DIR_ENV = "QPAC_OUT_DIR"
@@ -161,8 +168,7 @@ class ExperimentConfig:
                 raise ConfigError(f"learn needs m >= 1, got {self.m}")
         if self.command == "sweep-m":
             if self.m_list is None:
-                support = 2**self.n - 1 if self.dist == FULL_STABILIZER else 2 ** (self.n - 1)
-                self.m_list = list(range(0, support + 1))
+                self.m_list = list(range(0, len(self.distribution(self.n)) + 1))
             if any(m < 0 for m in self.m_list):
                 raise ConfigError("sweep-m sizes must be >= 0")
         if self.command == "sweep-errors":
@@ -207,15 +213,21 @@ class ExperimentConfig:
             gens = [PauliString.from_text(g) for g in self.generators]
             if any(g.n != n for g in gens):
                 raise ConfigError(f"generators must act on n={n} qubits")
+            if n > MAX_QUBITS:
+                raise ConfigError(f"generator targets support n <= {MAX_QUBITS}, got {n}")
             group = group_closure(gens)
             if len(group) != 2**n:
                 raise ConfigError(
                     f"need {n} independent generators for a pure {n}-qubit target"
                 )
+            # the projector is the group average; each element adds its
+            # signed permutation, so no dense Pauli matrix is formed
             dim = 1 << n
+            cols = np.arange(dim)
             acc = np.zeros((dim, dim), dtype=np.complex128)
             for p in group:
-                acc += to_dense(p)
+                perm, coeff = _pauli_action(p)
+                acc[perm, cols] += coeff
             return DensityMatrix(acc / dim)
         return ghz_density(n)
 

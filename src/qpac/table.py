@@ -20,8 +20,11 @@ def _render(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
+    # np.float64 subclasses float, but its repr is "np.float64(...)"
+    if isinstance(value, int):
+        return repr(int(value))
+    if isinstance(value, float):
+        return repr(float(value))
     s = str(value)
     if "," in s or "\n" in s or "#" in s:
         raise ValueError(f"cell value {s!r} would corrupt the CSV layout")

@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from qpac import ConfigError
+from qpac import ConfigError, ghz_density, ghz_generators
 from qpac.experiments import (
+    LEARN_COLUMNS,
     ExperimentConfig,
     replay,
     run_bound_curve,
@@ -34,6 +35,13 @@ class TestExperimentConfig:
         assert c.m_list == list(range(0, 5))  # support 4 plus m=0
         c2 = cfg(command="learn", m=3)
         assert c2.replacement == "with"
+
+    def test_default_m_list_follows_generator_support(self, tmp_path):
+        # the Y-free part of <XY, YX> is {ZZ}: one effect, not 2^(n-1)
+        c = cfg(command="sweep-m", n=2, dist="d2", generators=["XY", "YX"], repeats=2,
+                out=str(tmp_path / "g.csv"))
+        assert c.m_list == [0, 1]
+        assert run_sweep_m(c).column("m") == [0, 1]
 
     def test_learn_requires_m(self):
         with pytest.raises(ConfigError):
@@ -113,6 +121,19 @@ class TestRunLearn:
         row = dict(zip(table.columns, table.select(hypothesis="learned")[0]))
         assert row["epsilon_est"] == 0.0
         assert row["fidelity_target"] >= 0.99
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_generator_target_beyond_dense_cap(self, n, tmp_path):
+        gens = [str(g) for g in ghz_generators(n)]
+        c = cfg(command="learn", n=n, m=4, generators=gens, out=str(tmp_path / "g.csv"))
+        assert np.array_equal(c.target_state(n).matrix, ghz_density(n).matrix)
+        row = dict(zip(LEARN_COLUMNS, run_learn(c).select(hypothesis="learned")[0]))
+        assert 0.0 <= row["fidelity_target"] <= 1.0
+
+    def test_generator_target_qubit_cap(self):
+        gens = [str(g) for g in ghz_generators(11)]
+        with pytest.raises(ConfigError, match="n <= 10"):
+            cfg(command="learn", n=11, m=4, generators=gens).target_state(11)
 
     def test_generator_count_must_pin_state(self, tmp_path):
         with pytest.raises(ConfigError):

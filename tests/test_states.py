@@ -3,7 +3,10 @@ oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import qpac.states
 from qpac import (
     DensityMatrix,
     MeasurementEffect,
@@ -39,6 +42,45 @@ class TestDensityMatrix:
     def test_rounding_dust_accepted(self):
         m = np.diag([1.0 + 5e-11, -5e-11])
         DensityMatrix(m)  # within both tolerances
+
+    @given(
+        dim=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 6),
+        low=st.one_of(
+            st.none(),
+            st.floats(-12, -3).map(lambda e: -1e-9 + 10.0**e),
+            st.floats(-12, -3).map(lambda e: -1e-9 - 10.0**e),
+        ),
+        rotate=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_psd_rule_matches_eigvalsh(self, dim, seed, rank, low, rotate):
+        """Accepted exactly when eigvalsh(m)[0] >= -1e-9, away from the
+        boundary; low=None gives a rank-r projector (scaled to trace 1)."""
+        rng = np.random.default_rng(seed)
+        rank = min(rank, dim)
+        if low is None:
+            vals = np.r_[np.full(rank, 1.0 / rank), np.zeros(dim - rank)]
+        else:
+            assume(dim >= 2)
+            rest = rng.random(dim - 1) + 1e-3
+            vals = np.r_[low, rest * (1.0 - low) / rest.sum()]
+        u = np.eye(dim, dtype=complex)
+        if rotate:
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            u, _ = np.linalg.qr(g)
+        m = (u * vals) @ u.conj().T
+        m = (m + m.conj().T) / 2
+        m = m / np.trace(m).real
+        lam = float(np.linalg.eigvalsh(m)[0])
+        assume(abs(lam + 1e-9) > 1e-12)
+        if lam >= -1e-9:
+            DensityMatrix(m)
+        else:
+            with pytest.raises(NonPhysicalStateError) as err:
+                DensityMatrix(m)
+            assert f"smallest eigenvalue {lam} " in str(err.value)
 
     def test_immutable(self):
         rho = ghz_density(2)
@@ -180,6 +222,21 @@ class TestFidelity:
                 f_auto = fidelity(pure, other, method="pure")
                 f_general = fidelity(pure, other, method="general")
                 assert f_auto == pytest.approx(f_general, abs=1e-8)
+
+    @pytest.mark.parametrize("pure_first", [True, False])
+    def test_pure_path_takes_no_decomposition(self, monkeypatch, rng, pure_first):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense decomposition on the pure path")
+
+        monkeypatch.setattr(qpac.states, "eigendecompose", refuse)
+        monkeypatch.setattr(qpac.states, "sqrt_psd", refuse)
+        pure = DensityMatrix(random_density(rng, 8, rank=1))
+        other = DensityMatrix(random_density(rng, 8))
+        a, b = (pure, other) if pure_first else (other, pure)
+        want = np.sqrt(np.real(np.trace(pure.matrix @ other.matrix)))
+        assert fidelity(a, b) == pytest.approx(want, abs=1e-12)
+        with pytest.raises(AssertionError):
+            fidelity(other, other)
 
     def test_pure_method_requires_pure(self):
         with pytest.raises(ValueError):

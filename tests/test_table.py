@@ -2,8 +2,10 @@
 
 import os
 
+import numpy as np
 import pytest
 
+from qpac.experiments import ExperimentConfig, run_learn
 from qpac.table import ResultTable, read_table
 
 
@@ -75,3 +77,19 @@ class TestResultTable:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_table(path)
+
+    def test_numpy_float_renders_as_python_float(self, tmp_path):
+        t = ResultTable(config={}, columns=("v",))
+        t.append(np.float64(0.25))
+        path = tmp_path / "f.csv"
+        t.write(path)
+        assert path.read_text().splitlines()[2] == "0.25"
+        assert read_table(path).column("v") == [0.25]
+
+    def test_learn_fidelity_cells_read_back_as_floats(self, tmp_path):
+        path = tmp_path / "learn.csv"
+        run_learn(ExperimentConfig(command="learn", n=3, m=4, seed=3, out=str(path)))
+        assert "np." not in path.read_text()
+        table = read_table(path)
+        for column in ("fidelity_target", "fidelity_mixed"):
+            assert all(type(v) is float for v in table.column(column))
