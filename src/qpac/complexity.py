@@ -29,7 +29,7 @@ from .sampling import (
     TrainingSet,
     sample_training_set,
 )
-from .states import DensityMatrix, expectation
+from .states import DensityMatrix
 
 
 def _unit_interval(name: str, value: float, closed_top: bool = True):
@@ -86,9 +86,7 @@ class TrialCache:
 
     ``residuals(m, i)`` returns the exact support residuals of the
     hypothesis learned in trial i at training size m. Trials at
-    different m are sampled from scratch (independent streams) unless
-    ``incremental`` is set, in which case each trial's training set at
-    m extends its set at m - 1.
+    different m are sampled from scratch (independent streams).
     """
 
     def __init__(
@@ -99,7 +97,6 @@ class TrialCache:
         k_max: int = 300,
         noise: NoiseModel | None = None,
         replacement: bool = True,
-        incremental: bool = False,
         eig_tol: float = 1e-9,
     ):
         self.state = state
@@ -108,46 +105,19 @@ class TrialCache:
         self.k_max = k_max
         self.noise = noise or NoiseModel.exact()
         self.replacement = replacement
-        self.incremental = incremental
         self.eig_tol = eig_tol
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
-        self._streams: dict[int, list] = {}
 
     def _trial_seed(self, m: int, i: int):
         base = self.seed if isinstance(self.seed, (list, tuple)) else (self.seed,)
         return (*base, m, i)
 
     def _training(self, m: int, i: int) -> TrainingSet:
-        if not self.incremental:
-            return sample_training_set(
-                self.dist, self.state, m,
-                noise=self.noise, seed=self._trial_seed(m, i),
-                replacement=self.replacement,
-            )
-        # incremental mode: extend trial i's items one draw at a time so
-        # size-m training is a prefix of size-(m+1) training
-        if self.replacement is False:
-            raise ValueError("incremental mode requires sampling with replacement")
-        stream = self._streams.setdefault(i, [])
-        if len(stream) < m:
-            base = self.seed if isinstance(self.seed, (list, tuple)) else (self.seed,)
-            rng = np.random.default_rng((*base, i))
-            # replay the already-consumed prefix to keep one stream per trial
-            items = []
-            for _ in range(m):
-                idx = int(rng.integers(0, len(self.dist)))
-                eff = self.dist.effects[idx]
-                p = expectation(eff, self.state)
-                if self.noise.kind == "exact":
-                    val = p
-                elif self.noise.kind == "shots":
-                    val = float(rng.binomial(self.noise.shots, p)) / self.noise.shots
-                else:
-                    val = float(np.clip(p + rng.normal(0.0, self.noise.std), 0.0, 1.0))
-                items.append((eff, val))
-            stream.clear()
-            stream.extend(items)
-        return TrainingSet(tuple(stream[:m]), self.noise, self._trial_seed(m, i))
+        return sample_training_set(
+            self.dist, self.state, m,
+            noise=self.noise, seed=self._trial_seed(m, i),
+            replacement=self.replacement,
+        )
 
     def residuals(self, m: int, i: int) -> np.ndarray:
         key = (m, i)
@@ -173,7 +143,6 @@ def estimate_min_m(
     *,
     noise: NoiseModel | None = None,
     replacement: bool = True,
-    incremental: bool = False,
     cache: TrialCache | None = None,
     record: Callable[[int, int, float, bool], None] | None = None,
 ) -> int:
@@ -189,8 +158,7 @@ def estimate_min_m(
     if cache is None:
         cache = TrialCache(
             state, dist, seed,
-            k_max=params.k_max, noise=noise,
-            replacement=replacement, incremental=incremental,
+            k_max=params.k_max, noise=noise, replacement=replacement,
         )
     eps = _exact_fraction(params.epsilon)
     delta = _exact_fraction(params.delta)

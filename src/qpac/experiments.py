@@ -228,7 +228,8 @@ class ExperimentConfig:
             for p in group:
                 perm, coeff = _pauli_action(p)
                 acc[perm, cols] += coeff
-            return DensityMatrix(acc / dim)
+            # a 2^n-element stabilizer group averages to its state's projector
+            return DensityMatrix._built(acc / dim)
         return ghz_density(n)
 
     def distribution(self, n: int) -> MeasurementDistribution:

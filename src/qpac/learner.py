@@ -178,7 +178,8 @@ def hazan_optimize(
             break
 
     return Hypothesis(
-        sigma=DensityMatrix(sigma),
+        # I / d or a convex combination of it and rank-1 projectors v v^dag
+        sigma=DensityMatrix._built(sigma),
         iterations_used=iterations,
         final_objective=obj.value(sigma),
     )

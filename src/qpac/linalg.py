@@ -31,8 +31,10 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NonHermitianError(f"not square: {h.shape}")
     scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
-        raise NonHermitianError("matrix is not Hermitian within tolerance")
+    # written so that NaN fails each comparison; an inf entry makes the
+    # scale inf, which would otherwise excuse any asymmetry
+    if not (scale < np.inf and np.max(np.abs(h - h.conj().T)) <= 1e-10 * scale):
+        raise NonHermitianError("matrix is not finite and Hermitian within tolerance")
     return h
 
 

@@ -79,14 +79,21 @@ def to_dense(p: PauliString) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Complex Hermitian unit-trace PSD matrix.
+    """Complex Hermitian unit-trace PSD matrix, stored read-only.
 
-    Validated on construction: hermiticity and trace to 1e-10, smallest
-    eigenvalue >= -1e-9 (rounding-level negative mass is accepted, not
-    repaired). A Cholesky factorization of m + 1e-9 I certifies the
-    eigenvalue bound in O(d^3 / 3) without an eigendecomposition; only
-    when it fails does ``eigvalsh`` decide, and name the eigenvalue.
-    The two rules agree except within rounding of the -1e-9 boundary.
+    The public constructor validates a matrix that comes from outside
+    the package: finite entries, hermiticity and trace to 1e-10,
+    smallest eigenvalue >= -1e-9 (rounding-level negative mass is
+    accepted, not repaired). A Cholesky factorization of m + 1e-9 I
+    certifies the eigenvalue bound in O(d^3 / 3) without an
+    eigendecomposition; only when it fails does ``eigvalsh`` decide,
+    and name the eigenvalue. The two rules agree except within rounding
+    of the -1e-9 boundary.
+
+    States the package builds itself (GHZ and generator projectors,
+    I / 2^n, Frank-Wolfe iterates) are valid by construction and are
+    wrapped by :meth:`_built` without the O(d^3) check; the tests pass
+    each of them through the public validator.
     """
 
     matrix: np.ndarray
@@ -95,10 +102,12 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonPhysicalStateError(f"not square: {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise NonPhysicalStateError("matrix is not Hermitian within 1e-10")
+        # each comparison is written so that NaN fails it; an inf entry
+        # leaves NaN or inf in m - m^dag, so it fails too
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
+            raise NonPhysicalStateError("matrix is not finite and Hermitian within 1e-10")
         tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise NonPhysicalStateError(f"trace {tr} is not 1 within 1e-10")
         try:
             np.linalg.cholesky(m + PSD_TOL * np.eye(m.shape[0]))
@@ -109,6 +118,17 @@ class DensityMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _built(cls, m: np.ndarray) -> "DensityMatrix":
+        """Wrap a complex128 density matrix the package has just built,
+        without validation. Takes ownership: ``m`` becomes read-only and
+        no caller may keep writing to it. Each call site names the
+        invariant that makes its matrix a valid state."""
+        m.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", m)
+        return state
 
     @property
     def dim(self) -> int:
@@ -155,7 +175,8 @@ def ghz_density(n: int, max_n: int = MAX_QUBITS) -> DensityMatrix:
     for i in (0, dim - 1):
         for j in (0, dim - 1):
             m[i, j] = 0.5
-    return DensityMatrix(m)
+    # v v^dag for the unit vector v = (e_0 + e_{d-1}) / sqrt(2)
+    return DensityMatrix._built(m)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
@@ -163,7 +184,8 @@ def maximally_mixed(n: int) -> DensityMatrix:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     dim = 1 << n
-    return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)
+    # diagonal, nonnegative, trace 1
+    return DensityMatrix._built(np.eye(dim, dtype=np.complex128) / dim)
 
 
 def expectation(effect: MeasurementEffect, state: DensityMatrix) -> float:

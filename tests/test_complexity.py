@@ -164,21 +164,6 @@ class TestEstimateMinM:
         assert all(len({i for m2, i, *_ in rows if m2 == m}) == 5 for m in ms)
         assert all(0.0 <= eps <= 1.0 for _, _, eps, _ in rows)
 
-    def test_incremental_mode_prefix_property(self):
-        rho = ghz_density(3)
-        dist = build_distribution(3, "d1")
-        cache = TrialCache(rho, dist, seed=(9,), incremental=True)
-        t3 = cache._training(3, 0)
-        t5 = cache._training(5, 0)
-        assert t5.items[:3] == t3.items
-
-    def test_incremental_requires_replacement(self):
-        rho = ghz_density(2)
-        dist = build_distribution(2, "d1")
-        cache = TrialCache(rho, dist, seed=(10,), incremental=True, replacement=False)
-        with pytest.raises(ValueError):
-            cache._training(1, 0)
-
     def test_repeated_estimates(self):
         rho = ghz_density(2)
         dist = build_distribution(2, "d2")

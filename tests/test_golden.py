@@ -1,0 +1,55 @@
+"""Byte-identity of protocol tables against pinned golden CSVs.
+
+Each config below is run and its table compared byte for byte with the
+file of the same name in ``tests/golden/``. ``threads=1`` is explicit
+because the header echoes the resolved thread count. A change that is
+meant to keep every table identical must pass this unchanged; one that
+is meant to change results re-pins the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import sys
+
+import pytest
+
+from qpac.experiments import ExperimentConfig, run_command
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CLUSTER_3 = ["XZI", "ZXZ", "IZX"]
+
+CONFIGS = {
+    "learn_n10_d1_m20": dict(command="learn", n=10, dist="d1", m=20, seed=3),
+    "learn_n4_shots": dict(command="learn", n=4, dist="d1", m=12, shots=50, seed=7),
+    # noisy values give multi-step, non-degenerate Frank-Wolfe iterates
+    "learn_n4_gauss": dict(command="learn", n=4, dist="d1", m=12, gauss_std=0.05, k_max=30,
+                           seed=7),
+    "sweep_m_cluster3": dict(command="sweep-m", n=3, dist="d1", generators=CLUSTER_3,
+                             m_list=[0, 1, 3, 5], repeats=3, seed=11),
+    "scaling_n2_4": dict(command="scaling", n_min=2, n_max=4, dist="d2", epsilon=0.15,
+                         gamma=0.2, delta=0.2, i_max=6, repeats=2, seed=13),
+    "sweep_errors_n3": dict(command="sweep-errors", n=3, dist="d1", sweep_param="gamma",
+                            sweep_values=[0.1, 0.3, 0.5], i_max=6, repeats=2, seed=17),
+}
+
+
+def _run(name: str, out: str) -> None:
+    run_command(ExperimentConfig(**CONFIGS[name], threads=1, out=out))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_table_matches_golden(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    _run(name, str(out))
+    with open(os.path.join(GOLDEN_DIR, f"{name}.csv"), "rb") as fh:
+        golden = fh.read()
+    assert out.read_bytes() == golden
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name in sys.argv[1:] or sorted(CONFIGS):
+        _run(name, os.path.join(GOLDEN_DIR, f"{name}.csv"))
+        print(f"wrote {name}.csv")

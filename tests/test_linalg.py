@@ -126,6 +126,24 @@ class TestSmallestEigenvector:
         with pytest.raises(NonHermitianError):
             smallest_eigenvector(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.full((2, 2), np.nan),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.array([[0.0, np.inf], [np.inf, 0.0]]),
+            # an inf entry must not scale the tolerance up to excuse its
+            # finite transpose partner
+            np.array([[0.0, np.inf], [1.0, 0.0]]),
+        ],
+    )
+    def test_non_finite_rejected(self, h):
+        with pytest.raises(NonHermitianError):
+            smallest_eigenvector(h)
+        with pytest.raises(NonHermitianError):
+            eigendecompose(h)
+
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             smallest_eigenvector(np.eye(2), tol=0.0)

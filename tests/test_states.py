@@ -39,6 +39,21 @@ class TestDensityMatrix:
         with pytest.raises(NonPhysicalStateError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.full((2, 2), np.nan),
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.array([[0.5, 1j * np.nan], [-1j * np.nan, 0.5]]),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.array([[0.5, np.inf], [np.inf, 0.5]]),
+            np.array([[0.5, np.inf], [0.0, 0.5]]),
+        ],
+    )
+    def test_non_finite_rejected(self, m):
+        with pytest.raises(NonPhysicalStateError):
+            DensityMatrix(m)
+
     def test_rounding_dust_accepted(self):
         m = np.diag([1.0 + 5e-11, -5e-11])
         DensityMatrix(m)  # within both tolerances
