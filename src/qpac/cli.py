@@ -49,7 +49,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--extrapolate-n", dest="extrapolate_n", type=int)
     p.add_argument("--generators", type=str,
                    help="comma-separated Pauli strings for a custom stabilizer target")
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", help="output CSV path (default under $QPAC_OUT_DIR)")
     p.add_argument("--trials-out", dest="trials_out", help="per-trial record CSV path")
     p.add_argument("--training-out", dest="training_out", help="training-set dump path (learn)")
@@ -66,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("repro", help="run a named reproduction scenario")
     rp.add_argument("scenario", choices=scenario_names())
     rp.add_argument("--out-dir", dest="out_dir", help="directory for tables and reports")
-    rp.add_argument("--threads", type=int)
     return parser
 
 
@@ -82,7 +80,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "repro":
-            report = run_repro(args.scenario, out_dir=args.out_dir, threads=args.threads)
+            report = run_repro(args.scenario, out_dir=args.out_dir)
             print(report["text"])
             return 0 if report["passed"] else 1
         flags = _flag_values(args)
@@ -92,19 +90,11 @@ def main(argv=None) -> int:
         else:
             config = ExperimentConfig.from_sources(None, flags)
         table = run_command(config)
-        print(f"wrote {len(table.rows)} rows: {_out_path(config)}")
+        print(f"wrote {len(table.rows)} rows: {config.out_path()}")
         return 0
     except (QpacError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _out_path(config: ExperimentConfig) -> str:
-    import os
-
-    if config.out:
-        return config.out
-    return os.path.join(os.environ.get("QPAC_OUT_DIR", "."), f"{config.command}.csv")
 
 
 if __name__ == "__main__":

@@ -19,9 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -104,6 +102,8 @@ class ExperimentConfig:
     reference_intercept: float = -0.34
     extrapolate_n: int = 20
     generators: list | None = None
+    # selects nothing: every run is single-threaded. The key is accepted
+    # and echoed as given so that existing configs and headers replay
     threads: int = 0
     out: str | None = None
     trials_out: str | None = None
@@ -205,8 +205,12 @@ class ExperimentConfig:
         values.update(overrides)
         return LearnParams(**values)
 
-    def resolved_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+    def out_path(self) -> str:
+        """Where the table goes: ``out``, else ``<command>.csv`` in the
+        default output directory."""
+        if self.out is not None:
+            return self.out
+        return os.path.join(default_out_dir(), f"{self.command}.csv")
 
     def target_state(self, n: int) -> DensityMatrix:
         if self.generators:
@@ -243,31 +247,19 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         for name in self._PATH_FIELDS:
             d[name] = None
-        d["threads"] = self.resolved_threads()
         d["tool_version"] = __version__
         # documentation keys, ignored on replay
         d["fidelity_convention"] = "amplitude (F, not F^2)"
         return d
 
 
-def _pmap(fn, tasks: Sequence, threads: int) -> list:
-    """Order-preserving map, optionally across a thread pool.
-
-    Results are collected in task order, so aggregation downstream is
-    deterministic regardless of completion order.
-    """
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
+def default_out_dir() -> str:
+    """``$QPAC_OUT_DIR``, else the working directory."""
+    return os.environ.get(OUT_DIR_ENV, ".")
 
 
 def _finalize(table: ResultTable, config: ExperimentConfig) -> ResultTable:
-    out = config.out
-    if out is None:
-        out_dir = os.environ.get(OUT_DIR_ENV, ".")
-        out = os.path.join(out_dir, f"{config.command}.csv")
-    table.write(out)
+    table.write(config.out_path())
     return table
 
 
@@ -346,28 +338,24 @@ def run_sweep_m(config: ExperimentConfig) -> ResultTable:
     noise = config.noise_model()
     baseline_eps = evaluate_epsilon(mixed, state, dist, config.gamma)
 
-    def one(task):
-        m, r = task
-        if m == 0:
-            sigma = mixed
-        else:
-            training = sample_training_set(
-                dist, state, m, noise=noise, seed=(config.seed, m, r),
-                replacement=config.with_replacement(),
-            )
-            sigma = hazan_optimize(Objective(training), k_max=config.k_max).sigma
-        return (
-            evaluate_epsilon(sigma, state, dist, config.gamma),
-            fidelity(sigma, state),
-            fidelity(sigma, mixed),
-        )
-
-    tasks = [(m, r) for m in config.m_list for r in range(config.repeats)]
-    results = _pmap(one, tasks, config.resolved_threads())
-
     table = ResultTable(config=config.echo(), columns=SWEEP_M_COLUMNS)
-    for j, m in enumerate(config.m_list):
-        chunk = np.array(results[j * config.repeats:(j + 1) * config.repeats])
+    for m in config.m_list:
+        scores = []
+        for r in range(config.repeats):
+            if m == 0:
+                sigma = mixed
+            else:
+                training = sample_training_set(
+                    dist, state, m, noise=noise, seed=(config.seed, m, r),
+                    replacement=config.with_replacement(),
+                )
+                sigma = hazan_optimize(Objective(training), k_max=config.k_max).sigma
+            scores.append((
+                evaluate_epsilon(sigma, state, dist, config.gamma),
+                fidelity(sigma, state),
+                fidelity(sigma, mixed),
+            ))
+        chunk = np.array(scores)
         means = chunk.mean(axis=0)
         stds = chunk.std(axis=0)
         table.append(
@@ -394,8 +382,8 @@ def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     state = config.target_state(n)
     dist = config.distribution(n)
     trial_rows: list = []
-
-    def one_repeat(r):
+    per_repeat = []
+    for r in range(config.repeats):
         cache = TrialCache(
             state, dist, seed=(config.seed, r),
             k_max=config.k_max, noise=config.noise_model(),
@@ -411,9 +399,7 @@ def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
                 )
             ms.append(estimate_min_m(state, dist, params, seed=(config.seed, r),
                                      cache=cache, record=recorder))
-        return ms
-
-    per_repeat = _pmap(one_repeat, list(range(config.repeats)), config.resolved_threads())
+        per_repeat.append(ms)
     arr = np.array(per_repeat, dtype=float)  # (repeats, len(values))
 
     table = ResultTable(config=config.echo(), columns=SWEEP_ERRORS_COLUMNS)
@@ -449,28 +435,24 @@ def run_scaling(config: ExperimentConfig) -> ResultTable:
     params = config.learn_params()
     trial_rows: list = []
 
-    def one_run(task):
-        n, r = task
-        state = config.target_state(n)
-        dist = config.distribution(n)
-        recorder = None
-        if config.trials_out:
-            recorder = lambda m, i, eps, failed: trial_rows.append(
-                (n, m, i, eps, failed, f"({config.seed};{n};{r};{m};{i})")
-            )
-        return estimate_min_m(
-            state, dist, params, seed=(config.seed, n, r),
-            noise=config.noise_model(), replacement=config.with_replacement(),
-            record=recorder,
-        )
-
-    tasks = [(n, r) for n in ns for r in range(config.repeats)]
-    results = _pmap(one_run, tasks, config.resolved_threads())
-
     table = ResultTable(config=config.echo(), columns=SCALING_COLUMNS)
     points = []
-    for j, n in enumerate(ns):
-        chunk = np.array(results[j * config.repeats:(j + 1) * config.repeats], dtype=float)
+    for n in ns:
+        state = config.target_state(n)
+        dist = config.distribution(n)
+        min_ms = []
+        for r in range(config.repeats):
+            recorder = None
+            if config.trials_out:
+                recorder = lambda m, i, eps, failed: trial_rows.append(
+                    (n, m, i, eps, failed, f"({config.seed};{n};{r};{m};{i})")
+                )
+            min_ms.append(estimate_min_m(
+                state, dist, params, seed=(config.seed, n, r),
+                noise=config.noise_model(), replacement=config.with_replacement(),
+                record=recorder,
+            ))
+        chunk = np.array(min_ms, dtype=float)
         points.append((n, float(chunk.mean())))
         table.append("point", n, config.repeats, float(chunk.mean()), float(chunk.std()),
                      None, None, None, None, None)

@@ -131,7 +131,6 @@ def gradient(obj: Objective, sigma) -> np.ndarray:
 
 def hazan_optimize(
     obj: Objective,
-    dim: int | None = None,
     k_max: int = 300,
     *,
     eig_tol: float = 1e-9,
@@ -154,10 +153,7 @@ def hazan_optimize(
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
-    if dim is None:
-        dim = obj.dim
-    elif dim != obj.dim:
-        raise ValueError(f"dimension mismatch: {dim} vs objective dim {obj.dim}")
+    dim = obj.dim
 
     sigma = np.eye(dim, dtype=np.complex128) / dim
     iterations = 0

@@ -30,7 +30,9 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NonHermitianError(f"not square: {h.shape}")
-    scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
+    if h.size == 0:
+        raise NonHermitianError("empty matrix")
+    scale = 1.0 + float(np.max(np.abs(h)))
     # written so that NaN fails each comparison; an inf entry makes the
     # scale inf, which would otherwise excuse any asymmetry
     if not (scale < np.inf and np.max(np.abs(h - h.conj().T)) <= 1e-10 * scale):

@@ -14,7 +14,7 @@ import os
 from importlib import resources
 
 from .errors import ConfigError
-from .experiments import ExperimentConfig, run_command
+from .experiments import ExperimentConfig, default_out_dir, run_command
 from .table import ResultTable
 
 
@@ -128,7 +128,7 @@ def evaluate_assertions(table: ResultTable, assertions: list) -> list:
     return results
 
 
-def run_repro(scenario: str, out_dir: str | None = None, threads: int | None = None) -> dict:
+def run_repro(scenario: str, out_dir: str | None = None) -> dict:
     """Execute a manifest scenario end to end and check its assertions.
 
     Writes the scenario table, a plain-text report, and a JSON report
@@ -140,13 +140,11 @@ def run_repro(scenario: str, out_dir: str | None = None, threads: int | None = N
             f"unknown scenario {scenario!r}; available: {', '.join(sorted(manifest))}"
         )
     entry = manifest[scenario]
-    out_dir = out_dir or os.environ.get("QPAC_OUT_DIR", ".")
+    out_dir = out_dir or default_out_dir()
     os.makedirs(out_dir, exist_ok=True)
 
     values = dict(entry["config"])
     values["out"] = os.path.join(out_dir, f"{scenario}.csv")
-    if threads is not None:
-        values["threads"] = threads
     config = ExperimentConfig.from_sources(values, None)
     table = run_command(config)
 

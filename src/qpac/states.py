@@ -102,6 +102,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonPhysicalStateError(f"not square: {m.shape}")
+        if m.size == 0:
+            raise NonPhysicalStateError("empty matrix")
         # each comparison is written so that NaN fails it; an inf entry
         # leaves NaN or inf in m - m^dag, so it fails too
         if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:

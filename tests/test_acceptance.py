@@ -6,6 +6,7 @@ session and assert directly on the output tables.
 """
 
 import math
+import os
 from itertools import product
 
 import numpy as np
@@ -282,3 +283,22 @@ def test_criterion_9_replay_determinism(fig3, scenario_dir, tmp_path):
         f"fig3 table replayed from its own header: {fig3_ok}; "
         f"learn run replayed: {learn_ok}",
     )
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("scenario", ["fig3", "fig4-delta", "fig4-gamma", "fig4-epsilon", "fig5"])
+def test_scenario_rows_match_golden(scenario, request):
+    """Every line after the header of each manifest scenario table is
+    byte-identical to ``tests/golden/repro_<scenario>_rows.csv``. A
+    change that is meant to change results re-pins a file with
+    ``qpac repro <scenario> --out-dir d`` and ``tail -n +2 d/<scenario>.csv``."""
+    if scenario.startswith("fig4-"):
+        path = request.getfixturevalue("fig4")[scenario[len("fig4-"):]]["table"]
+    else:
+        path = request.getfixturevalue(scenario)["table"]
+    with open(path, "rb") as fh:
+        rows = fh.read().split(b"\n", 1)[1]
+    with open(os.path.join(GOLDEN_DIR, f"repro_{scenario}_rows.csv"), "rb") as fh:
+        assert rows == fh.read()

@@ -1,6 +1,7 @@
 """Command-line surface: flags, config files, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,14 @@ class TestCli:
         assert table.config["command"] == "learn"
         assert len(table.rows) == 2
         assert "wrote 2 rows" in capsys.readouterr().out
+
+    def test_default_out_dir_is_printed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QPAC_OUT_DIR", str(tmp_path))
+        code = main(["learn", "--n", "2", "--m", "3", "--seed", "3"])
+        assert code == 0
+        printed = capsys.readouterr().out.strip().split(": ", 1)[1]
+        assert read_table(printed).config["command"] == "learn"
+        assert os.path.samefile(printed, tmp_path / "learn.csv")
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "c.json"

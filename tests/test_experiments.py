@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestExperimentConfig:
         echo = c.echo()
         assert echo["out"] is None
         assert echo["tool_version"]
-        assert echo["threads"] >= 1
+        assert echo["threads"] == c.threads
 
 
 class TestRunLearn:
@@ -248,3 +249,26 @@ class TestDeterminismAndReplay:
         ta, tb = a.read_text(), b.read_text()
         # headers differ in the threads echo; rows must not
         assert ta.splitlines()[1:] == tb.splitlines()[1:]
+
+    def test_protocols_start_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a protocol started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        small = dict(epsilon=0.2, gamma=0.3, delta=0.3, i_max=5, repeats=2, threads=4)
+        run_command(cfg(command="sweep-m", n=2, dist="d2", m_list=[1, 2], repeats=2, threads=4,
+                        out=str(tmp_path / "m.csv")))
+        run_command(cfg(command="sweep-errors", n=2, dist="d1", sweep_param="delta",
+                        sweep_values=[0.3, 0.6], **small, out=str(tmp_path / "e.csv"),
+                        trials_out=str(tmp_path / "et.csv")))
+        run_command(cfg(command="scaling", n_min=2, n_max=3, dist="d2", **small,
+                        out=str(tmp_path / "s.csv"), trials_out=str(tmp_path / "st.csv")))
+
+    def test_header_does_not_depend_on_core_count(self, tmp_path, monkeypatch):
+        outs = []
+        for cores in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+            outs.append(tmp_path / f"cores{cores}.csv")
+            run_command(cfg(command="learn", n=2, m=3, seed=3, out=str(outs[-1])))
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert read_table(outs[0]).config["threads"] == 0

@@ -144,6 +144,10 @@ class TestSmallestEigenvector:
         with pytest.raises(NonHermitianError):
             eigendecompose(h)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(NonHermitianError, match="empty"):
+            smallest_eigenvector(np.zeros((0, 0)))
+
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             smallest_eigenvector(np.eye(2), tol=0.0)

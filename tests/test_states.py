@@ -54,6 +54,10 @@ class TestDensityMatrix:
         with pytest.raises(NonPhysicalStateError):
             DensityMatrix(m)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(NonPhysicalStateError, match="empty"):
+            DensityMatrix(np.zeros((0, 0)))
+
     def test_rounding_dust_accepted(self):
         m = np.diag([1.0 + 5e-11, -5e-11])
         DensityMatrix(m)  # within both tolerances
