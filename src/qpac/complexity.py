@@ -9,7 +9,10 @@ rule carries no floating drift.
 
 A :class:`TrialCache` memoizes per-(m, trial) support residuals keyed
 by the trial seed, so sweeps that relax epsilon, gamma, or delta reuse
-identical trial outcomes and inherit exact monotonicity.
+identical trial outcomes and inherit exact monotonicity. It also keeps
+the bottom eigenvector of every gradient its trials met, keyed by the
+gradient's bytes, so a trial whose gradient an earlier trial already
+produced skips the eigen-step.
 """
 
 from __future__ import annotations
@@ -107,6 +110,9 @@ class TrialCache:
         self.replacement = replacement
         self.eig_tol = eig_tol
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
+        # set-based sampling redraws the same m-subset in another order,
+        # and with exact data its gradient does not depend on the order
+        self._bottom_vectors: dict[tuple[float, bytes], np.ndarray] = {}
 
     def _trial_seed(self, m: int, i: int):
         base = self.seed if isinstance(self.seed, (list, tuple)) else (self.seed,)
@@ -124,7 +130,10 @@ class TrialCache:
         found = self._residuals.get(key)
         if found is None:
             training = self._training(m, i)
-            hyp = hazan_optimize(Objective(training), k_max=self.k_max, eig_tol=self.eig_tol)
+            hyp = hazan_optimize(
+                Objective(training), k_max=self.k_max, eig_tol=self.eig_tol,
+                bottom_vectors=self._bottom_vectors,
+            )
             found = support_residuals(hyp.sigma, self.state, self.dist)
             found.setflags(write=False)
             self._residuals[key] = found

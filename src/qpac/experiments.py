@@ -180,8 +180,9 @@ class ExperimentConfig:
                 self.sweep_values = list(_SWEEP_DEFAULT_GRIDS[self.sweep_param])
             if any(not 0.0 < v <= 1.0 for v in self.sweep_values):
                 raise ConfigError("swept values must lie in (0, 1]")
-        if self.command == "scaling" and not 2 <= self.n_min <= self.n_max:
-            raise ConfigError(f"scaling needs 2 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
+        # the fit needs at least two qubit counts
+        if self.command == "scaling" and not 2 <= self.n_min < self.n_max:
+            raise ConfigError(f"scaling needs 2 <= n_min < n_max, got {self.n_min}..{self.n_max}")
         if self.command == "bound-curve" and (self.big_k is None or self.big_k < 0):
             raise ConfigError("bound-curve needs a non-negative K")
 
@@ -457,8 +458,6 @@ def run_scaling(config: ExperimentConfig) -> ResultTable:
         table.append("point", n, config.repeats, float(chunk.mean()), float(chunk.std()),
                      None, None, None, None, None)
 
-    if len(ns) < 2:
-        raise ConfigError("scaling needs at least two qubit counts for the fit")
     slope, intercept, r2 = linear_fit(points)
     x = config.extrapolate_n
     table.append("fit", None, None, None, None,

@@ -9,6 +9,7 @@ PSD by construction.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -136,6 +137,7 @@ def hazan_optimize(
     eig_tol: float = 1e-9,
     stop_objective: float | None = None,
     on_iterate: Callable[[int, float, float, np.ndarray], None] | None = None,
+    bottom_vectors: dict[tuple[float, bytes], np.ndarray] | None = None,
 ) -> Hypothesis:
     """Minimize the quadratic objective over unit-trace PSD matrices.
 
@@ -150,6 +152,15 @@ def hazan_optimize(
     (see :class:`IterationTrace`). ``stop_objective`` enables an early
     objective-threshold stop for speed-sensitive loops; it is disabled
     by default to mirror the fixed iteration protocol.
+
+    ``bottom_vectors`` memoizes the eigen-step across calls: a dict
+    from ``(eig_tol, sha1 of the gradient's bytes)`` to the read-only
+    bottom eigenvector. :func:`smallest_eigenvector` is a deterministic
+    function of those bytes and the tolerance, so a hit returns the
+    vector a fresh call would, and ``sigma`` is byte-identical with or
+    without the dict. The owner decides its lifetime (one
+    :class:`~qpac.complexity.TrialCache` holds one); without it nothing
+    is hashed.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -166,7 +177,15 @@ def hazan_optimize(
             # stationary point of a convex objective: optimal, no movement
             # this or any later step
             break
-        v, _ = smallest_eigenvector(g, tol=eig_tol)
+        if bottom_vectors is None:
+            v, _ = smallest_eigenvector(g, tol=eig_tol)
+        else:
+            key = (eig_tol, hashlib.sha1(g).digest())
+            v = bottom_vectors.get(key)
+            if v is None:
+                v, _ = smallest_eigenvector(g, tol=eig_tol)
+                v.setflags(write=False)
+                bottom_vectors[key] = v
         alpha = 1.0 / k
         sigma = (1.0 - alpha) * sigma + alpha * np.outer(v, v.conj())
         iterations = k

@@ -15,9 +15,22 @@ iteration restarts once from the basis vector with the smallest
 diagonal entry; if that is still not certifiable, or the sweep budget
 runs out, the full decomposition is the fallback for dim <= 256 and
 larger inputs raise.
+
+Results decide table bytes (the minimum m of a search is set by the
+first step's eigenvector), so the float operations of a sweep and
+their order are a contract: hv = h v; lam = Re <v, hv>; the residual
+hv - lam v; w = c v - hv; v = w / ||w||, a complex divide by a real
+norm (reciprocal-multiply rounding). Each norm is sqrt(re.re + im.im)
+over the real and imaginary views, which is what ``np.linalg.norm``
+computes. A sweep allocates nothing: it overwrites the start vector
+with each iterate and reuses one buffer for h v and one for the
+residual and the next iterate. ``tests/test_linalg.py`` keeps the
+allocating form as the reference it must match bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,24 +85,30 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _power_iterate(h, v, c, tol, max_entry, max_sweeps):
-    """Power sweeps on (c*I - h) from start v; returns (v, lam, converged)."""
+    """Power sweeps on (c*I - h) from start v, overwriting v; returns
+    (v, lam, converged)."""
+    hv = np.empty_like(v)
+    w = np.empty_like(v)  # holds the residual, then the next iterate
+    w_re, w_im = w.real, w.imag
     lam = 0.0
     for _ in range(max_sweeps):
-        hv = h @ v
-        lam = float(np.real(np.vdot(v, hv)))
-        resid = hv - lam * v
+        np.dot(h, v, hv)
+        lam = float(np.vdot(v, hv).real)
+        np.multiply(lam, v, w)
+        np.subtract(hv, w, w)
         # denom is a lower bound on ||h||_2, so stopping here implies
         # the tol * ||h||_2 contract
         denom = max(max_entry, abs(lam))
-        if float(np.linalg.norm(resid)) <= tol * denom:
+        if math.sqrt(w_re.dot(w_re) + w_im.dot(w_im)) <= tol * denom:
             return v, lam, True
-        w = c * v - hv
-        nrm = float(np.linalg.norm(w))
+        np.multiply(c, v, w)
+        np.subtract(w, hv, w)
+        nrm = math.sqrt(w_re.dot(w_re) + w_im.dot(w_im))
         if nrm == 0.0:
             # v is an exact eigenvector of the top eigenvalue c; the
             # caller's certificate will reject and restart
             return v, lam, True
-        v = w / nrm
+        np.divide(w, nrm, v)
     return v, lam, False
 
 

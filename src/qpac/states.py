@@ -104,9 +104,9 @@ class DensityMatrix:
             raise NonPhysicalStateError(f"not square: {m.shape}")
         if m.size == 0:
             raise NonPhysicalStateError("empty matrix")
-        # each comparison is written so that NaN fails it; an inf entry
-        # leaves NaN or inf in m - m^dag, so it fails too
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
+        # non-finite entries are rejected before m - m^dag, where inf - inf
+        # would warn; the later comparisons assume finite entries
+        if not (np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL):
             raise NonPhysicalStateError("matrix is not finite and Hermitian within 1e-10")
         tr = m.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:

@@ -8,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from qpac import ConfigError, ghz_density, ghz_generators
+from qpac import ConfigError, experiments, ghz_density, ghz_generators
+from qpac.cli import main
 from qpac.experiments import (
     LEARN_COLUMNS,
     ExperimentConfig,
@@ -190,11 +191,22 @@ class TestRunScaling:
         assert fit["extrap_n"] == 20
 
     def test_single_n_rejected(self, tmp_path):
-        c = cfg(command="scaling", n_min=2, n_max=2, dist="d2", repeats=1,
-                i_max=5, epsilon=0.5, gamma=0.5, delta=0.5,
-                out=str(tmp_path / "sc.csv"))
         with pytest.raises(ConfigError):
+            c = cfg(command="scaling", n_min=2, n_max=2, dist="d2", repeats=1,
+                    i_max=5, epsilon=0.5, gamma=0.5, delta=0.5,
+                    out=str(tmp_path / "sc.csv"))
             run_scaling(c)
+
+    def test_single_n_rejected_before_any_search(self, tmp_path, monkeypatch, capsys):
+        searches = []
+        monkeypatch.setattr(experiments, "estimate_min_m",
+                            lambda *a, **kw: searches.append(a) or 5)
+        code = main(["scaling", "--n-min", "5", "--n-max", "5", "--repeats", "3",
+                     "--out", str(tmp_path / "sc.csv")])
+        assert code == 2
+        assert "n_min < n_max" in capsys.readouterr().err
+        assert searches == []
+        assert not (tmp_path / "sc.csv").exists()
 
 
 class TestRunBoundCurve:

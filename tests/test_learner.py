@@ -3,6 +3,8 @@ evaluator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpac import (
     DensityMatrix,
@@ -24,6 +26,7 @@ from qpac import (
     support_residuals,
     fidelity,
 )
+from qpac import learner
 from qpac.learner import IterationTrace
 
 from conftest import kron_dense, random_density
@@ -198,6 +201,85 @@ class TestHazanOptimize:
         training, _, _ = full_support_training(2)
         with pytest.raises(ValueError):
             hazan_optimize(Objective(training), k_max=0)
+
+
+class TestBottomVectorMemo:
+    """The ``bottom_vectors`` memo of :func:`hazan_optimize` changes no
+    bit of its result and keys what decides the eigen-step."""
+
+    @staticmethod
+    def _count_eigen_steps(monkeypatch) -> list:
+        calls = []
+        real = learner.smallest_eigenvector
+
+        def counted(h, tol):
+            calls.append(tol)
+            return real(h, tol=tol)
+
+        monkeypatch.setattr(learner, "smallest_eigenvector", counted)
+        return calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(1, 12),
+        k_max=st.integers(1, 20),
+        noise=st.one_of(
+            st.just(NoiseModel.exact()),
+            st.integers(1, 50).map(NoiseModel.with_shots),
+            st.floats(0.01, 0.3).map(NoiseModel.gaussian),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_with_and_without_memo(self, n, m, k_max, noise, seed):
+        # exact GHZ values are all 1, so shot noise needs the mixed target
+        target = maximally_mixed(n) if noise.kind == "shots" else ghz_density(n)
+        training = sample_training_set(build_distribution(n, "d1"), target, m,
+                                       noise=noise, seed=seed)
+        want = hazan_optimize(Objective(training), k_max=k_max)
+        memo = {}
+        for _ in range(2):  # a cold memo, then one holding every step's vector
+            got = hazan_optimize(Objective(training), k_max=k_max, bottom_vectors=memo)
+            assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+            assert got.iterations_used == want.iterations_used
+            assert got.final_objective == want.final_objective
+
+    def test_permuted_draws_share_one_eigen_step(self, monkeypatch):
+        calls = self._count_eigen_steps(monkeypatch)
+        training = sample_training_set(build_distribution(4, "d2"), ghz_density(4), 5,
+                                       seed=3, replacement=False)
+        rng = np.random.default_rng(0)
+        memo, orders, sigmas = {}, set(), set()
+        for _ in range(6):
+            order = tuple(int(i) for i in rng.permutation(len(training)))
+            orders.add(order)
+            items = tuple(training.items[i] for i in order)
+            hyp = hazan_optimize(Objective(TrainingSet(items)), bottom_vectors=memo)
+            sigmas.add(hyp.sigma.matrix.tobytes())
+        assert len(orders) > 1
+        assert len(calls) == 1
+        assert len(sigmas) == 1
+
+    def test_stored_vectors_read_only(self):
+        t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
+                                noise=NoiseModel.with_shots(10), seed=11)
+        memo = {}
+        hazan_optimize(Objective(t), k_max=10, bottom_vectors=memo)
+        assert len(memo) == 10
+        for v in memo.values():
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+    def test_tolerance_is_part_of_the_key(self, monkeypatch):
+        calls = self._count_eigen_steps(monkeypatch)
+        training, _, _ = full_support_training(3)
+        memo = {}
+        for tol in (1e-9, 1e-6, 1e-9, 1e-6):
+            hazan_optimize(Objective(training), k_max=1, eig_tol=tol, bottom_vectors=memo)
+        assert calls == [1e-9, 1e-6]
+        assert sorted(tol for tol, _ in memo) == [1e-9, 1e-6]
+        assert len({digest for _, digest in memo}) == 1
 
 
 class TestShotObjective:

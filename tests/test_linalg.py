@@ -1,19 +1,26 @@
 """Eigen-routines: residual contracts, determinism, and the
 wrong-eigenpair traps of fixed-start power iteration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpac import (
     ConvergenceError,
     MeasurementEffect,
     NonHermitianError,
     PauliString,
+    build_distribution,
     eigendecompose,
     ghz_density,
     smallest_eigenvector,
     sqrt_psd,
 )
+from qpac import linalg
+from qpac.learner import EffectBatch
 
 from conftest import kron_dense, random_hermitian
 
@@ -158,3 +165,90 @@ class TestSmallestEigenvector:
         h = np.asarray(random_hermitian(rng, 300))
         with pytest.raises(ConvergenceError):
             smallest_eigenvector(h, tol=1e-15, max_sweeps=1)
+
+
+def _reference_power_iterate(h, v, c, tol, max_entry, max_sweeps):
+    """The allocating form of the power sweep, with ``np.linalg.norm``:
+    the float operations ``linalg._power_iterate`` must reproduce bit
+    for bit."""
+    lam = 0.0
+    for _ in range(max_sweeps):
+        hv = h @ v
+        lam = float(np.real(np.vdot(v, hv)))
+        resid = hv - lam * v
+        denom = max(max_entry, abs(lam))
+        if float(np.linalg.norm(resid)) <= tol * denom:
+            return v, lam, True
+        w = c * v - hv
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            return v, lam, True
+        v = w / nrm
+    return v, lam, False
+
+
+def _reference_smallest(h, tol=1e-9):
+    """``smallest_eigenvector`` driven by the reference sweep; also
+    returns how many sweep attempts ran and whether ``eigh`` decided."""
+    attempts = []
+
+    def sweep(*args):
+        attempts.append(None)
+        return _reference_power_iterate(*args)
+
+    with mock.patch.object(linalg, "_power_iterate", sweep), \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        v, lam = smallest_eigenvector(h, tol=tol)
+    return v, lam, len(attempts), eigh.called
+
+
+def _assert_same_bits(h, tol=1e-9):
+    want_v, want_lam, attempts, fell_back = _reference_smallest(h, tol)
+    v, lam = smallest_eigenvector(h, tol=tol)
+    assert v.tobytes() == want_v.tobytes()
+    assert lam == want_lam and type(lam) is type(want_lam)
+    return attempts, fell_back
+
+
+def _stabilizer_sum(n: int, label: str, picks: list, weights: list) -> np.ndarray:
+    effects = build_distribution(n, label).effects
+    chosen = [effects[i % len(effects)] for i in picks]
+    # a repeated effect is a repeated draw: its weight adds up
+    return EffectBatch(chosen).weighted_sum(np.array(weights[: len(chosen)]))
+
+
+class TestSweepBitIdentity:
+    """The buffer-reusing sweep returns the bytes of the allocating one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([1e-9, 1e-6]))
+    def test_random_hermitian(self, dim, seed, tol):
+        _assert_same_bits(random_hermitian(np.random.default_rng(seed), dim), tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        label=st.sampled_from(["d1", "d2"]),
+        picks=st.lists(st.integers(0, 63), min_size=1, max_size=40),
+        # exact data gives weights 2 (1/2 - y) in {-1, 0, 1}; noisy data
+        # gives anything in [-1, 1]
+        weights=st.lists(
+            st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+            min_size=40, max_size=40,
+        ),
+    )
+    def test_stabilizer_sums(self, n, label, picks, weights):
+        _assert_same_bits(_stabilizer_sum(n, label, picks, weights))
+
+    def test_restart(self):
+        # first-step gradient of one +1 stabilizer draw with value 0: the
+        # uniform start exhausts the sweep budget and e_0 converges
+        attempts, fell_back = _assert_same_bits(_stabilizer_sum(2, "d2", [0], [1.0]))
+        assert (attempts, fell_back) == (2, False)
+
+    def test_eigh_fallback(self):
+        # exact first-step gradient of both GHZ_2 XZ-stabilizers: neither
+        # start converges within the budget, so eigh decides
+        attempts, fell_back = _assert_same_bits(_stabilizer_sum(2, "d2", [0, 1], [-1.0, -1.0]))
+        assert (attempts, fell_back) == (2, True)

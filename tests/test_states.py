@@ -1,6 +1,8 @@
 """Density matrices, effects, expectations, and fidelity against dense
 oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -39,20 +41,26 @@ class TestDensityMatrix:
         with pytest.raises(NonPhysicalStateError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
-    @pytest.mark.parametrize(
-        "m",
-        [
-            np.full((2, 2), np.nan),
-            np.array([[np.nan, 0.0], [0.0, 1.0]]),
-            np.array([[0.5, 1j * np.nan], [-1j * np.nan, 0.5]]),
-            np.array([[np.inf, 0.0], [0.0, 1.0]]),
-            np.array([[0.5, np.inf], [np.inf, 0.5]]),
-            np.array([[0.5, np.inf], [0.0, 0.5]]),
-        ],
+    NON_FINITE = (
+        np.full((2, 2), np.nan),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[0.5, 1j * np.nan], [-1j * np.nan, 0.5]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+        np.array([[0.5, np.inf], [0.0, 0.5]]),
     )
+
+    @pytest.mark.parametrize("m", NON_FINITE)
     def test_non_finite_rejected(self, m):
         with pytest.raises(NonPhysicalStateError):
             DensityMatrix(m)
+
+    def test_non_finite_rejected_without_warnings(self):
+        for m in self.NON_FINITE:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonPhysicalStateError, match="not finite"):
+                    DensityMatrix(m)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(NonPhysicalStateError, match="empty"):
