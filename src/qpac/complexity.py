@@ -10,9 +10,9 @@ rule carries no floating drift.
 A :class:`TrialCache` memoizes per-(m, trial) support residuals keyed
 by the trial seed, so sweeps that relax epsilon, gamma, or delta reuse
 identical trial outcomes and inherit exact monotonicity. It also keeps
-the bottom eigenvector of every gradient its trials met, keyed by the
-gradient's bytes, so a trial whose gradient an earlier trial already
-produced skips the eigen-step.
+the bottom eigenvector of each trial's first gradient, keyed by the
+gradient's bytes, so a trial whose first gradient an earlier trial
+already produced skips that eigen-step.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ class TrialCache:
         self.eig_tol = eig_tol
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
         # set-based sampling redraws the same m-subset in another order,
-        # and with exact data its gradient does not depend on the order
+        # and with exact data its first gradient does not depend on the
+        # order; at most one entry per trial, like _residuals
         self._bottom_vectors: dict[tuple[float, bytes], np.ndarray] = {}
 
     def _trial_seed(self, m: int, i: int):

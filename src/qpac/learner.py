@@ -153,12 +153,16 @@ def hazan_optimize(
     objective-threshold stop for speed-sensitive loops; it is disabled
     by default to mirror the fixed iteration protocol.
 
-    ``bottom_vectors`` memoizes the eigen-step across calls: a dict
-    from ``(eig_tol, sha1 of the gradient's bytes)`` to the read-only
-    bottom eigenvector. :func:`smallest_eigenvector` is a deterministic
-    function of those bytes and the tolerance, so a hit returns the
-    vector a fresh call would, and ``sigma`` is byte-identical with or
-    without the dict. The owner decides its lifetime (one
+    ``bottom_vectors`` memoizes the first step's eigen-step across
+    calls: a dict from ``(eig_tol, sha1 of the gradient's bytes)`` to
+    the read-only bottom eigenvector, so each call adds at most one
+    entry. :func:`smallest_eigenvector` is a deterministic function of
+    those bytes and the tolerance, so a hit returns the vector a fresh
+    call would, and ``sigma`` is byte-identical with or without the
+    dict. Later steps are neither looked up nor stored: their gradients
+    depend on the path taken and rarely recur, so storing them would
+    grow the dict by one vector per step for few hits. The owner
+    decides the dict's lifetime (one
     :class:`~qpac.complexity.TrialCache` holds one); without it nothing
     is hashed.
     """
@@ -177,9 +181,11 @@ def hazan_optimize(
             # stationary point of a convex objective: optimal, no movement
             # this or any later step
             break
-        if bottom_vectors is None:
+        if bottom_vectors is None or k > 1:
             v, _ = smallest_eigenvector(g, tol=eig_tol)
         else:
+            # the first gradient, taken at I / d, is the one that repeats:
+            # a redrawn exact training set gives it again in any order
             key = (eig_tol, hashlib.sha1(g).digest())
             v = bottom_vectors.get(key)
             if v is None:

@@ -238,7 +238,7 @@ class TestBottomVectorMemo:
                                        noise=noise, seed=seed)
         want = hazan_optimize(Objective(training), k_max=k_max)
         memo = {}
-        for _ in range(2):  # a cold memo, then one holding every step's vector
+        for _ in range(2):  # a cold memo, then one holding the first step's vector
             got = hazan_optimize(Objective(training), k_max=k_max, bottom_vectors=memo)
             assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
             assert got.iterations_used == want.iterations_used
@@ -260,16 +260,27 @@ class TestBottomVectorMemo:
         assert len(calls) == 1
         assert len(sigmas) == 1
 
+    def test_only_the_first_step_is_memoized(self, monkeypatch):
+        calls = self._count_eigen_steps(monkeypatch)
+        t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
+                                noise=NoiseModel.with_shots(10), seed=11)
+        memo = {}
+        for _ in range(2):
+            hyp = hazan_optimize(Objective(t), k_max=10, bottom_vectors=memo)
+        assert hyp.iterations_used == 10
+        assert len(memo) == 1
+        # 10 eigen-steps cold, 9 on the rerun: only step 1 comes from the memo
+        assert len(calls) == 19
+
     def test_stored_vectors_read_only(self):
         t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
                                 noise=NoiseModel.with_shots(10), seed=11)
         memo = {}
         hazan_optimize(Objective(t), k_max=10, bottom_vectors=memo)
-        assert len(memo) == 10
-        for v in memo.values():
-            assert not v.flags.writeable
-            with pytest.raises(ValueError):
-                v[0] = 0.0
+        (v,) = memo.values()
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
 
     def test_tolerance_is_part_of_the_key(self, monkeypatch):
         calls = self._count_eigen_steps(monkeypatch)
