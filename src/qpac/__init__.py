@@ -3,10 +3,8 @@ measurements, with sample-complexity estimation and experiment sweeps."""
 
 from .complexity import (
     LearnParams,
-    ScalingPoint,
     TrialCache,
     estimate_min_m,
-    estimate_min_m_repeated,
     linear_fit,
     theorem_bound,
 )
@@ -24,9 +22,7 @@ from .learner import (
     Hypothesis,
     Objective,
     evaluate_epsilon,
-    gradient,
     hazan_optimize,
-    objective_value,
     shot_objective_value,
     support_residuals,
 )

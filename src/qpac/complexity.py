@@ -35,9 +35,8 @@ from .sampling import (
 from .states import DensityMatrix
 
 
-def _unit_interval(name: str, value: float, closed_top: bool = True):
-    hi_ok = value <= 1.0 if closed_top else value < 1.0
-    if not (0.0 < value and hi_ok):
+def _unit_interval(name: str, value: float):
+    if not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
@@ -68,16 +67,6 @@ class LearnParams:
             raise ValueError(f"m_cap must be >= 1, got {self.m_cap}")
 
 
-@dataclass(frozen=True)
-class ScalingPoint:
-    """One (n, m) datapoint of the scaling experiment."""
-
-    n: int
-    m_estimate: float
-    repeats: int
-    m_std: float
-
-
 def _exact_fraction(x: float) -> Fraction:
     # str() round-trips the decimal the caller wrote, so 0.2 means 1/5
     # rather than its binary expansion
@@ -100,7 +89,6 @@ class TrialCache:
         k_max: int = 300,
         noise: NoiseModel | None = None,
         replacement: bool = True,
-        eig_tol: float = 1e-9,
     ):
         self.state = state
         self.dist = dist
@@ -108,7 +96,6 @@ class TrialCache:
         self.k_max = k_max
         self.noise = noise or NoiseModel.exact()
         self.replacement = replacement
-        self.eig_tol = eig_tol
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
         # set-based sampling redraws the same m-subset in another order,
         # and with exact data its first gradient does not depend on the
@@ -132,8 +119,7 @@ class TrialCache:
         if found is None:
             training = self._training(m, i)
             hyp = hazan_optimize(
-                Objective(training), k_max=self.k_max, eig_tol=self.eig_tol,
-                bottom_vectors=self._bottom_vectors,
+                Objective(training), k_max=self.k_max, bottom_vectors=self._bottom_vectors,
             )
             found = support_residuals(hyp.sigma, self.state, self.dist)
             found.setflags(write=False)
@@ -187,33 +173,6 @@ def estimate_min_m(
         if delta_est < delta:
             return m
     raise SampleSizeCapError(params.m_cap, trajectory)
-
-
-def estimate_min_m_repeated(
-    state: DensityMatrix,
-    dist: MeasurementDistribution,
-    params: LearnParams,
-    seed,
-    repeats: int = 10,
-    **kwargs,
-) -> tuple[ScalingPoint, list[int]]:
-    """Mean and standard deviation of the m estimate over independent
-    runs of the full search, one derived seed per run."""
-    if repeats < 1:
-        raise ValueError(f"need repeats >= 1, got {repeats}")
-    base = seed if isinstance(seed, (list, tuple)) else (seed,)
-    estimates = [
-        estimate_min_m(state, dist, params, (*base, r), **kwargs)
-        for r in range(repeats)
-    ]
-    arr = np.array(estimates, dtype=float)
-    point = ScalingPoint(
-        n=state.n_qubits,
-        m_estimate=float(arr.mean()),
-        repeats=repeats,
-        m_std=float(arr.std()),
-    )
-    return point, estimates
 
 
 def theorem_bound(n: int, params: LearnParams, big_k: float) -> float:

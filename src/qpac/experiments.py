@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise ConfigError(f"replacement must be 'with' or 'without', got {self.replacement!r}")
         if self.shots < 0:
             raise ConfigError(f"shots must be >= 0, got {self.shots}")
+        if self.gauss_std < 0:
+            raise ConfigError(f"gauss_std must be >= 0, got {self.gauss_std}")
         if self.shots > 0 and self.gauss_std > 0:
             raise ConfigError("shots and gauss-std are mutually exclusive noise models")
         if self.repeats < 1:
@@ -163,6 +165,12 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1], got {v}")
+        # every protocol but bound-curve builds a dense 2^n x 2^n target
+        if self.command != "bound-curve":
+            name = "n_max" if self.command == "scaling" else "n"
+            value = getattr(self, name)
+            if value > MAX_QUBITS:
+                raise ConfigError(f"{name} = {value} exceeds MAX_QUBITS: need n <= {MAX_QUBITS}")
         if self.command == "learn":
             if self.m is None or self.m < 1:
                 raise ConfigError(f"learn needs m >= 1, got {self.m}")
@@ -218,8 +226,6 @@ class ExperimentConfig:
             gens = [PauliString.from_text(g) for g in self.generators]
             if any(g.n != n for g in gens):
                 raise ConfigError(f"generators must act on n={n} qubits")
-            if n > MAX_QUBITS:
-                raise ConfigError(f"generator targets support n <= {MAX_QUBITS}, got {n}")
             group = group_closure(gens)
             if len(group) != 2**n:
                 raise ConfigError(
@@ -240,8 +246,7 @@ class ExperimentConfig:
     def distribution(self, n: int) -> MeasurementDistribution:
         if self.generators:
             gens = [PauliString.from_text(g) for g in self.generators]
-            variant = "full" if self.dist == FULL_STABILIZER else "xz"
-            return distribution_from_generators(gens, variant)
+            return distribution_from_generators(gens, self.dist)
         return build_distribution(n, self.dist)
 
     def echo(self) -> dict:

@@ -95,7 +95,6 @@ class Objective:
     """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set."""
 
     def __init__(self, training: TrainingSet):
-        self.training = training
         self.batch = EffectBatch(training.effects())
         self.values = training.values()
         self.dim = self.batch.dim
@@ -116,20 +115,6 @@ def _as_matrix(sigma) -> np.ndarray:
     return sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
 
 
-def objective_value(obj: Objective, sigma) -> float:
-    m = _as_matrix(sigma)
-    if m.shape != (obj.dim, obj.dim):
-        raise ValueError(f"dimension mismatch: {m.shape} vs {obj.dim}")
-    return obj.value(m)
-
-
-def gradient(obj: Objective, sigma) -> np.ndarray:
-    m = _as_matrix(sigma)
-    if m.shape != (obj.dim, obj.dim):
-        raise ValueError(f"dimension mismatch: {m.shape} vs {obj.dim}")
-    return obj.gradient(m)
-
-
 def hazan_optimize(
     obj: Objective,
     k_max: int = 300,
@@ -148,8 +133,8 @@ def hazan_optimize(
     (convex objective), so the iteration stops moving.
 
     ``on_iterate(k, objective, gradient_min_eigenvalue, sigma)`` is
-    called once per step before the update, e.g. for a diagnostic trace
-    (see :class:`IterationTrace`). ``stop_objective`` enables an early
+    called once per step before the update, e.g. to check every
+    iterate's invariants. ``stop_objective`` enables an early
     objective-threshold stop for speed-sensitive loops; it is disabled
     by default to mirror the fixed iteration protocol.
 
@@ -206,23 +191,6 @@ def hazan_optimize(
     )
 
 
-class IterationTrace:
-    """Collects (k, objective, gradient min eigenvalue) per step and
-    writes them as a small CSV for diagnostics."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, float, float]] = []
-
-    def __call__(self, k, objective, grad_min_eig, sigma):
-        self.rows.append((k, objective, grad_min_eig))
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("k,objective,gradient_min_eigenvalue\n")
-            for k, f, lam in self.rows:
-                fh.write(f"{k},{f!r},{lam!r}\n")
-
-
 def shot_objective_value(outcomes, sigma) -> float:
     """Single-outcome objective sum_ij (Tr(E_i sigma) - b_ij)^2 over raw
     per-shot bits grouped per effect."""
@@ -252,7 +220,7 @@ def evaluate_epsilon(sigma, state: DensityMatrix, dist: MeasurementDistribution,
     The distribution is uniform over a finite support, so this is a
     fraction, not a Monte Carlo estimate.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     resid = support_residuals(sigma, state, dist)
     return float(np.count_nonzero(resid > gamma)) / len(resid)

@@ -57,11 +57,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return all(f == "I" for f in self.factors)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return sum(f != "I" for f in self.factors)
-
     def commutes_with(self, other: "PauliString") -> bool:
         """Symplectic rule: commute iff the count of positions where both
         factors are non-identity and different is even."""
@@ -140,9 +135,6 @@ class StabilizerGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, p: PauliString) -> bool:
-        return p in set(self.elements)
 
     def non_identity(self) -> tuple[PauliString, ...]:
         return tuple(p for p in self.elements if not p.is_identity)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureError
-from .pauli import PauliString, ghz_generators, group_closure, xz_subset
+from .pauli import PauliString, StabilizerGroup, ghz_generators, group_closure, xz_subset
 from .states import DensityMatrix, MeasurementEffect, expectation
 
 FULL_STABILIZER = "d1"  # uniform over all non-identity stabilizer effects
@@ -52,6 +52,15 @@ class NoiseModel:
     @classmethod
     def gaussian(cls, std: float) -> "NoiseModel":
         return cls("gaussian", std=std)
+
+    def observe(self, p: float, rng: np.random.Generator) -> float:
+        """Observed value for the exact expectation p: p itself, or one
+        ``binomial`` or ``normal`` draw from rng."""
+        if self.kind == "exact":
+            return p
+        if self.kind == "shots":
+            return float(rng.binomial(self.shots, p)) / self.shots
+        return float(np.clip(p + rng.normal(0.0, self.std), 0.0, 1.0))
 
     def describe(self) -> str:
         if self.kind == "shots":
@@ -95,6 +104,18 @@ class MeasurementDistribution:
         return len(self.effects)
 
 
+def _support(group: StabilizerGroup, label: str) -> tuple[MeasurementEffect, ...]:
+    """The support a label selects from a stabilizer group, in canonical
+    order: "d1" all non-identity elements, "d2" the Y-free ones."""
+    if label == FULL_STABILIZER:
+        paulis = group.non_identity()
+    elif label == XZ_STABILIZER:
+        paulis = xz_subset(group)
+    else:
+        raise ValueError(f"unsupported distribution label {label!r}")
+    return tuple(MeasurementEffect(p) for p in paulis)
+
+
 def build_distribution(n: int, label: str) -> MeasurementDistribution:
     """The two GHZ learning distributions.
 
@@ -104,36 +125,15 @@ def build_distribution(n: int, label: str) -> MeasurementDistribution:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    group = group_closure(ghz_generators(n))
-    if label == FULL_STABILIZER:
-        paulis = group.non_identity()
-    elif label == XZ_STABILIZER:
-        paulis = xz_subset(group)
-    else:
-        raise ValueError(f"unsupported distribution label {label!r}")
-    return MeasurementDistribution(tuple(MeasurementEffect(p) for p in paulis), label)
+    return MeasurementDistribution(_support(group_closure(ghz_generators(n)), label), label)
 
 
 def distribution_from_generators(
-    generators: Sequence[PauliString], variant: str = "full"
+    generators: Sequence[PauliString], label: str = FULL_STABILIZER
 ) -> MeasurementDistribution:
-    """Support selection for arbitrary stabilizer targets.
-
-    variant "full": the whole group minus identity; "xz": the Y-free
-    subset; "generators": the generator list only.
-    """
-    group = group_closure(generators)
-    if variant == "full":
-        paulis = group.non_identity()
-    elif variant == "xz":
-        paulis = xz_subset(group)
-    elif variant == "generators":
-        paulis = tuple(sorted(generators, key=PauliString.sort_key))
-    else:
-        raise ValueError(f"unknown support variant {variant!r}")
-    if not paulis:
-        raise StructureError(f"variant {variant!r} selected an empty support")
-    return MeasurementDistribution(tuple(MeasurementEffect(p) for p in paulis), "custom")
+    """The "d1" or "d2" support of an arbitrary stabilizer target,
+    labelled "custom": its size follows the group, not GHZ_n."""
+    return MeasurementDistribution(_support(group_closure(generators), label), "custom")
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,6 @@ class TrainingSet:
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.items], dtype=float)
 
-    def csv_rows(self):
-        """Rows "pauli,value,provenance" for the CLI dump."""
-        prov = self.noise.describe()
-        return [f"{e.pauli},{v!r},{prov}" for e, v in self.items]
-
 
 def _draw_indices(rng, size: int, m: int, replacement: bool) -> np.ndarray:
     if m < 1:
@@ -180,6 +175,15 @@ def _draw_indices(rng, size: int, m: int, replacement: bool) -> np.ndarray:
             f"cannot draw {m} distinct effects from a support of {size}"
         )
     return rng.permutation(size)[:m]
+
+
+def _exact_draws(
+    dist: MeasurementDistribution, state: DensityMatrix, m: int, rng, replacement: bool
+) -> list[tuple[MeasurementEffect, float]]:
+    """m uniform draws from the support, each with its Tr(E rho)."""
+    idx = _draw_indices(rng, len(dist), m, replacement)
+    effects = [dist.effects[int(i)] for i in idx]
+    return [(eff, expectation(eff, state)) for eff in effects]
 
 
 def sample_training_set(
@@ -194,19 +198,10 @@ def sample_training_set(
     noise model. Fully reproducible from the seed."""
     noise = noise or NoiseModel.exact()
     rng = np.random.default_rng(seed)
-    idx = _draw_indices(rng, len(dist), m, replacement)
-    items = []
-    for i in idx:
-        eff = dist.effects[int(i)]
-        p = expectation(eff, state)
-        if noise.kind == "exact":
-            val = p
-        elif noise.kind == "shots":
-            val = float(rng.binomial(noise.shots, p)) / noise.shots
-        else:
-            val = float(np.clip(p + rng.normal(0.0, noise.std), 0.0, 1.0))
-        items.append((eff, val))
-    return TrainingSet(tuple(items), noise, seed)
+    items = tuple(
+        (eff, noise.observe(p, rng)) for eff, p in _exact_draws(dist, state, m, rng, replacement)
+    )
+    return TrainingSet(items, noise, seed)
 
 
 def per_shot_outcomes(
@@ -225,11 +220,7 @@ def per_shot_outcomes(
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    idx = _draw_indices(rng, len(dist), m_prime, replacement)
-    out = []
-    for i in idx:
-        eff = dist.effects[int(i)]
-        p = expectation(eff, state)
-        bits = (rng.random(shots) < p).astype(np.uint8)
-        out.append((eff, bits))
-    return out
+    return [
+        (eff, (rng.random(shots) < p).astype(np.uint8))
+        for eff, p in _exact_draws(dist, state, m_prime, rng, replacement)
+    ]

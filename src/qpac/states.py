@@ -136,10 +136,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_qubits(self) -> int:
-        return int(self.dim).bit_length() - 1
-
     def purity(self) -> float:
         # Tr(rho^2) = ||rho||_F^2 for Hermitian rho
         return float(np.sum(np.abs(self.matrix) ** 2))
@@ -165,13 +161,13 @@ class MeasurementEffect:
         return f"(I{self.pauli})/2" if self.pauli.phase == 1 else f"(I-{str(self.pauli)[1:]})/2"
 
 
-def ghz_density(n: int, max_n: int = MAX_QUBITS) -> DensityMatrix:
+def ghz_density(n: int) -> DensityMatrix:
     """Rank-1 projector onto (|0...0> + |1...1>)/sqrt(2).
 
     Exactly four nonzero entries, each 1/2.
     """
-    if n < 2 or n > max_n:
-        raise ValueError(f"GHZ density supports 2 <= n <= {max_n}, got {n}")
+    if n < 2 or n > MAX_QUBITS:
+        raise ValueError(f"GHZ density supports 2 <= n <= {MAX_QUBITS}, got {n}")
     dim = 1 << n
     m = np.zeros((dim, dim), dtype=np.complex128)
     for i in (0, dim - 1):

@@ -1,6 +1,8 @@
 """Shared test helpers: an independent dense-matrix oracle for the
 symbolic Pauli algebra, and random density-matrix generators."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,16 @@ PAULI_1Q = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def kron_dense(p: PauliString) -> np.ndarray:
+    """Dense matrix of ``p``, cached per string and read-only: the
+    oracle rebuilds the same small strings many times."""
     m = np.array([[1.0 + 0j]])
     for f in p.factors:
         m = np.kron(m, PAULI_1Q[f])
-    return p.phase * m
+    m = p.phase * m
+    m.setflags(write=False)
+    return m
 
 
 def decompose_pauli_product(mat: np.ndarray):

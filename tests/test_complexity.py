@@ -17,7 +17,6 @@ from qpac import (
     TrialCache,
     build_distribution,
     estimate_min_m,
-    estimate_min_m_repeated,
     ghz_density,
     hazan_optimize,
     linear_fit,
@@ -163,17 +162,6 @@ class TestEstimateMinM:
         ms = {m for m, *_ in rows}
         assert all(len({i for m2, i, *_ in rows if m2 == m}) == 5 for m in ms)
         assert all(0.0 <= eps <= 1.0 for _, _, eps, _ in rows)
-
-    def test_repeated_estimates(self):
-        rho = ghz_density(2)
-        dist = build_distribution(2, "d2")
-        params = LearnParams(epsilon=0.15, gamma=0.2, delta=0.2, i_max=10)
-        point, estimates = estimate_min_m_repeated(rho, dist, params, seed=11, repeats=4)
-        assert point.n == 2
-        assert point.repeats == 4
-        assert len(estimates) == 4
-        assert point.m_estimate == pytest.approx(np.mean(estimates))
-        assert point.m_std == pytest.approx(np.std(estimates))
 
 
 class TestTheoremBound:

@@ -58,6 +58,11 @@ class TestExperimentConfig:
             cfg(command="learn", m=2, epsilon=0.0)
         with pytest.raises(ConfigError):
             cfg(command="learn", m=2, shots=100, gauss_std=0.1)
+        with pytest.raises(ConfigError, match="shots"):
+            cfg(command="learn", m=2, shots=-1)
+        # a negative std used to fall through to exact data
+        with pytest.raises(ConfigError, match="gauss_std"):
+            cfg(command="learn", m=2, gauss_std=-0.5)
         with pytest.raises(ConfigError):
             cfg(command="sweep-errors", sweep_param="nope")
         with pytest.raises(ConfigError):
@@ -137,6 +142,13 @@ class TestRunLearn:
         with pytest.raises(ConfigError, match="n <= 10"):
             cfg(command="learn", n=11, m=4, generators=gens).target_state(11)
 
+    def test_gamma_one_scores_both_rows(self, tmp_path):
+        out = tmp_path / "g1.csv"
+        assert main(["learn", "--n", "3", "--m", "4", "--gamma", "1.0", "--out", str(out)]) == 0
+        table = read_table(out)
+        assert table.column("hypothesis") == ["learned", "mixed_baseline"]
+        assert table.column("epsilon_est") == [0.0, 0.0]
+
     def test_generator_count_must_pin_state(self, tmp_path):
         with pytest.raises(ConfigError):
             run_learn(cfg(command="learn", n=2, m=2, generators=["XX"],
@@ -207,6 +219,37 @@ class TestRunScaling:
         assert "n_min < n_max" in capsys.readouterr().err
         assert searches == []
         assert not (tmp_path / "sc.csv").exists()
+
+
+class TestQubitLimit:
+    ARGVS = {
+        "scaling": ["scaling", "--n-min", "8", "--n-max", "11", "--repeats", "1"],
+        "learn": ["learn", "--n", "11", "--m", "3"],
+        "sweep-m": ["sweep-m", "--n", "11"],
+        "sweep-errors": ["sweep-errors", "--n", "11", "--sweep-param", "gamma"],
+        "sweep-m-generators": [
+            "sweep-m", "--n", "11", "--dist", "d2",
+            "--generators", ",".join(str(g) for g in ghz_generators(11)),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(ARGVS))
+    def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("estimate_min_m", "build_distribution", "distribution_from_generators",
+                     "ghz_density"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *a, name=name, **kw: calls.append(name))
+        code = main([*self.ARGVS[case], "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "MAX_QUBITS" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_bound_curve_is_not_limited(self, tmp_path):
+        c = cfg(command="bound-curve", n_min=2, n_max=20, big_k=1.0,
+                out=str(tmp_path / "b.csv"))
+        assert len(run_bound_curve(c).rows) == 19
 
 
 class TestRunBoundCurve:

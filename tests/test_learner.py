@@ -16,10 +16,8 @@ from qpac import (
     build_distribution,
     evaluate_epsilon,
     ghz_density,
-    gradient,
     hazan_optimize,
     maximally_mixed,
-    objective_value,
     per_shot_outcomes,
     sample_training_set,
     shot_objective_value,
@@ -27,7 +25,6 @@ from qpac import (
     fidelity,
 )
 from qpac import learner
-from qpac.learner import IterationTrace
 
 from conftest import kron_dense, random_density
 
@@ -45,41 +42,36 @@ def full_support_training(n, dist_label="d1"):
 class TestObjectiveValue:
     def test_zero_at_target(self):
         training, _, rho = full_support_training(3)
-        assert objective_value(Objective(training), rho) == pytest.approx(0.0, abs=1e-20)
+        assert Objective(training).value(rho.matrix) == pytest.approx(0.0, abs=1e-20)
 
     def test_mixed_state_quarter_per_item(self):
         training, _, _ = full_support_training(3)
-        got = objective_value(Objective(training), maximally_mixed(3))
+        got = Objective(training).value(maximally_mixed(3).matrix)
         assert got == pytest.approx(len(training) / 4.0, abs=1e-12)
 
     def test_single_consistent_item(self):
         e = MeasurementEffect(P("ZZ"))
         t = TrainingSet(((e, 0.5),))
-        assert objective_value(Objective(t), maximally_mixed(2)) == pytest.approx(0.0, abs=1e-18)
-
-    def test_dimension_mismatch(self):
-        training, _, _ = full_support_training(2)
-        with pytest.raises(ValueError):
-            objective_value(Objective(training), maximally_mixed(3))
+        assert Objective(t).value(maximally_mixed(2).matrix) == pytest.approx(0.0, abs=1e-18)
 
 
 class TestGradient:
     def test_zero_at_target(self):
         training, _, rho = full_support_training(3)
-        g = gradient(Objective(training), rho)
+        g = Objective(training).gradient(rho.matrix)
         assert np.max(np.abs(g)) < 1e-12
 
     def test_single_item_at_mixed_is_minus_effect(self):
         eff = MeasurementEffect(P("ZIZ"))
         t = TrainingSet(((eff, 1.0),))
-        g = gradient(Objective(t), maximally_mixed(3))
+        g = Objective(t).gradient(maximally_mixed(3).matrix)
         dense_e = (np.eye(8) + kron_dense(eff.pauli)) / 2
         assert np.allclose(g, -dense_e, atol=1e-12)
 
     def test_hermitian(self, rng):
         dist = build_distribution(3, "d1")
         t = sample_training_set(dist, ghz_density(3), 12, seed=8)
-        g = gradient(Objective(t), DensityMatrix(random_density(rng, 8)))
+        g = Objective(t).gradient(DensityMatrix(random_density(rng, 8)).matrix)
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
 
     def test_odd_y_effect_assembly(self, rng):
@@ -88,7 +80,7 @@ class TestGradient:
         eff = MeasurementEffect(P("XY"))
         t = TrainingSet(((eff, 0.9),))
         sigma = random_density(rng, 4)
-        g = gradient(Objective(t), sigma)
+        g = Objective(t).gradient(sigma)
         dense_e = (np.eye(4) + kron_dense(eff.pauli)) / 2
         w = 2 * (np.trace(dense_e @ sigma).real - 0.9)
         assert np.allclose(g, w * dense_e, atol=1e-12)
@@ -179,23 +171,13 @@ class TestHazanOptimize:
             t = sample_training_set(dist, rho, 8, noise=NoiseModel.gaussian(0.15), seed=seed)
             obj = Objective(t)
             hyp = hazan_optimize(obj, k_max=60)
-            assert hyp.final_objective <= objective_value(obj, maximally_mixed(4)) + 1e-12
+            assert hyp.final_objective <= obj.value(maximally_mixed(4).matrix) + 1e-12
 
     def test_early_stop_flag(self):
         training, _, _ = full_support_training(3)
         hyp = hazan_optimize(Objective(training), k_max=300, stop_objective=1e-2)
         assert hyp.final_objective <= 1e-2
         assert hyp.iterations_used < 300
-
-    def test_iteration_trace_csv(self, tmp_path):
-        training, _, _ = full_support_training(2)
-        trace = IterationTrace()
-        hazan_optimize(Objective(training), k_max=5, on_iterate=trace)
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,objective,gradient_min_eigenvalue"
-        assert len(lines) >= 2
 
     def test_bad_kmax(self):
         training, _, _ = full_support_training(2)
@@ -362,9 +344,12 @@ class TestEvaluateEpsilon:
     def test_gamma_range(self):
         rho = ghz_density(2)
         dist = build_distribution(2, "d1")
-        for bad in (0.0, 1.0, -0.2):
+        for bad in (0.0, np.nextafter(1.0, 2.0), -0.2):
             with pytest.raises(ValueError):
                 evaluate_epsilon(rho, rho, dist, bad)
+        # (0, 1], the range LearnParams and the config admit; no residual
+        # exceeds 1
+        assert evaluate_epsilon(maximally_mixed(2), rho, dist, 1.0) == 0.0
 
     def test_support_residuals_values(self):
         rho = ghz_density(2)

@@ -101,8 +101,9 @@ class TestSmallestEigenvector:
         assert np.allclose(h @ v, 0, atol=1e-8)
 
     def test_hidden_bottom_subspace(self):
-        """Bottom eigenspace orthogonal to both the uniform start and
-        low-diagonal probes still gets found (via the fallback)."""
+        """Bottom eigenspace orthogonal to the uniform start still gets
+        found: the restart from e_0 reaches it, without the eigh
+        fallback."""
         u1 = np.zeros(4); u1[0], u1[3] = 1, -1; u1 /= np.sqrt(2)
         u2 = np.zeros(4); u2[1], u2[2] = 1, -1; u2 /= np.sqrt(2)
         h = -np.outer(u1, u1) - np.outer(u2, u2)

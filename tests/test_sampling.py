@@ -57,9 +57,8 @@ class TestBuildDistribution:
 
     def test_from_generators_variants(self):
         gens = ghz_generators(3)
-        assert len(distribution_from_generators(gens, "full")) == 7
-        assert len(distribution_from_generators(gens, "xz")) == 4
-        assert len(distribution_from_generators(gens, "generators")) == 3
+        assert len(distribution_from_generators(gens, "d1")) == 7
+        assert len(distribution_from_generators(gens, "d2")) == 4
         with pytest.raises(ValueError):
             distribution_from_generators(gens, "bogus")
 
@@ -166,11 +165,6 @@ class TestTrainingSet:
             TrainingSet(((e, 1.2),))
         with pytest.raises(ValueError):
             TrainingSet(())
-
-    def test_csv_rows(self):
-        e = MeasurementEffect(P("-YY"))
-        t = TrainingSet(((e, 0.25),), NoiseModel.with_shots(4), seed=7)
-        assert t.csv_rows() == ["-YY,0.25,shots(4)"]
 
 
 class TestPerShotOutcomes:
