@@ -26,7 +26,7 @@ from .learner import (
     shot_objective_value,
     support_residuals,
 )
-from .linalg import eigendecompose, smallest_eigenvector, sqrt_psd
+from .linalg import eigendecompose, smallest_eigenvector, smallest_eigenvectors, sqrt_psd
 from .pauli import (
     PauliString,
     StabilizerGroup,

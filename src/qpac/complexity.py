@@ -11,8 +11,11 @@ A :class:`TrialCache` memoizes per-(m, trial) support residuals keyed
 by the trial seed, so sweeps that relax epsilon, gamma, or delta reuse
 identical trial outcomes and inherit exact monotonicity. It also keeps
 the bottom eigenvector of each trial's first gradient, keyed by the
-gradient's bytes, so a trial whose first gradient an earlier trial
-already produced skips that eigen-step.
+gradient's bytes. The search fills that memo once per candidate m:
+the first gradients of the m's uncached trials are solved as stacks
+(one stacked power iteration per chunk), so each trial's own first
+eigen-step is a memo hit, and a first gradient that an earlier trial
+already produced is solved only once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import Objective, hazan_optimize, support_residuals
+from .learner import Objective, hazan_optimize, memoize_first_steps, support_residuals
 from .sampling import (
     MeasurementDistribution,
     NoiseModel,
@@ -33,6 +36,11 @@ from .sampling import (
     sample_training_set,
 )
 from .states import DensityMatrix
+
+
+# matrix entries whose first-step gradients one batch fill solves as a
+# stack (2^15 complex128 entries, 512 KB): 8 trials at dim 64
+_FILL_CHUNK_ENTRIES = 1 << 15
 
 
 def _unit_interval(name: str, value: float):
@@ -79,6 +87,9 @@ class TrialCache:
     ``residuals(m, i)`` returns the exact support residuals of the
     hypothesis learned in trial i at training size m. Trials at
     different m are sampled from scratch (independent streams).
+    ``fill(m, count)`` learns trials 0..count-1 of one m together, so
+    their first eigen-steps run as stacks; the residuals are those
+    ``residuals`` computes for each trial alone.
     """
 
     def __init__(
@@ -113,18 +124,36 @@ class TrialCache:
             replacement=self.replacement,
         )
 
-    def residuals(self, m: int, i: int) -> np.ndarray:
-        key = (m, i)
-        found = self._residuals.get(key)
-        if found is None:
-            training = self._training(m, i)
-            hyp = hazan_optimize(
-                Objective(training), k_max=self.k_max, bottom_vectors=self._bottom_vectors,
-            )
-            found = support_residuals(hyp.sigma, self.state, self.dist)
-            found.setflags(write=False)
-            self._residuals[key] = found
+    def _learn(self, m: int, i: int, obj: Objective) -> np.ndarray:
+        hyp = hazan_optimize(obj, k_max=self.k_max, bottom_vectors=self._bottom_vectors)
+        found = support_residuals(hyp.sigma, self.state, self.dist)
+        found.setflags(write=False)
+        self._residuals[(m, i)] = found
         return found
+
+    def residuals(self, m: int, i: int) -> np.ndarray:
+        found = self._residuals.get((m, i))
+        if found is None:
+            found = self._learn(m, i, Objective(self._training(m, i)))
+        return found
+
+    def fill(self, m: int, count: int) -> None:
+        """Learn the trials 0..count-1 at size m not cached yet.
+
+        Works in chunks of at most ``_FILL_CHUNK_ENTRIES`` gradient
+        entries: samples each trial's training set, solves the chunk's
+        first Frank-Wolfe steps as one stack into the eigenvector memo,
+        then runs each trial's optimization, whose first step the memo
+        answers.
+        """
+        missing = [i for i in range(count) if (m, i) not in self._residuals]
+        dim = self.state.matrix.shape[0]
+        chunk = max(1, _FILL_CHUNK_ENTRIES // (dim * dim))
+        for lo in range(0, len(missing), chunk):
+            objectives = {i: Objective(self._training(m, i)) for i in missing[lo:lo + chunk]}
+            memoize_first_steps(list(objectives.values()), self._bottom_vectors)
+            for i, obj in objectives.items():
+                self._learn(m, i, obj)
 
     def epsilon_estimate(self, m: int, i: int, gamma: float) -> Fraction:
         resid = self.residuals(m, i)
@@ -160,6 +189,7 @@ def estimate_min_m(
     delta = _exact_fraction(params.delta)
     trajectory = []
     for m in range(1, params.m_cap + 1):
+        cache.fill(m, params.i_max)
         failures = 0
         for i in range(params.i_max):
             eps_est = cache.epsilon_estimate(m, i, params.gamma)

@@ -171,6 +171,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value > MAX_QUBITS:
                 raise ConfigError(f"{name} = {value} exceeds MAX_QUBITS: need n <= {MAX_QUBITS}")
+        if self.generators:
+            # a generator list fixes one qubit count
+            if self.command == "scaling":
+                raise ConfigError("scaling needs at least two qubit counts; generators fix one")
+            if self.command != "bound-curve" and any(
+                PauliString.from_text(g).n != self.n for g in self.generators
+            ):
+                raise ConfigError(f"generators must act on n={self.n} qubits")
         if self.command == "learn":
             if self.m is None or self.m < 1:
                 raise ConfigError(f"learn needs m >= 1, got {self.m}")

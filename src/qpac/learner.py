@@ -16,11 +16,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import smallest_eigenvector
+from .linalg import smallest_eigenvector, smallest_eigenvectors
 from .sampling import MeasurementDistribution, TrainingSet
 from .states import DensityMatrix, MeasurementEffect, _pauli_action
 
 _ZERO_GRADIENT_TOL = 1e-12
+_EIG_TOL = 1e-9
 
 
 class EffectBatch:
@@ -115,11 +116,19 @@ def _as_matrix(sigma) -> np.ndarray:
     return sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
 
 
+def _maximally_mixed(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=np.complex128) / dim
+
+
+def _first_step_key(g: np.ndarray, eig_tol: float) -> tuple[float, bytes]:
+    return (eig_tol, hashlib.sha1(g).digest())
+
+
 def hazan_optimize(
     obj: Objective,
     k_max: int = 300,
     *,
-    eig_tol: float = 1e-9,
+    eig_tol: float = _EIG_TOL,
     stop_objective: float | None = None,
     on_iterate: Callable[[int, float, float, np.ndarray], None] | None = None,
     bottom_vectors: dict[tuple[float, bytes], np.ndarray] | None = None,
@@ -149,13 +158,14 @@ def hazan_optimize(
     grow the dict by one vector per step for few hits. The owner
     decides the dict's lifetime (one
     :class:`~qpac.complexity.TrialCache` holds one); without it nothing
-    is hashed.
+    is hashed. :func:`memoize_first_steps` fills it ahead of time for
+    many objectives with one stacked eigen-solve.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
     dim = obj.dim
 
-    sigma = np.eye(dim, dtype=np.complex128) / dim
+    sigma = _maximally_mixed(dim)
     iterations = 0
     for k in range(1, k_max + 1):
         g = obj.gradient(sigma)
@@ -171,7 +181,7 @@ def hazan_optimize(
         else:
             # the first gradient, taken at I / d, is the one that repeats:
             # a redrawn exact training set gives it again in any order
-            key = (eig_tol, hashlib.sha1(g).digest())
+            key = _first_step_key(g, eig_tol)
             v = bottom_vectors.get(key)
             if v is None:
                 v, _ = smallest_eigenvector(g, tol=eig_tol)
@@ -189,6 +199,35 @@ def hazan_optimize(
         iterations_used=iterations,
         final_objective=obj.value(sigma),
     )
+
+
+def memoize_first_steps(
+    objectives: Sequence[Objective],
+    bottom_vectors: dict[tuple[float, bytes], np.ndarray],
+) -> None:
+    """Store the first-step eigenvector of each objective in
+    ``bottom_vectors`` under the key :func:`hazan_optimize` looks up
+    at its default ``eig_tol``.
+
+    The objectives share one dimension. Zero gradients are skipped, as
+    the optimizer stops on them, and the distinct gradients not yet in
+    the dict are solved in one :func:`smallest_eigenvectors` call,
+    whose vectors are those a lone call returns. A later
+    ``hazan_optimize(obj, bottom_vectors=...)`` then takes its first
+    step from the dict.
+    """
+    pending: dict[tuple[float, bytes], np.ndarray] = {}
+    for obj in objectives:
+        g = obj.gradient(_maximally_mixed(obj.dim))
+        if float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL:
+            continue
+        key = _first_step_key(g, _EIG_TOL)
+        if key not in bottom_vectors:
+            pending.setdefault(key, g)
+    solved = smallest_eigenvectors(list(pending.values()), tol=_EIG_TOL)
+    for key, (v, _) in zip(pending, solved):
+        v.setflags(write=False)
+        bottom_vectors[key] = v
 
 
 def shot_objective_value(outcomes, sigma) -> float:

@@ -22,10 +22,27 @@ their order are a contract: hv = h v; lam = Re <v, hv>; the residual
 hv - lam v; w = c v - hv; v = w / ||w||, a complex divide by a real
 norm (reciprocal-multiply rounding). Each norm is sqrt(re.re + im.im)
 over the real and imaginary views, which is what ``np.linalg.norm``
-computes. A sweep allocates nothing: it overwrites the start vector
-with each iterate and reuses one buffer for h v and one for the
-residual and the next iterate. ``tests/test_linalg.py`` keeps the
-allocating form as the reference it must match bit for bit.
+computes.
+
+Two kernels run that contract. The scalar kernel serves
+``smallest_eigenvector`` and any stack of one; a sweep allocates
+nothing: it overwrites the start vector with each iterate and reuses
+one buffer for h v and one for the residual and the next iterate.
+``smallest_eigenvectors`` runs the stacked kernel on larger stacks of
+same-dimension matrices, in lock-step: h v is one stacked ``matmul``
+(a gemv per item), <v, hv> one ``vecdot`` (a zdotc per item, as
+``vdot``), each norm two real ``vecdot`` calls (a ddot per item and
+view, as ``re.dot(re)``), and lam, c and the norm reach each item's
+row as complex columns, as a Python float reaches the scalar kernel's
+vector. So every item sees the scalar kernel's BLAS calls and
+elementwise float operations in the same order, and its (v, lam) is
+bit for bit a lone call's. An item leaves the stack at the sweep where
+a lone call stops. The last item left finishes on the scalar kernel,
+because a stacked sweep over one item costs about 3 times a scalar
+sweep. The pre-checks,
+the certificate, the restart and the fallback are one code path for
+both kernels. ``tests/test_linalg.py`` keeps the allocating form as
+the reference both must match bit for bit.
 """
 
 from __future__ import annotations
@@ -84,6 +101,12 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _basis_vector(dim: int, k: int) -> np.ndarray:
+    v = np.zeros(dim, dtype=np.complex128)
+    v[k] = 1.0
+    return v
+
+
 def _power_iterate(h, v, c, tol, max_entry, max_sweeps):
     """Power sweeps on (c*I - h) from start v, overwriting v; returns
     (v, lam, converged)."""
@@ -112,6 +135,115 @@ def _power_iterate(h, v, c, tol, max_entry, max_sweeps):
     return v, lam, False
 
 
+def _norms(w: np.ndarray) -> np.ndarray:
+    # one ddot per row and view, as ``re.dot(re)`` makes for one vector
+    return np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+
+
+def _column(x: np.ndarray) -> np.ndarray:
+    # a per-row scalar as a complex column, so each row's multiply or
+    # divide meets it the way it meets a Python float: converted to
+    # complex and broadcast along the row
+    return x.astype(np.complex128)[:, None]
+
+
+def _power_iterate_stack(hs, vs, cs, tol, max_entries, max_sweeps):
+    """:func:`_power_iterate` on each item of a same-dimension stack,
+    in lock-step; returns its (v, lam, converged) per item, in order.
+
+    A stack of one, and the last item left active, run the scalar
+    kernel from the current iterate with the sweeps that remain.
+    """
+    if len(hs) == 1:
+        return [_power_iterate(hs[0], vs[0], cs[0], tol, max_entries[0], max_sweeps)]
+    out = [None] * len(hs)
+    active = np.arange(len(hs))
+    h = np.stack(hs)
+    v = np.stack(vs)
+    c = _column(np.array(cs))
+    max_entry = np.array(max_entries)
+    lam = np.zeros(len(hs))
+    for sweep in range(max_sweeps):
+        if len(active) == 1:
+            (j,) = active
+            out[j] = _power_iterate(h[0], v[0].copy(), float(c[0, 0].real), tol,
+                                    float(max_entry[0]), max_sweeps - sweep)
+            return out
+        hv = np.matmul(h, v[:, :, None])[:, :, 0]
+        lam = np.vecdot(v, hv).real
+        w = np.subtract(hv, _column(lam) * v)
+        done = _norms(w) <= tol * np.maximum(max_entry, np.abs(lam))
+        np.subtract(c * v, hv, w)
+        nrm = _norms(w)
+        # a zero nrm means v is an exact top eigenvector; it stops too
+        done |= nrm == 0.0
+        if done.any():
+            for k in np.flatnonzero(done):
+                out[active[k]] = (v[k].copy(), float(lam[k]), True)
+            keep = ~done
+            if not keep.any():
+                return out
+            active, h, v, w, c = active[keep], h[keep], v[keep], w[keep], c[keep]
+            max_entry, lam, nrm = max_entry[keep], lam[keep], nrm[keep]
+        np.divide(w, _column(nrm), v)
+    for k, j in enumerate(active):
+        out[j] = (v[k].copy(), float(lam[k]), False)
+    return out
+
+
+def _smallest(hs, tol: float, max_sweeps: int | None):
+    """The eigen-step rule on a non-empty sequence of Hermitian
+    matrices of one dimension; returns ``(v, lam)`` per matrix."""
+    hs = [_check_hermitian(h) for h in hs]
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    dim = hs[0].shape[0]
+    if any(h.shape[0] != dim for h in hs):
+        raise ValueError("stack mixes matrix dimensions")
+    if max_sweeps is None:
+        max_sweeps = 10 * dim
+
+    results = [None] * len(hs)
+    todo, cs, max_entries, diags = [], {}, {}, {}
+    for j, h in enumerate(hs):
+        max_entry = float(np.max(np.abs(h)))
+        if max_entry == 0.0:
+            results[j] = (_basis_vector(dim, 0), 0.0)
+            continue
+        todo.append(j)
+        max_entries[j] = max_entry
+        cs[j] = float(np.max(np.sum(np.abs(h), axis=0)))
+        diags[j] = np.real(np.diag(h))
+
+    starts = [np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128) for _ in todo]
+    for _ in range(2):
+        if not todo:
+            break
+        found = _power_iterate_stack(
+            [hs[j] for j in todo], starts, [cs[j] for j in todo], tol,
+            [max_entries[j] for j in todo], max_sweeps,
+        )
+        retry = []
+        for j, (v, lam, ok) in zip(todo, found):
+            # necessary condition for the bottom eigenvalue: lam <= min h_kk
+            if ok and lam <= float(np.min(diags[j])) + tol * max(max_entries[j], abs(lam)):
+                results[j] = (_normalize_phase(v), lam)
+            else:
+                retry.append(j)
+        todo = retry
+        starts = [_basis_vector(dim, int(np.argmin(diags[j]))) for j in todo]
+
+    if todo and dim > _EIGH_FALLBACK_MAX_DIM:
+        raise ConvergenceError(
+            f"power iteration did not reach a certified bottom eigenpair "
+            f"in {max_sweeps} sweeps (dim {dim})"
+        )
+    for j in todo:
+        vals, vecs = np.linalg.eigh(hs[j])
+        results[j] = (_normalize_phase(vecs[:, 0].astype(np.complex128)), float(vals[0]))
+    return results
+
+
 def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | None = None):
     """Unit eigenvector of the smallest eigenvalue of a Hermitian matrix.
 
@@ -121,38 +253,17 @@ def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | Non
     to. Raises :class:`ConvergenceError` only when dim > 256 and the
     sweep budget is exhausted without a certifiable bottom eigenpair.
     """
-    h = _check_hermitian(h)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    dim = h.shape[0]
-    if max_sweeps is None:
-        max_sweeps = 10 * dim
+    return _smallest([h], tol, max_sweeps)[0]
 
-    max_entry = float(np.max(np.abs(h)))
-    if max_entry == 0.0:
-        v = np.zeros(dim, dtype=np.complex128)
-        v[0] = 1.0
-        return v, 0.0
 
-    c = float(np.max(np.sum(np.abs(h), axis=0)))
-    diag = np.real(np.diag(h))
-    min_diag = float(np.min(diag))
+def smallest_eigenvectors(hs, tol: float = 1e-9):
+    """:func:`smallest_eigenvector` of each matrix in a stack of
+    same-dimension Hermitian matrices, as a list of ``(v, lam)``.
 
-    start = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    for attempt in range(2):
-        v, lam, ok = _power_iterate(h, start, c, tol, max_entry, max_sweeps)
-        # necessary condition for the bottom eigenvalue: lam <= min h_kk
-        if ok and lam <= min_diag + tol * max(max_entry, abs(lam)):
-            return _normalize_phase(v), lam
-        if attempt == 0:
-            start = np.zeros(dim, dtype=np.complex128)
-            start[int(np.argmin(diag))] = 1.0
-
-    if dim <= _EIGH_FALLBACK_MAX_DIM:
-        vals, vecs = np.linalg.eigh(h)
-        v = _normalize_phase(vecs[:, 0].astype(np.complex128))
-        return v, float(vals[0])
-    raise ConvergenceError(
-        f"power iteration did not reach a certified bottom eigenpair "
-        f"in {max_sweeps} sweeps (dim {dim})"
-    )
+    Every pair is bit for bit the pair a lone call returns; the sweeps
+    of the stack run in lock-step, which costs less per matrix than one
+    call after another. Raises as a lone call would for any item.
+    """
+    if len(hs) == 0:
+        return []
+    return _smallest(hs, tol, None)

@@ -20,9 +20,12 @@ from qpac import (
     ghz_density,
     hazan_optimize,
     linear_fit,
+    maximally_mixed,
+    sample_training_set,
     support_residuals,
     theorem_bound,
 )
+from qpac import complexity
 
 
 class TestLearnParams:
@@ -119,6 +122,9 @@ class TestEstimateMinM:
             def __init__(self):
                 self.calls = []
 
+            def fill(self, m, count):
+                pass
+
             def epsilon_estimate(self, m, i, gamma):
                 self.calls.append((m, i))
                 if m == 1:
@@ -162,6 +168,74 @@ class TestEstimateMinM:
         ms = {m for m, *_ in rows}
         assert all(len({i for m2, i, *_ in rows if m2 == m}) == 5 for m in ms)
         assert all(0.0 <= eps <= 1.0 for _, _, eps, _ in rows)
+
+
+class TestBatchFill:
+    """``TrialCache.fill`` stores, for every trial, the bytes of the
+    residuals that learning that trial alone gives."""
+
+    I_MAX = 7  # three chunks of 3 trials, the last one short
+
+    @pytest.fixture
+    def optimizations(self, monkeypatch):
+        monkeypatch.setattr(complexity, "_FILL_CHUNK_ENTRIES", 3 * 8 * 8)
+        calls = []
+        real = complexity.hazan_optimize
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(complexity, "hazan_optimize", counted)
+        return calls
+
+    @staticmethod
+    def _alone(rho, dist, m, seed, k_max, noise, replacement):
+        training = sample_training_set(dist, rho, m, noise=noise, seed=seed,
+                                       replacement=replacement)
+        hyp = hazan_optimize(Objective(training), k_max=k_max)
+        return support_residuals(hyp.sigma, rho, dist)
+
+    @pytest.mark.parametrize("replacement", [True, False])
+    @pytest.mark.parametrize("label", ["d1", "d2"])
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.exact(), NoiseModel.with_shots(20), NoiseModel.gaussian(0.05),
+    ])
+    def test_same_bytes_as_lone_trials(self, noise, label, replacement, optimizations):
+        # exact GHZ values are all 1, so shot noise needs the mixed target
+        rho = maximally_mixed(3) if noise.kind == "shots" else ghz_density(3)
+        dist = build_distribution(3, label)
+        cache = TrialCache(rho, dist, seed=(5,), k_max=10, noise=noise,
+                           replacement=replacement)
+        sizes = (1, 2, 4)  # d2 at n = 3 has 4 effects to draw without replacement
+        for m in sizes:
+            cache.fill(m, self.I_MAX)
+        assert len(optimizations) == len(sizes) * self.I_MAX
+        for m in sizes:
+            for i in range(self.I_MAX):
+                want = self._alone(rho, dist, m, (5, m, i), 10, noise, replacement)
+                got = cache.residuals(m, i)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # the lookups above were all answered by the fill
+        assert len(optimizations) == len(sizes) * self.I_MAX
+
+    def test_cache_shared_across_gamma_grid(self, optimizations):
+        rho = ghz_density(3)
+        dist = build_distribution(3, "d1")
+        cache = TrialCache(rho, dist, seed=(7,), k_max=300)
+        found = [
+            estimate_min_m(rho, dist, LearnParams(epsilon=0.05, gamma=g, delta=0.1,
+                                                  i_max=self.I_MAX), seed=(7,), cache=cache)
+            for g in (0.1, 0.3, 0.6)
+        ]
+        top = max(found)
+        # each trial is learned once, by the first search that reaches its m
+        assert len(optimizations) == top * self.I_MAX
+        for m in range(1, top + 1):
+            for i in range(self.I_MAX):
+                want = self._alone(rho, dist, m, (7, m, i), 300, NoiseModel.exact(), True)
+                assert cache.residuals(m, i).tobytes() == want.tobytes()
+        assert len(optimizations) == top * self.I_MAX
 
 
 class TestTheoremBound:

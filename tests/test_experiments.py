@@ -221,6 +221,27 @@ class TestRunScaling:
         assert not (tmp_path / "sc.csv").exists()
 
 
+class TestGeneratorQubitCount:
+    ARGVS = {
+        "scaling": ["scaling", "--n-min", "2", "--n-max", "3", "--repeats", "2",
+                    "--generators", "XX,ZZ"],
+        "learn": ["learn", "--n", "3", "--m", "2", "--generators", "XX,ZZ"],
+        "sweep-errors": ["sweep-errors", "--n", "2", "--sweep-param", "gamma",
+                         "--generators", "XXX,ZZI,IZZ"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(ARGVS))
+    def test_rejected_before_any_search(self, case, tmp_path, monkeypatch, capsys):
+        searches = []
+        monkeypatch.setattr(experiments, "estimate_min_m",
+                            lambda *a, **kw: searches.append(a) or 5)
+        code = main([*self.ARGVS[case], "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "generators" in capsys.readouterr().err
+        assert searches == []
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestQubitLimit:
     ARGVS = {
         "scaling": ["scaling", "--n-min", "8", "--n-max", "11", "--repeats", "1"],

@@ -275,6 +275,24 @@ class TestBottomVectorMemo:
         assert len({digest for _, digest in memo}) == 1
 
 
+    def test_prefilled_first_steps_are_memo_hits(self, monkeypatch):
+        dist = build_distribution(3, "d1")
+        trainings = [sample_training_set(dist, ghz_density(3), 4, seed=s) for s in range(6)]
+        # exact values of I / d are 1/2, which make a zero gradient
+        trainings.append(sample_training_set(dist, maximally_mixed(3), 4, seed=0))
+        wants = [hazan_optimize(Objective(t), k_max=1) for t in trainings]
+        calls = self._count_eigen_steps(monkeypatch)
+        memo = {}
+        learner.memoize_first_steps([Objective(t) for t in trainings], memo)
+        for t, want in zip(trainings, wants):
+            got = hazan_optimize(Objective(t), k_max=1, bottom_vectors=memo)
+            assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+            assert got.iterations_used == want.iterations_used
+        assert calls == []
+        assert 1 <= len(memo) <= 6
+        assert all(not v.flags.writeable for v in memo.values())
+
+
 class TestShotObjective:
     def _random_sigma(self, rng, dim):
         return random_density(rng, dim)

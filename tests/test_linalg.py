@@ -17,6 +17,7 @@ from qpac import (
     eigendecompose,
     ghz_density,
     smallest_eigenvector,
+    smallest_eigenvectors,
     sqrt_psd,
 )
 from qpac import linalg
@@ -218,8 +219,21 @@ def _stabilizer_sum(n: int, label: str, picks: list, weights: list) -> np.ndarra
     return EffectBatch(chosen).weighted_sum(np.array(weights[: len(chosen)]))
 
 
+def _assert_stack_same_bits(hs, tol=1e-9):
+    got = smallest_eigenvectors(hs, tol=tol)
+    assert len(got) == len(hs)
+    runs = []
+    for h, (v, lam) in zip(hs, got):
+        want_v, want_lam, attempts, fell_back = _reference_smallest(h, tol)
+        assert v.tobytes() == want_v.tobytes()
+        assert lam == want_lam and type(lam) is type(want_lam)
+        runs.append((attempts, fell_back))
+    return runs
+
+
 class TestSweepBitIdentity:
-    """The buffer-reusing sweep returns the bytes of the allocating one."""
+    """The buffer-reusing sweep returns the bytes of the allocating one,
+    and so does each item of a stacked solve."""
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
@@ -253,3 +267,77 @@ class TestSweepBitIdentity:
         # start converges within the budget, so eigh decides
         attempts, fell_back = _assert_same_bits(_stabilizer_sum(2, "d2", [0, 1], [-1.0, -1.0]))
         assert (attempts, fell_back) == (2, True)
+
+
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.integers(1, 64), count=st.integers(2, 64),
+           seed=st.integers(0, 2**32 - 1), stabilizer_share=st.floats(0.0, 1.0),
+           tol=st.sampled_from([1e-9, 1e-6]))
+    def test_random_stacks(self, dim, count, seed, stabilizer_share, tol):
+        rng = np.random.default_rng(seed)
+        n = dim.bit_length() - 1
+        hs = []
+        # no larger than the stacks of a batch fill, 2^15 entries
+        for _ in range(min(count, max(2, (1 << 15) // dim**2))):
+            if dim == 1 << n and n >= 2 and rng.random() < stabilizer_share:
+                # exact data gives weights in {-1, 0, 1}, noisy data any in [-1, 1]
+                weights = (rng.integers(-1, 2, size=40) if rng.random() < 0.5
+                           else rng.uniform(-1.0, 1.0, size=40))
+                picks = rng.integers(0, 64, size=int(rng.integers(1, 41)))
+                hs.append(_stabilizer_sum(n, str(rng.choice(["d1", "d2"])),
+                                          list(picks), list(weights.astype(float))))
+            else:
+                hs.append(random_hermitian(rng, dim))
+        _assert_stack_same_bits(hs, tol)
+
+    def test_mixed_stack(self, rng):
+        hs = [
+            _stabilizer_sum(2, "d2", [0], [1.0]),            # restarts from e_0
+            random_hermitian(rng, 4),
+            _stabilizer_sum(2, "d2", [0, 1], [-1.0, -1.0]),  # falls back to eigh
+            np.zeros((4, 4)),
+            np.diag([3.0, 1.0, 2.0, 5.0]),
+            _stabilizer_sum(2, "d1", [0, 1, 2], [-1.0, 1.0, 0.5]),
+            -np.eye(4),                                      # converges at once
+            random_hermitian(rng, 4),
+        ]
+        runs = _assert_stack_same_bits(hs)
+        assert runs[0] == (2, False)
+        assert runs[2] == (2, True)
+        assert runs[3] == (0, False)
+
+    def test_items_leave_at_their_own_sweep(self, monkeypatch):
+        # a one-item stack and the last active item run the scalar kernel
+        scalar = []
+        real = linalg._power_iterate
+
+        def counted(h, v, c, tol, max_entry, max_sweeps):
+            scalar.append(max_sweeps)
+            return real(h, v, c, tol, max_entry, max_sweeps)
+
+        monkeypatch.setattr(linalg, "_power_iterate", counted)
+        # converged after 1, 2, 17 and 23 of their 40 sweeps
+        hs = [-np.eye(4), np.diag([0.0, 1.0, 1.0, 1.0]),
+              _stabilizer_sum(2, "d1", [0, 1, 2], [-1.0, 1.0, 0.5]), np.diag([-2.0, 1.0, 0.5, 1.0])]
+        got = smallest_eigenvectors(hs)
+        # the slowest item is handed over with the sweeps it has left
+        assert scalar == [40 - 17]
+        monkeypatch.setattr(linalg, "_power_iterate", real)
+        for h, (v, lam) in zip(hs, got):
+            want_v, want_lam, _, _ = _reference_smallest(h)
+            assert v.tobytes() == want_v.tobytes() and lam == want_lam
+
+    def test_empty_stack(self):
+        assert smallest_eigenvectors([]) == []
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[0.0, 2.0], [0.0, 0.0]]),
+    ])
+    def test_bad_item_rejected(self, bad, rng):
+        with pytest.raises(NonHermitianError):
+            smallest_eigenvectors([random_hermitian(rng, 2), bad, np.eye(2)])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            smallest_eigenvectors([np.eye(2), np.eye(3)])
