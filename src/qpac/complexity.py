@@ -9,17 +9,17 @@ rule carries no floating drift.
 
 A :class:`TrialCache` memoizes per-(m, trial) support residuals keyed
 by the trial seed, so sweeps that relax epsilon, gamma, or delta reuse
-identical trial outcomes and inherit exact monotonicity. It also keeps
-the bottom eigenvector of each trial's first gradient, keyed by the
-gradient's bytes. The search fills that memo once per candidate m:
-the first gradients of the m's uncached trials are solved as stacks
-(one stacked power iteration per chunk), so each trial's own first
-eigen-step is a memo hit, and a first gradient that an earlier trial
-already produced is solved only once.
+identical trial outcomes and inherit exact monotonicity. The search
+fills it once per candidate m: the first Frank-Wolfe steps of the m's
+uncached trials are solved as stacks (one stacked power iteration per
+chunk) and handed to each trial's optimization, and a first gradient
+that an earlier trial of the same fill already produced is solved only
+once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +28,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import Objective, hazan_optimize, memoize_first_steps, support_residuals
+from .learner import (
+    _EIG_TOL,
+    Objective,
+    _maximally_mixed,
+    _vanishes,
+    hazan_optimize,
+    support_residuals,
+)
+from .linalg import smallest_eigenvectors
 from .sampling import (
     MeasurementDistribution,
     NoiseModel,
@@ -88,8 +96,9 @@ class TrialCache:
     hypothesis learned in trial i at training size m. Trials at
     different m are sampled from scratch (independent streams).
     ``fill(m, count)`` learns trials 0..count-1 of one m together, so
-    their first eigen-steps run as stacks; the residuals are those
-    ``residuals`` computes for each trial alone.
+    their first eigen-steps run as stacks; a lookup it did not fill
+    learns its trial the same way, as a stack of one. Either way the
+    residuals are those learning the trial alone gives.
     """
 
     def __init__(
@@ -108,10 +117,6 @@ class TrialCache:
         self.noise = noise or NoiseModel.exact()
         self.replacement = replacement
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
-        # set-based sampling redraws the same m-subset in another order,
-        # and with exact data its first gradient does not depend on the
-        # order; at most one entry per trial, like _residuals
-        self._bottom_vectors: dict[tuple[float, bytes], np.ndarray] = {}
 
     def _trial_seed(self, m: int, i: int):
         base = self.seed if isinstance(self.seed, (list, tuple)) else (self.seed,)
@@ -124,36 +129,50 @@ class TrialCache:
             replacement=self.replacement,
         )
 
-    def _learn(self, m: int, i: int, obj: Objective) -> np.ndarray:
-        hyp = hazan_optimize(obj, k_max=self.k_max, bottom_vectors=self._bottom_vectors)
-        found = support_residuals(hyp.sigma, self.state, self.dist)
-        found.setflags(write=False)
-        self._residuals[(m, i)] = found
-        return found
-
     def residuals(self, m: int, i: int) -> np.ndarray:
-        found = self._residuals.get((m, i))
-        if found is None:
-            found = self._learn(m, i, Objective(self._training(m, i)))
-        return found
+        if (m, i) not in self._residuals:
+            self._learn(m, [i])
+        return self._residuals[(m, i)]
 
     def fill(self, m: int, count: int) -> None:
-        """Learn the trials 0..count-1 at size m not cached yet.
+        """Learn the trials 0..count-1 at size m not cached yet."""
+        self._learn(m, [i for i in range(count) if (m, i) not in self._residuals])
 
-        Works in chunks of at most ``_FILL_CHUNK_ENTRIES`` gradient
-        entries: samples each trial's training set, solves the chunk's
-        first Frank-Wolfe steps as one stack into the eigenvector memo,
-        then runs each trial's optimization, whose first step the memo
-        answers.
+    def _learn(self, m: int, trials: list[int]) -> None:
+        """Learn the given trials at size m, in chunks of at most
+        ``_FILL_CHUNK_ENTRIES`` gradient entries.
+
+        Per chunk: sample each trial's training set and build its first
+        gradient, solve the chunk's distinct nonzero gradients not met
+        earlier in this call as one stack, then run each trial's
+        optimization from its solved first step.
         """
-        missing = [i for i in range(count) if (m, i) not in self._residuals]
         dim = self.state.matrix.shape[0]
         chunk = max(1, _FILL_CHUNK_ENTRIES // (dim * dim))
-        for lo in range(0, len(missing), chunk):
-            objectives = {i: Objective(self._training(m, i)) for i in missing[lo:lo + chunk]}
-            memoize_first_steps(list(objectives.values()), self._bottom_vectors)
-            for i, obj in objectives.items():
-                self._learn(m, i, obj)
+        mixed = _maximally_mixed(dim)
+        # set-based sampling redraws the same m-subset in another order,
+        # and with exact data its first gradient does not depend on the
+        # order; the search meets each m in one call, so the vectors,
+        # keyed by the gradient's SHA-1, live for this call only
+        solved: dict[bytes, np.ndarray] = {}
+        for lo in range(0, len(trials), chunk):
+            steps = []
+            pending: dict[bytes, np.ndarray] = {}
+            for i in trials[lo:lo + chunk]:
+                obj = Objective(self._training(m, i))
+                g = obj.gradient(mixed)
+                key = None if _vanishes(g) else hashlib.sha1(g).digest()
+                if key is not None and key not in solved:
+                    pending[key] = g
+                steps.append((i, obj, g, key))
+            vectors = smallest_eigenvectors(list(pending.values()), tol=_EIG_TOL)
+            for key, (v, _) in zip(pending, vectors):
+                solved[key] = v
+            for i, obj, g, key in steps:
+                hyp = hazan_optimize(obj, k_max=self.k_max, first_step=(g, solved.get(key)))
+                found = support_residuals(hyp.sigma, self.state, self.dist)
+                found.setflags(write=False)
+                self._residuals[(m, i)] = found
 
     def epsilon_estimate(self, m: int, i: int, gamma: float) -> Fraction:
         resid = self.residuals(m, i)

@@ -232,8 +232,6 @@ class ExperimentConfig:
     def target_state(self, n: int) -> DensityMatrix:
         if self.generators:
             gens = [PauliString.from_text(g) for g in self.generators]
-            if any(g.n != n for g in gens):
-                raise ConfigError(f"generators must act on n={n} qubits")
             group = group_closure(gens)
             if len(group) != 2**n:
                 raise ConfigError(

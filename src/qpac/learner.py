@@ -9,14 +9,13 @@ PSD by construction.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import smallest_eigenvector, smallest_eigenvectors
+from .linalg import smallest_eigenvector
 from .sampling import MeasurementDistribution, TrainingSet
 from .states import DensityMatrix, MeasurementEffect, _pauli_action
 
@@ -120,8 +119,8 @@ def _maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128) / dim
 
 
-def _first_step_key(g: np.ndarray, eig_tol: float) -> tuple[float, bytes]:
-    return (eig_tol, hashlib.sha1(g).digest())
+def _vanishes(g: np.ndarray) -> bool:
+    return float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL
 
 
 def hazan_optimize(
@@ -131,7 +130,7 @@ def hazan_optimize(
     eig_tol: float = _EIG_TOL,
     stop_objective: float | None = None,
     on_iterate: Callable[[int, float, float, np.ndarray], None] | None = None,
-    bottom_vectors: dict[tuple[float, bytes], np.ndarray] | None = None,
+    first_step: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> Hypothesis:
     """Minimize the quadratic objective over unit-trace PSD matrices.
 
@@ -147,19 +146,13 @@ def hazan_optimize(
     objective-threshold stop for speed-sensitive loops; it is disabled
     by default to mirror the fixed iteration protocol.
 
-    ``bottom_vectors`` memoizes the first step's eigen-step across
-    calls: a dict from ``(eig_tol, sha1 of the gradient's bytes)`` to
-    the read-only bottom eigenvector, so each call adds at most one
-    entry. :func:`smallest_eigenvector` is a deterministic function of
-    those bytes and the tolerance, so a hit returns the vector a fresh
-    call would, and ``sigma`` is byte-identical with or without the
-    dict. Later steps are neither looked up nor stored: their gradients
-    depend on the path taken and rarely recur, so storing them would
-    grow the dict by one vector per step for few hits. The owner
-    decides the dict's lifetime (one
-    :class:`~qpac.complexity.TrialCache` holds one); without it nothing
-    is hashed. :func:`memoize_first_steps` fills it ahead of time for
-    many objectives with one stacked eigen-solve.
+    ``first_step=(g, v)`` hands in the first step solved elsewhere, so
+    a caller can solve many trials' first steps as one stack (see
+    :meth:`~qpac.complexity.TrialCache.fill`): ``g`` is the gradient at
+    I / d and ``v`` is what ``smallest_eigenvector(g, tol=eig_tol)``
+    returns, or ``None`` when ``g`` is zero. Step 1 then takes the pair
+    as its gradient and eigenvector, so ``sigma`` is byte-identical to
+    a run without it; later steps solve their own.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -168,25 +161,19 @@ def hazan_optimize(
     sigma = _maximally_mixed(dim)
     iterations = 0
     for k in range(1, k_max + 1):
-        g = obj.gradient(sigma)
+        if k == 1 and first_step is not None:
+            g, v = first_step
+        else:
+            g, v = obj.gradient(sigma), None
         if on_iterate is not None:
             vals = np.linalg.eigvalsh(g)
             on_iterate(k, obj.value(sigma), float(vals[0]), sigma)
-        if float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL:
+        if _vanishes(g):
             # stationary point of a convex objective: optimal, no movement
             # this or any later step
             break
-        if bottom_vectors is None or k > 1:
+        if v is None:
             v, _ = smallest_eigenvector(g, tol=eig_tol)
-        else:
-            # the first gradient, taken at I / d, is the one that repeats:
-            # a redrawn exact training set gives it again in any order
-            key = _first_step_key(g, eig_tol)
-            v = bottom_vectors.get(key)
-            if v is None:
-                v, _ = smallest_eigenvector(g, tol=eig_tol)
-                v.setflags(write=False)
-                bottom_vectors[key] = v
         alpha = 1.0 / k
         sigma = (1.0 - alpha) * sigma + alpha * np.outer(v, v.conj())
         iterations = k
@@ -199,35 +186,6 @@ def hazan_optimize(
         iterations_used=iterations,
         final_objective=obj.value(sigma),
     )
-
-
-def memoize_first_steps(
-    objectives: Sequence[Objective],
-    bottom_vectors: dict[tuple[float, bytes], np.ndarray],
-) -> None:
-    """Store the first-step eigenvector of each objective in
-    ``bottom_vectors`` under the key :func:`hazan_optimize` looks up
-    at its default ``eig_tol``.
-
-    The objectives share one dimension. Zero gradients are skipped, as
-    the optimizer stops on them, and the distinct gradients not yet in
-    the dict are solved in one :func:`smallest_eigenvectors` call,
-    whose vectors are those a lone call returns. A later
-    ``hazan_optimize(obj, bottom_vectors=...)`` then takes its first
-    step from the dict.
-    """
-    pending: dict[tuple[float, bytes], np.ndarray] = {}
-    for obj in objectives:
-        g = obj.gradient(_maximally_mixed(obj.dim))
-        if float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL:
-            continue
-        key = _first_step_key(g, _EIG_TOL)
-        if key not in bottom_vectors:
-            pending.setdefault(key, g)
-    solved = smallest_eigenvectors(list(pending.values()), tol=_EIG_TOL)
-    for key, (v, _) in zip(pending, solved):
-        v.setflags(write=False)
-        bottom_vectors[key] = v
 
 
 def shot_objective_value(outcomes, sigma) -> float:

@@ -3,7 +3,7 @@ bound, and the linear fit."""
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -218,6 +218,62 @@ class TestBatchFill:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         # the lookups above were all answered by the fill
         assert len(optimizations) == len(sizes) * self.I_MAX
+
+    def test_each_distinct_first_gradient_solved_once(self, optimizations, monkeypatch):
+        stacks = []
+        real = complexity.smallest_eigenvectors
+
+        def counted(hs, tol):
+            stacks.append([h.tobytes() for h in hs])
+            return real(hs, tol=tol)
+
+        monkeypatch.setattr(complexity, "smallest_eigenvectors", counted)
+        # set-based d2 draws at n = 3 pick among 4 effects, so subsets repeat
+        rho, dist = ghz_density(3), build_distribution(3, "d2")
+        cache = TrialCache(rho, dist, seed=(5,), k_max=1, replacement=False)
+        mixed = maximally_mixed(3).matrix
+        across_chunks = 0
+        for m in (1, 2, 3):
+            stacks.clear()
+            cache.fill(m, self.I_MAX)
+            firsts = [
+                Objective(sample_training_set(dist, rho, m, seed=(5, m, i),
+                                              replacement=False)).gradient(mixed).tobytes()
+                for i in range(self.I_MAX)
+            ]
+            assert sorted(g for stack in stacks for g in stack) == sorted(set(firsts))
+            chunks = [set(firsts[lo:lo + 3]) for lo in range(0, self.I_MAX, 3)]
+            across_chunks += sum(len(a & b) for a, b in combinations(chunks, 2))
+        # the fill met some gradients again in a later chunk and reused them
+        assert across_chunks > 0
+
+    @pytest.mark.parametrize("target,noise", [
+        ("ghz", NoiseModel.exact()),
+        ("ghz", NoiseModel.gaussian(0.05)),
+        ("mixed", NoiseModel.exact()),  # zero first gradients
+    ])
+    def test_gradient_builds_match_lone_trials(self, target, noise, optimizations,
+                                               monkeypatch):
+        builds = []
+        real = Objective.gradient
+
+        def counted(obj, sigma):
+            builds.append(None)
+            return real(obj, sigma)
+
+        monkeypatch.setattr(Objective, "gradient", counted)
+        rho = ghz_density(3) if target == "ghz" else maximally_mixed(3)
+        dist = build_distribution(3, "d1")
+        sizes = (1, 2, 4)
+        for m in sizes:
+            for i in range(self.I_MAX):
+                self._alone(rho, dist, m, (5, m, i), 10, noise, True)
+        lone = len(builds)
+        builds.clear()
+        cache = TrialCache(rho, dist, seed=(5,), k_max=10, noise=noise)
+        for m in sizes:
+            cache.fill(m, self.I_MAX)
+        assert len(builds) == lone
 
     def test_cache_shared_across_gamma_grid(self, optimizations):
         rho = ghz_density(3)

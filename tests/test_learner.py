@@ -21,6 +21,7 @@ from qpac import (
     per_shot_outcomes,
     sample_training_set,
     shot_objective_value,
+    smallest_eigenvector,
     support_residuals,
     fidelity,
 )
@@ -185,20 +186,28 @@ class TestHazanOptimize:
             hazan_optimize(Objective(training), k_max=0)
 
 
-class TestBottomVectorMemo:
-    """The ``bottom_vectors`` memo of :func:`hazan_optimize` changes no
-    bit of its result and keys what decides the eigen-step."""
+class TestFirstStep:
+    """``hazan_optimize(obj, first_step=(g, v))`` takes step 1 from the
+    pair it is handed and changes no bit of the result."""
 
     @staticmethod
-    def _count_eigen_steps(monkeypatch) -> list:
+    def _first_step(obj):
+        g = obj.gradient(np.eye(obj.dim, dtype=np.complex128) / obj.dim)
+        if learner._vanishes(g):
+            return g, None
+        v, _ = smallest_eigenvector(g, tol=1e-9)
+        return g, v
+
+    @staticmethod
+    def _count(monkeypatch, owner, name) -> list:
         calls = []
-        real = learner.smallest_eigenvector
+        real = getattr(owner, name)
 
-        def counted(h, tol):
-            calls.append(tol)
-            return real(h, tol=tol)
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(learner, "smallest_eigenvector", counted)
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
     @settings(max_examples=40, deadline=None)
@@ -213,84 +222,43 @@ class TestBottomVectorMemo:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_same_bytes_with_and_without_memo(self, n, m, k_max, noise, seed):
+    def test_same_bytes_with_and_without_first_step(self, n, m, k_max, noise, seed):
         # exact GHZ values are all 1, so shot noise needs the mixed target
         target = maximally_mixed(n) if noise.kind == "shots" else ghz_density(n)
         training = sample_training_set(build_distribution(n, "d1"), target, m,
                                        noise=noise, seed=seed)
         want = hazan_optimize(Objective(training), k_max=k_max)
-        memo = {}
-        for _ in range(2):  # a cold memo, then one holding the first step's vector
-            got = hazan_optimize(Objective(training), k_max=k_max, bottom_vectors=memo)
-            assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
-            assert got.iterations_used == want.iterations_used
-            assert got.final_objective == want.final_objective
+        obj = Objective(training)
+        got = hazan_optimize(obj, k_max=k_max, first_step=self._first_step(obj))
+        assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+        assert got.iterations_used == want.iterations_used
+        assert got.final_objective == want.final_objective
 
-    def test_permuted_draws_share_one_eigen_step(self, monkeypatch):
-        calls = self._count_eigen_steps(monkeypatch)
-        training = sample_training_set(build_distribution(4, "d2"), ghz_density(4), 5,
-                                       seed=3, replacement=False)
-        rng = np.random.default_rng(0)
-        memo, orders, sigmas = {}, set(), set()
-        for _ in range(6):
-            order = tuple(int(i) for i in rng.permutation(len(training)))
-            orders.add(order)
-            items = tuple(training.items[i] for i in order)
-            hyp = hazan_optimize(Objective(TrainingSet(items)), bottom_vectors=memo)
-            sigmas.add(hyp.sigma.matrix.tobytes())
-        assert len(orders) > 1
-        assert len(calls) == 1
-        assert len(sigmas) == 1
-
-    def test_only_the_first_step_is_memoized(self, monkeypatch):
-        calls = self._count_eigen_steps(monkeypatch)
+    def test_later_steps_solve_their_own(self, monkeypatch):
         t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
                                 noise=NoiseModel.with_shots(10), seed=11)
-        memo = {}
-        for _ in range(2):
-            hyp = hazan_optimize(Objective(t), k_max=10, bottom_vectors=memo)
+        obj = Objective(t)
+        step = self._first_step(obj)
+        assert step[1] is not None
+        eigen_steps = self._count(monkeypatch, learner, "smallest_eigenvector")
+        gradients = self._count(monkeypatch, Objective, "gradient")
+        hyp = hazan_optimize(obj, k_max=10, first_step=step)
         assert hyp.iterations_used == 10
-        assert len(memo) == 1
-        # 10 eigen-steps cold, 9 on the rerun: only step 1 comes from the memo
-        assert len(calls) == 19
+        # steps 2..10 build and solve their gradients; step 1 uses the pair
+        assert len(eigen_steps) == 9
+        assert len(gradients) == 9
 
-    def test_stored_vectors_read_only(self):
-        t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
-                                noise=NoiseModel.with_shots(10), seed=11)
-        memo = {}
-        hazan_optimize(Objective(t), k_max=10, bottom_vectors=memo)
-        (v,) = memo.values()
-        assert not v.flags.writeable
-        with pytest.raises(ValueError):
-            v[0] = 0.0
-
-    def test_tolerance_is_part_of_the_key(self, monkeypatch):
-        calls = self._count_eigen_steps(monkeypatch)
-        training, _, _ = full_support_training(3)
-        memo = {}
-        for tol in (1e-9, 1e-6, 1e-9, 1e-6):
-            hazan_optimize(Objective(training), k_max=1, eig_tol=tol, bottom_vectors=memo)
-        assert calls == [1e-9, 1e-6]
-        assert sorted(tol for tol, _ in memo) == [1e-9, 1e-6]
-        assert len({digest for _, digest in memo}) == 1
-
-
-    def test_prefilled_first_steps_are_memo_hits(self, monkeypatch):
-        dist = build_distribution(3, "d1")
-        trainings = [sample_training_set(dist, ghz_density(3), 4, seed=s) for s in range(6)]
+    def test_zero_gradient_stops_before_any_step(self, monkeypatch):
         # exact values of I / d are 1/2, which make a zero gradient
-        trainings.append(sample_training_set(dist, maximally_mixed(3), 4, seed=0))
-        wants = [hazan_optimize(Objective(t), k_max=1) for t in trainings]
-        calls = self._count_eigen_steps(monkeypatch)
-        memo = {}
-        learner.memoize_first_steps([Objective(t) for t in trainings], memo)
-        for t, want in zip(trainings, wants):
-            got = hazan_optimize(Objective(t), k_max=1, bottom_vectors=memo)
-            assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
-            assert got.iterations_used == want.iterations_used
-        assert calls == []
-        assert 1 <= len(memo) <= 6
-        assert all(not v.flags.writeable for v in memo.values())
+        t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 6, seed=0)
+        obj = Objective(t)
+        g, v = self._first_step(obj)
+        assert v is None
+        eigen_steps = self._count(monkeypatch, learner, "smallest_eigenvector")
+        hyp = hazan_optimize(obj, k_max=10, first_step=(g, None))
+        assert hyp.iterations_used == 0
+        assert eigen_steps == []
+        assert np.array_equal(hyp.sigma.matrix, maximally_mixed(3).matrix)
 
 
 class TestShotObjective:
