@@ -1,25 +1,23 @@
 """Minimum training-set size estimation and the sample-complexity
 reference bound.
 
-The search runs i_max independent learning trials per candidate m,
-counts trials whose exact support error rate exceeds epsilon, and
-returns the first m whose failure rate drops strictly below delta.
-Failure-rate comparisons use exact rational arithmetic so the stopping
-rule carries no floating drift.
+The minimum-m search is the PAC-learning test: per candidate m it
+reads i_max independent learning trials, counts those whose exact
+support error rate exceeds epsilon, and returns the first m whose
+failure rate drops strictly below delta. Failure-rate comparisons use
+exact rational arithmetic, so the stopping rule carries no floating
+drift.
 
-A :class:`TrialCache` memoizes per-(m, trial) support residuals keyed
-by the trial seed, so sweeps that relax epsilon, gamma, or delta reuse
-identical trial outcomes and inherit exact monotonicity. The search
-fills it once per candidate m: the first Frank-Wolfe steps of the m's
-uncached trials are solved as stacks (one stacked power iteration per
-chunk) and handed to each trial's optimization, and a first gradient
-that an earlier trial of the same fill already produced is solved only
-once.
+The trials come from a :class:`TrialCache`, which owns everything that
+decides a trial's outcome: the target, the distribution, the root
+seed, the noise model, the sampling mode and the optimizer budget
+k_max. The search only fills the cache and reads it, so searches that
+share a cache (a sweep relaxing epsilon, gamma or delta) read the same
+trial outcomes and inherit exact monotonicity.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,21 +31,17 @@ from .learner import (
     Objective,
     _maximally_mixed,
     _vanishes,
+    error_share,
     hazan_optimize,
     support_residuals,
 )
 from .linalg import smallest_eigenvectors
-from .sampling import (
-    MeasurementDistribution,
-    NoiseModel,
-    TrainingSet,
-    sample_training_set,
-)
+from .sampling import MeasurementDistribution, NoiseModel, sample_training_set
 from .states import DensityMatrix
 
 
-# matrix entries whose first-step gradients one batch fill solves as a
-# stack (2^15 complex128 entries, 512 KB): 8 trials at dim 64
+# matrix entries whose first-step gradients one fill solves as a stack
+# (2^15 complex128 entries, 512 KB): 8 trials at dim 64
 _FILL_CHUNK_ENTRIES = 1 << 15
 
 
@@ -56,31 +50,32 @@ def _unit_interval(name: str, value: float):
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
+def _at_least_one(name: str, value: int):
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class LearnParams:
-    """Error parameters and loop budgets for the minimum-m search.
+    """Error parameters and search budgets for the minimum-m search.
 
     epsilon, gamma, delta admit the closed top of the unit interval so
-    the degenerate always-pass settings stay expressible.
+    the degenerate always-pass settings stay expressible. i_max is the
+    number of trials per candidate m, m_cap the largest m tried.
     """
 
     epsilon: float
     gamma: float
     delta: float
     i_max: int = 50
-    k_max: int = 300
     m_cap: int = 256
 
     def __post_init__(self):
         _unit_interval("epsilon", self.epsilon)
         _unit_interval("gamma", self.gamma)
         _unit_interval("delta", self.delta)
-        if self.i_max < 1:
-            raise ValueError(f"i_max must be >= 1, got {self.i_max}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.m_cap < 1:
-            raise ValueError(f"m_cap must be >= 1, got {self.m_cap}")
+        _at_least_one("i_max", self.i_max)
+        _at_least_one("m_cap", self.m_cap)
 
 
 def _exact_fraction(x: float) -> Fraction:
@@ -90,15 +85,14 @@ def _exact_fraction(x: float) -> Fraction:
 
 
 class TrialCache:
-    """Memoized learning trials for one (state, distribution, seed) context.
+    """The learning trials of one (state, distribution, seed) context.
 
-    ``residuals(m, i)`` returns the exact support residuals of the
-    hypothesis learned in trial i at training size m. Trials at
-    different m are sampled from scratch (independent streams).
-    ``fill(m, count)`` learns trials 0..count-1 of one m together, so
-    their first eigen-steps run as stacks; a lookup it did not fill
-    learns its trial the same way, as a stack of one. Either way the
-    residuals are those learning the trial alone gives.
+    Trial i at training size m samples its training set with
+    :meth:`trial_seed` ``(m, i)``, so trials at different m or i draw
+    independent streams, and learns it with at most ``k_max``
+    Frank-Wolfe steps. :meth:`fill` is the only place trials are
+    learned; :meth:`residuals` and :meth:`epsilon_estimate` read trials
+    it filled and raise ``KeyError`` for any other.
     """
 
     def __init__(
@@ -110,6 +104,7 @@ class TrialCache:
         noise: NoiseModel | None = None,
         replacement: bool = True,
     ):
+        _at_least_one("k_max", k_max)
         self.state = state
         self.dist = dist
         self.seed = seed
@@ -118,92 +113,72 @@ class TrialCache:
         self.replacement = replacement
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
 
-    def _trial_seed(self, m: int, i: int):
+    def trial_seed(self, m: int, i: int) -> tuple:
+        """The sampling seed of trial i at size m: the root seed's
+        components followed by m and i."""
         base = self.seed if isinstance(self.seed, (list, tuple)) else (self.seed,)
         return (*base, m, i)
 
-    def _training(self, m: int, i: int) -> TrainingSet:
-        return sample_training_set(
-            self.dist, self.state, m,
-            noise=self.noise, seed=self._trial_seed(m, i),
-            replacement=self.replacement,
-        )
-
-    def residuals(self, m: int, i: int) -> np.ndarray:
-        if (m, i) not in self._residuals:
-            self._learn(m, [i])
-        return self._residuals[(m, i)]
-
     def fill(self, m: int, count: int) -> None:
-        """Learn the trials 0..count-1 at size m not cached yet."""
-        self._learn(m, [i for i in range(count) if (m, i) not in self._residuals])
+        """Learn the trials 0..count-1 at size m that are not cached yet.
 
-    def _learn(self, m: int, trials: list[int]) -> None:
-        """Learn the given trials at size m, in chunks of at most
-        ``_FILL_CHUNK_ENTRIES`` gradient entries.
-
-        Per chunk: sample each trial's training set and build its first
-        gradient, solve the chunk's distinct nonzero gradients not met
-        earlier in this call as one stack, then run each trial's
-        optimization from its solved first step.
+        In chunks of at most ``_FILL_CHUNK_ENTRIES`` gradient entries:
+        sample each trial's training set and build its first gradient,
+        solve the chunk's nonzero first gradients as one stack, then run
+        each trial's optimization from its solved first step. Each
+        trial's residuals are those learning it alone gives.
         """
         dim = self.state.matrix.shape[0]
         chunk = max(1, _FILL_CHUNK_ENTRIES // (dim * dim))
         mixed = _maximally_mixed(dim)
-        # set-based sampling redraws the same m-subset in another order,
-        # and with exact data its first gradient does not depend on the
-        # order; the search meets each m in one call, so the vectors,
-        # keyed by the gradient's SHA-1, live for this call only
-        solved: dict[bytes, np.ndarray] = {}
+        trials = [i for i in range(count) if (m, i) not in self._residuals]
         for lo in range(0, len(trials), chunk):
             steps = []
-            pending: dict[bytes, np.ndarray] = {}
             for i in trials[lo:lo + chunk]:
-                obj = Objective(self._training(m, i))
+                training = sample_training_set(
+                    self.dist, self.state, m, noise=self.noise,
+                    seed=self.trial_seed(m, i), replacement=self.replacement,
+                )
+                obj = Objective(training)
                 g = obj.gradient(mixed)
-                key = None if _vanishes(g) else hashlib.sha1(g).digest()
-                if key is not None and key not in solved:
-                    pending[key] = g
-                steps.append((i, obj, g, key))
-            vectors = smallest_eigenvectors(list(pending.values()), tol=_EIG_TOL)
-            for key, (v, _) in zip(pending, vectors):
-                solved[key] = v
-            for i, obj, g, key in steps:
-                hyp = hazan_optimize(obj, k_max=self.k_max, first_step=(g, solved.get(key)))
+                steps.append((i, obj, g, not _vanishes(g)))
+            solved = iter(smallest_eigenvectors(
+                [g for _, _, g, live in steps if live], tol=_EIG_TOL
+            ))
+            for i, obj, g, live in steps:
+                v = next(solved)[0] if live else None
+                hyp = hazan_optimize(obj, k_max=self.k_max, first_step=(g, v))
                 found = support_residuals(hyp.sigma, self.state, self.dist)
                 found.setflags(write=False)
                 self._residuals[(m, i)] = found
 
+    def residuals(self, m: int, i: int) -> np.ndarray:
+        """Read-only support residuals of the hypothesis of filled trial
+        i at size m."""
+        return self._residuals[(m, i)]
+
     def epsilon_estimate(self, m: int, i: int, gamma: float) -> Fraction:
-        resid = self.residuals(m, i)
-        return Fraction(int(np.count_nonzero(resid > gamma)), len(resid))
+        """Exact share of support effects that filled trial i at size m
+        misses by more than gamma."""
+        return error_share(self.residuals(m, i), gamma)
 
 
 def estimate_min_m(
-    state: DensityMatrix,
-    dist: MeasurementDistribution,
+    cache: TrialCache,
     params: LearnParams,
-    seed,
     *,
-    noise: NoiseModel | None = None,
-    replacement: bool = True,
-    cache: TrialCache | None = None,
     record: Callable[[int, int, float, bool], None] | None = None,
 ) -> int:
     """First training-set size m whose trial failure rate is strictly
     below delta.
 
-    Per candidate m, runs i_max independent trials: sample a size-m
-    training set, learn a hypothesis, and fail the trial if the exact
-    fraction of support effects missed by more than gamma (strict)
-    exceeds epsilon. Raises :class:`SampleSizeCapError` with the
-    failure-rate trajectory if no m up to m_cap qualifies.
+    Per candidate m = 1, 2, ..., fills trials 0..i_max-1 of ``cache``
+    and fails a trial when the exact share of support effects it misses
+    by more than gamma (strict) exceeds epsilon. ``record(m, i,
+    epsilon_est, failed)`` is called once per trial read, in order.
+    Raises :class:`SampleSizeCapError` with the failure-rate trajectory
+    if no m up to m_cap qualifies.
     """
-    if cache is None:
-        cache = TrialCache(
-            state, dist, seed,
-            k_max=params.k_max, noise=noise, replacement=replacement,
-        )
     eps = _exact_fraction(params.epsilon)
     delta = _exact_fraction(params.delta)
     trajectory = []

@@ -161,6 +161,10 @@ class ExperimentConfig:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.threads < 0:
             raise ConfigError(f"threads must be >= 0, got {self.threads}")
+        for name in ("i_max", "k_max", "m_cap"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ConfigError(f"{name} must be >= 1, got {v}")
         for name in ("epsilon", "gamma", "delta"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -217,10 +221,19 @@ class ExperimentConfig:
     def learn_params(self, **overrides) -> LearnParams:
         values = dict(
             epsilon=self.epsilon, gamma=self.gamma, delta=self.delta,
-            i_max=self.i_max, k_max=self.k_max, m_cap=self.m_cap,
+            i_max=self.i_max, m_cap=self.m_cap,
         )
         values.update(overrides)
         return LearnParams(**values)
+
+    def trial_cache(self, state: DensityMatrix, dist: MeasurementDistribution, seed) -> TrialCache:
+        """The minimum-m search's trials for one target, distribution
+        and root seed, under this config's noise, sampling and k_max."""
+        return TrialCache(
+            state, dist, seed,
+            k_max=self.k_max, noise=self.noise_model(),
+            replacement=self.with_replacement(),
+        )
 
     def out_path(self) -> str:
         """Where the table goes: ``out``, else ``<command>.csv`` in the
@@ -389,29 +402,20 @@ TRIALS_COLUMNS = ("n", "m", "trial", "epsilon_est", "failed", "seed")
 def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     """Minimum m as one error parameter sweeps and the others stay at
     their defaults. Each repeat reuses its cached trials across the
-    grid, so relaxing the swept parameter never increases m."""
+    grid, so relaxing the swept parameter never increases m. Trial rows
+    record each repeat's search at the first grid value."""
     n = config.n
     state = config.target_state(n)
     dist = config.distribution(n)
-    trial_rows: list = []
+    trial_rows = [] if config.trials_out else None
     per_repeat = []
     for r in range(config.repeats):
-        cache = TrialCache(
-            state, dist, seed=(config.seed, r),
-            k_max=config.k_max, noise=config.noise_model(),
-            replacement=config.with_replacement(),
-        )
-        ms = []
-        for value in config.sweep_values:
-            params = config.learn_params(**{config.sweep_param: value})
-            recorder = None
-            if config.trials_out and value == config.sweep_values[0]:
-                recorder = lambda m, i, eps, failed: trial_rows.append(
-                    (n, m, i, eps, failed, f"({config.seed};{r};{m};{i})")
-                )
-            ms.append(estimate_min_m(state, dist, params, seed=(config.seed, r),
-                                     cache=cache, record=recorder))
-        per_repeat.append(ms)
+        cache = config.trial_cache(state, dist, (config.seed, r))
+        per_repeat.append([
+            _search(cache, config.learn_params(**{config.sweep_param: value}), n,
+                    trial_rows if j == 0 else None)
+            for j, value in enumerate(config.sweep_values)
+        ])
     arr = np.array(per_repeat, dtype=float)  # (repeats, len(values))
 
     table = ResultTable(config=config.echo(), columns=SWEEP_ERRORS_COLUMNS)
@@ -423,6 +427,17 @@ def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     if config.trials_out:
         _write_trials(trial_rows, config)
     return _finalize(table, config)
+
+
+def _search(cache: TrialCache, params: LearnParams, n: int, trial_rows: list | None) -> int:
+    """The minimum m on ``cache``; appends one trials-table row per
+    trial read to ``trial_rows`` unless it is None."""
+    record = None
+    if trial_rows is not None:
+        def record(m, i, eps, failed):
+            seed = ";".join(str(part) for part in cache.trial_seed(m, i))
+            trial_rows.append((n, m, i, eps, failed, f"({seed})"))
+    return estimate_min_m(cache, params, record=record)
 
 
 def _write_trials(rows, config: ExperimentConfig) -> None:
@@ -445,25 +460,17 @@ def run_scaling(config: ExperimentConfig) -> ResultTable:
     extrapolation, plus the reference fit line for comparison."""
     ns = list(range(config.n_min, config.n_max + 1))
     params = config.learn_params()
-    trial_rows: list = []
+    trial_rows = [] if config.trials_out else None
 
     table = ResultTable(config=config.echo(), columns=SCALING_COLUMNS)
     points = []
     for n in ns:
         state = config.target_state(n)
         dist = config.distribution(n)
-        min_ms = []
-        for r in range(config.repeats):
-            recorder = None
-            if config.trials_out:
-                recorder = lambda m, i, eps, failed: trial_rows.append(
-                    (n, m, i, eps, failed, f"({config.seed};{n};{r};{m};{i})")
-                )
-            min_ms.append(estimate_min_m(
-                state, dist, params, seed=(config.seed, n, r),
-                noise=config.noise_model(), replacement=config.with_replacement(),
-                record=recorder,
-            ))
+        min_ms = [
+            _search(config.trial_cache(state, dist, (config.seed, n, r)), params, n, trial_rows)
+            for r in range(config.repeats)
+        ]
         chunk = np.array(min_ms, dtype=float)
         points.append((n, float(chunk.mean())))
         table.append("point", n, config.repeats, float(chunk.mean()), float(chunk.std()),

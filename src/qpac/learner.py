@@ -10,6 +10,7 @@ PSD by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -210,6 +211,14 @@ def support_residuals(sigma, state: DensityMatrix, dist: MeasurementDistribution
     return np.abs(batch.expectations(m) - batch.expectations(state.matrix))
 
 
+def error_share(residuals: np.ndarray, gamma: float) -> Fraction:
+    """Exact share of residuals above gamma (strict inequality): the
+    error rate of a hypothesis, given its support residuals."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    return Fraction(int(np.count_nonzero(residuals > gamma)), len(residuals))
+
+
 def evaluate_epsilon(sigma, state: DensityMatrix, dist: MeasurementDistribution, gamma: float) -> float:
     """Exact probability mass of support effects whose prediction misses
     by more than gamma (strict inequality).
@@ -217,7 +226,4 @@ def evaluate_epsilon(sigma, state: DensityMatrix, dist: MeasurementDistribution,
     The distribution is uniform over a finite support, so this is a
     fraction, not a Monte Carlo estimate.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    resid = support_residuals(sigma, state, dist)
-    return float(np.count_nonzero(resid > gamma)) / len(resid)
+    return float(error_share(support_residuals(sigma, state, dist), gamma))

@@ -37,12 +37,12 @@ row as complex columns, as a Python float reaches the scalar kernel's
 vector. So every item sees the scalar kernel's BLAS calls and
 elementwise float operations in the same order, and its (v, lam) is
 bit for bit a lone call's. An item leaves the stack at the sweep where
-a lone call stops. The last item left finishes on the scalar kernel,
-because a stacked sweep over one item costs about 3 times a scalar
-sweep. The pre-checks,
-the certificate, the restart and the fallback are one code path for
-both kernels. ``tests/test_linalg.py`` keeps the allocating form as
-the reference both must match bit for bit.
+a lone call stops; the others stay in the stacked kernel until they
+stop too. Only a stack of one starts on the scalar kernel, because a
+stacked sweep over one item costs about 3 times a scalar sweep. The
+pre-checks, the certificate, the restart and the fallback are one code
+path for both kernels. ``tests/test_linalg.py`` keeps the allocating
+form as the reference both must match bit for bit.
 """
 
 from __future__ import annotations
@@ -151,8 +151,7 @@ def _power_iterate_stack(hs, vs, cs, tol, max_entries, max_sweeps):
     """:func:`_power_iterate` on each item of a same-dimension stack,
     in lock-step; returns its (v, lam, converged) per item, in order.
 
-    A stack of one, and the last item left active, run the scalar
-    kernel from the current iterate with the sweeps that remain.
+    A stack of one runs the scalar kernel.
     """
     if len(hs) == 1:
         return [_power_iterate(hs[0], vs[0], cs[0], tol, max_entries[0], max_sweeps)]
@@ -163,12 +162,7 @@ def _power_iterate_stack(hs, vs, cs, tol, max_entries, max_sweeps):
     c = _column(np.array(cs))
     max_entry = np.array(max_entries)
     lam = np.zeros(len(hs))
-    for sweep in range(max_sweeps):
-        if len(active) == 1:
-            (j,) = active
-            out[j] = _power_iterate(h[0], v[0].copy(), float(c[0, 0].real), tol,
-                                    float(max_entry[0]), max_sweeps - sweep)
-            return out
+    for _ in range(max_sweeps):
         hv = np.matmul(h, v[:, :, None])[:, :, 0]
         lam = np.vecdot(v, hv).real
         w = np.subtract(hv, _column(lam) * v)

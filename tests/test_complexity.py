@@ -3,7 +3,7 @@ bound, and the linear fit."""
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -39,6 +39,13 @@ class TestLearnParams:
         with pytest.raises(ValueError):
             LearnParams(epsilon=0.5, gamma=0.5, delta=0.5, m_cap=0)
 
+    def test_k_max_belongs_to_the_cache(self):
+        with pytest.raises(TypeError):
+            LearnParams(epsilon=0.5, gamma=0.5, delta=0.5, k_max=10)
+        rho, dist = ghz_density(2), build_distribution(2, "d1")
+        with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
+            TrialCache(rho, dist, (1,), k_max=0)
+
 
 class TestEstimateMinM:
     def exhaustive_failure_rate(self, m, dist, rho, gamma, epsilon):
@@ -71,7 +78,7 @@ class TestEstimateMinM:
                 exact_first_m = m
         assert exact_first_m is not None, f"no m <= 4 passes; rates {rates}"
         params = LearnParams(epsilon=eps, gamma=gam, delta=delt, i_max=50)
-        got = estimate_min_m(rho, dist, params, seed=(1,))
+        got = estimate_min_m(TrialCache(rho, dist, (1,)), params)
         assert got == exact_first_m
         assert got <= 4
         # the exact rates must sit away from the threshold for the MC
@@ -83,13 +90,13 @@ class TestEstimateMinM:
         dist = build_distribution(2, "d1")
         for gamma in (0.5, 0.6):
             params = LearnParams(epsilon=0.15, gamma=gamma, delta=0.2, i_max=20)
-            assert estimate_min_m(rho, dist, params, seed=(2,)) == 1
+            assert estimate_min_m(TrialCache(rho, dist, (2,)), params) == 1
 
     def test_vacuous_epsilon_gives_one(self):
         rho = ghz_density(3)
         dist = build_distribution(3, "d1")
         params = LearnParams(epsilon=1.0, gamma=0.1, delta=0.9, i_max=10)
-        assert estimate_min_m(rho, dist, params, seed=(3,)) == 1
+        assert estimate_min_m(TrialCache(rho, dist, (3,)), params) == 1
 
     def test_full_support_always_reachable(self):
         # without replacement, m = |support| reproduces the state exactly
@@ -99,7 +106,7 @@ class TestEstimateMinM:
             params = LearnParams(
                 epsilon=0.05, gamma=0.1, delta=0.1, i_max=10, m_cap=len(dist)
             )
-            got = estimate_min_m(rho, dist, params, seed=(4, n), replacement=False)
+            got = estimate_min_m(TrialCache(rho, dist, (4, n), replacement=False), params)
             assert got <= len(dist)
 
     def test_cap_error_carries_trajectory(self):
@@ -110,7 +117,7 @@ class TestEstimateMinM:
         )
         noise = NoiseModel.gaussian(0.4)
         with pytest.raises(SampleSizeCapError) as err:
-            estimate_min_m(rho, dist, params, seed=(5,), noise=noise)
+            estimate_min_m(TrialCache(rho, dist, (5,), noise=noise), params)
         assert err.value.m_cap == 3
         assert len(err.value.delta_trajectory) == 3
 
@@ -132,10 +139,8 @@ class TestEstimateMinM:
                     return Fraction(1, 1) if i == 0 else Fraction(0, 1)
                 return Fraction(0, 1)
 
-        rho = ghz_density(2)
-        dist = build_distribution(2, "d1")
         params = LearnParams(epsilon=0.5, gamma=0.3, delta=0.2, i_max=5)
-        got = estimate_min_m(rho, dist, params, seed=(6,), cache=StubCache())
+        got = estimate_min_m(StubCache(), params)
         assert got == 2  # m=1 ties delta exactly and must be rejected
 
     def test_monotone_under_relaxation_with_shared_cache(self):
@@ -146,7 +151,7 @@ class TestEstimateMinM:
         def m_for(**kw):
             base = dict(epsilon=0.05, gamma=0.1, delta=0.1, i_max=30)
             base.update(kw)
-            return estimate_min_m(rho, dist, LearnParams(**base), seed=(7,), cache=cache)
+            return estimate_min_m(cache, LearnParams(**base))
 
         for name, grid in (
             ("epsilon", [0.05, 0.1, 0.2, 0.5]),
@@ -162,7 +167,7 @@ class TestEstimateMinM:
         params = LearnParams(epsilon=0.15, gamma=0.2, delta=0.2, i_max=5)
         rows = []
         estimate_min_m(
-            rho, dist, params, seed=(8,),
+            TrialCache(rho, dist, (8,)), params,
             record=lambda m, i, eps, failed: rows.append((m, i, eps, failed)),
         )
         ms = {m for m, *_ in rows}
@@ -216,10 +221,13 @@ class TestBatchFill:
                 want = self._alone(rho, dist, m, (5, m, i), 10, noise, replacement)
                 got = cache.residuals(m, i)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # the lookups above were all answered by the fill
+        # the lookups above were all answered by the fill, and a lookup
+        # of a trial no fill reached learns nothing
+        with pytest.raises(KeyError):
+            cache.epsilon_estimate(1, self.I_MAX, 0.1)
         assert len(optimizations) == len(sizes) * self.I_MAX
 
-    def test_each_distinct_first_gradient_solved_once(self, optimizations, monkeypatch):
+    def test_each_first_gradient_solved_in_its_chunk(self, optimizations, monkeypatch):
         stacks = []
         real = complexity.smallest_eigenvectors
 
@@ -232,7 +240,6 @@ class TestBatchFill:
         rho, dist = ghz_density(3), build_distribution(3, "d2")
         cache = TrialCache(rho, dist, seed=(5,), k_max=1, replacement=False)
         mixed = maximally_mixed(3).matrix
-        across_chunks = 0
         for m in (1, 2, 3):
             stacks.clear()
             cache.fill(m, self.I_MAX)
@@ -241,11 +248,7 @@ class TestBatchFill:
                                               replacement=False)).gradient(mixed).tobytes()
                 for i in range(self.I_MAX)
             ]
-            assert sorted(g for stack in stacks for g in stack) == sorted(set(firsts))
-            chunks = [set(firsts[lo:lo + 3]) for lo in range(0, self.I_MAX, 3)]
-            across_chunks += sum(len(a & b) for a, b in combinations(chunks, 2))
-        # the fill met some gradients again in a later chunk and reused them
-        assert across_chunks > 0
+            assert stacks == [firsts[lo:lo + 3] for lo in range(0, self.I_MAX, 3)]
 
     @pytest.mark.parametrize("target,noise", [
         ("ghz", NoiseModel.exact()),
@@ -280,8 +283,7 @@ class TestBatchFill:
         dist = build_distribution(3, "d1")
         cache = TrialCache(rho, dist, seed=(7,), k_max=300)
         found = [
-            estimate_min_m(rho, dist, LearnParams(epsilon=0.05, gamma=g, delta=0.1,
-                                                  i_max=self.I_MAX), seed=(7,), cache=cache)
+            estimate_min_m(cache, LearnParams(epsilon=0.05, gamma=g, delta=0.1, i_max=self.I_MAX))
             for g in (0.1, 0.3, 0.6)
         ]
         top = max(found)

@@ -8,7 +8,16 @@ import threading
 import numpy as np
 import pytest
 
-from qpac import ConfigError, experiments, ghz_density, ghz_generators
+from qpac import (
+    ConfigError,
+    Objective,
+    evaluate_epsilon,
+    experiments,
+    ghz_density,
+    ghz_generators,
+    hazan_optimize,
+    sample_training_set,
+)
 from qpac.cli import main
 from qpac.experiments import (
     LEARN_COLUMNS,
@@ -187,6 +196,57 @@ class TestRunSweepErrors:
         assert trials.columns == ("n", "m", "trial", "epsilon_est", "failed", "seed")
         assert len(trials.rows) >= 10
 
+    def test_repeated_grid_value_records_trials_once(self, tmp_path):
+        rows = {}
+        for label, grid in (("once", ["0.2"]), ("repeated", ["0.2", "0.3", "0.2"])):
+            path = tmp_path / f"{label}.csv"
+            code = main(["sweep-errors", "--n", "2", "--imax", "3", "--sweep-param", "gamma",
+                         "--sweep-values", *grid, "--out", str(tmp_path / "e.csv"),
+                         "--trials-out", str(path)])
+            assert code == 0
+            rows[label] = read_table(path).rows
+        assert len(set(rows["repeated"])) == len(rows["repeated"])
+        assert rows["repeated"] == rows["once"]
+
+
+class TestTrialRows:
+    """Every trials-table row replays alone: its ``seed`` cell is the
+    trial's sampling seed, and learning that training set gives the
+    row's ``epsilon_est``."""
+
+    @staticmethod
+    def _replay_rows(path):
+        table = read_table(path)
+        config = ExperimentConfig(**{k: v for k, v in table.config.items()
+                                     if k in ExperimentConfig.field_names()})
+        gamma = config.sweep_values[0] if config.sweep_param == "gamma" else config.gamma
+        assert table.rows
+        for n, m, i, eps, failed, seed in table.rows:
+            state, dist = config.target_state(n), config.distribution(n)
+            training = sample_training_set(
+                dist, state, m, noise=config.noise_model(),
+                seed=tuple(int(part) for part in seed.strip("()").split(";")),
+                replacement=config.with_replacement(),
+            )
+            hyp = hazan_optimize(Objective(training), k_max=config.k_max)
+            assert evaluate_epsilon(hyp.sigma, state, dist, gamma) == eps
+            assert failed == (eps > config.epsilon)
+
+    def test_sweep_errors(self, tmp_path):
+        path = tmp_path / "t.csv"
+        run_sweep_errors(cfg(command="sweep-errors", n=2, dist="d1", sweep_param="gamma",
+                             sweep_values=[0.3, 0.1], repeats=2, i_max=4, k_max=20,
+                             epsilon=0.15, delta=0.3, gauss_std=0.05,
+                             out=str(tmp_path / "e.csv"), trials_out=str(path)))
+        self._replay_rows(path)
+
+    def test_scaling(self, tmp_path):
+        path = tmp_path / "t.csv"
+        run_scaling(cfg(command="scaling", n_min=2, n_max=3, dist="d2", repeats=2, i_max=4,
+                        epsilon=0.15, gamma=0.2, delta=0.3,
+                        out=str(tmp_path / "s.csv"), trials_out=str(path)))
+        self._replay_rows(path)
+
 
 class TestRunScaling:
     def test_points_fit_and_reference(self, tmp_path):
@@ -239,6 +299,31 @@ class TestGeneratorQubitCount:
         assert code == 2
         assert "generators" in capsys.readouterr().err
         assert searches == []
+        assert not (tmp_path / "t.csv").exists()
+
+
+class TestLoopBudgets:
+    ARGVS = {
+        "sweep-m-k_max": (["sweep-m", "--n", "3", "--m-list", "0", "--kmax", "0"], "k_max"),
+        "sweep-m-i_max": (["sweep-m", "--n", "3", "--m-list", "0", "--imax", "-5"], "i_max"),
+        "sweep-m-m_cap": (["sweep-m", "--n", "3", "--m-list", "0", "--m-cap", "0"], "m_cap"),
+        "scaling-i_max": (["scaling", "--n-min", "2", "--n-max", "3", "--imax", "0"], "i_max"),
+        "sweep-errors-k_max": (["sweep-errors", "--n", "2", "--sweep-param", "gamma",
+                                "--kmax", "0"], "k_max"),
+        "learn-k_max": (["learn", "--n", "2", "--m", "2", "--kmax", "0"], "k_max"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ARGVS))
+    def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
+        argv, name = self.ARGVS[case]
+        calls = []
+        for func in ("estimate_min_m", "build_distribution", "ghz_density"):
+            monkeypatch.setattr(experiments, func,
+                                lambda *a, func=func, **kw: calls.append(func))
+        code = main([*argv, "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "t.csv").exists()
 
 
