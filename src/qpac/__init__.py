@@ -53,7 +53,6 @@ from .states import (
     fidelity,
     ghz_density,
     maximally_mixed,
-    to_dense,
 )
 
 __version__ = "0.1.0"

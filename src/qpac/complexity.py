@@ -177,12 +177,17 @@ def estimate_min_m(
     by more than gamma (strict) exceeds epsilon. ``record(m, i,
     epsilon_est, failed)`` is called once per trial read, in order.
     Raises :class:`SampleSizeCapError` with the failure-rate trajectory
-    if no m up to m_cap qualifies.
+    if no m up to m_cap qualifies; a cache that samples without
+    replacement stops at its support size if that is smaller.
     """
     eps = _exact_fraction(params.epsilon)
     delta = _exact_fraction(params.delta)
+    m_cap, limit = params.m_cap, "m_cap"
+    if not cache.replacement and len(cache.dist) < m_cap:
+        m_cap = len(cache.dist)
+        limit = f"support size {m_cap}, sampled without replacement"
     trajectory = []
-    for m in range(1, params.m_cap + 1):
+    for m in range(1, m_cap + 1):
         cache.fill(m, params.i_max)
         failures = 0
         for i in range(params.i_max):
@@ -196,7 +201,7 @@ def estimate_min_m(
         trajectory.append(float(delta_est))
         if delta_est < delta:
             return m
-    raise SampleSizeCapError(params.m_cap, trajectory)
+    raise SampleSizeCapError(m_cap, trajectory, limit)
 
 
 def theorem_bound(n: int, params: LearnParams, big_k: float) -> float:

@@ -33,13 +33,14 @@ class SampleSizeCapError(QpacError, RuntimeError):
     """Minimum-m search hit its safety cap without meeting the target.
 
     Carries the failure-rate trajectory observed up to the cap so the
-    caller can report how far the search got.
+    caller can report how far the search got; ``limit`` names what set
+    the cap.
     """
 
-    def __init__(self, m_cap: int, delta_trajectory):
+    def __init__(self, m_cap: int, delta_trajectory, limit: str = "m_cap"):
         self.m_cap = m_cap
         self.delta_trajectory = list(delta_trajectory)
         super().__init__(
-            f"no m <= {m_cap} met the confidence target; "
+            f"no m <= {m_cap} ({limit}) met the confidence target; "
             f"failure rates per m: {self.delta_trajectory}"
         )

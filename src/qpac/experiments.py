@@ -187,10 +187,14 @@ class ExperimentConfig:
             if self.m is None or self.m < 1:
                 raise ConfigError(f"learn needs m >= 1, got {self.m}")
         if self.command == "sweep-m":
+            support = len(self.distribution(self.n))
             if self.m_list is None:
-                self.m_list = list(range(0, len(self.distribution(self.n)) + 1))
+                self.m_list = list(range(0, support + 1))
             if any(m < 0 for m in self.m_list):
                 raise ConfigError("sweep-m sizes must be >= 0")
+            if self.replacement == "without" and max(self.m_list, default=0) > support:
+                raise ConfigError(f"sweep-m size {max(self.m_list)} exceeds the support size "
+                                  f"{support} of a draw without replacement")
         if self.command == "sweep-errors":
             if self.sweep_param not in ("epsilon", "gamma", "delta"):
                 raise ConfigError(
@@ -402,8 +406,7 @@ TRIALS_COLUMNS = ("n", "m", "trial", "epsilon_est", "failed", "seed")
 def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     """Minimum m as one error parameter sweeps and the others stay at
     their defaults. Each repeat reuses its cached trials across the
-    grid, so relaxing the swept parameter never increases m. Trial rows
-    record each repeat's search at the first grid value."""
+    grid, so relaxing the swept parameter never increases m."""
     n = config.n
     state = config.target_state(n)
     dist = config.distribution(n)
@@ -412,9 +415,8 @@ def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     for r in range(config.repeats):
         cache = config.trial_cache(state, dist, (config.seed, r))
         per_repeat.append([
-            _search(cache, config.learn_params(**{config.sweep_param: value}), n,
-                    trial_rows if j == 0 else None)
-            for j, value in enumerate(config.sweep_values)
+            _search(cache, config.learn_params(**{config.sweep_param: value}), n, trial_rows)
+            for value in config.sweep_values
         ])
     arr = np.array(per_repeat, dtype=float)  # (repeats, len(values))
 
@@ -441,8 +443,12 @@ def _search(cache: TrialCache, params: LearnParams, n: int, trial_rows: list | N
 
 
 def _write_trials(rows, config: ExperimentConfig) -> None:
+    """One row per trial: the row of its first read, keyed by its seed."""
+    first = {}
+    for row in rows:
+        first.setdefault(row[-1], row)
     table = ResultTable(config=config.echo(), columns=TRIALS_COLUMNS)
-    for row in sorted(rows):
+    for row in sorted(first.values()):
         table.append(*row)
     table.write(config.trials_out)
 

@@ -128,7 +128,6 @@ def hazan_optimize(
     obj: Objective,
     k_max: int = 300,
     *,
-    eig_tol: float = _EIG_TOL,
     stop_objective: float | None = None,
     on_iterate: Callable[[int, float, float, np.ndarray], None] | None = None,
     first_step: tuple[np.ndarray, np.ndarray | None] | None = None,
@@ -150,7 +149,7 @@ def hazan_optimize(
     ``first_step=(g, v)`` hands in the first step solved elsewhere, so
     a caller can solve many trials' first steps as one stack (see
     :meth:`~qpac.complexity.TrialCache.fill`): ``g`` is the gradient at
-    I / d and ``v`` is what ``smallest_eigenvector(g, tol=eig_tol)``
+    I / d and ``v`` is what ``smallest_eigenvector(g, tol=_EIG_TOL)``
     returns, or ``None`` when ``g`` is zero. Step 1 then takes the pair
     as its gradient and eigenvector, so ``sigma`` is byte-identical to
     a run without it; later steps solve their own.
@@ -174,7 +173,7 @@ def hazan_optimize(
             # this or any later step
             break
         if v is None:
-            v, _ = smallest_eigenvector(g, tol=eig_tol)
+            v, _ = smallest_eigenvector(g, tol=_EIG_TOL)
         alpha = 1.0 / k
         sigma = (1.0 - alpha) * sigma + alpha * np.outer(v, v.conj())
         iterations = k

@@ -1,10 +1,13 @@
 """Symbolic Pauli-string algebra and stabilizer-group enumeration.
 
-Pauli strings are kept symbolic (a factor tuple plus a sign) rather than
-as dense matrices: every string is a signed permutation with one nonzero
-per row, so expectations and gradients stay O(2^n) instead of O(4^n).
-Dense realization lives in :mod:`qpac.states` and is used as a test
-oracle only.
+A Pauli string on n qubits is stored in the binary symplectic form of
+Aaronson & Gottesman (2004): two n-bit masks ``x`` and ``z`` and a sign.
+Bit n-1-q of ``x`` is set when factor q is X or Y, bit n-1-q of ``z``
+when it is Z or Y, and the string is phase * i^|x&z| * X^x Z^z, so each
+Y = iXZ contributes one factor of i. Products, commutation and the
+identity test are XORs and popcounts on the masks, and
+:func:`qpac.states._pauli_action` reads its signed permutation from
+them: expectations and gradients stay O(2^n) instead of O(4^n).
 """
 
 from __future__ import annotations
@@ -17,57 +20,64 @@ from .errors import PauliPhaseError, StructureError
 
 FACTORS = "IXYZ"
 
-# Single-qubit products a*b -> (phase exponent k with a*b = i^k * c, factor c).
-# Only the anti-diagonal entries pick up imaginary phases.
-_MUL = {
-    ("I", "I"): (0, "I"), ("I", "X"): (0, "X"), ("I", "Y"): (0, "Y"), ("I", "Z"): (0, "Z"),
-    ("X", "I"): (0, "X"), ("X", "X"): (0, "I"), ("X", "Y"): (1, "Z"), ("X", "Z"): (3, "Y"),
-    ("Y", "I"): (0, "Y"), ("Y", "X"): (3, "Z"), ("Y", "Y"): (0, "I"), ("Y", "Z"): (1, "X"),
-    ("Z", "I"): (0, "Z"), ("Z", "X"): (1, "Y"), ("Z", "Y"): (3, "X"), ("Z", "Z"): (0, "I"),
-}
+# factor q -> its x and z bits; the factor of bits (x, z) is "IXZY"[x + 2z]
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PauliString:
     """A signed tensor product of single-qubit Pauli factors.
+
+    Built from a factor tuple, e.g. ``PauliString(("X", "Y"), -1)``, and
+    stored as ``n``, the masks ``x`` and ``z`` and ``phase`` (see the
+    module docstring); equality and hashing use those four. ``factors``
+    is derived from the masks.
 
     The phase is restricted to +1/-1: Hermitian stabilizer elements of
     real stabilizer states never need +-i, and rejecting those at the
     type boundary catches logic errors early.
     """
 
-    factors: tuple[str, ...]
-    phase: int = 1
+    n: int
+    x: int
+    z: int
+    phase: int
 
-    def __post_init__(self):
-        if len(self.factors) < 1:
+    def __init__(self, factors: Iterable[str], phase: int = 1):
+        factors = tuple(factors)
+        if len(factors) < 1:
             raise ValueError("need at least one qubit factor")
-        bad = set(self.factors) - set(FACTORS)
+        bad = set(factors) - set(FACTORS)
         if bad:
             raise ValueError(f"invalid Pauli factors: {sorted(bad)}")
-        if self.phase not in (1, -1):
-            raise PauliPhaseError(f"phase must be +1 or -1, got {self.phase}")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        if phase not in (1, -1):
+            raise PauliPhaseError(f"phase must be +1 or -1, got {phase}")
+        text = "".join(factors)
+        x, z = int(text.translate(_X_BITS), 2), int(text.translate(_Z_BITS), 2)
+        self.__dict__.update(n=len(factors), x=x, z=z, phase=phase)
+
+    @classmethod
+    def _from_masks(cls, n: int, x: int, z: int, phase: int) -> "PauliString":
+        p = object.__new__(cls)
+        p.__dict__.update(n=n, x=x, z=z, phase=phase)
+        return p
 
     @property
-    def n(self) -> int:
-        return len(self.factors)
+    def factors(self) -> tuple[str, ...]:
+        xs, zs = format(self.x, f"0{self.n}b"), format(self.z, f"0{self.n}b")
+        return tuple("IXZY"[int(a) + 2 * int(b)] for a, b in zip(xs, zs))
 
     @property
     def is_identity(self) -> bool:
-        return all(f == "I" for f in self.factors)
+        return self.x == 0 and self.z == 0
 
     def commutes_with(self, other: "PauliString") -> bool:
-        """Symplectic rule: commute iff the count of positions where both
-        factors are non-identity and different is even."""
+        """Symplectic rule: commute iff (x1 & z2) ^ (z1 & x2) has an even
+        popcount."""
         if self.n != other.n:
             raise ValueError("length mismatch")
-        anti = sum(
-            1
-            for a, b in zip(self.factors, other.factors)
-            if a != "I" and b != "I" and a != b
-        )
-        return anti % 2 == 0
+        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
 
     def sort_key(self):
         """Canonical order: lexicographic on factors with I < X < Y < Z,
@@ -97,23 +107,23 @@ class PauliString:
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
     """Product of two Pauli strings with the accumulated sign.
 
-    Raises :class:`PauliPhaseError` if the accumulated phase is +-i.
+    X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1&x2| X^(x1^x2) Z^(z1^z2), so the
+    product is i^k times the string of masks x1^x2, z1^z2 with
+    k = |x1&z1| + |x2&z2| - |x&z| + 2|z1&x2| (mod 4).
+
+    Raises :class:`PauliPhaseError` if k is odd, i.e. the phase is +-i.
     That cannot happen for products within the stabilizer group of a
     real stabilizer state, so it signals a caller bug.
     """
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    k = 0
-    out = []
-    for fa, fb in zip(a.factors, b.factors):
-        dk, fc = _MUL[(fa, fb)]
-        k += dk
-        out.append(fc)
-    k %= 4
+    x, z = a.x ^ b.x, a.z ^ b.z
+    k = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count() - (x & z).bit_count()
+         + 2 * (a.z & b.x).bit_count()) % 4
     if k % 2 == 1:
         raise PauliPhaseError(f"product {a} * {b} has imaginary phase i^{k}")
     phase = a.phase * b.phase * (1 if k == 0 else -1)
-    return PauliString(tuple(out), phase)
+    return PauliString._from_masks(a.n, x, z, phase)
 
 
 @dataclass(frozen=True)
@@ -148,13 +158,9 @@ def ghz_generators(n: int) -> tuple[PauliString, ...]:
     """
     if n < 2:
         raise ValueError(f"GHZ state needs n >= 2 qubits, got {n}")
-    gens = [PauliString(("X",) * n)]
-    for i in range(n - 1):
-        factors = ["I"] * n
-        factors[i] = "Z"
-        factors[i + 1] = "Z"
-        gens.append(PauliString(tuple(factors)))
-    return tuple(gens)
+    return (PauliString.from_text("X" * n),) + tuple(
+        PauliString.from_text("I" * i + "ZZ" + "I" * (n - 2 - i)) for i in range(n - 1)
+    )
 
 
 def group_closure(generators: Sequence[PauliString]) -> StabilizerGroup:
@@ -183,19 +189,16 @@ def group_closure(generators: Sequence[PauliString]) -> StabilizerGroup:
             f"generators are dependent: closure has {len(elements)} elements, "
             f"expected {2 ** len(gens)}"
         )
-    if len({e.factors for e in elements}) != len(elements):
+    if len({(e.x, e.z) for e in elements}) != len(elements):
         raise StructureError("closure contains P and -P; not a stabilizer group")
     return StabilizerGroup(tuple(sorted(elements, key=PauliString.sort_key)))
 
 
 def xz_subset(group: StabilizerGroup) -> tuple[PauliString, ...]:
-    """Non-identity group elements free of Y factors, in canonical order.
+    """Non-identity group elements free of Y factors (x & z = 0), in
+    canonical order.
 
     For the GHZ_n group this has exactly 2^(n-1) members: the even-weight
     Z-type elements plus the all-X string.
     """
-    return tuple(
-        p
-        for p in group.elements
-        if not p.is_identity and all(f in "IXZ" for f in p.factors)
-    )
+    return tuple(p for p in group.elements if not p.is_identity and not p.x & p.z)

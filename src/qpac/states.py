@@ -2,8 +2,8 @@
 
 A Pauli string is a signed permutation of the computational basis, so
 Tr(P rho) is a single O(2^n) gather along one matrix diagonal-like
-stripe. Dense 2^n x 2^n realizations of Pauli strings exist only for
-tests and small-n debugging (:func:`to_dense`).
+stripe; the package never forms a Pauli string as a dense 2^n x 2^n
+matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .linalg import eigendecompose, sqrt_psd
 from .pauli import PauliString
 
 MAX_QUBITS = 10
-_DENSE_MAX_QUBITS = 8
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -30,27 +29,14 @@ _CLAMP_SLACK = 1e-9
 def _pauli_action(p: PauliString):
     """Permutation/coefficient form of a Pauli string: P|k> = c_k |perm_k>.
 
-    Factor 0 acts on the most significant bit, matching the Kronecker
-    product convention of :func:`to_dense`.
+    Read from the masks of ``p`` = phase * i^|x&z| * X^x Z^z: Z^z signs
+    |k> by (-1)^|k&z| and X^x moves it to |k^x>. Factor 0 owns the most
+    significant bit, so this is the Kronecker product of the factors.
     """
-    n = p.n
-    dim = 1 << n
-    flip = 0  # bits toggled by X/Y factors
-    signbits = 0  # bits contributing (-1)^bit from Y/Z factors
-    n_y = 0
-    for q, f in enumerate(p.factors):
-        bit = 1 << (n - 1 - q)
-        if f in ("X", "Y"):
-            flip |= bit
-        if f in ("Y", "Z"):
-            signbits |= bit
-        if f == "Y":
-            n_y += 1
-    k = np.arange(dim, dtype=np.int64)
-    perm = k ^ flip
-    parity = np.zeros(dim, dtype=np.int64)
-    for b in range(n):
-        parity += (k >> b) & ((signbits >> b) & 1)
+    k = np.arange(1 << p.n, dtype=np.int64)
+    perm = k ^ p.x
+    parity = np.bitwise_count(k & p.z)
+    n_y = (p.x & p.z).bit_count()
     coeff = np.where(parity % 2 == 0, 1.0, -1.0).astype(np.complex128)
     coeff *= p.phase * (1j) ** (n_y % 4)
     perm.setflags(write=False)
@@ -64,17 +50,6 @@ def pauli_trace_product(p: PauliString, mat: np.ndarray) -> complex:
     if mat.shape != (len(perm), len(perm)):
         raise ValueError(f"dimension mismatch: {mat.shape} vs Pauli on {p.n} qubits")
     return complex(np.dot(coeff, mat[np.arange(len(perm)), perm]))
-
-
-def to_dense(p: PauliString) -> np.ndarray:
-    """Exact dense matrix of a Pauli string. Guarded to n <= 8."""
-    if p.n > _DENSE_MAX_QUBITS:
-        raise ValueError(f"dense realization capped at {_DENSE_MAX_QUBITS} qubits, got {p.n}")
-    perm, coeff = _pauli_action(p)
-    dim = len(perm)
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[perm, np.arange(dim)] = coeff
-    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +128,6 @@ class MeasurementEffect:
     @property
     def n(self) -> int:
         return self.pauli.n
-
-    def to_dense(self) -> np.ndarray:
-        return (np.eye(1 << self.n) + to_dense(self.pauli)) / 2.0
 
     def __str__(self) -> str:
         return f"(I{self.pauli})/2" if self.pauli.phase == 1 else f"(I-{str(self.pauli)[1:]})/2"

@@ -126,6 +126,8 @@ class TestEstimateMinM:
         binary floats would blur the comparison (0.2 * 5 != 1 exactly)."""
 
         class StubCache:
+            replacement = True
+
             def __init__(self):
                 self.calls = []
 

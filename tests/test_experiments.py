@@ -10,7 +10,13 @@ import pytest
 
 from qpac import (
     ConfigError,
+    LearnParams,
+    NoiseModel,
     Objective,
+    SampleSizeCapError,
+    TrialCache,
+    build_distribution,
+    estimate_min_m,
     evaluate_epsilon,
     experiments,
     ghz_density,
@@ -177,10 +183,9 @@ class TestRunSweepM:
         assert r3["epsilon_mean"] <= r0["epsilon_mean"]
 
     def test_without_replacement_caps_m(self, tmp_path):
-        c = cfg(command="sweep-m", n=2, dist="d1", m_list=[4], repeats=2,
+        with pytest.raises(ConfigError, match="support size 3"):
+            cfg(command="sweep-m", n=2, dist="d1", m_list=[4], repeats=2,
                 out=str(tmp_path / "s.csv"))
-        with pytest.raises(ValueError):
-            run_sweep_m(c)
 
 
 class TestRunSweepErrors:
@@ -208,6 +213,19 @@ class TestRunSweepErrors:
         assert len(set(rows["repeated"])) == len(rows["repeated"])
         assert rows["repeated"] == rows["once"]
 
+    def test_stricter_later_value_records_its_trials_once(self, tmp_path):
+        # gamma 0.6 decides m = 1 per repeat; gamma 0.1 needs m = 3 and 4,
+        # so its searches read trials the first ones never did
+        path = tmp_path / "t.csv"
+        code = main(["sweep-errors", "--n", "3", "--sweep-param", "gamma",
+                     "--sweep-values", "0.6", "0.1", "--imax", "4", "--repeats", "2",
+                     "--out", str(tmp_path / "e.csv"), "--trials-out", str(path)])
+        assert code == 0
+        assert read_table(tmp_path / "e.csv").column("m_mean") == [1.0, 3.5]
+        seeds = read_table(path).column("seed")
+        assert len(seeds) == 4 * (3 + 4)
+        assert len(set(seeds)) == len(seeds)
+
 
 class TestTrialRows:
     """Every trials-table row replays alone: its ``seed`` cell is the
@@ -215,30 +233,42 @@ class TestTrialRows:
     row's ``epsilon_est``."""
 
     @staticmethod
-    def _replay_rows(path):
+    def _replay_rows(path, gammas=None):
+        """``gammas`` maps a trial seed to the gamma its row was scored
+        at; without it every row is scored at the config's gamma."""
         table = read_table(path)
         config = ExperimentConfig(**{k: v for k, v in table.config.items()
                                      if k in ExperimentConfig.field_names()})
-        gamma = config.sweep_values[0] if config.sweep_param == "gamma" else config.gamma
         assert table.rows
         for n, m, i, eps, failed, seed in table.rows:
+            seed = tuple(int(part) for part in seed.strip("()").split(";"))
+            gamma = gammas[seed] if gammas else config.gamma
             state, dist = config.target_state(n), config.distribution(n)
             training = sample_training_set(
-                dist, state, m, noise=config.noise_model(),
-                seed=tuple(int(part) for part in seed.strip("()").split(";")),
+                dist, state, m, noise=config.noise_model(), seed=seed,
                 replacement=config.with_replacement(),
             )
             hyp = hazan_optimize(Objective(training), k_max=config.k_max)
             assert evaluate_epsilon(hyp.sigma, state, dist, gamma) == eps
             assert failed == (eps > config.epsilon)
 
-    def test_sweep_errors(self, tmp_path):
+    def test_sweep_errors(self, tmp_path, monkeypatch):
+        # a row is scored at the gamma of the first search that read its trial
+        first_gamma = {}
+        read = TrialCache.epsilon_estimate
+
+        def spy(cache, m, i, gamma):
+            first_gamma.setdefault(cache.trial_seed(m, i), gamma)
+            return read(cache, m, i, gamma)
+
+        monkeypatch.setattr(TrialCache, "epsilon_estimate", spy)
         path = tmp_path / "t.csv"
         run_sweep_errors(cfg(command="sweep-errors", n=2, dist="d1", sweep_param="gamma",
                              sweep_values=[0.3, 0.1], repeats=2, i_max=4, k_max=20,
                              epsilon=0.15, delta=0.3, gauss_std=0.05,
                              out=str(tmp_path / "e.csv"), trials_out=str(path)))
-        self._replay_rows(path)
+        assert set(first_gamma.values()) == {0.3, 0.1}
+        self._replay_rows(path, first_gamma)
 
     def test_scaling(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -356,6 +386,39 @@ class TestQubitLimit:
         c = cfg(command="bound-curve", n_min=2, n_max=20, big_k=1.0,
                 out=str(tmp_path / "b.csv"))
         assert len(run_bound_curve(c).rows) == 19
+
+
+class TestSupportLimit:
+    """Without replacement no training set outgrows the support (3
+    effects for the GHZ_2 "d1" support); the limit fails by name."""
+
+    def test_sweep_m_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        optimizations = []
+        monkeypatch.setattr(experiments, "hazan_optimize",
+                            lambda *a, **kw: optimizations.append(a))
+        code = main(["sweep-m", "--n", "2", "--m-list", "1", "4", "--repeats", "1",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "support size 3" in capsys.readouterr().err
+        assert optimizations == []
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_search_stops_at_support_size(self, tmp_path, capsys):
+        code = main(["scaling", "--n-min", "2", "--n-max", "3", "--repeats", "1",
+                     "--imax", "10", "--gauss-std", "0.1", "--kmax", "20",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no m <= 3 (support size 3, sampled without replacement)" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_cap_error_carries_trajectory(self):
+        cache = TrialCache(ghz_density(2), build_distribution(2, "d1"), (1,),
+                           k_max=20, noise=NoiseModel.gaussian(0.1), replacement=False)
+        with pytest.raises(SampleSizeCapError) as err:
+            estimate_min_m(cache, LearnParams(epsilon=0.05, gamma=0.1, delta=0.1, i_max=10))
+        assert err.value.m_cap == 3
+        assert len(err.value.delta_trajectory) == 3
 
 
 class TestRunBoundCurve:

@@ -21,9 +21,8 @@ from qpac import (
     ghz_generators,
     group_closure,
     maximally_mixed,
-    to_dense,
 )
-from qpac.states import _expectation_matrix
+from qpac.states import _expectation_matrix, _pauli_action
 
 from conftest import ghz_vector, kron_dense, random_density
 
@@ -154,26 +153,33 @@ class TestMaximallyMixed:
             assert expectation(MeasurementEffect(p), mixed) == pytest.approx(0.5, abs=1e-14)
 
 
+def action_dense(p):
+    """The matrix of P|k> = c_k |perm_k> from the package's signed
+    permutation."""
+    perm, coeff = _pauli_action(p)
+    m = np.zeros((len(perm), len(perm)), dtype=complex)
+    m[perm, np.arange(len(perm))] = coeff
+    return m
+
+
 class TestToDense:
+    """The signed permutation of ``_pauli_action`` as a dense matrix."""
+
     def test_single_x(self):
-        assert np.array_equal(to_dense(P("X")), np.array([[0, 1], [1, 0]], dtype=complex))
+        assert np.array_equal(action_dense(P("X")), np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_negated_yy(self):
         y = np.array([[0, -1j], [1j, 0]])
-        assert np.allclose(to_dense(P("-YY")), -np.kron(y, y), atol=1e-15)
+        assert np.allclose(action_dense(P("-YY")), -np.kron(y, y), atol=1e-15)
 
     def test_ziz_traceless(self):
-        assert abs(np.trace(to_dense(P("ZIZ")))) == 0
+        assert abs(np.trace(action_dense(P("ZIZ")))) == 0
 
     def test_against_kron_oracle(self, rng):
         for _ in range(60):
             n = int(rng.integers(1, 7))
             p = PauliString(tuple(rng.choice(list("IXYZ"), n)), int(rng.choice([1, -1])))
-            assert np.allclose(to_dense(p), kron_dense(p), atol=1e-15)
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            to_dense(PauliString.identity(9))
+            assert np.array_equal(action_dense(p), kron_dense(p))
 
 
 class TestExpectation:
@@ -277,12 +283,13 @@ class TestFidelity:
 class TestEffectBasics:
     def test_effect_eigenvalues(self):
         for text in ("XX", "-YY", "ZIZ"):
-            e = MeasurementEffect(P(text)).to_dense()
+            p = P(text)
+            e = (np.eye(2**p.n) + kron_dense(p)) / 2
             vals = np.sort(np.linalg.eigvalsh(e))
             assert np.allclose(np.unique(np.round(vals, 12)), [0, 1])
 
     def test_effect_pair_sums_to_identity(self):
-        e = MeasurementEffect(P("XZ")).to_dense()
+        e = (np.eye(4) + kron_dense(P("XZ"))) / 2
         assert np.allclose(e + (np.eye(4) - e), np.eye(4))
 
     def test_distribution_effects_expect_one_on_ghz(self):
