@@ -5,6 +5,11 @@ expectations and observed values. Each step moves toward the rank-1
 projector on the smallest eigenvector of the gradient with step 1/k,
 so every iterate is a convex combination of projectors: unit trace and
 PSD by construction.
+
+With exact data the first step has a closed form,
+:func:`code_space_atom`: the projector onto the sampled code space's
+component of |+^n>. The minimum-m search takes it for Y-free supports;
+every other first step, and every later step, is the eigen-step.
 """
 
 from __future__ import annotations
@@ -124,6 +129,50 @@ def _vanishes(g: np.ndarray) -> bool:
     return float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL
 
 
+def code_space_atom(training: TrainingSet) -> np.ndarray | None:
+    """The first Frank-Wolfe vertex of an exact-data training set in
+    closed form, or ``None`` where the rule does not apply.
+
+    The rule: when every observed value is exactly 1, the gradient at
+    I / d is -sum_i E_i, and its bottom eigenspace is the joint +1
+    space of the sampled Pauli strings (their code space). Any density
+    matrix on that space solves the linear step (Jaggi 2013); the step
+    takes the projector onto w = prod_i (I + P_i)/2 |1...1>, one factor
+    per distinct string: the vector to which the power iteration from
+    the uniform vector converges, when it does. Each factor is a signed
+    permutation, so this costs O(m 2^n).
+
+    Values of exactly 1 observed on one state imply that the strings
+    commute, so the factors commute and w is the projection of
+    |1...1> onto the code space. Every entry of w is dyadic and
+    <w|w> is a power of two, so the returned w w^dag / <w|w> is exact;
+    on a support of Y-free stabilizers of the target every residual it
+    leaves is exactly 0, 1/2 or 1.
+
+    Returns ``None`` when some value is not exactly 1, or when w = 0:
+    |+^n> is orthogonal to the code space (a sampled X-type string with
+    sign -1 does that), and the eigen-step has to choose.
+
+    The minimum-m search takes this step only on Y-free supports
+    (every ``d2`` support). The pinned ``d1`` tables hold trials whose
+    power iteration did not converge to this vector, so ``d1`` keeps
+    the eigen-step until those tables are re-pinned.
+    """
+    if not np.all(training.values() == 1.0):
+        return None
+    dim = 1 << training.items[0][0].n
+    w = np.ones(dim, dtype=np.complex128)
+    for p in dict.fromkeys(e.pauli for e in training.effects()):
+        perm, coeff = _pauli_action(p)
+        # P|k> = c_k |perm_k> and perm is an involution, so
+        # (P w)[j] = c_perm_j w[perm_j]
+        w = (w + (coeff * w)[perm]) / 2.0
+    norm2 = float(np.vdot(w, w).real)
+    if norm2 == 0.0:
+        return None
+    return np.outer(w, w.conj()) / norm2
+
+
 def hazan_optimize(
     obj: Objective,
     k_max: int = 300,
@@ -146,13 +195,15 @@ def hazan_optimize(
     objective-threshold stop for speed-sensitive loops; it is disabled
     by default to mirror the fixed iteration protocol.
 
-    ``first_step=(g, v)`` hands in the first step solved elsewhere, so
-    a caller can solve many trials' first steps as one stack (see
-    :meth:`~qpac.complexity.TrialCache.fill`): ``g`` is the gradient at
-    I / d and ``v`` is what ``smallest_eigenvector(g, tol=_EIG_TOL)``
-    returns, or ``None`` when ``g`` is zero. Step 1 then takes the pair
-    as its gradient and eigenvector, so ``sigma`` is byte-identical to
-    a run without it; later steps solve their own.
+    ``first_step=(g, atom)`` hands in the first step solved elsewhere
+    (see :meth:`~qpac.complexity.TrialCache.fill`): ``g`` is the
+    gradient at I / d and ``atom`` the Frank-Wolfe vertex step 1 moves
+    to, either :func:`code_space_atom` or ``np.outer(v, v.conj())`` for
+    the ``v`` that ``smallest_eigenvector(g, tol=_EIG_TOL)`` returns.
+    With ``atom=None`` step 1 solves its eigen-step from ``g`` itself.
+    Every step applies the same update ``(1 - alpha) sigma + alpha
+    atom``, so handing in the eigen-step's atom gives the bytes of a run
+    without ``first_step``; later steps solve their own.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -162,9 +213,9 @@ def hazan_optimize(
     iterations = 0
     for k in range(1, k_max + 1):
         if k == 1 and first_step is not None:
-            g, v = first_step
+            g, atom = first_step
         else:
-            g, v = obj.gradient(sigma), None
+            g, atom = obj.gradient(sigma), None
         if on_iterate is not None:
             vals = np.linalg.eigvalsh(g)
             on_iterate(k, obj.value(sigma), float(vals[0]), sigma)
@@ -172,10 +223,14 @@ def hazan_optimize(
             # stationary point of a convex objective: optimal, no movement
             # this or any later step
             break
-        if v is None:
+        if atom is None:
             v, _ = smallest_eigenvector(g, tol=_EIG_TOL)
+            atom = np.outer(v, v.conj())
+        # the spent gradient is one d x d matrix (16 MB at n = 10) that
+        # the update need not hold
+        del g
         alpha = 1.0 / k
-        sigma = (1.0 - alpha) * sigma + alpha * np.outer(v, v.conj())
+        sigma = (1.0 - alpha) * sigma + alpha * atom
         iterations = k
         if stop_objective is not None and obj.value(sigma) <= stop_objective:
             break

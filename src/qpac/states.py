@@ -177,7 +177,7 @@ def _expectation_matrix(p: PauliString, mat: np.ndarray) -> float:
     return min(1.0, max(0.0, val))
 
 
-def fidelity(a: DensityMatrix, b: DensityMatrix, method: str = "auto") -> float:
+def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity F(a, b) = Tr sqrt(sqrt(a) b sqrt(a)).
 
     Amplitude convention (not squared). When either argument is pure
@@ -187,16 +187,15 @@ def fidelity(a: DensityMatrix, b: DensityMatrix, method: str = "auto") -> float:
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if method not in ("auto", "general", "pure"):
-        raise ValueError(f"unknown method {method!r}")
+    if _is_pure(a) or _is_pure(b):
+        overlap = float(np.real(np.sum(a.matrix * b.matrix.T)))
+        return _clamp_unit(np.sqrt(max(0.0, overlap)))
+    return _general_fidelity(a, b)
 
-    if method != "general":
-        if _is_pure(a) or _is_pure(b):
-            overlap = float(np.real(np.sum(a.matrix * b.matrix.T)))
-            return _clamp_unit(np.sqrt(max(0.0, overlap)))
-        if method == "pure":
-            raise ValueError("neither argument is rank-1 pure")
 
+def _general_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """The Uhlmann formula through two eigendecompositions, for any
+    pair of states."""
     s = sqrt_psd(a.matrix)
     inner = s @ b.matrix @ s
     vals, _ = eigendecompose(inner)

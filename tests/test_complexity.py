@@ -25,7 +25,8 @@ from qpac import (
     support_residuals,
     theorem_bound,
 )
-from qpac import complexity
+from qpac import PauliString, complexity, distribution_from_generators, learner
+from qpac.experiments import ExperimentConfig
 
 
 class TestLearnParams:
@@ -203,6 +204,13 @@ class TestBatchFill:
         hyp = hazan_optimize(Objective(training), k_max=k_max)
         return support_residuals(hyp.sigma, rho, dist)
 
+    @staticmethod
+    def _by_rule(rho, dist, m, seed, replacement):
+        training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
+        atom = learner.code_space_atom(training)
+        assert atom is not None  # every GHZ d2 string has sign +1
+        return support_residuals(atom, rho, dist)
+
     @pytest.mark.parametrize("replacement", [True, False])
     @pytest.mark.parametrize("label", ["d1", "d2"])
     @pytest.mark.parametrize("noise", [
@@ -220,8 +228,13 @@ class TestBatchFill:
         assert len(optimizations) == len(sizes) * self.I_MAX
         for m in sizes:
             for i in range(self.I_MAX):
-                want = self._alone(rho, dist, m, (5, m, i), 10, noise, replacement)
                 got = cache.residuals(m, i)
+                if noise.kind == "exact" and label == "d2":
+                    # exact Y-free trials stop on the closed-form first step
+                    want = self._by_rule(rho, dist, m, (5, m, i), replacement)
+                    assert set(got.tolist()) <= {0.0, 0.5, 1.0}
+                else:
+                    want = self._alone(rho, dist, m, (5, m, i), 10, noise, replacement)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         # the lookups above were all answered by the fill, and a lookup
         # of a trial no fill reached learns nothing
@@ -238,8 +251,8 @@ class TestBatchFill:
             return real(hs, tol=tol)
 
         monkeypatch.setattr(complexity, "smallest_eigenvectors", counted)
-        # set-based d2 draws at n = 3 pick among 4 effects, so subsets repeat
-        rho, dist = ghz_density(3), build_distribution(3, "d2")
+        # set-based d1 draws at n = 3 pick among 7 effects
+        rho, dist = ghz_density(3), build_distribution(3, "d1")
         cache = TrialCache(rho, dist, seed=(5,), k_max=1, replacement=False)
         mixed = maximally_mixed(3).matrix
         for m in (1, 2, 3):
@@ -251,6 +264,47 @@ class TestBatchFill:
                 for i in range(self.I_MAX)
             ]
             assert stacks == [firsts[lo:lo + 3] for lo in range(0, self.I_MAX, 3)]
+
+    @pytest.mark.parametrize("replacement", [True, False])
+    def test_exact_d2_steps_once_without_an_eigen_step(self, replacement, monkeypatch):
+        steps = []
+        real = complexity.hazan_optimize
+
+        def counted(*args, **kwargs):
+            hyp = real(*args, **kwargs)
+            steps.append(hyp.iterations_used)
+            return hyp
+
+        monkeypatch.setattr(complexity, "hazan_optimize", counted)
+        eigen_steps = []
+        monkeypatch.setattr(complexity, "smallest_eigenvectors",
+                            lambda *a, **k: eigen_steps.append(None))
+        monkeypatch.setattr(learner, "smallest_eigenvector",
+                            lambda *a, **k: eigen_steps.append(None))
+        cache = TrialCache(ghz_density(4), build_distribution(4, "d2"), seed=(3,),
+                           replacement=replacement)
+        for m in (1, 3, 8):
+            cache.fill(m, self.I_MAX)
+        assert steps == [1] * (3 * self.I_MAX)
+        assert eigen_steps == []
+
+    def test_orthogonal_uniform_vector_takes_the_eigen_step(self):
+        # the d2 support of this target holds -XXX, and (I - XXX)/2 |+++> = 0
+        gens = [PauliString.from_text(t) for t in ("-XXX", "ZZI", "IZZ")]
+        dist = distribution_from_generators(gens, "d2")
+        rho = ExperimentConfig(n=3, m=1, generators=[str(p) for p in gens]).target_state(3)
+        cache = TrialCache(rho, dist, seed=(5,), k_max=10, replacement=False)
+        cache.fill(2, self.I_MAX)
+        fell_back = 0
+        for i in range(self.I_MAX):
+            training = sample_training_set(dist, rho, 2, seed=(5, 2, i), replacement=False)
+            if gens[0] not in [e.pauli for e in training.effects()]:
+                continue
+            fell_back += 1
+            assert learner.code_space_atom(training) is None
+            want = self._alone(rho, dist, 2, (5, 2, i), 10, NoiseModel.exact(), False)
+            assert cache.residuals(2, i).tobytes() == want.tobytes()
+        assert fell_back > 0
 
     @pytest.mark.parametrize("target,noise", [
         ("ghz", NoiseModel.exact()),

@@ -14,7 +14,10 @@ from qpac import (
     PauliString,
     TrainingSet,
     build_distribution,
+    distribution_from_generators,
     evaluate_epsilon,
+    ghz_generators,
+    group_closure,
     ghz_density,
     hazan_optimize,
     maximally_mixed,
@@ -187,8 +190,9 @@ class TestHazanOptimize:
 
 
 class TestFirstStep:
-    """``hazan_optimize(obj, first_step=(g, v))`` takes step 1 from the
-    pair it is handed and changes no bit of the result."""
+    """``hazan_optimize(obj, first_step=(g, atom))`` takes step 1 from
+    the pair it is handed; the eigen-step's atom changes no bit of the
+    result."""
 
     @staticmethod
     def _first_step(obj):
@@ -196,7 +200,7 @@ class TestFirstStep:
         if learner._vanishes(g):
             return g, None
         v, _ = smallest_eigenvector(g, tol=1e-9)
-        return g, v
+        return g, np.outer(v, v.conj())
 
     @staticmethod
     def _count(monkeypatch, owner, name) -> list:
@@ -252,13 +256,88 @@ class TestFirstStep:
         # exact values of I / d are 1/2, which make a zero gradient
         t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 6, seed=0)
         obj = Objective(t)
-        g, v = self._first_step(obj)
-        assert v is None
+        g, atom = self._first_step(obj)
+        assert atom is None
         eigen_steps = self._count(monkeypatch, learner, "smallest_eigenvector")
         hyp = hazan_optimize(obj, k_max=10, first_step=(g, None))
         assert hyp.iterations_used == 0
         assert eigen_steps == []
         assert np.array_equal(hyp.sigma.matrix, maximally_mixed(3).matrix)
+
+
+def _cluster_generators(n):
+    gens = []
+    for q in range(n):
+        factors = ["I"] * n
+        factors[q] = "X"
+        for nb in (q - 1, q + 1):
+            if 0 <= nb < n:
+                factors[nb] = "Z"
+        gens.append(PauliString(tuple(factors), 1))
+    return tuple(gens)
+
+
+RULE_TARGETS = (
+    *(tuple(ghz_generators(n)) for n in range(2, 7)),
+    # sign-flipped GHZ twins, and one whose X-type stabilizer has sign -1
+    tuple(P(t) for t in ("XXX", "-ZZI", "IZZ")),
+    tuple(P(t) for t in ("XXXX", "ZZII", "-IZZI", "IIZZ")),
+    tuple(P(t) for t in ("-XXX", "ZZI", "IZZ")),
+    *(_cluster_generators(n) for n in range(3, 7)),
+)
+
+
+def _generator_target(gens) -> np.ndarray:
+    # group average of the dense oracle matrices: the target's projector
+    group = group_closure(gens)
+    return sum(kron_dense(p) for p in group) / len(group)
+
+
+class TestCodeSpaceAtom:
+    """The closed-form first step of exact data: the projector onto the
+    component of the uniform vector in the bottom eigenspace of the
+    first gradient."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_projects_uniform_vector_onto_bottom_eigenspace(self, data):
+        gens = data.draw(st.sampled_from(RULE_TARGETS))
+        replacement = data.draw(st.booleans())
+        dist = distribution_from_generators(gens, "d2")
+        m = data.draw(st.integers(1, len(dist)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rho = DensityMatrix(_generator_target(gens))
+        training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
+        atom = learner.code_space_atom(training)
+
+        dim = rho.dim
+        g = Objective(training).gradient(np.eye(dim, dtype=np.complex128) / dim)
+        vals, vecs = np.linalg.eigh(g)
+        # the eigenvalues of -sum_i E_i are integers
+        bottom = vecs[:, vals < vals[0] + 0.5]
+        u = np.full(dim, 1 / np.sqrt(dim), dtype=np.complex128)
+        proj = bottom @ (bottom.conj().T @ u)
+        norm2 = float(np.vdot(proj, proj).real)
+        assert (atom is None) == (norm2 < 1e-12)
+        if atom is None:
+            return
+        want = np.outer(proj, proj.conj()) / norm2
+        assert np.max(np.abs(atom - want)) <= 1e-12
+        residuals = support_residuals(atom, rho, dist)
+        assert set(residuals.tolist()) <= {0.0, 0.5, 1.0}
+
+    def test_uniform_vector_orthogonal_to_code_space(self):
+        training = TrainingSet(((MeasurementEffect(P("-XXX")), 1.0),
+                                (MeasurementEffect(P("ZZI")), 1.0)))
+        assert learner.code_space_atom(training) is None
+
+    def test_needs_every_value_exactly_one(self):
+        effects = [MeasurementEffect(P(t)) for t in ("XX", "ZZ")]
+        exact = TrainingSet(tuple((e, 1.0) for e in effects))
+        assert learner.code_space_atom(exact) is not None
+        for values in ((1.0, 0.5), (1.0, 1.0 - 2**-52)):
+            off = TrainingSet(tuple(zip(effects, values)))
+            assert learner.code_space_atom(off) is None
 
 
 class TestShotObjective:

@@ -252,9 +252,9 @@ class TestFidelity:
             pure = ghz_density(n)
             for _ in range(5):
                 other = DensityMatrix(random_density(rng, 2**n))
-                f_auto = fidelity(pure, other, method="pure")
-                f_general = fidelity(pure, other, method="general")
-                assert f_auto == pytest.approx(f_general, abs=1e-8)
+                f_pure = fidelity(pure, other)
+                f_general = qpac.states._general_fidelity(pure, other)
+                assert f_pure == pytest.approx(f_general, abs=1e-8)
 
     @pytest.mark.parametrize("pure_first", [True, False])
     def test_pure_path_takes_no_decomposition(self, monkeypatch, rng, pure_first):
@@ -270,10 +270,6 @@ class TestFidelity:
         assert fidelity(a, b) == pytest.approx(want, abs=1e-12)
         with pytest.raises(AssertionError):
             fidelity(other, other)
-
-    def test_pure_method_requires_pure(self):
-        with pytest.raises(ValueError):
-            fidelity(maximally_mixed(2), maximally_mixed(2), method="pure")
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
