@@ -15,9 +15,9 @@ k_max. The search only fills the cache and reads it, so searches that
 share a cache (a sweep relaxing epsilon, gamma or delta) read the same
 trial outcomes and inherit exact monotonicity.
 
-On exact data over a Y-free support (every ``d2`` support) a trial's
-first Frank-Wolfe step has a closed form, which the cache takes; the
-first steps of ``d1`` and noisy trials are solved as eigen-step stacks.
+Every trial is learned by :func:`~qpac.learner.learn_each`, the
+learning path that ``learn`` and ``sweep-m`` take too, so a training
+set gets the same hypothesis in every protocol.
 """
 
 from __future__ import annotations
@@ -30,24 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import (
-    _EIG_TOL,
-    Objective,
-    _maximally_mixed,
-    _vanishes,
-    code_space_atom,
-    error_share,
-    hazan_optimize,
-    support_residuals,
-)
-from .linalg import smallest_eigenvectors
+from .learner import EffectBatch, error_share, learn_each
 from .sampling import MeasurementDistribution, NoiseModel, sample_training_set
 from .states import DensityMatrix
-
-
-# matrix entries whose first-step gradients one fill solves as a stack
-# (2^15 complex128 entries, 512 KB): 8 trials at dim 64
-_FILL_CHUNK_ENTRIES = 1 << 15
 
 
 def _unit_interval(name: str, value: float):
@@ -116,10 +101,9 @@ class TrialCache:
         self.k_max = k_max
         self.noise = noise or NoiseModel.exact()
         self.replacement = replacement
-        # decides how fill solves first steps; see fill
-        self._closed_form = self.noise.kind == "exact" and not any(
-            e.pauli.x & e.pauli.z for e in dist.effects
-        )
+        # the support's Tr(E rho), computed once for every trial's residuals
+        self._support = EffectBatch(dist.effects)
+        self._expected = self._support.expectations(state.matrix)
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
 
     def trial_seed(self, m: int, i: int) -> tuple:
@@ -129,54 +113,19 @@ class TrialCache:
         return (*base, m, i)
 
     def fill(self, m: int, count: int) -> None:
-        """Learn the trials 0..count-1 at size m that are not cached yet.
-
-        Each trial samples its training set, builds its first gradient
-        and runs one optimization from a first step solved here. With
-        exact data on a Y-free support (every ``d2`` support) that step
-        is :func:`~qpac.learner.code_space_atom`, and a trial it does
-        not cover takes the eigen-step. Every other cache solves the
-        nonzero first gradients as one eigen-step stack per chunk of at
-        most ``_FILL_CHUNK_ENTRIES`` gradient entries, which gives each
-        trial the residuals that learning it alone gives.
-        """
-        dim = self.state.matrix.shape[0]
-        mixed = _maximally_mixed(dim)
+        """Learn the trials 0..count-1 at size m that are not cached yet,
+        through :func:`~qpac.learner.learn_each`, and store the support
+        residuals |Tr(E sigma) - Tr(E rho)| of each hypothesis."""
         trials = [i for i in range(count) if (m, i) not in self._residuals]
-        if self._closed_form:
-            for i in trials:
-                training = self._training(m, i)
-                obj = Objective(training)
-                self._learn(m, i, obj, (obj.gradient(mixed), code_space_atom(training)))
-            return
-        chunk = max(1, _FILL_CHUNK_ENTRIES // (dim * dim))
-        for lo in range(0, len(trials), chunk):
-            steps = []
-            for i in trials[lo:lo + chunk]:
-                obj = Objective(self._training(m, i))
-                g = obj.gradient(mixed)
-                steps.append((i, obj, g, not _vanishes(g)))
-            solved = iter(smallest_eigenvectors(
-                [g for _, _, g, live in steps if live], tol=_EIG_TOL
-            ))
-            for i, obj, g, live in steps:
-                atom = None
-                if live:
-                    v = next(solved)[0]
-                    atom = np.outer(v, v.conj())
-                self._learn(m, i, obj, (g, atom))
-
-    def _training(self, m: int, i: int):
-        return sample_training_set(
-            self.dist, self.state, m, noise=self.noise,
-            seed=self.trial_seed(m, i), replacement=self.replacement,
+        trainings = (
+            sample_training_set(self.dist, self.state, m, noise=self.noise,
+                                seed=self.trial_seed(m, i), replacement=self.replacement)
+            for i in trials
         )
-
-    def _learn(self, m: int, i: int, obj: Objective, first_step) -> None:
-        hyp = hazan_optimize(obj, k_max=self.k_max, first_step=first_step)
-        found = support_residuals(hyp.sigma, self.state, self.dist)
-        found.setflags(write=False)
-        self._residuals[(m, i)] = found
+        for i, hyp in zip(trials, learn_each(trainings, self.dist, self.k_max)):
+            found = np.abs(self._support.expectations(hyp.sigma.matrix) - self._expected)
+            found.setflags(write=False)
+            self._residuals[(m, i)] = found
 
     def residuals(self, m: int, i: int) -> np.ndarray:
         """Read-only support residuals of the hypothesis of filled trial

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .complexity import LearnParams, TrialCache, estimate_min_m, linear_fit, theorem_bound
 from .errors import ConfigError
-from .learner import Objective, evaluate_epsilon, hazan_optimize
+from .learner import Objective, evaluate_epsilon, learn_each
 from .pauli import PauliString, group_closure
 from .sampling import (
     FULL_STABILIZER,
@@ -67,6 +68,16 @@ _SWEEP_DEFAULT_GRIDS = {
     "gamma": (0.1, 0.2, 0.3, 0.5, 0.6),
     "epsilon": (0.05, 0.1, 0.15, 0.25),
 }
+
+
+# the items of each list field; a JSON boolean is no number, and an
+# integer is a float
+_LIST_ITEMS = {"m_list": int, "sweep_values": float, "generators": str}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _is_json(value, kind) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -136,8 +147,20 @@ class ExperimentConfig:
                 file_values = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path}: cannot read it: "
+                              f"{getattr(exc, 'strerror', None) or exc}")
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {path}: expected a JSON object")
+        hints = typing.get_type_hints(cls)
+        for key, value in file_values.items():
+            if key not in hints or value is None:
+                continue
+            kind = (typing.get_args(hints[key]) or (hints[key],))[0]  # without its None
+            items = _LIST_ITEMS.get(key)
+            if not _is_json(value, kind) or items and not all(_is_json(v, items) for v in value):
+                what = f"a list of {_TYPE_NAMES[items].split()[1]}s" if items else _TYPE_NAMES[kind]
+                raise ConfigError(f"config file {path}: {key} must be {what}, got {value!r}")
         return cls.from_sources(file_values, flag_values)
 
     def __post_init__(self):
@@ -313,8 +336,7 @@ def run_learn(config: ExperimentConfig) -> ResultTable:
     )
     if config.training_out:
         _write_training(training, config)
-    obj = Objective(training)
-    hyp = hazan_optimize(obj, k_max=config.k_max)
+    [hyp] = learn_each([training], dist, config.k_max)
     mixed = maximally_mixed(n)
 
     table = ResultTable(config=config.echo(), columns=LEARN_COLUMNS)
@@ -327,7 +349,7 @@ def run_learn(config: ExperimentConfig) -> ResultTable:
     )
     table.append(
         "mixed_baseline", n, config.m, config.k_max, 0,
-        obj.value(mixed.matrix),
+        Objective(training).value(mixed.matrix),
         evaluate_epsilon(mixed, state, dist, config.gamma),
         fidelity(mixed, state),
         1.0,
@@ -369,22 +391,18 @@ def run_sweep_m(config: ExperimentConfig) -> ResultTable:
 
     table = ResultTable(config=config.echo(), columns=SWEEP_M_COLUMNS)
     for m in config.m_list:
-        scores = []
-        for r in range(config.repeats):
-            if m == 0:
-                sigma = mixed
-            else:
-                training = sample_training_set(
-                    dist, state, m, noise=noise, seed=(config.seed, m, r),
-                    replacement=config.with_replacement(),
-                )
-                sigma = hazan_optimize(Objective(training), k_max=config.k_max).sigma
-            scores.append((
-                evaluate_epsilon(sigma, state, dist, config.gamma),
-                fidelity(sigma, state),
-                fidelity(sigma, mixed),
-            ))
-        chunk = np.array(scores)
+        trainings = (
+            sample_training_set(dist, state, m, noise=noise, seed=(config.seed, m, r),
+                                replacement=config.with_replacement())
+            for r in range(config.repeats)
+        )
+        # m = 0 draws no training set
+        sigmas = ([mixed] * config.repeats if m == 0 else
+                  (hyp.sigma for hyp in learn_each(trainings, dist, config.k_max)))
+        chunk = np.array([
+            (evaluate_epsilon(s, state, dist, config.gamma), fidelity(s, state), fidelity(s, mixed))
+            for s in sigmas
+        ])
         means = chunk.mean(axis=0)
         stds = chunk.std(axis=0)
         table.append(

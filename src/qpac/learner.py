@@ -6,10 +6,10 @@ projector on the smallest eigenvector of the gradient with step 1/k,
 so every iterate is a convex combination of projectors: unit trace and
 PSD by construction.
 
-With exact data the first step has a closed form,
-:func:`code_space_atom`: the projector onto the sampled code space's
-component of |+^n>. The minimum-m search takes it for Y-free supports;
-every other first step, and every later step, is the eigen-step.
+Every protocol learns through :func:`learn_each`, which owns the rule
+for the first step: exact data on a Y-free support takes the closed
+form :func:`code_space_atom`, and every other first step, and every
+later step, is the eigen-step.
 """
 
 from __future__ import annotations
@@ -17,16 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .linalg import smallest_eigenvector
+from .linalg import smallest_eigenvector, smallest_eigenvectors
 from .sampling import MeasurementDistribution, TrainingSet
 from .states import DensityMatrix, MeasurementEffect, _pauli_action
 
 _ZERO_GRADIENT_TOL = 1e-12
 _EIG_TOL = 1e-9
+# matrix entries of the first-step gradients that learn_each solves as
+# one stack (2^15 complex128 entries, 512 KB): 8 training sets at dim 64
+_STACK_ENTRIES = 1 << 15
 
 
 class EffectBatch:
@@ -153,10 +157,10 @@ def code_space_atom(training: TrainingSet) -> np.ndarray | None:
     |+^n> is orthogonal to the code space (a sampled X-type string with
     sign -1 does that), and the eigen-step has to choose.
 
-    The minimum-m search takes this step only on Y-free supports
-    (every ``d2`` support). The pinned ``d1`` tables hold trials whose
-    power iteration did not converge to this vector, so ``d1`` keeps
-    the eigen-step until those tables are re-pinned.
+    :func:`learn_each` takes this step only on Y-free supports (every
+    ``d2`` support). The pinned ``d1`` tables hold trials whose power
+    iteration did not converge to this vector, so ``d1`` keeps the
+    eigen-step until those tables are re-pinned.
     """
     if not np.all(training.values() == 1.0):
         return None
@@ -179,7 +183,7 @@ def hazan_optimize(
     *,
     stop_objective: float | None = None,
     on_iterate: Callable[[int, float, float, np.ndarray], None] | None = None,
-    first_step: tuple[np.ndarray, np.ndarray | None] | None = None,
+    first_atom: np.ndarray | None = None,
 ) -> Hypothesis:
     """Minimize the quadratic objective over unit-trace PSD matrices.
 
@@ -195,35 +199,28 @@ def hazan_optimize(
     objective-threshold stop for speed-sensitive loops; it is disabled
     by default to mirror the fixed iteration protocol.
 
-    ``first_step=(g, atom)`` hands in the first step solved elsewhere
-    (see :meth:`~qpac.complexity.TrialCache.fill`): ``g`` is the
-    gradient at I / d and ``atom`` the Frank-Wolfe vertex step 1 moves
-    to, either :func:`code_space_atom` or ``np.outer(v, v.conj())`` for
-    the ``v`` that ``smallest_eigenvector(g, tol=_EIG_TOL)`` returns.
-    With ``atom=None`` step 1 solves its eigen-step from ``g`` itself.
-    Every step applies the same update ``(1 - alpha) sigma + alpha
-    atom``, so handing in the eigen-step's atom gives the bytes of a run
-    without ``first_step``; later steps solve their own.
+    ``first_atom`` hands in the Frank-Wolfe vertex of step 1, solved by
+    :func:`learn_each`; the caller guarantees that the gradient at
+    I / d does not vanish, so step 1 neither builds nor tests it (unless
+    ``on_iterate`` needs it). Every step applies the same update
+    ``(1 - alpha) sigma + alpha atom``, so handing in the eigen-step's
+    ``np.outer(v, v.conj())`` gives the bytes of a run without it.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
-    dim = obj.dim
 
-    sigma = _maximally_mixed(dim)
+    sigma = _maximally_mixed(obj.dim)
+    atom = first_atom
     iterations = 0
     for k in range(1, k_max + 1):
-        if k == 1 and first_step is not None:
-            g, atom = first_step
-        else:
-            g, atom = obj.gradient(sigma), None
+        g = obj.gradient(sigma) if atom is None or on_iterate is not None else None
         if on_iterate is not None:
-            vals = np.linalg.eigvalsh(g)
-            on_iterate(k, obj.value(sigma), float(vals[0]), sigma)
-        if _vanishes(g):
-            # stationary point of a convex objective: optimal, no movement
-            # this or any later step
-            break
+            on_iterate(k, obj.value(sigma), float(np.linalg.eigvalsh(g)[0]), sigma)
         if atom is None:
+            if _vanishes(g):
+                # stationary point of a convex objective: optimal, no
+                # movement this or any later step
+                break
             v, _ = smallest_eigenvector(g, tol=_EIG_TOL)
             atom = np.outer(v, v.conj())
         # the spent gradient is one d x d matrix (16 MB at n = 10) that
@@ -231,6 +228,7 @@ def hazan_optimize(
         del g
         alpha = 1.0 / k
         sigma = (1.0 - alpha) * sigma + alpha * atom
+        atom = None
         iterations = k
         if stop_objective is not None and obj.value(sigma) <= stop_objective:
             break
@@ -241,6 +239,42 @@ def hazan_optimize(
         iterations_used=iterations,
         final_objective=obj.value(sigma),
     )
+
+
+def learn_each(
+    trainings: Iterable[TrainingSet], support: MeasurementDistribution, k_max: int
+) -> Iterator[Hypothesis]:
+    """One :func:`hazan_optimize` hypothesis per training set, in order:
+    the learning path of every protocol.
+
+    The first-step rule: on a Y-free support (every ``d2`` support), a
+    training set of exact data takes :func:`code_space_atom` as its
+    first vertex where that applies. Every other training set takes the
+    eigen-step of its gradient at I / d. Those gradients are solved as
+    one :func:`~qpac.linalg.smallest_eigenvectors` stack per chunk of at
+    most ``_STACK_ENTRIES`` gradient entries, which gives each training
+    set the bytes that learning it alone gives. A gradient that
+    vanishes is not solved: its optimization stops at I / d.
+    """
+    y_free = not any(e.pauli.x & e.pauli.z for e in support.effects)
+    dim = 1 << support.n
+    chunk = max(1, _STACK_ENTRIES // (dim * dim))
+    trainings = iter(trainings)
+    while batch := list(islice(trainings, chunk)):
+        objs = [Objective(t) for t in batch]
+        atoms = [code_space_atom(t) if y_free and t.noise.kind == "exact" else None
+                 for t in batch]
+        mixed = _maximally_mixed(dim)
+        grads = {j: obj.gradient(mixed) for j, obj in enumerate(objs) if atoms[j] is None}
+        live = [j for j, g in grads.items() if not _vanishes(g)]
+        solved = smallest_eigenvectors([grads[j] for j in live], tol=_EIG_TOL)
+        # d x d matrices (16 MB each at n = 10) that the optimizer need not hold
+        del mixed, grads
+        for j, (v, _) in zip(live, solved):
+            atoms[j] = np.outer(v, v.conj())
+        for obj in objs:
+            # popped, so that no atom outlives its optimization
+            yield hazan_optimize(obj, k_max=k_max, first_atom=atoms.pop(0))
 
 
 def shot_objective_value(outcomes, sigma) -> float:

@@ -43,10 +43,6 @@ stacked sweep over one item costs about 3 times a scalar sweep. The
 pre-checks, the certificate, the restart and the fallback are one code
 path for both kernels. ``tests/test_linalg.py`` keeps the allocating
 form as the reference both must match bit for bit.
-
-The minimum-m search stacks the first steps of its ``d1`` and noisy
-trials. Exact trials on a Y-free support (every ``d2`` support) take
-the closed form of ``learner.code_space_atom`` and no eigen-step.
 """
 
 from __future__ import annotations

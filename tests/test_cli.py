@@ -2,10 +2,12 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from qpac.cli import main
+from qpac.experiments import ExperimentConfig
 from qpac.table import read_table
 
 
@@ -72,3 +74,57 @@ class TestCli:
         assert code == 0
         table = read_table(out)
         assert table.column("value") == [0.3, 0.6]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestConfigFileErrors:
+    """A config file that cannot be read, or whose value has the wrong
+    JSON type for its key, fails as a ``ConfigError`` (exit code 2)
+    that names the file and the key."""
+
+    CASES = {
+        "string-for-int": ({"n": "4", "m": 3}, "n must be an integer, got '4'"),
+        "float-for-int": ({"n": 3, "m": 2.5}, "m must be an integer, got 2.5"),
+        "bool-for-int": ({"n": 3, "m": True}, "m must be an integer, got True"),
+        "bool-for-float": ({"n": 3, "m": 2, "gamma": False}, "gamma must be a number"),
+        "string-for-str-list": ({"n": 2, "m": 2, "generators": "XX,ZZ"},
+                                "generators must be a list of strings"),
+        "int-list-item": ({"n": 2, "m": 2, "m_list": [1, "2"]},
+                          "m_list must be a list of integers"),
+        "float-list-item": ({"n": 2, "m": 2, "sweep_values": [0.1, None]},
+                            "sweep_values must be a list of numbers"),
+        "int-for-str": ({"n": 2, "m": 2, "dist": 2}, "dist must be a string"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_wrong_type_names_key(self, case, tmp_path, capsys):
+        values, message = self.CASES[case]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(values))
+        code = main(["learn", "--config", str(path), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config file {path}: {message}" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_missing_file_names_path(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["learn", "--config", str(path)]) == 2
+        assert f"config file {path}: cannot read it" in capsys.readouterr().err
+
+    def test_int_for_float_and_null_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "gamma": 1, "k_max": None}))
+        config = ExperimentConfig.from_file(str(path), {"command": "learn"})
+        assert config.gamma == 1 and config.k_max == 300
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.csv")
+                                            if p.read_text().startswith("# ")))
+    def test_golden_header_loads_as_config_file(self, name, tmp_path):
+        known = set(ExperimentConfig.field_names())
+        values = {k: v for k, v in read_table(GOLDEN / name).config.items() if k in known}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(values))
+        assert ExperimentConfig.from_file(str(path)) == ExperimentConfig.from_sources(values)

@@ -10,6 +10,7 @@ import pytest
 
 from qpac import (
     ConfigError,
+    DensityMatrix,
     LearnParams,
     NoiseModel,
     Objective,
@@ -20,8 +21,11 @@ from qpac import (
     evaluate_epsilon,
     experiments,
     ghz_density,
+    fidelity,
     ghz_generators,
     hazan_optimize,
+    learner,
+    maximally_mixed,
     sample_training_set,
 )
 from qpac.cli import main
@@ -186,6 +190,50 @@ class TestRunSweepM:
         with pytest.raises(ConfigError, match="support size 3"):
             cfg(command="sweep-m", n=2, dist="d1", m_list=[4], repeats=2,
                 out=str(tmp_path / "s.csv"))
+
+
+class TestOneLearningPath:
+    """``learn`` and ``sweep-m`` give an exact ``d2`` training set the
+    hypothesis of the minimum-m search's first-step rule: the closed
+    form of the sampled code space."""
+
+    N, M = 4, 6
+
+    def _training(self, seed):
+        return sample_training_set(build_distribution(self.N, "d2"), ghz_density(self.N),
+                                   self.M, seed=seed)
+
+    def _scores(self, sigma):
+        rho, dist = ghz_density(self.N), build_distribution(self.N, "d2")
+        sigma = DensityMatrix(sigma) if isinstance(sigma, np.ndarray) else sigma
+        return (evaluate_epsilon(sigma, rho, dist, 0.1), fidelity(sigma, rho),
+                fidelity(sigma, maximally_mixed(self.N)))
+
+    def test_learn(self, tmp_path):
+        out = tmp_path / "l.csv"
+        assert main(["learn", "--n", "4", "--dist", "d2", "--m", "6", "--seed", "3",
+                     "--out", str(out)]) == 0
+        row = dict(zip(LEARN_COLUMNS, read_table(out).select(hypothesis="learned")[0]))
+        training = self._training((3, 0))
+        eps, fid, _ = self._scores(learner.code_space_atom(training))
+        assert (row["epsilon_est"], row["fidelity_target"]) == (eps, fid) == (0.0, 1.0)
+        # the eigen-step of this training set takes another vector of the
+        # degenerate bottom eigenspace, which misses 1/8 of the support
+        bare = hazan_optimize(Objective(training), k_max=300).sigma
+        assert self._scores(bare)[0] == 0.125
+
+    def test_sweep_m(self, tmp_path):
+        c = cfg(command="sweep-m", n=self.N, dist="d2", m_list=[self.M], repeats=5,
+                replacement="with", seed=3, out=str(tmp_path / "s.csv"))
+        table = run_sweep_m(c)
+        row = dict(zip(table.columns, table.rows[0]))
+        want = np.array([
+            self._scores(learner.code_space_atom(self._training((3, self.M, r))))
+            for r in range(5)
+        ])
+        means = want.mean(axis=0)
+        assert (row["epsilon_mean"], row["fidelity_target_mean"],
+                row["fidelity_mixed_mean"]) == tuple(float(x) for x in means)
 
 
 class TestRunSweepErrors:
@@ -394,7 +442,7 @@ class TestSupportLimit:
 
     def test_sweep_m_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
         optimizations = []
-        monkeypatch.setattr(experiments, "hazan_optimize",
+        monkeypatch.setattr(learner, "hazan_optimize",
                             lambda *a, **kw: optimizations.append(a))
         code = main(["sweep-m", "--n", "2", "--m-list", "1", "4", "--repeats", "1",
                      "--out", str(tmp_path / "t.csv")])

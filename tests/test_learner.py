@@ -190,17 +190,19 @@ class TestHazanOptimize:
 
 
 class TestFirstStep:
-    """``hazan_optimize(obj, first_step=(g, atom))`` takes step 1 from
-    the pair it is handed; the eigen-step's atom changes no bit of the
+    """``hazan_optimize(obj, first_atom=atom)`` takes step 1 to the
+    vertex it is handed; the eigen-step's vertex changes no bit of the
     result."""
 
     @staticmethod
-    def _first_step(obj):
+    def _first_atom(obj):
+        # the vertex learn_each hands in, or None where the gradient at
+        # I / d vanishes and no vertex may be handed in
         g = obj.gradient(np.eye(obj.dim, dtype=np.complex128) / obj.dim)
         if learner._vanishes(g):
-            return g, None
+            return None
         v, _ = smallest_eigenvector(g, tol=1e-9)
-        return g, np.outer(v, v.conj())
+        return np.outer(v, v.conj())
 
     @staticmethod
     def _count(monkeypatch, owner, name) -> list:
@@ -233,7 +235,7 @@ class TestFirstStep:
                                        noise=noise, seed=seed)
         want = hazan_optimize(Objective(training), k_max=k_max)
         obj = Objective(training)
-        got = hazan_optimize(obj, k_max=k_max, first_step=self._first_step(obj))
+        got = hazan_optimize(obj, k_max=k_max, first_atom=self._first_atom(obj))
         assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
         assert got.iterations_used == want.iterations_used
         assert got.final_objective == want.final_objective
@@ -242,27 +244,82 @@ class TestFirstStep:
         t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
                                 noise=NoiseModel.with_shots(10), seed=11)
         obj = Objective(t)
-        step = self._first_step(obj)
-        assert step[1] is not None
+        atom = self._first_atom(obj)
+        assert atom is not None
         eigen_steps = self._count(monkeypatch, learner, "smallest_eigenvector")
         gradients = self._count(monkeypatch, Objective, "gradient")
-        hyp = hazan_optimize(obj, k_max=10, first_step=step)
+        hyp = hazan_optimize(obj, k_max=10, first_atom=atom)
         assert hyp.iterations_used == 10
-        # steps 2..10 build and solve their gradients; step 1 uses the pair
+        # steps 2..10 build and solve their gradients; step 1 builds none
         assert len(eigen_steps) == 9
         assert len(gradients) == 9
 
+    def test_on_iterate_sees_step_one(self):
+        t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
+                                noise=NoiseModel.with_shots(10), seed=11)
+        seen = {}
+        for handed in (False, True):
+            obj = Objective(t)
+            calls = seen[handed] = []
+
+            def watch(k, f, glam, sigma):
+                calls.append((k, f, glam, sigma.tobytes()))
+
+            atom = self._first_atom(obj) if handed else None
+            hazan_optimize(obj, k_max=5, on_iterate=watch, first_atom=atom)
+        assert [k for k, *_ in seen[True]] == [1, 2, 3, 4, 5]
+        # step 1 reports the objective and gradient at I / d, as without
+        # a handed-in vertex
+        assert seen[True] == seen[False]
+
     def test_zero_gradient_stops_before_any_step(self, monkeypatch):
         # exact values of I / d are 1/2, which make a zero gradient
-        t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 6, seed=0)
-        obj = Objective(t)
-        g, atom = self._first_step(obj)
-        assert atom is None
+        dist = build_distribution(3, "d1")
+        trainings = [sample_training_set(dist, maximally_mixed(3), 6, seed=s)
+                     for s in range(3)]
+        assert all(self._first_atom(Objective(t)) is None for t in trainings)
         eigen_steps = self._count(monkeypatch, learner, "smallest_eigenvector")
-        hyp = hazan_optimize(obj, k_max=10, first_step=(g, None))
-        assert hyp.iterations_used == 0
-        assert eigen_steps == []
-        assert np.array_equal(hyp.sigma.matrix, maximally_mixed(3).matrix)
+        stacks = []
+        real = learner.smallest_eigenvectors
+        monkeypatch.setattr(learner, "smallest_eigenvectors",
+                            lambda hs, tol: stacks.append(len(hs)) or real(hs, tol=tol))
+        hyps = list(learner.learn_each(trainings, dist, 10))
+        assert [h.iterations_used for h in hyps] == [0, 0, 0]
+        assert eigen_steps == [] and sum(stacks) == 0
+        for h in hyps:
+            assert np.array_equal(h.sigma.matrix, maximally_mixed(3).matrix)
+
+
+class TestLearnEach:
+    """One hypothesis per training set, in order, from one first-step
+    rule: exact data on a Y-free support takes the closed form, every
+    other training set the eigen-step."""
+
+    @pytest.mark.parametrize("label", ["d1", "d2"])
+    @pytest.mark.parametrize("noise", [NoiseModel.exact(), NoiseModel.gaussian(0.05)])
+    def test_rule(self, label, noise):
+        rho, dist = ghz_density(3), build_distribution(3, label)
+        trainings = [sample_training_set(dist, rho, m, noise=noise, seed=(9, m))
+                     for m in (1, 2, 3, 5, 8)]
+        hyps = list(learner.learn_each(trainings, dist, 10))
+        assert len(hyps) == len(trainings)
+        for t, hyp in zip(trainings, hyps):
+            if label == "d2" and noise.kind == "exact":
+                atom = learner.code_space_atom(t)
+                assert hyp.iterations_used == 1
+                assert hyp.sigma.matrix.tobytes() == atom.tobytes()
+            else:
+                want = hazan_optimize(Objective(t), k_max=10)
+                assert hyp.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+                assert hyp.iterations_used == want.iterations_used
+
+    def test_y_free_training_set_on_d1_takes_the_eigen_step(self):
+        # the rule reads the support, not the drawn strings
+        rho, dist = ghz_density(3), build_distribution(3, "d1")
+        t = TrainingSet(tuple((MeasurementEffect(P(s)), 1.0) for s in ("XXX", "ZZI")))
+        [hyp] = learner.learn_each([t], dist, 5)
+        want = hazan_optimize(Objective(t), k_max=5)
+        assert hyp.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
 
 
 def _cluster_generators(n):
