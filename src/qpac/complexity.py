@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import EffectBatch, error_share, learn_each
-from .sampling import MeasurementDistribution, NoiseModel, sample_training_set
+from .learner import _distribution_batch, error_share, learn_each
+from .sampling import MeasurementDistribution, NoiseModel, exact_values, sample_training_set
 from .states import DensityMatrix
 
 
@@ -83,6 +83,14 @@ class TrialCache:
     Frank-Wolfe steps. :meth:`fill` is the only place trials are
     learned; :meth:`residuals` and :meth:`epsilon_estimate` read trials
     it filled and raise ``KeyError`` for any other.
+
+    The cache computes its support's tables once: the exact values
+    Tr(E rho) that sampling reads for each draw
+    (:func:`~qpac.sampling.exact_values`), and the support's one
+    :class:`~qpac.learner.EffectBatch` with its Tr(E rho), shared with
+    :func:`~qpac.learner.support_residuals`. Each trial's training set
+    records its draws' support indices, and its objective is the rows
+    of the support batch at those indices.
     """
 
     def __init__(
@@ -101,9 +109,9 @@ class TrialCache:
         self.k_max = k_max
         self.noise = noise or NoiseModel.exact()
         self.replacement = replacement
-        # the support's Tr(E rho), computed once for every trial's residuals
-        self._support = EffectBatch(dist.effects)
-        self._expected = self._support.expectations(state.matrix)
+        self._exact = exact_values(dist, state)
+        self._support = _distribution_batch(dist.effects)
+        self._expected = self._support.expected(state)
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
 
     def trial_seed(self, m: int, i: int) -> tuple:
@@ -118,11 +126,14 @@ class TrialCache:
         residuals |Tr(E sigma) - Tr(E rho)| of each hypothesis."""
         trials = [i for i in range(count) if (m, i) not in self._residuals]
         trainings = (
-            sample_training_set(self.dist, self.state, m, noise=self.noise,
-                                seed=self.trial_seed(m, i), replacement=self.replacement)
+            sample_training_set(
+                self.dist, self.state, m, noise=self.noise, seed=self.trial_seed(m, i),
+                replacement=self.replacement, exact=self._exact,
+            )
             for i in trials
         )
-        for i, hyp in zip(trials, learn_each(trainings, self.dist, self.k_max)):
+        hyps = learn_each(trainings, self.dist, self.k_max, self._support)
+        for i, hyp in zip(trials, hyps):
             found = np.abs(self._support.expectations(hyp.sigma.matrix) - self._expected)
             found.setflags(write=False)
             self._residuals[(m, i)] = found

@@ -9,11 +9,13 @@ PSD by construction.
 Every protocol learns through :func:`learn_each`, which owns the rule
 for the first step: exact data on a Y-free support takes the closed
 form :func:`code_space_atom`, and every other first step, and every
-later step, is the eigen-step.
+later step, is the eigen-step. Residuals that are all exactly 0 make
+the gradient exactly 0, so no step builds a gradient for them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,7 +40,13 @@ class EffectBatch:
 
     Precomputes the signed-permutation gather for every Pauli string so
     all Tr(E_i sigma) evaluate as one fancy-indexed contraction.
+    :meth:`rows` slices the batch of a selection of the effects out of
+    these tables, so a support's batch serves every training set drawn
+    from it.
     """
+
+    # Tr(E_i rho) per live target state, made on the first :meth:`expected`
+    _targets: weakref.WeakKeyDictionary | None = None
 
     def __init__(self, effects: Sequence[MeasurementEffect]):
         self.effects = tuple(effects)
@@ -67,6 +75,34 @@ class EffectBatch:
     def __len__(self) -> int:
         return len(self.effects)
 
+    def rows(self, indices: Sequence[int]) -> "EffectBatch":
+        """The batch of the effects at ``indices``, in that order and
+        duplicates kept: rows of this batch's tables, the same bytes that
+        ``EffectBatch`` of those effects builds."""
+        if not indices:
+            raise ValueError("empty effect batch")
+        idx = np.asarray(indices)
+        part = object.__new__(EffectBatch)
+        part.effects = tuple(self.effects[i] for i in indices)
+        part.dim = self.dim
+        part._gather_idx = self._gather_idx[idx]
+        part._scatter_idx = self._scatter_idx[idx]
+        part._coeff = self._coeff[idx]
+        part._diag_idx = self._diag_idx
+        return part
+
+    def expected(self, state: DensityMatrix) -> np.ndarray:
+        """Read-only Tr(E_i rho) of a target state, computed once for as
+        long as the state lives."""
+        if self._targets is None:
+            self._targets = weakref.WeakKeyDictionary()
+        found = self._targets.get(state)
+        if found is None:
+            found = self.expectations(state.matrix)
+            found.setflags(write=False)
+            self._targets[state] = found
+        return found
+
     def expectations(self, sigma: np.ndarray) -> np.ndarray:
         """All Tr(E_i sigma) = (Tr(sigma) + Tr(P_i sigma)) / 2.
 
@@ -74,8 +110,9 @@ class EffectBatch:
         objective stays an exact quadratic under off-plane probes.
         """
         flat = sigma.ravel()
-        tr = np.real(np.sum(flat[self._diag_idx]))
-        traces = np.real(np.sum(self._coeff * flat[self._gather_idx], axis=1))
+        # ndarray methods: np.sum's dispatch costs more than these small sums
+        tr = flat[self._diag_idx].sum().real
+        traces = (self._coeff * flat[self._gather_idx]).sum(axis=1).real
         return (tr + traces) / 2.0
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
@@ -89,6 +126,9 @@ class EffectBatch:
 
 @lru_cache(maxsize=256)
 def _distribution_batch(effects: tuple) -> EffectBatch:
+    """The one batch of a support's effects, shared by every
+    :class:`~qpac.complexity.TrialCache` and :func:`support_residuals`
+    call on that support."""
     return EffectBatch(effects)
 
 
@@ -102,10 +142,20 @@ class Hypothesis:
 
 
 class Objective:
-    """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set."""
+    """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set.
 
-    def __init__(self, training: TrainingSet):
-        self.batch = EffectBatch(training.effects())
+    Given ``support``, the batch of the support a training set was drawn
+    from, a set that records its draws' support ``indices`` takes its
+    rows from it (:meth:`EffectBatch.rows`); any other set builds its
+    own batch. Both give the same bytes.
+    """
+
+    def __init__(self, training: TrainingSet, support: EffectBatch | None = None):
+        if support is None or training.indices is None:
+            self.batch = EffectBatch(training.effects())
+        else:
+            self.batch = support.rows(training.indices)
+        self.training = training
         self.values = training.values()
         self.dim = self.batch.dim
 
@@ -116,9 +166,12 @@ class Objective:
         r = self.residuals(sigma)
         return float(np.dot(r, r))
 
-    def gradient(self, sigma: np.ndarray) -> np.ndarray:
-        """2 sum_i (Tr(E_i sigma) - y_i) E_i as a dense Hermitian matrix."""
-        return self.batch.weighted_sum(2.0 * self.residuals(sigma))
+    def gradient(self, sigma: np.ndarray, residuals: np.ndarray | None = None) -> np.ndarray:
+        """2 sum_i (Tr(E_i sigma) - y_i) E_i as a dense Hermitian matrix,
+        from ``residuals`` when the caller has computed them at sigma."""
+        if residuals is None:
+            residuals = self.residuals(sigma)
+        return self.batch.weighted_sum(2.0 * residuals)
 
 
 def _as_matrix(sigma) -> np.ndarray:
@@ -126,16 +179,24 @@ def _as_matrix(sigma) -> np.ndarray:
 
 
 def _maximally_mixed(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128) / dim
+    # the bytes of np.eye(dim) / dim without a complex division per entry
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m.flat[::dim + 1] = 1.0 / dim
+    return m
 
 
 def _vanishes(g: np.ndarray) -> bool:
     return float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL
 
 
-def code_space_atom(training: TrainingSet) -> np.ndarray | None:
+def code_space_atom(obj: Objective) -> np.ndarray | None:
     """The first Frank-Wolfe vertex of an exact-data training set in
     closed form, or ``None`` where the rule does not apply.
+
+    Reads the observed values and each distinct string's signed
+    permutation from ``obj``, whose batch holds one row per item: the
+    support's rows for a set with support ``indices``, which also tell
+    the distinct strings apart, and a batch of its own otherwise.
 
     The rule: when every observed value is exactly 1, the gradient at
     I / d is -sum_i E_i, and its bottom eigenspace is the joint +1
@@ -162,12 +223,19 @@ def code_space_atom(training: TrainingSet) -> np.ndarray | None:
     iteration did not converge to this vector, so ``d1`` keeps the
     eigen-step until those tables are re-pinned.
     """
-    if not np.all(training.values() == 1.0):
+    if not np.all(obj.values == 1.0):
         return None
-    dim = 1 << training.items[0][0].n
+    training = obj.training
+    keys = training.effects() if training.indices is None else training.indices
+    first: dict = {}
+    for j, key in enumerate(keys):
+        first.setdefault(key, j)
+    rows = list(first.values())
+    dim = obj.dim
+    # a gather row holds k * dim + perm_k, and perm_k < dim
+    perms = obj.batch._gather_idx[rows] & (dim - 1)
     w = np.ones(dim, dtype=np.complex128)
-    for p in dict.fromkeys(e.pauli for e in training.effects()):
-        perm, coeff = _pauli_action(p)
+    for perm, coeff in zip(perms, obj.batch._coeff[rows]):
         # P|k> = c_k |perm_k> and perm is an involution, so
         # (P w)[j] = c_perm_j w[perm_j]
         w = (w + (coeff * w)[perm]) / 2.0
@@ -189,15 +257,21 @@ def hazan_optimize(
 
     Starts from the maximally mixed state. At step k the iterate moves
     toward v v^dag with step 1/k, where v is the smallest eigenvector of
-    the gradient; the first step therefore replaces sigma entirely. A
-    gradient below the zero threshold means sigma is already optimal
-    (convex objective), so the iteration stops moving.
+    the gradient; the first step therefore replaces sigma entirely.
+
+    The stop rule: each step computes the residuals r once. When every
+    entry of r is exactly 0, the gradient 2 sum_i r_i E_i is exactly 0
+    and is not built; otherwise it is assembled from that r, and a
+    gradient below the zero threshold stops the loop too. Either way
+    sigma is optimal (convex objective) and the iteration stops moving.
+    ``final_objective`` reuses r when sigma has not moved since.
 
     ``on_iterate(k, objective, gradient_min_eigenvalue, sigma)`` is
     called once per step before the update, e.g. to check every
-    iterate's invariants. ``stop_objective`` enables an early
-    objective-threshold stop for speed-sensitive loops; it is disabled
-    by default to mirror the fixed iteration protocol.
+    iterate's invariants; it sees the gradient even where it vanishes.
+    ``stop_objective`` enables an early objective-threshold stop for
+    speed-sensitive loops; it is disabled by default to mirror the
+    fixed iteration protocol.
 
     ``first_atom`` hands in the Frank-Wolfe vertex of step 1, solved by
     :func:`learn_each`; the caller guarantees that the gradient at
@@ -212,12 +286,18 @@ def hazan_optimize(
     sigma = _maximally_mixed(obj.dim)
     atom = first_atom
     iterations = 0
+    r = None  # the residuals at sigma, once computed
     for k in range(1, k_max + 1):
-        g = obj.gradient(sigma) if atom is None or on_iterate is not None else None
+        g = None
+        if atom is None or on_iterate is not None:
+            if r is None:
+                r = obj.residuals(sigma)
+            if r.any() or on_iterate is not None:
+                g = obj.gradient(sigma, residuals=r)
         if on_iterate is not None:
-            on_iterate(k, obj.value(sigma), float(np.linalg.eigvalsh(g)[0]), sigma)
+            on_iterate(k, float(np.dot(r, r)), float(np.linalg.eigvalsh(g)[0]), sigma)
         if atom is None:
-            if _vanishes(g):
+            if g is None or _vanishes(g):
                 # stationary point of a convex objective: optimal, no
                 # movement this or any later step
                 break
@@ -228,21 +308,28 @@ def hazan_optimize(
         del g
         alpha = 1.0 / k
         sigma = (1.0 - alpha) * sigma + alpha * atom
-        atom = None
+        atom = r = None
         iterations = k
-        if stop_objective is not None and obj.value(sigma) <= stop_objective:
-            break
+        if stop_objective is not None:
+            r = obj.residuals(sigma)
+            if float(np.dot(r, r)) <= stop_objective:
+                break
 
+    if r is None:
+        r = obj.residuals(sigma)
     return Hypothesis(
         # I / d or a convex combination of it and rank-1 projectors v v^dag
         sigma=DensityMatrix._built(sigma),
         iterations_used=iterations,
-        final_objective=obj.value(sigma),
+        final_objective=float(np.dot(r, r)),
     )
 
 
 def learn_each(
-    trainings: Iterable[TrainingSet], support: MeasurementDistribution, k_max: int
+    trainings: Iterable[TrainingSet],
+    support: MeasurementDistribution,
+    k_max: int,
+    batch: EffectBatch | None = None,
 ) -> Iterator[Hypothesis]:
     """One :func:`hazan_optimize` hypothesis per training set, in order:
     the learning path of every protocol.
@@ -253,19 +340,28 @@ def learn_each(
     eigen-step of its gradient at I / d. Those gradients are solved as
     one :func:`~qpac.linalg.smallest_eigenvectors` stack per chunk of at
     most ``_STACK_ENTRIES`` gradient entries, which gives each training
-    set the bytes that learning it alone gives. A gradient that
-    vanishes is not solved: its optimization stops at I / d.
+    set the bytes that learning it alone gives. A training set whose
+    residuals at I / d are all exactly 0 has an exactly zero gradient:
+    it is neither assembled nor solved, and its optimization stops at
+    I / d. A gradient that vanishes within the threshold is not solved
+    either.
+
+    ``batch``, the support's :class:`EffectBatch`, hands each objective
+    its training set's rows (see :class:`Objective`).
     """
     y_free = not any(e.pauli.x & e.pauli.z for e in support.effects)
     dim = 1 << support.n
     chunk = max(1, _STACK_ENTRIES // (dim * dim))
     trainings = iter(trainings)
-    while batch := list(islice(trainings, chunk)):
-        objs = [Objective(t) for t in batch]
-        atoms = [code_space_atom(t) if y_free and t.noise.kind == "exact" else None
-                 for t in batch]
+    while part := list(islice(trainings, chunk)):
+        objs = [Objective(t, batch) for t in part]
+        atoms = [code_space_atom(obj) if y_free and obj.training.noise.kind == "exact"
+                 else None for obj in objs]
         mixed = _maximally_mixed(dim)
-        grads = {j: obj.gradient(mixed) for j, obj in enumerate(objs) if atoms[j] is None}
+        grads = {}
+        for j, obj in enumerate(objs):
+            if atoms[j] is None and (r := obj.residuals(mixed)).any():
+                grads[j] = obj.gradient(mixed, residuals=r)
         live = [j for j, g in grads.items() if not _vanishes(g)]
         solved = smallest_eigenvectors([grads[j] for j in live], tol=_EIG_TOL)
         # d x d matrices (16 MB each at n = 10) that the optimizer need not hold
@@ -296,7 +392,7 @@ def support_residuals(sigma, state: DensityMatrix, dist: MeasurementDistribution
     """|Tr(E sigma) - Tr(E rho)| for every effect in the support."""
     m = _as_matrix(sigma)
     batch = _distribution_batch(dist.effects)
-    return np.abs(batch.expectations(m) - batch.expectations(state.matrix))
+    return np.abs(batch.expectations(m) - batch.expected(state))
 
 
 def error_share(residuals: np.ndarray, gamma: float) -> Fraction:

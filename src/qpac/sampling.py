@@ -138,11 +138,18 @@ def distribution_from_generators(
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Sampled (effect, observed value) pairs plus provenance."""
+    """Sampled (effect, observed value) pairs plus provenance.
+
+    ``indices`` holds each item's position in the support it was drawn
+    from, as :func:`sample_training_set` records it; a hand-built set
+    has none. A learner that holds the support's tables reads the rows
+    of a set with indices from them (see :class:`qpac.complexity.TrialCache`).
+    """
 
     items: tuple[tuple[MeasurementEffect, float], ...]
     noise: NoiseModel = field(default_factory=NoiseModel.exact)
     seed: object = None
+    indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if len(self.items) < 1:
@@ -150,6 +157,8 @@ class TrainingSet:
         for _, v in self.items:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"observed value {v} outside [0, 1]")
+        if self.indices is not None and len(self.indices) != len(self.items):
+            raise ValueError(f"{len(self.indices)} support indices for {len(self.items)} items")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -177,13 +186,25 @@ def _draw_indices(rng, size: int, m: int, replacement: bool) -> np.ndarray:
     return rng.permutation(size)[:m]
 
 
+def exact_values(dist: MeasurementDistribution, state: DensityMatrix) -> tuple[float, ...]:
+    """Tr(E rho) of every support effect, in support order: the table
+    that :func:`sample_training_set` reads its draws' exact values from
+    (the same :func:`~qpac.states.expectation` each draw computes
+    without it)."""
+    return tuple(expectation(e, state) for e in dist.effects)
+
+
 def _exact_draws(
-    dist: MeasurementDistribution, state: DensityMatrix, m: int, rng, replacement: bool
-) -> list[tuple[MeasurementEffect, float]]:
-    """m uniform draws from the support, each with its Tr(E rho)."""
-    idx = _draw_indices(rng, len(dist), m, replacement)
-    effects = [dist.effects[int(i)] for i in idx]
-    return [(eff, expectation(eff, state)) for eff in effects]
+    dist: MeasurementDistribution, state: DensityMatrix, m: int, rng, replacement: bool,
+    values: Sequence[float] | None = None,
+) -> tuple[list[int], list[float]]:
+    """The support positions of m uniform draws, and each drawn effect's
+    Tr(E rho): read from ``values`` (the support's :func:`exact_values`)
+    when given, else computed per draw."""
+    idx = _draw_indices(rng, len(dist), m, replacement).tolist()
+    if values is None:
+        return idx, [expectation(dist.effects[i], state) for i in idx]
+    return idx, [values[i] for i in idx]
 
 
 def sample_training_set(
@@ -193,15 +214,20 @@ def sample_training_set(
     noise: NoiseModel | None = None,
     seed=0,
     replacement: bool = True,
+    exact: Sequence[float] | None = None,
 ) -> TrainingSet:
     """m uniform draws from the support with observed values per the
-    noise model. Fully reproducible from the seed."""
+    noise model. Fully reproducible from the seed.
+
+    ``exact``, the support's :func:`exact_values` for ``state``, saves
+    one expectation per draw and gives the same bytes. The set records
+    each draw's support position as its ``indices``.
+    """
     noise = noise or NoiseModel.exact()
     rng = np.random.default_rng(seed)
-    items = tuple(
-        (eff, noise.observe(p, rng)) for eff, p in _exact_draws(dist, state, m, rng, replacement)
-    )
-    return TrainingSet(items, noise, seed)
+    idx, values = _exact_draws(dist, state, m, rng, replacement, exact)
+    items = tuple((dist.effects[i], noise.observe(p, rng)) for i, p in zip(idx, values))
+    return TrainingSet(items, noise, seed, tuple(idx))
 
 
 def per_shot_outcomes(
@@ -220,7 +246,8 @@ def per_shot_outcomes(
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
     rng = np.random.default_rng(seed)
+    idx, values = _exact_draws(dist, state, m_prime, rng, replacement)
     return [
-        (eff, (rng.random(shots) < p).astype(np.uint8))
-        for eff, p in _exact_draws(dist, state, m_prime, rng, replacement)
+        (dist.effects[i], (rng.random(shots) < p).astype(np.uint8))
+        for i, p in zip(idx, values)
     ]

@@ -7,8 +7,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpac import (
+    DensityMatrix,
     LearnParams,
     NoiseModel,
     Objective,
@@ -25,8 +28,10 @@ from qpac import (
     support_residuals,
     theorem_bound,
 )
-from qpac import PauliString, distribution_from_generators, learner
+from qpac import PauliString, complexity, distribution_from_generators, learner
 from qpac.experiments import ExperimentConfig
+
+from conftest import random_density
 
 
 class TestLearnParams:
@@ -207,7 +212,7 @@ class TestBatchFill:
     @staticmethod
     def _by_rule(rho, dist, m, seed, replacement):
         training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
-        atom = learner.code_space_atom(training)
+        atom = learner.code_space_atom(Objective(training))
         assert atom is not None  # every GHZ d2 string has sign +1
         return support_residuals(atom, rho, dist)
 
@@ -302,7 +307,7 @@ class TestBatchFill:
             if gens[0] not in [e.pauli for e in training.effects()]:
                 continue
             fell_back += 1
-            assert learner.code_space_atom(training) is None
+            assert learner.code_space_atom(Objective(training)) is None
             want = self._alone(rho, dist, 2, (5, 2, i), 10, NoiseModel.exact(), False)
             assert cache.residuals(2, i).tobytes() == want.tobytes()
         assert fell_back > 0
@@ -317,9 +322,9 @@ class TestBatchFill:
         builds = []
         real = Objective.gradient
 
-        def counted(obj, sigma):
+        def counted(obj, *args, **kwargs):
             builds.append(None)
-            return real(obj, sigma)
+            return real(obj, *args, **kwargs)
 
         monkeypatch.setattr(Objective, "gradient", counted)
         rho = ghz_density(3) if target == "ghz" else maximally_mixed(3)
@@ -333,10 +338,11 @@ class TestBatchFill:
         cache = TrialCache(rho, dist, seed=(5,), k_max=10, noise=noise)
         for m in sizes:
             cache.fill(m, self.I_MAX)
-        # a first vertex is handed only for a gradient at I / d that does
-        # not vanish; the optimizer builds a vanishing one again to stop
-        again = len(sizes) * self.I_MAX if target == "mixed" else 0
-        assert len(builds) == lone + again
+        # exact values of the mixed target leave residuals of exactly 0 at
+        # I / d: neither the fill nor a lone optimization builds a gradient
+        assert len(builds) == lone
+        if target == "mixed":
+            assert lone == 0
 
     def test_cache_shared_across_gamma_grid(self, optimizations):
         rho = ghz_density(3)
@@ -354,6 +360,78 @@ class TestBatchFill:
                 want = self._alone(rho, dist, m, (7, m, i), 300, NoiseModel.exact(), True)
                 assert cache.residuals(m, i).tobytes() == want.tobytes()
         assert len(optimizations) == top * self.I_MAX
+
+
+class TestSupportIndexedTrials:
+    """A ``TrialCache`` samples through its support's tables; every
+    training set it learns is the one ``sample_training_set`` draws
+    alone with the trial's seed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fill_learns_the_sampled_training_sets(self, data):
+        # a stabilizer target's exact values are all 1; a random state's
+        # differ from effect to effect
+        target = data.draw(st.sampled_from(["ghz3", "ghz4", "cluster3", "random3"]))
+        label = data.draw(st.sampled_from(["d1", "d2"]))
+        replacement = data.draw(st.booleans())
+        noise = data.draw(st.one_of(
+            st.just(NoiseModel.exact()),
+            st.integers(1, 30).map(NoiseModel.with_shots),
+            st.floats(0.01, 0.3).map(NoiseModel.gaussian),
+        ))
+        if target == "cluster3":
+            config = ExperimentConfig(n=3, m=1, dist=label, generators=["XZI", "ZXZ", "IZX"])
+            rho, dist = config.target_state(3), config.distribution(3)
+        elif target == "random3":
+            rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+            rho, dist = DensityMatrix(random_density(rng, 8)), build_distribution(3, label)
+        else:
+            n = int(target[-1])
+            rho, dist = ghz_density(n), build_distribution(n, label)
+        m_top = len(dist) if not replacement else len(dist) + 2
+        m = data.draw(st.integers(1, min(m_top, 6)))
+        count = data.draw(st.integers(1, 4))
+        cache = TrialCache(rho, dist, seed=(data.draw(st.integers(0, 99)),), k_max=3,
+                           noise=noise, replacement=replacement)
+        learned = []
+        real = complexity.learn_each
+
+        def spy(trainings, *args):
+            trainings = list(trainings)
+            learned.extend(trainings)
+            return real(trainings, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexity, "learn_each", spy)
+            cache.fill(m, count)
+        assert len(learned) == count
+        for i, got in enumerate(learned):
+            want = sample_training_set(dist, rho, m, noise=noise, seed=cache.trial_seed(m, i),
+                                       replacement=replacement)
+            assert got.effects() == want.effects()
+            assert got.values().tobytes() == want.values().tobytes()
+            assert got.indices == want.indices
+            assert got.effects() == tuple(dist.effects[j] for j in got.indices)
+
+    def test_one_support_batch_per_support(self, monkeypatch):
+        learner._distribution_batch.cache_clear()
+        builds = []
+        real = learner.EffectBatch.__init__
+
+        def counted(batch, effects):
+            builds.append(len(effects))
+            real(batch, effects)
+
+        monkeypatch.setattr(learner.EffectBatch, "__init__", counted)
+        rho, dist = ghz_density(3), build_distribution(3, "d1")
+        caches = [TrialCache(rho, dist, seed=(r,), k_max=5) for r in range(4)]
+        for cache in caches:
+            cache.fill(3, 4)
+        support_residuals(maximally_mixed(3), rho, dist)
+        # every trial objective is a row slice of the one support batch
+        assert builds == [len(dist)]
+        assert all(c._support is caches[0]._support for c in caches)
 
 
 class TestTheoremBound:

@@ -215,7 +215,7 @@ class TestOneLearningPath:
                      "--out", str(out)]) == 0
         row = dict(zip(LEARN_COLUMNS, read_table(out).select(hypothesis="learned")[0]))
         training = self._training((3, 0))
-        eps, fid, _ = self._scores(learner.code_space_atom(training))
+        eps, fid, _ = self._scores(learner.code_space_atom(Objective(training)))
         assert (row["epsilon_est"], row["fidelity_target"]) == (eps, fid) == (0.0, 1.0)
         # the eigen-step of this training set takes another vector of the
         # degenerate bottom eigenspace, which misses 1/8 of the support
@@ -228,7 +228,7 @@ class TestOneLearningPath:
         table = run_sweep_m(c)
         row = dict(zip(table.columns, table.rows[0]))
         want = np.array([
-            self._scores(learner.code_space_atom(self._training((3, self.M, r))))
+            self._scores(learner.code_space_atom(Objective(self._training((3, self.M, r)))))
             for r in range(5)
         ])
         means = want.mean(axis=0)

@@ -113,6 +113,43 @@ class TestGradient:
             assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-9)
 
 
+class TestEffectBatchRows:
+    """A training set drawn from a support reads its rows from the
+    support's batch; they are the bytes of a batch built fresh."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_a_fresh_batch(self, data):
+        gens = data.draw(st.sampled_from(RULE_TARGETS))
+        label = data.draw(st.sampled_from(["d1", "d2"]))
+        dist = distribution_from_generators(gens, label)
+        picks = data.draw(st.lists(st.integers(0, len(dist) - 1), min_size=1, max_size=10))
+        # duplicates, as draws with replacement give them
+        picks = picks + picks[: data.draw(st.integers(0, len(picks)))]
+        part = learner.EffectBatch(dist.effects).rows(tuple(picks))
+        fresh = learner.EffectBatch([dist.effects[i] for i in picks])
+        assert part.effects == fresh.effects and part.dim == fresh.dim
+        for name in ("_gather_idx", "_scatter_idx", "_coeff", "_diag_idx"):
+            got, want = getattr(part, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_objective_from_support_rows(self):
+        dist = build_distribution(3, "d1")
+        support = learner.EffectBatch(dist.effects)
+        t = sample_training_set(dist, ghz_density(3), 9, noise=NoiseModel.gaussian(0.1), seed=2)
+        sliced, fresh = Objective(t, support), Objective(t)
+        sigma = maximally_mixed(3).matrix
+        assert sliced.gradient(sigma).tobytes() == fresh.gradient(sigma).tobytes()
+        # a hand-built set has no indices and builds its own batch
+        hand = TrainingSet(t.items)
+        assert Objective(hand, support).batch.effects == t.effects()
+
+    def test_empty_selection(self):
+        with pytest.raises(ValueError):
+            learner.EffectBatch(build_distribution(2, "d1").effects).rows(())
+
+
 class TestHazanOptimize:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_support_exact(self, n):
@@ -187,6 +224,55 @@ class TestHazanOptimize:
         training, _, _ = full_support_training(2)
         with pytest.raises(ValueError):
             hazan_optimize(Objective(training), k_max=0)
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        builds = []
+        real = Objective.gradient
+
+        def counted(obj, *args, **kwargs):
+            builds.append(None)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(Objective, "gradient", counted)
+        monkeypatch.setattr(learner, "smallest_eigenvector",
+                            lambda *a, **k: pytest.fail("eigen-step on a zero gradient"))
+        return builds
+
+    def test_zero_residuals_at_start_build_no_gradient(self, monkeypatch):
+        # exact values of I / d are 1/2, so every residual at I / d is 0
+        dist = build_distribution(3, "d1")
+        t = sample_training_set(dist, maximally_mixed(3), 6, seed=4)
+        builds = self._count_builds(monkeypatch)
+        hyp = hazan_optimize(Objective(t), k_max=300)
+        assert builds == []
+        assert hyp.iterations_used == 0
+        assert hyp.final_objective == 0.0
+        assert hyp.sigma.matrix.tobytes() == learner._maximally_mixed(8).tobytes()
+
+    @pytest.mark.parametrize("replacement", [True, False])
+    def test_zero_residuals_after_step_one_build_no_gradient(self, replacement, monkeypatch):
+        # exact GHZ d2 data: the closed-form first vertex fits every value
+        dist = build_distribution(4, "d2")
+        builds = self._count_builds(monkeypatch)
+        for seed in range(6):
+            t = sample_training_set(dist, ghz_density(4), 5, seed=seed, replacement=replacement)
+            obj = Objective(t)
+            atom = learner.code_space_atom(obj)
+            hyp = hazan_optimize(obj, k_max=300, first_atom=atom)
+            assert hyp.iterations_used == 1
+            assert hyp.final_objective == 0.0
+            assert hyp.sigma.matrix.tobytes() == atom.tobytes()
+        assert builds == []
+
+    def test_final_objective_reuses_the_stopping_residuals(self):
+        # sigma does not move after the stop, so recomputing agrees bit for bit
+        dist = build_distribution(3, "d1")
+        for noise, k_max in ((NoiseModel.exact(), 300), (NoiseModel.gaussian(0.05), 7)):
+            t = sample_training_set(dist, ghz_density(3), 5, noise=noise, seed=1)
+            obj = Objective(t)
+            hyp = hazan_optimize(obj, k_max=k_max)
+            assert hyp.final_objective == obj.value(hyp.sigma.matrix)
 
 
 class TestFirstStep:
@@ -283,9 +369,12 @@ class TestFirstStep:
         real = learner.smallest_eigenvectors
         monkeypatch.setattr(learner, "smallest_eigenvectors",
                             lambda hs, tol: stacks.append(len(hs)) or real(hs, tol=tol))
+        gradients = self._count(monkeypatch, Objective, "gradient")
         hyps = list(learner.learn_each(trainings, dist, 10))
         assert [h.iterations_used for h in hyps] == [0, 0, 0]
         assert eigen_steps == [] and sum(stacks) == 0
+        # their residuals at I / d are exactly 0: no gradient is built
+        assert gradients == []
         for h in hyps:
             assert np.array_equal(h.sigma.matrix, maximally_mixed(3).matrix)
 
@@ -305,7 +394,7 @@ class TestLearnEach:
         assert len(hyps) == len(trainings)
         for t, hyp in zip(trainings, hyps):
             if label == "d2" and noise.kind == "exact":
-                atom = learner.code_space_atom(t)
+                atom = learner.code_space_atom(Objective(t))
                 assert hyp.iterations_used == 1
                 assert hyp.sigma.matrix.tobytes() == atom.tobytes()
             else:
@@ -365,7 +454,7 @@ class TestCodeSpaceAtom:
         seed = data.draw(st.integers(0, 2**32 - 1))
         rho = DensityMatrix(_generator_target(gens))
         training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
-        atom = learner.code_space_atom(training)
+        atom = learner.code_space_atom(Objective(training))
 
         dim = rho.dim
         g = Objective(training).gradient(np.eye(dim, dtype=np.complex128) / dim)
@@ -386,15 +475,15 @@ class TestCodeSpaceAtom:
     def test_uniform_vector_orthogonal_to_code_space(self):
         training = TrainingSet(((MeasurementEffect(P("-XXX")), 1.0),
                                 (MeasurementEffect(P("ZZI")), 1.0)))
-        assert learner.code_space_atom(training) is None
+        assert learner.code_space_atom(Objective(training)) is None
 
     def test_needs_every_value_exactly_one(self):
         effects = [MeasurementEffect(P(t)) for t in ("XX", "ZZ")]
         exact = TrainingSet(tuple((e, 1.0) for e in effects))
-        assert learner.code_space_atom(exact) is not None
+        assert learner.code_space_atom(Objective(exact)) is not None
         for values in ((1.0, 0.5), (1.0, 1.0 - 2**-52)):
             off = TrainingSet(tuple(zip(effects, values)))
-            assert learner.code_space_atom(off) is None
+            assert learner.code_space_atom(Objective(off)) is None
 
 
 class TestShotObjective:
@@ -472,6 +561,23 @@ class TestEvaluateEpsilon:
         # (0, 1], the range LearnParams and the config admit; no residual
         # exceeds 1
         assert evaluate_epsilon(maximally_mixed(2), rho, dist, 1.0) == 0.0
+
+    def test_target_values_computed_once_per_state(self, monkeypatch):
+        rho = ghz_density(3)
+        dist = build_distribution(3, "d1")
+        batch = learner._distribution_batch(dist.effects)
+        first = support_residuals(maximally_mixed(3), rho, dist)
+        calls = []
+        real = learner.EffectBatch.expectations
+        monkeypatch.setattr(learner.EffectBatch, "expectations",
+                            lambda self, m: calls.append(None) or real(self, m))
+        again = support_residuals(maximally_mixed(3), rho, dist)
+        assert again.tobytes() == first.tobytes()
+        # one for sigma; Tr(E rho) is read from the batch's table
+        assert len(calls) == 1
+        want = real(batch, rho.matrix)
+        assert batch.expected(rho).tobytes() == want.tobytes()
+        assert not batch.expected(rho).flags.writeable
 
     def test_support_residuals_values(self):
         rho = ghz_density(2)

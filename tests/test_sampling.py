@@ -12,12 +12,14 @@ from qpac import (
     TrainingSet,
     build_distribution,
     distribution_from_generators,
+    expectation,
     ghz_density,
     ghz_generators,
     maximally_mixed,
     per_shot_outcomes,
     sample_training_set,
 )
+from qpac.sampling import exact_values
 
 
 def P(text):
@@ -157,6 +159,28 @@ class TestSampleTrainingSet:
         with pytest.raises(ValueError):
             sample_training_set(d, ghz_density(2), 0, seed=1)
 
+    @pytest.mark.parametrize("replacement", [True, False])
+    def test_records_support_indices(self, replacement):
+        d = build_distribution(3, "d1")
+        t = sample_training_set(d, ghz_density(3), 6, seed=8, replacement=replacement)
+        assert len(t.indices) == t.m
+        assert all(isinstance(i, int) for i in t.indices)
+        assert t.effects() == tuple(d.effects[i] for i in t.indices)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.exact(), NoiseModel.with_shots(7), NoiseModel.gaussian(0.1),
+    ])
+    def test_exact_table_gives_the_same_set(self, noise):
+        d = build_distribution(3, "d1")
+        rho = maximally_mixed(3)
+        table = exact_values(d, rho)
+        assert table == tuple(expectation(e, rho) for e in d.effects)
+        for seed in range(5):
+            want = sample_training_set(d, rho, 9, noise=noise, seed=seed)
+            got = sample_training_set(d, rho, 9, noise=noise, seed=seed, exact=table)
+            assert got == want
+            assert got.values().tobytes() == want.values().tobytes()
+
 
 class TestTrainingSet:
     def test_value_range_enforced(self):
@@ -165,6 +189,12 @@ class TestTrainingSet:
             TrainingSet(((e, 1.2),))
         with pytest.raises(ValueError):
             TrainingSet(())
+
+    def test_one_index_per_item(self):
+        e = MeasurementEffect(P("XX"))
+        assert TrainingSet(((e, 1.0),)).indices is None
+        with pytest.raises(ValueError):
+            TrainingSet(((e, 1.0), (e, 1.0)), indices=(0,))
 
 
 class TestPerShotOutcomes:
