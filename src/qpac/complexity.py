@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import _distribution_batch, error_share, learn_each
-from .sampling import MeasurementDistribution, NoiseModel, exact_values, sample_training_set
+from .learner import error_share, learn_each, support_residuals
+from .sampling import MeasurementDistribution, NoiseModel, sample_training_set
 from .states import DensityMatrix
 
 
@@ -84,13 +84,10 @@ class TrialCache:
     learned; :meth:`residuals` and :meth:`epsilon_estimate` read trials
     it filled and raise ``KeyError`` for any other.
 
-    The cache computes its support's tables once: the exact values
-    Tr(E rho) that sampling reads for each draw
-    (:func:`~qpac.sampling.exact_values`), and the support's one
-    :class:`~qpac.learner.EffectBatch` with its Tr(E rho), shared with
-    :func:`~qpac.learner.support_residuals`. Each trial's training set
-    records its draws' support indices, and its objective is the rows
-    of the support batch at those indices.
+    The cache holds no tables of its own: the support's batch
+    (``dist.batch``) and its Tr(E rho) table serve every trial's
+    sampling, objective and :func:`~qpac.learner.support_residuals`,
+    for every cache on that support.
     """
 
     def __init__(
@@ -109,9 +106,6 @@ class TrialCache:
         self.k_max = k_max
         self.noise = noise or NoiseModel.exact()
         self.replacement = replacement
-        self._exact = exact_values(dist, state)
-        self._support = _distribution_batch(dist.effects)
-        self._expected = self._support.expected(state)
         self._residuals: dict[tuple[int, int], np.ndarray] = {}
 
     def trial_seed(self, m: int, i: int) -> tuple:
@@ -122,19 +116,19 @@ class TrialCache:
 
     def fill(self, m: int, count: int) -> None:
         """Learn the trials 0..count-1 at size m that are not cached yet,
-        through :func:`~qpac.learner.learn_each`, and store the support
-        residuals |Tr(E sigma) - Tr(E rho)| of each hypothesis."""
+        through :func:`~qpac.learner.learn_each`, and store the
+        :func:`~qpac.learner.support_residuals` of each hypothesis."""
         trials = [i for i in range(count) if (m, i) not in self._residuals]
         trainings = (
             sample_training_set(
                 self.dist, self.state, m, noise=self.noise, seed=self.trial_seed(m, i),
-                replacement=self.replacement, exact=self._exact,
+                replacement=self.replacement,
             )
             for i in trials
         )
-        hyps = learn_each(trainings, self.dist, self.k_max, self._support)
+        hyps = learn_each(trainings, self.dist, self.k_max)
         for i, hyp in zip(trials, hyps):
-            found = np.abs(self._support.expectations(hyp.sigma.matrix) - self._expected)
+            found = support_residuals(hyp.sigma, self.state, self.dist)
             found.setflags(write=False)
             self._residuals[(m, i)] = found
 

@@ -349,7 +349,7 @@ def run_learn(config: ExperimentConfig) -> ResultTable:
     )
     table.append(
         "mixed_baseline", n, config.m, config.k_max, 0,
-        Objective(training).value(mixed.matrix),
+        Objective(training, dist).value(mixed.matrix),
         evaluate_epsilon(mixed, state, dist, config.gamma),
         fidelity(mixed, state),
         1.0,

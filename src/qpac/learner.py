@@ -15,121 +15,22 @@ the gradient exactly 0, so no step builds a gradient for them.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .linalg import smallest_eigenvector, smallest_eigenvectors
 from .sampling import MeasurementDistribution, TrainingSet
-from .states import DensityMatrix, MeasurementEffect, _pauli_action
+from .states import DensityMatrix, EffectBatch, maximally_mixed
 
 _ZERO_GRADIENT_TOL = 1e-12
 _EIG_TOL = 1e-9
 # matrix entries of the first-step gradients that learn_each solves as
 # one stack (2^15 complex128 entries, 512 KB): 8 training sets at dim 64
 _STACK_ENTRIES = 1 << 15
-
-
-class EffectBatch:
-    """Vectorized expectations of a fixed tuple of effects.
-
-    Precomputes the signed-permutation gather for every Pauli string so
-    all Tr(E_i sigma) evaluate as one fancy-indexed contraction.
-    :meth:`rows` slices the batch of a selection of the effects out of
-    these tables, so a support's batch serves every training set drawn
-    from it.
-    """
-
-    # Tr(E_i rho) per live target state, made on the first :meth:`expected`
-    _targets: weakref.WeakKeyDictionary | None = None
-
-    def __init__(self, effects: Sequence[MeasurementEffect]):
-        self.effects = tuple(effects)
-        if not self.effects:
-            raise ValueError("empty effect batch")
-        n = self.effects[0].n
-        if any(e.n != n for e in self.effects):
-            raise ValueError("effect batch mixes qubit counts")
-        self.dim = 1 << n
-        rows = np.arange(self.dim, dtype=np.int64)
-        gather = []
-        scatter = []
-        coeffs = []
-        for e in self.effects:
-            perm, coeff = _pauli_action(e.pauli)
-            # Tr(P sigma) reads sigma[k, perm[k]]; the matrix of P has its
-            # entries at [perm[k], k]
-            gather.append(rows * self.dim + perm)
-            scatter.append(perm * self.dim + rows)
-            coeffs.append(coeff)
-        self._gather_idx = np.array(gather)     # (m, dim) indices into sigma.flat
-        self._scatter_idx = np.array(scatter)
-        self._coeff = np.array(coeffs)          # (m, dim) signed coefficients
-        self._diag_idx = rows * self.dim + rows
-
-    def __len__(self) -> int:
-        return len(self.effects)
-
-    def rows(self, indices: Sequence[int]) -> "EffectBatch":
-        """The batch of the effects at ``indices``, in that order and
-        duplicates kept: rows of this batch's tables, the same bytes that
-        ``EffectBatch`` of those effects builds."""
-        if not indices:
-            raise ValueError("empty effect batch")
-        idx = np.asarray(indices)
-        part = object.__new__(EffectBatch)
-        part.effects = tuple(self.effects[i] for i in indices)
-        part.dim = self.dim
-        part._gather_idx = self._gather_idx[idx]
-        part._scatter_idx = self._scatter_idx[idx]
-        part._coeff = self._coeff[idx]
-        part._diag_idx = self._diag_idx
-        return part
-
-    def expected(self, state: DensityMatrix) -> np.ndarray:
-        """Read-only Tr(E_i rho) of a target state, computed once for as
-        long as the state lives."""
-        if self._targets is None:
-            self._targets = weakref.WeakKeyDictionary()
-        found = self._targets.get(state)
-        if found is None:
-            found = self.expectations(state.matrix)
-            found.setflags(write=False)
-            self._targets[state] = found
-        return found
-
-    def expectations(self, sigma: np.ndarray) -> np.ndarray:
-        """All Tr(E_i sigma) = (Tr(sigma) + Tr(P_i sigma)) / 2.
-
-        Valid for any square matrix, not just unit-trace ones, so the
-        objective stays an exact quadratic under off-plane probes.
-        """
-        flat = sigma.ravel()
-        # ndarray methods: np.sum's dispatch costs more than these small sums
-        tr = flat[self._diag_idx].sum().real
-        traces = (self._coeff * flat[self._gather_idx]).sum(axis=1).real
-        return (tr + traces) / 2.0
-
-    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """Dense sum_i w_i E_i, assembled from the symbolic actions."""
-        g = np.zeros(self.dim * self.dim, dtype=np.complex128)
-        vals = (weights[:, None] / 2.0) * self._coeff
-        np.add.at(g, self._scatter_idx.ravel(), vals.ravel())
-        g[self._diag_idx] += np.sum(weights) / 2.0
-        return g.reshape(self.dim, self.dim)
-
-
-@lru_cache(maxsize=256)
-def _distribution_batch(effects: tuple) -> EffectBatch:
-    """The one batch of a support's effects, shared by every
-    :class:`~qpac.complexity.TrialCache` and :func:`support_residuals`
-    call on that support."""
-    return EffectBatch(effects)
 
 
 @dataclass(frozen=True)
@@ -144,17 +45,23 @@ class Hypothesis:
 class Objective:
     """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set.
 
-    Given ``support``, the batch of the support a training set was drawn
-    from, a set that records its draws' support ``indices`` takes its
-    rows from it (:meth:`EffectBatch.rows`); any other set builds its
-    own batch. Both give the same bytes.
+    Given ``support``, the distribution a training set was drawn from,
+    a set that records its draws' support ``indices`` takes its rows
+    from the support's batch (:meth:`EffectBatch.rows`); any other set
+    builds its own batch. Both give the same bytes. Raises
+    ``ValueError`` when an indexed item is not the support's effect at
+    its index.
     """
 
-    def __init__(self, training: TrainingSet, support: EffectBatch | None = None):
+    def __init__(self, training: TrainingSet, support: MeasurementDistribution | None = None):
         if support is None or training.indices is None:
             self.batch = EffectBatch(training.effects())
         else:
-            self.batch = support.rows(training.indices)
+            effects = support.effects
+            for (e, _), i in zip(training.items, training.indices):
+                if not 0 <= i < len(effects) or (e is not effects[i] and e != effects[i]):
+                    raise ValueError(f"training item {e} is not effect {i} of the support")
+            self.batch = support.batch.rows(training.indices)
         self.training = training
         self.values = training.values()
         self.dim = self.batch.dim
@@ -176,13 +83,6 @@ class Objective:
 
 def _as_matrix(sigma) -> np.ndarray:
     return sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
-
-
-def _maximally_mixed(dim: int) -> np.ndarray:
-    # the bytes of np.eye(dim) / dim without a complex division per entry
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m.flat[::dim + 1] = 1.0 / dim
-    return m
 
 
 def _vanishes(g: np.ndarray) -> bool:
@@ -242,7 +142,7 @@ def code_space_atom(obj: Objective) -> np.ndarray | None:
     norm2 = float(np.vdot(w, w).real)
     if norm2 == 0.0:
         return None
-    return np.outer(w, w.conj()) / norm2
+    return np.outer(w, w.conj()) * (1.0 / norm2)
 
 
 def hazan_optimize(
@@ -283,7 +183,7 @@ def hazan_optimize(
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
 
-    sigma = _maximally_mixed(obj.dim)
+    sigma = maximally_mixed(obj.dim.bit_length() - 1).matrix
     atom = first_atom
     iterations = 0
     r = None  # the residuals at sigma, once computed
@@ -329,7 +229,6 @@ def learn_each(
     trainings: Iterable[TrainingSet],
     support: MeasurementDistribution,
     k_max: int,
-    batch: EffectBatch | None = None,
 ) -> Iterator[Hypothesis]:
     """One :func:`hazan_optimize` hypothesis per training set, in order:
     the learning path of every protocol.
@@ -346,18 +245,18 @@ def learn_each(
     I / d. A gradient that vanishes within the threshold is not solved
     either.
 
-    ``batch``, the support's :class:`EffectBatch`, hands each objective
-    its training set's rows (see :class:`Objective`).
+    Each training set must be drawn from ``support``: its objective
+    reads its rows from the support's batch (see :class:`Objective`).
     """
     y_free = not any(e.pauli.x & e.pauli.z for e in support.effects)
     dim = 1 << support.n
     chunk = max(1, _STACK_ENTRIES // (dim * dim))
     trainings = iter(trainings)
     while part := list(islice(trainings, chunk)):
-        objs = [Objective(t, batch) for t in part]
+        objs = [Objective(t, support) for t in part]
         atoms = [code_space_atom(obj) if y_free and obj.training.noise.kind == "exact"
                  else None for obj in objs]
-        mixed = _maximally_mixed(dim)
+        mixed = maximally_mixed(support.n).matrix
         grads = {}
         for j, obj in enumerate(objs):
             if atoms[j] is None and (r := obj.residuals(mixed)).any():
@@ -379,8 +278,7 @@ def shot_objective_value(outcomes, sigma) -> float:
     m = _as_matrix(sigma)
     total = 0.0
     for eff, bits in outcomes:
-        batch = _distribution_batch((eff,))
-        t = float(batch.expectations(m)[0])
+        t = float(EffectBatch((eff,)).expectations(m)[0])
         bits = np.asarray(bits, dtype=float)
         s = bits.size
         # sum over bits of (t - b)^2 with b^2 = b
@@ -390,9 +288,8 @@ def shot_objective_value(outcomes, sigma) -> float:
 
 def support_residuals(sigma, state: DensityMatrix, dist: MeasurementDistribution) -> np.ndarray:
     """|Tr(E sigma) - Tr(E rho)| for every effect in the support."""
-    m = _as_matrix(sigma)
-    batch = _distribution_batch(dist.effects)
-    return np.abs(batch.expectations(m) - batch.expected(state))
+    batch = dist.batch
+    return np.abs(batch.expectations(_as_matrix(sigma)) - batch.expected(state))
 
 
 def error_share(residuals: np.ndarray, gamma: float) -> Fraction:

@@ -9,13 +9,14 @@ configurations". All randomness flows through seeded numpy Generators
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import StructureError
 from .pauli import PauliString, StabilizerGroup, ghz_generators, group_closure, xz_subset
-from .states import DensityMatrix, MeasurementEffect, expectation
+from .states import DensityMatrix, EffectBatch, MeasurementEffect
 
 FULL_STABILIZER = "d1"  # uniform over all non-identity stabilizer effects
 XZ_STABILIZER = "d2"    # uniform over the Y-free subset
@@ -72,7 +73,12 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MeasurementDistribution:
-    """Uniform distribution over an ordered tuple of effects."""
+    """Uniform distribution over an ordered tuple of effects.
+
+    The support owns its tables: :attr:`batch`, built on first use,
+    holds every effect's signed permutation and each target state's
+    Tr(E rho), and every trial drawn from the support reads them.
+    """
 
     effects: tuple[MeasurementEffect, ...]
     label: str = "custom"
@@ -100,6 +106,11 @@ class MeasurementDistribution:
     def n(self) -> int:
         return self.effects[0].n
 
+    @cached_property
+    def batch(self) -> EffectBatch:
+        """The support's one :class:`~qpac.states.EffectBatch`."""
+        return EffectBatch(self.effects)
+
     def __len__(self) -> int:
         return len(self.effects)
 
@@ -116,12 +127,14 @@ def _support(group: StabilizerGroup, label: str) -> tuple[MeasurementEffect, ...
     return tuple(MeasurementEffect(p) for p in paulis)
 
 
+@lru_cache
 def build_distribution(n: int, label: str) -> MeasurementDistribution:
     """The two GHZ learning distributions.
 
     "d1" is uniform over all 2^n - 1 non-identity stabilizer effects of
     GHZ_n; "d2" over the 2^(n-1) effects whose Pauli strings contain
-    only I, X, Z factors. Both in canonical order.
+    only I, X, Z factors. Both in canonical order. Each is built once
+    per process, so its :attr:`~MeasurementDistribution.batch` is too.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -142,8 +155,8 @@ class TrainingSet:
 
     ``indices`` holds each item's position in the support it was drawn
     from, as :func:`sample_training_set` records it; a hand-built set
-    has none. A learner that holds the support's tables reads the rows
-    of a set with indices from them (see :class:`qpac.complexity.TrialCache`).
+    has none. An objective given that support reads the rows of a set
+    with indices from the support's batch (see :class:`qpac.learner.Objective`).
     """
 
     items: tuple[tuple[MeasurementEffect, float], ...]
@@ -186,25 +199,14 @@ def _draw_indices(rng, size: int, m: int, replacement: bool) -> np.ndarray:
     return rng.permutation(size)[:m]
 
 
-def exact_values(dist: MeasurementDistribution, state: DensityMatrix) -> tuple[float, ...]:
-    """Tr(E rho) of every support effect, in support order: the table
-    that :func:`sample_training_set` reads its draws' exact values from
-    (the same :func:`~qpac.states.expectation` each draw computes
-    without it)."""
-    return tuple(expectation(e, state) for e in dist.effects)
-
-
 def _exact_draws(
-    dist: MeasurementDistribution, state: DensityMatrix, m: int, rng, replacement: bool,
-    values: Sequence[float] | None = None,
+    dist: MeasurementDistribution, state: DensityMatrix, m: int, rng, replacement: bool
 ) -> tuple[list[int], list[float]]:
     """The support positions of m uniform draws, and each drawn effect's
-    Tr(E rho): read from ``values`` (the support's :func:`exact_values`)
-    when given, else computed per draw."""
-    idx = _draw_indices(rng, len(dist), m, replacement).tolist()
-    if values is None:
-        return idx, [expectation(dist.effects[i], state) for i in idx]
-    return idx, [values[i] for i in idx]
+    Tr(E rho), read from the support's table
+    (:meth:`~qpac.states.EffectBatch.expected`)."""
+    idx = _draw_indices(rng, len(dist), m, replacement)
+    return idx.tolist(), dist.batch.expected(state)[idx].tolist()
 
 
 def sample_training_set(
@@ -214,18 +216,17 @@ def sample_training_set(
     noise: NoiseModel | None = None,
     seed=0,
     replacement: bool = True,
-    exact: Sequence[float] | None = None,
 ) -> TrainingSet:
     """m uniform draws from the support with observed values per the
     noise model. Fully reproducible from the seed.
 
-    ``exact``, the support's :func:`exact_values` for ``state``, saves
-    one expectation per draw and gives the same bytes. The set records
-    each draw's support position as its ``indices``.
+    Each draw's exact value is read from the support's Tr(E rho) table,
+    computed once per target state. The set records each draw's support
+    position as its ``indices``.
     """
     noise = noise or NoiseModel.exact()
     rng = np.random.default_rng(seed)
-    idx, values = _exact_draws(dist, state, m, rng, replacement, exact)
+    idx, values = _exact_draws(dist, state, m, rng, replacement)
     items = tuple((dist.effects[i], noise.observe(p, rng)) for i, p in zip(idx, values))
     return TrainingSet(items, noise, seed, tuple(idx))
 

@@ -8,8 +8,10 @@ matrix.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +46,116 @@ def _pauli_action(p: PauliString):
     return perm, coeff
 
 
-def pauli_trace_product(p: PauliString, mat: np.ndarray) -> complex:
-    """Tr(P @ mat) via the signed-permutation structure, O(2^n)."""
-    perm, coeff = _pauli_action(p)
-    if mat.shape != (len(perm), len(perm)):
-        raise ValueError(f"dimension mismatch: {mat.shape} vs Pauli on {p.n} qubits")
-    return complex(np.dot(coeff, mat[np.arange(len(perm)), perm]))
+class EffectBatch:
+    """Vectorized expectations of a fixed tuple of effects.
+
+    Precomputes the signed-permutation gather for every Pauli string so
+    all Tr(E_i sigma) evaluate as one fancy-indexed contraction. A
+    support owns one batch (``MeasurementDistribution.batch``), and its
+    tables serve every reader of that support: :meth:`expected` is the
+    one Tr(E rho) table of a target state, which sampling and the
+    support residuals read, and :meth:`rows` slices the objective of a
+    training set drawn from the support out of it.
+    """
+
+    # Tr(E_i rho) per live target state, made on the first :meth:`expected`
+    _targets: weakref.WeakKeyDictionary | None = None
+
+    def __init__(self, effects: Sequence[MeasurementEffect]):
+        self.effects = tuple(effects)
+        if not self.effects:
+            raise ValueError("empty effect batch")
+        n = self.effects[0].n
+        if any(e.n != n for e in self.effects):
+            raise ValueError("effect batch mixes qubit counts")
+        self.dim = 1 << n
+        rows = np.arange(self.dim, dtype=np.int64)
+        gather = []
+        scatter = []
+        coeffs = []
+        for e in self.effects:
+            perm, coeff = _pauli_action(e.pauli)
+            # Tr(P sigma) reads sigma[k, perm[k]]; the matrix of P has its
+            # entries at [perm[k], k]
+            gather.append(rows * self.dim + perm)
+            scatter.append(perm * self.dim + rows)
+            coeffs.append(coeff)
+        self._gather_idx = np.array(gather)     # (m, dim) indices into sigma.flat
+        self._scatter_idx = np.array(scatter)
+        self._coeff = np.array(coeffs)          # (m, dim) signed coefficients
+        self._diag_idx = rows * self.dim + rows
+
+    def __len__(self) -> int:
+        return len(self.effects)
+
+    def rows(self, indices: Sequence[int]) -> "EffectBatch":
+        """The batch of the effects at ``indices``, in that order and
+        duplicates kept: rows of this batch's tables, the same bytes that
+        ``EffectBatch`` of those effects builds."""
+        if not indices:
+            raise ValueError("empty effect batch")
+        idx = np.asarray(indices)
+        part = object.__new__(EffectBatch)
+        part.effects = tuple(self.effects[i] for i in indices)
+        part.dim = self.dim
+        part._gather_idx = self._gather_idx[idx]
+        part._scatter_idx = self._scatter_idx[idx]
+        part._coeff = self._coeff[idx]
+        part._diag_idx = self._diag_idx
+        return part
+
+    def expected(self, state: DensityMatrix) -> np.ndarray:
+        """Read-only Tr(E_i rho) of a target state, computed once for as
+        long as the state lives.
+
+        The one rule for a state's outcome probabilities: each Tr(P rho)
+        may carry an imaginary part of at most 1e-9, and values within
+        1e-9 of [0, 1] are clamped into it; anything further out signals
+        a non-physical state and raises.
+        """
+        if self._targets is None:
+            self._targets = weakref.WeakKeyDictionary()
+        found = self._targets.get(state)
+        if found is None:
+            if state.dim != self.dim:
+                raise ValueError(f"dimension mismatch: state of dim {state.dim}, "
+                                 f"effects of dim {self.dim}")
+            tr, traces = self._traces(state.matrix)
+            imag = traces.imag[np.abs(traces.imag) > 1e-9]
+            if imag.size:
+                raise NonPhysicalStateError(f"Tr(P rho) has imaginary part {imag[0]}")
+            found = (tr + traces.real) / 2.0
+            out = found[(found < -_CLAMP_SLACK) | (found > 1.0 + _CLAMP_SLACK)]
+            if out.size:
+                raise NonPhysicalStateError(f"expectation {out[0]} outside [0, 1] beyond tolerance")
+            found = np.clip(found, 0.0, 1.0)
+            found.setflags(write=False)
+            self._targets[state] = found
+        return found
+
+    def _traces(self, sigma: np.ndarray) -> tuple[float, np.ndarray]:
+        """Re Tr(sigma) and the complex Tr(P_i sigma) of every effect."""
+        flat = sigma.ravel()
+        # ndarray methods: np.sum's dispatch costs more than these small sums
+        tr = flat[self._diag_idx].sum().real
+        return tr, (self._coeff * flat[self._gather_idx]).sum(axis=1)
+
+    def expectations(self, sigma: np.ndarray) -> np.ndarray:
+        """All Tr(E_i sigma) = (Tr(sigma) + Tr(P_i sigma)) / 2.
+
+        Valid for any square matrix, not just unit-trace ones, so the
+        objective stays an exact quadratic under off-plane probes.
+        """
+        tr, traces = self._traces(sigma)
+        return (tr + traces.real) / 2.0
+
+    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
+        """Dense sum_i w_i E_i, assembled from the symbolic actions."""
+        g = np.zeros(self.dim * self.dim, dtype=np.complex128)
+        vals = (weights[:, None] / 2.0) * self._coeff
+        np.add.at(g, self._scatter_idx.ravel(), vals.ravel())
+        g[self._diag_idx] += np.sum(weights) / 2.0
+        return g.reshape(self.dim, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,27 +260,17 @@ def maximally_mixed(n: int) -> DensityMatrix:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     dim = 1 << n
+    # the bytes of np.eye(dim) / dim without a complex division per entry
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m.flat[::dim + 1] = 1.0 / dim
     # diagonal, nonnegative, trace 1
-    return DensityMatrix._built(np.eye(dim, dtype=np.complex128) / dim)
+    return DensityMatrix._built(m)
 
 
 def expectation(effect: MeasurementEffect, state: DensityMatrix) -> float:
-    """Outcome-1 probability Tr(E rho) = (1 + Tr(P rho)) / 2.
-
-    Clamps rounding dust within 1e-9 of [0, 1]; anything further out
-    signals a non-physical state and raises.
-    """
-    return _expectation_matrix(effect.pauli, state.matrix)
-
-
-def _expectation_matrix(p: PauliString, mat: np.ndarray) -> float:
-    tr = pauli_trace_product(p, mat)
-    if abs(tr.imag) > 1e-9:
-        raise NonPhysicalStateError(f"Tr(P rho) has imaginary part {tr.imag}")
-    val = (1.0 + tr.real) / 2.0
-    if val < -_CLAMP_SLACK or val > 1.0 + _CLAMP_SLACK:
-        raise NonPhysicalStateError(f"expectation {val} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, val))
+    """Outcome-1 probability Tr(E rho): the rule of
+    :meth:`EffectBatch.expected` applied to a one-effect batch."""
+    return float(EffectBatch((effect,)).expected(state)[0])
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

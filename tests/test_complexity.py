@@ -21,6 +21,7 @@ from qpac import (
     build_distribution,
     estimate_min_m,
     ghz_density,
+    ghz_generators,
     hazan_optimize,
     linear_fit,
     maximally_mixed,
@@ -415,7 +416,6 @@ class TestSupportIndexedTrials:
             assert got.effects() == tuple(dist.effects[j] for j in got.indices)
 
     def test_one_support_batch_per_support(self, monkeypatch):
-        learner._distribution_batch.cache_clear()
         builds = []
         real = learner.EffectBatch.__init__
 
@@ -424,14 +424,20 @@ class TestSupportIndexedTrials:
             real(batch, effects)
 
         monkeypatch.setattr(learner.EffectBatch, "__init__", counted)
-        rho, dist = ghz_density(3), build_distribution(3, "d1")
+        # a support not built before in this process, so its batch is not either
+        dist = distribution_from_generators(ghz_generators(3))
+        rho = ghz_density(3)
         caches = [TrialCache(rho, dist, seed=(r,), k_max=5) for r in range(4)]
         for cache in caches:
             cache.fill(3, 4)
+        list(learner.learn_each(
+            [sample_training_set(dist, rho, 3, seed=s) for s in range(3)], dist, 5))
         support_residuals(maximally_mixed(3), rho, dist)
         # every trial objective is a row slice of the one support batch
         assert builds == [len(dist)]
-        assert all(c._support is caches[0]._support for c in caches)
+        assert dist.batch is caches[0].dist.batch
+        assert build_distribution(3, "d1") is build_distribution(3, "d1")
+        assert build_distribution(3, "d1").batch is build_distribution(3, "d1").batch
 
 
 class TestTheoremBound:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qpac import (
     DensityMatrix,
+    MeasurementDistribution,
     MeasurementEffect,
     NoiseModel,
     Objective,
@@ -136,14 +137,32 @@ class TestEffectBatchRows:
 
     def test_objective_from_support_rows(self):
         dist = build_distribution(3, "d1")
-        support = learner.EffectBatch(dist.effects)
         t = sample_training_set(dist, ghz_density(3), 9, noise=NoiseModel.gaussian(0.1), seed=2)
-        sliced, fresh = Objective(t, support), Objective(t)
+        sliced, fresh = Objective(t, dist), Objective(t)
         sigma = maximally_mixed(3).matrix
         assert sliced.gradient(sigma).tobytes() == fresh.gradient(sigma).tobytes()
         # a hand-built set has no indices and builds its own batch
         hand = TrainingSet(t.items)
-        assert Objective(hand, support).batch.effects == t.effects()
+        assert Objective(hand, dist).batch.effects == t.effects()
+
+    def test_an_equal_support_serves(self):
+        # effects are compared by identity first, then by equality
+        t = sample_training_set(build_distribution(3, "d1"), ghz_density(3), 9, seed=2)
+        effects = tuple(MeasurementEffect(e.pauli) for e in build_distribution(3, "d1").effects)
+        twin = MeasurementDistribution(effects, "d1")
+        assert Objective(t, twin).batch.effects == t.effects()
+
+    @pytest.mark.parametrize("other", [
+        lambda: build_distribution(3, "d2"),
+        lambda: build_distribution(4, "d1"),
+        lambda: distribution_from_generators([P("XZI"), P("ZXZ"), P("IZX")]),
+    ])
+    def test_a_foreign_support_is_rejected(self, other):
+        t = sample_training_set(build_distribution(3, "d1"), ghz_density(3), 6, seed=5)
+        with pytest.raises(ValueError, match="not effect"):
+            Objective(t, other())
+        with pytest.raises(ValueError, match="not effect"):
+            list(learner.learn_each([t], other(), 5))
 
     def test_empty_selection(self):
         with pytest.raises(ValueError):
@@ -248,7 +267,7 @@ class TestHazanOptimize:
         assert builds == []
         assert hyp.iterations_used == 0
         assert hyp.final_objective == 0.0
-        assert hyp.sigma.matrix.tobytes() == learner._maximally_mixed(8).tobytes()
+        assert hyp.sigma.matrix.tobytes() == maximally_mixed(3).matrix.tobytes()
 
     @pytest.mark.parametrize("replacement", [True, False])
     def test_zero_residuals_after_step_one_build_no_gradient(self, replacement, monkeypatch):
@@ -565,7 +584,7 @@ class TestEvaluateEpsilon:
     def test_target_values_computed_once_per_state(self, monkeypatch):
         rho = ghz_density(3)
         dist = build_distribution(3, "d1")
-        batch = learner._distribution_batch(dist.effects)
+        batch = dist.batch
         first = support_residuals(maximally_mixed(3), rho, dist)
         calls = []
         real = learner.EffectBatch.expectations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpac import (
+    DensityMatrix,
     MeasurementDistribution,
     MeasurementEffect,
     NoiseModel,
@@ -19,7 +20,8 @@ from qpac import (
     per_shot_outcomes,
     sample_training_set,
 )
-from qpac.sampling import exact_values
+from qpac.experiments import ExperimentConfig
+from qpac.sampling import _draw_indices
 
 
 def P(text):
@@ -171,15 +173,29 @@ class TestSampleTrainingSet:
         NoiseModel.exact(), NoiseModel.with_shots(7), NoiseModel.gaussian(0.1),
     ])
     def test_exact_table_gives_the_same_set(self, noise):
-        d = build_distribution(3, "d1")
-        rho = maximally_mixed(3)
-        table = exact_values(d, rho)
-        assert table == tuple(expectation(e, rho) for e in d.effects)
-        for seed in range(5):
-            want = sample_training_set(d, rho, 9, noise=noise, seed=seed)
-            got = sample_training_set(d, rho, 9, noise=noise, seed=seed, exact=table)
-            assert got == want
-            assert got.values().tobytes() == want.values().tobytes()
+        # the support's Tr(E rho) table gives every draw the bytes that
+        # expectation() gives its effect alone
+        cluster = ExperimentConfig(n=3, m=1, generators=["XZI", "ZXZ", "IZX"])
+        targets = [
+            (build_distribution(3, "d1"), ghz_density(3)),
+            (cluster.distribution(3), cluster.target_state(3)),
+            (build_distribution(3, "d1"), maximally_mixed(3)),
+        ]
+        for d, rho in targets:
+            for seed in range(5):
+                got = sample_training_set(d, rho, 9, noise=noise, seed=seed)
+                rng = np.random.default_rng(seed)
+                want = [noise.observe(expectation(d.effects[i], rho), rng)
+                        for i in _draw_indices(rng, len(d), 9, True).tolist()]
+                assert got.values().tobytes() == np.array(want).tobytes()
+                assert all(type(v) is float for _, v in got.items)
+
+    def test_dust_clamped(self):
+        # Tr(ZZ rho) = 1 + 8e-10: the drawn exact value is clamped to 1
+        dust = DensityMatrix(np.diag([1 + 4e-10, -4e-10, 0, 0]).astype(complex))
+        t = sample_training_set(build_distribution(2, "d1"), dust, 6, seed=1)
+        zz = [v for e, v in t.items if e.pauli.x == 0]
+        assert zz and all(v == 1.0 for v in zz)
 
 
 class TestTrainingSet:

@@ -22,7 +22,7 @@ from qpac import (
     group_closure,
     maximally_mixed,
 )
-from qpac.states import _expectation_matrix, _pauli_action
+from qpac.states import _pauli_action
 
 from conftest import ghz_vector, kron_dense, random_density
 
@@ -212,14 +212,19 @@ class TestExpectation:
             expectation(MeasurementEffect(P("XX")), ghz_density(3))
 
     def test_out_of_range_rejected(self):
-        # a trace-one but badly non-PSD matrix pushes Tr(E rho) outside [0,1]
-        bad = np.diag([2.0, -1.0]).astype(complex)
-        with pytest.raises(NonPhysicalStateError):
-            _expectation_matrix(P("Z"), bad)
+        # a trace-one but badly non-PSD matrix pushes Tr(E rho) outside
+        # [0,1]; wrapped unchecked, so that the expectation rule decides
+        bad = DensityMatrix._built(np.diag([2.0, -1.0]).astype(complex))
+        with pytest.raises(NonPhysicalStateError, match="outside"):
+            expectation(MeasurementEffect(P("Z")), bad)
+        # a non-Hermitian matrix gives Tr(P rho) an imaginary part
+        skew = DensityMatrix._built(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+        with pytest.raises(NonPhysicalStateError, match="imaginary"):
+            expectation(MeasurementEffect(P("X")), skew)
 
     def test_dust_clamped(self):
-        dust = np.diag([1.0 + 4e-10, -4e-10]).astype(complex)
-        assert _expectation_matrix(P("Z"), dust) == 1.0
+        dust = DensityMatrix(np.diag([1.0 + 4e-10, -4e-10]).astype(complex))
+        assert expectation(MeasurementEffect(P("Z")), dust) == 1.0
 
 
 class TestFidelity:
