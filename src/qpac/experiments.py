@@ -21,14 +21,15 @@ import json
 import os
 import typing
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
 from .complexity import LearnParams, TrialCache, estimate_min_m, linear_fit, theorem_bound
-from .errors import ConfigError
+from .errors import ConfigError, StructureError
 from .learner import Objective, evaluate_epsilon, learn_each
-from .pauli import PauliString, group_closure
+from .pauli import PauliString
 from .sampling import (
     FULL_STABILIZER,
     XZ_STABILIZER,
@@ -37,6 +38,7 @@ from .sampling import (
     build_distribution,
     distribution_from_generators,
     sample_training_set,
+    stabilizer_group,
 )
 from .states import (
     MAX_QUBITS,
@@ -206,6 +208,9 @@ class ExperimentConfig:
                 PauliString.from_text(g).n != self.n for g in self.generators
             ):
                 raise ConfigError(f"generators must act on n={self.n} qubits")
+            if self.command != "bound-curve":
+                # a list that pins no state fails here, before any work
+                self.target_state(self.n)
         if self.command == "learn":
             if self.m is None or self.m < 1:
                 raise ConfigError(f"learn needs m >= 1, got {self.m}")
@@ -269,30 +274,17 @@ class ExperimentConfig:
             return self.out
         return os.path.join(default_out_dir(), f"{self.command}.csv")
 
+    def _generator_paulis(self) -> tuple[PauliString, ...]:
+        return tuple(PauliString.from_text(g) for g in self.generators)
+
     def target_state(self, n: int) -> DensityMatrix:
         if self.generators:
-            gens = [PauliString.from_text(g) for g in self.generators]
-            group = group_closure(gens)
-            if len(group) != 2**n:
-                raise ConfigError(
-                    f"need {n} independent generators for a pure {n}-qubit target"
-                )
-            # the projector is the group average; each element adds its
-            # signed permutation, so no dense Pauli matrix is formed
-            dim = 1 << n
-            cols = np.arange(dim)
-            acc = np.zeros((dim, dim), dtype=np.complex128)
-            for p in group:
-                perm, coeff = _pauli_action(p)
-                acc[perm, cols] += coeff
-            # a 2^n-element stabilizer group averages to its state's projector
-            return DensityMatrix._built(acc / dim)
+            return _generator_state(self._generator_paulis())
         return ghz_density(n)
 
     def distribution(self, n: int) -> MeasurementDistribution:
         if self.generators:
-            gens = [PauliString.from_text(g) for g in self.generators]
-            return distribution_from_generators(gens, self.dist)
+            return distribution_from_generators(self._generator_paulis(), self.dist)
         return build_distribution(n, self.dist)
 
     def echo(self) -> dict:
@@ -303,6 +295,30 @@ class ExperimentConfig:
         # documentation keys, ignored on replay
         d["fidelity_convention"] = "amplitude (F, not F^2)"
         return d
+
+
+@lru_cache
+def _generator_state(generators: tuple[PauliString, ...]) -> DensityMatrix:
+    """The pure state a generator tuple stabilizes, built once per
+    process from the group its supports share. Raises ``ConfigError``
+    for a list that is no stabilizer group or pins no pure state."""
+    try:
+        group = stabilizer_group(generators)
+    except StructureError as exc:
+        raise ConfigError(str(exc)) from exc
+    n = group.n
+    if len(group) != 2**n:
+        raise ConfigError(f"need {n} independent generators for a pure {n}-qubit target")
+    # the projector is the group average; each element adds its signed
+    # permutation, so no dense Pauli matrix is formed
+    dim = 1 << n
+    cols = np.arange(dim)
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for p in group:
+        perm, coeff = _pauli_action(p)
+        acc[perm, cols] += coeff
+    # a 2^n-element stabilizer group averages to its state's projector
+    return DensityMatrix._built(acc / dim)
 
 
 def default_out_dir() -> str:

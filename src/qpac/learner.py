@@ -8,9 +8,11 @@ PSD by construction.
 
 Every protocol learns through :func:`learn_each`, which owns the rule
 for the first step: exact data on a Y-free support takes the closed
-form :func:`code_space_atom`, and every other first step, and every
-later step, is the eigen-step. Residuals that are all exactly 0 make
-the gradient exactly 0, so no step builds a gradient for them.
+form :func:`code_space_atoms`, one stacked pass per chunk of training
+sets, and every other first step, and every later step, is the
+eigen-step. Step 1 replaces I / d by its vertex, so a vertex handed in
+by :func:`learn_each` needs no I / d. Residuals that are all exactly 0
+make the gradient exactly 0, so no step builds a gradient for them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,23 +91,26 @@ def _vanishes(g: np.ndarray) -> bool:
     return float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL
 
 
-def code_space_atom(obj: Objective) -> np.ndarray | None:
-    """The first Frank-Wolfe vertex of an exact-data training set in
-    closed form, or ``None`` where the rule does not apply.
+def code_space_atoms(objs: Sequence[Objective]) -> list[np.ndarray | None]:
+    """The first Frank-Wolfe vertex of each exact-data training set in
+    closed form, or ``None`` where the rule does not apply: one stacked
+    pass over a chunk of objectives on one qubit count (a lone objective
+    is a list of one).
 
-    Reads the observed values and each distinct string's signed
-    permutation from ``obj``, whose batch holds one row per item: the
+    Reads each set's observed values and each item's signed permutation
+    from its objective, whose batch holds one row per item: the
     support's rows for a set with support ``indices``, which also tell
-    the distinct strings apart, and a batch of its own otherwise.
+    the distinct strings apart, and a batch of its own otherwise, where
+    equal effects are the same string.
 
     The rule: when every observed value is exactly 1, the gradient at
     I / d is -sum_i E_i, and its bottom eigenspace is the joint +1
     space of the sampled Pauli strings (their code space). Any density
     matrix on that space solves the linear step (Jaggi 2013); the step
     takes the projector onto w = prod_i (I + P_i)/2 |1...1>, one factor
-    per distinct string: the vector to which the power iteration from
-    the uniform vector converges, when it does. Each factor is a signed
-    permutation, so this costs O(m 2^n).
+    per distinct string in the order of first draw: the vector to which
+    the power iteration from the uniform vector converges, when it
+    does. Each factor is a signed permutation, so this costs O(m 2^n).
 
     Values of exactly 1 observed on one state imply that the strings
     commute, so the factors commute and w is the projection of
@@ -114,35 +119,61 @@ def code_space_atom(obj: Objective) -> np.ndarray | None:
     on a support of Y-free stabilizers of the target every residual it
     leaves is exactly 0, 1/2 or 1.
 
-    Returns ``None`` when some value is not exactly 1, or when w = 0:
-    |+^n> is orthogonal to the code space (a sampled X-type string with
-    sign -1 does that), and the eigen-step has to choose.
+    Returns ``None`` for a set where some value is not exactly 1, or
+    where w = 0: |+^n> is orthogonal to the code space (a sampled
+    X-type string with sign -1 does that), and the eigen-step has to
+    choose.
+
+    The sets whose values are all 1 share one (T, d) stack of w, and
+    factor k of every set is applied as one array step. Where item k
+    repeats an earlier string of its set (a draw with replacement), or
+    lies past the end of a shorter set, ``np.where`` keeps that set's w
+    as it was, so each set gets the bytes that its lone call gives.
 
     :func:`learn_each` takes this step only on Y-free supports (every
     ``d2`` support). The pinned ``d1`` tables hold trials whose power
     iteration did not converge to this vector, so ``d1`` keeps the
     eigen-step until those tables are re-pinned.
     """
-    if not np.all(obj.values == 1.0):
-        return None
-    training = obj.training
-    keys = training.effects() if training.indices is None else training.indices
-    first: dict = {}
-    for j, key in enumerate(keys):
-        first.setdefault(key, j)
-    rows = list(first.values())
-    dim = obj.dim
-    # a gather row holds k * dim + perm_k, and perm_k < dim
-    perms = obj.batch._gather_idx[rows] & (dim - 1)
-    w = np.ones(dim, dtype=np.complex128)
-    for perm, coeff in zip(perms, obj.batch._coeff[rows]):
-        # P|k> = c_k |perm_k> and perm is an involution, so
-        # (P w)[j] = c_perm_j w[perm_j]
-        w = (w + (coeff * w)[perm]) / 2.0
-    norm2 = float(np.vdot(w, w).real)
-    if norm2 == 0.0:
-        return None
-    return np.outer(w, w.conj()) * (1.0 / norm2)
+    atoms: list[np.ndarray | None] = [None] * len(objs)
+    live = [j for j, obj in enumerate(objs) if (obj.values == 1.0).all()]
+    if not live:
+        return atoms
+    dim = objs[live[0]].dim
+    width = max(len(objs[j].values) for j in live)
+    # item k of stacked set t at [k, t]; padding rows stay 0 and masked
+    gather = np.zeros((width, len(live), dim), dtype=np.int64)
+    coeff = np.zeros((width, len(live), dim), dtype=np.complex128)
+    fresh = np.zeros((width, len(live), 1), dtype=bool)
+    for t, j in enumerate(live):
+        batch, training = objs[j].batch, objs[j].training
+        keys = training.effects() if training.indices is None else training.indices
+        first: dict = {}
+        for k, key in enumerate(keys):
+            first.setdefault(key, k)
+        fresh[list(first.values()), t] = True
+        gather[:len(keys), t] = batch._gather_idx
+        coeff[:len(keys), t] = batch._coeff
+    # a gather row holds i * dim + perm_i, and perm_i < dim; the offset
+    # t * dim reads set t's row of the flattened stack
+    perm = (gather & (dim - 1)) + (np.arange(len(live)) * dim)[:, None]
+    w = np.ones((len(live), dim), dtype=np.complex128)
+    for k in range(width):
+        # P|i> = c_i |perm_i> and perm is an involution, so
+        # (P w)[i] = c_perm_i w[perm_i]
+        step = (w + (coeff[k] * w).ravel()[perm[k]]) / 2.0
+        # a repeated string, or no item, keeps w as it is
+        w = np.where(fresh[k], step, w)
+    norm2 = (w * w.conj()).real.sum(axis=1)
+    solved = norm2 != 0.0
+    w = w[solved]
+    outer = w[:, :, None] * w.conj()[:, None, :]
+    # complex factors, as a Python float scalar would be cast: a float64
+    # operand makes numpy cast it per entry through a buffer
+    outer *= (1.0 / norm2[solved]).astype(np.complex128)[:, None, None]
+    for j, atom in zip(np.asarray(live)[solved], outer):
+        atoms[j] = atom
+    return atoms
 
 
 def hazan_optimize(
@@ -155,9 +186,11 @@ def hazan_optimize(
 ) -> Hypothesis:
     """Minimize the quadratic objective over unit-trace PSD matrices.
 
-    Starts from the maximally mixed state. At step k the iterate moves
-    toward v v^dag with step 1/k, where v is the smallest eigenvector of
-    the gradient; the first step therefore replaces sigma entirely.
+    The iterate starts at the maximally mixed state I / d. At step k it
+    moves toward v v^dag with step 1/k, where v is the smallest
+    eigenvector of the gradient; step 1 therefore replaces I / d
+    entirely, and is taken in one pass as ``atom + 0.0``, the bytes of
+    ``(1 - 1.0) I / d + 1.0 atom``.
 
     The stop rule: each step computes the residuals r once. When every
     entry of r is exactly 0, the gradient 2 sum_i r_i E_i is exactly 0
@@ -175,15 +208,18 @@ def hazan_optimize(
 
     ``first_atom`` hands in the Frank-Wolfe vertex of step 1, solved by
     :func:`learn_each`; the caller guarantees that the gradient at
-    I / d does not vanish, so step 1 neither builds nor tests it (unless
-    ``on_iterate`` needs it). Every step applies the same update
-    ``(1 - alpha) sigma + alpha atom``, so handing in the eigen-step's
-    ``np.outer(v, v.conj())`` gives the bytes of a run without it.
+    I / d does not vanish, so step 1 neither builds nor tests it, and
+    I / d itself is not built (unless ``on_iterate`` needs them). Every
+    step applies the same update ``(1 - alpha) sigma + alpha atom``, so
+    handing in the eigen-step's ``np.outer(v, v.conj())`` gives the
+    bytes of a run without it.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
 
-    sigma = maximally_mixed(obj.dim.bit_length() - 1).matrix
+    # I / d, built only where step 1 reads its residuals or gradient there
+    sigma = (maximally_mixed(obj.dim.bit_length() - 1).matrix
+             if first_atom is None or on_iterate is not None else None)
     atom = first_atom
     iterations = 0
     r = None  # the residuals at sigma, once computed
@@ -207,7 +243,10 @@ def hazan_optimize(
         # the update need not hold
         del g
         alpha = 1.0 / k
-        sigma = (1.0 - alpha) * sigma + alpha * atom
+        # step 1 (alpha = 1) in one pass: atom + 0.0 is the bytes of
+        # (1 - 1.0) * sigma + 1.0 * atom, every nonzero kept and every
+        # zero +0.0
+        sigma = atom + 0.0 if k == 1 else (1.0 - alpha) * sigma + alpha * atom
         atom = r = None
         iterations = k
         if stop_objective is not None:
@@ -234,16 +273,19 @@ def learn_each(
     the learning path of every protocol.
 
     The first-step rule: on a Y-free support (every ``d2`` support), a
-    training set of exact data takes :func:`code_space_atom` as its
-    first vertex where that applies. Every other training set takes the
-    eigen-step of its gradient at I / d. Those gradients are solved as
-    one :func:`~qpac.linalg.smallest_eigenvectors` stack per chunk of at
-    most ``_STACK_ENTRIES`` gradient entries, which gives each training
-    set the bytes that learning it alone gives. A training set whose
-    residuals at I / d are all exactly 0 has an exactly zero gradient:
-    it is neither assembled nor solved, and its optimization stops at
-    I / d. A gradient that vanishes within the threshold is not solved
-    either.
+    training set of exact data takes the closed form of
+    :func:`code_space_atoms` as its first vertex where that applies.
+    Every other training set takes the eigen-step of its gradient at
+    I / d. Training sets are learned in chunks of at most
+    ``_STACK_ENTRIES`` gradient entries: a chunk's closed forms are one
+    :func:`code_space_atoms` call, and its gradients one
+    :func:`~qpac.linalg.smallest_eigenvectors` stack, which gives each
+    training set the bytes that learning it alone gives. A chunk whose
+    first vertices are all closed forms builds no I / d. A training set
+    whose residuals at I / d are all exactly 0 has an exactly zero
+    gradient: it is neither assembled nor solved, and its optimization
+    stops at I / d. A gradient that vanishes within the threshold is not
+    solved either.
 
     Each training set must be drawn from ``support``: its objective
     reads its rows from the support's batch (see :class:`Objective`).
@@ -254,17 +296,23 @@ def learn_each(
     trainings = iter(trainings)
     while part := list(islice(trainings, chunk)):
         objs = [Objective(t, support) for t in part]
-        atoms = [code_space_atom(obj) if y_free and obj.training.noise.kind == "exact"
-                 else None for obj in objs]
-        mixed = maximally_mixed(support.n).matrix
+        closed = [j for j, obj in enumerate(objs)
+                  if y_free and obj.training.noise.kind == "exact"]
+        atoms: list = [None] * len(objs)
+        for j, atom in zip(closed, code_space_atoms([objs[j] for j in closed])):
+            atoms[j] = atom
         grads = {}
-        for j, obj in enumerate(objs):
-            if atoms[j] is None and (r := obj.residuals(mixed)).any():
-                grads[j] = obj.gradient(mixed, residuals=r)
+        if any(atom is None for atom in atoms):
+            mixed = maximally_mixed(support.n).matrix
+            for j, obj in enumerate(objs):
+                if atoms[j] is None and (r := obj.residuals(mixed)).any():
+                    grads[j] = obj.gradient(mixed, residuals=r)
+            # a d x d matrix (16 MB at n = 10) that the optimizer need not hold
+            del mixed
         live = [j for j, g in grads.items() if not _vanishes(g)]
         solved = smallest_eigenvectors([grads[j] for j in live], tol=_EIG_TOL)
-        # d x d matrices (16 MB each at n = 10) that the optimizer need not hold
-        del mixed, grads
+        # d x d matrices that the optimizer need not hold either
+        del grads
         for j, (v, _) in zip(live, solved):
             atoms[j] = np.outer(v, v.conj())
         for obj in objs:

@@ -141,12 +141,28 @@ def build_distribution(n: int, label: str) -> MeasurementDistribution:
     return MeasurementDistribution(_support(group_closure(ghz_generators(n)), label), label)
 
 
+@lru_cache
+def stabilizer_group(generators: tuple[PauliString, ...]) -> StabilizerGroup:
+    """The :func:`~qpac.pauli.group_closure` of a generator tuple, closed
+    once per process: a custom target's state and each of its supports
+    read the same group. Raises :class:`StructureError` as the closure
+    does."""
+    return group_closure(generators)
+
+
 def distribution_from_generators(
     generators: Sequence[PauliString], label: str = FULL_STABILIZER
 ) -> MeasurementDistribution:
     """The "d1" or "d2" support of an arbitrary stabilizer target,
-    labelled "custom": its size follows the group, not GHZ_n."""
-    return MeasurementDistribution(_support(group_closure(generators), label), "custom")
+    labelled "custom": its size follows the group, not GHZ_n. Like
+    :func:`build_distribution`, each is built once per process per
+    generator tuple and label, so its batch is too."""
+    return _generator_distribution(tuple(generators), label)
+
+
+@lru_cache
+def _generator_distribution(generators: tuple[PauliString, ...], label: str) -> MeasurementDistribution:
+    return MeasurementDistribution(_support(stabilizer_group(generators), label), "custom")
 
 
 @dataclass(frozen=True)

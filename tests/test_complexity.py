@@ -29,7 +29,7 @@ from qpac import (
     support_residuals,
     theorem_bound,
 )
-from qpac import PauliString, complexity, distribution_from_generators, learner
+from qpac import PauliString, complexity, distribution_from_generators, learner, sampling
 from qpac.experiments import ExperimentConfig
 
 from conftest import random_density
@@ -213,7 +213,7 @@ class TestBatchFill:
     @staticmethod
     def _by_rule(rho, dist, m, seed, replacement):
         training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
-        atom = learner.code_space_atom(Objective(training))
+        atom = learner.code_space_atoms([Objective(training)])[0]
         assert atom is not None  # every GHZ d2 string has sign +1
         return support_residuals(atom, rho, dist)
 
@@ -308,7 +308,7 @@ class TestBatchFill:
             if gens[0] not in [e.pauli for e in training.effects()]:
                 continue
             fell_back += 1
-            assert learner.code_space_atom(Objective(training)) is None
+            assert learner.code_space_atoms([Objective(training)])[0] is None
             want = self._alone(rho, dist, 2, (5, 2, i), 10, NoiseModel.exact(), False)
             assert cache.residuals(2, i).tobytes() == want.tobytes()
         assert fell_back > 0
@@ -425,6 +425,7 @@ class TestSupportIndexedTrials:
 
         monkeypatch.setattr(learner.EffectBatch, "__init__", counted)
         # a support not built before in this process, so its batch is not either
+        sampling._generator_distribution.cache_clear()
         dist = distribution_from_generators(ghz_generators(3))
         rho = ghz_density(3)
         caches = [TrialCache(rho, dist, seed=(r,), k_max=5) for r in range(4)]

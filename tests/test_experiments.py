@@ -27,6 +27,8 @@ from qpac import (
     learner,
     maximally_mixed,
     sample_training_set,
+    sampling,
+    states,
 )
 from qpac.cli import main
 from qpac.experiments import (
@@ -215,7 +217,7 @@ class TestOneLearningPath:
                      "--out", str(out)]) == 0
         row = dict(zip(LEARN_COLUMNS, read_table(out).select(hypothesis="learned")[0]))
         training = self._training((3, 0))
-        eps, fid, _ = self._scores(learner.code_space_atom(Objective(training)))
+        eps, fid, _ = self._scores(learner.code_space_atoms([Objective(training)])[0])
         assert (row["epsilon_est"], row["fidelity_target"]) == (eps, fid) == (0.0, 1.0)
         # the eigen-step of this training set takes another vector of the
         # degenerate bottom eigenspace, which misses 1/8 of the support
@@ -228,7 +230,7 @@ class TestOneLearningPath:
         table = run_sweep_m(c)
         row = dict(zip(table.columns, table.rows[0]))
         want = np.array([
-            self._scores(learner.code_space_atom(Objective(self._training((3, self.M, r)))))
+            self._scores(learner.code_space_atoms([Objective(self._training((3, self.M, r)))])[0])
             for r in range(5)
         ])
         means = want.mean(axis=0)
@@ -378,6 +380,40 @@ class TestGeneratorQubitCount:
         assert "generators" in capsys.readouterr().err
         assert searches == []
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestGeneratorTarget:
+    """A generator list's closure, target state and support are built
+    once per process, as a GHZ support is; a list that pins no pure
+    state fails at config time."""
+
+    CLUSTER3 = ["XZI", "ZXZ", "IZX"]
+
+    def test_built_once_per_process(self, tmp_path, monkeypatch):
+        closures, batches = [], []
+        real_closure, real_batch = sampling.group_closure, states.EffectBatch.__init__
+        monkeypatch.setattr(sampling, "group_closure",
+                            lambda gens: closures.append(None) or real_closure(gens))
+        monkeypatch.setattr(states.EffectBatch, "__init__",
+                            lambda batch, effects: batches.append(None) or real_batch(batch, effects))
+        # a target not built before in this process
+        for cache in (sampling.stabilizer_group, sampling._generator_distribution,
+                      experiments._generator_state):
+            cache.cache_clear()
+        tables = [
+            run_sweep_m(cfg(command="sweep-m", n=3, dist="d2", generators=self.CLUSTER3,
+                            m_list=[2], repeats=3, out=str(tmp_path / f"s{r}.csv")))
+            for r in range(2)
+        ]
+        assert tables[0].rows == tables[1].rows
+        assert (len(closures), len(batches)) == (1, 1)
+
+    @pytest.mark.parametrize("gens", [["XX", "XX"], ["XX", "ZI"], ["XX"]],
+                             ids=["dependent", "non-commuting", "too-few"])
+    @pytest.mark.parametrize("command", ["learn", "sweep-m"])
+    def test_no_pure_state_is_a_config_error(self, command, gens):
+        with pytest.raises(ConfigError):
+            cfg(command=command, n=2, m=2, dist="d2", generators=gens)
 
 
 class TestLoopBudgets:

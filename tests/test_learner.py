@@ -277,7 +277,7 @@ class TestHazanOptimize:
         for seed in range(6):
             t = sample_training_set(dist, ghz_density(4), 5, seed=seed, replacement=replacement)
             obj = Objective(t)
-            atom = learner.code_space_atom(obj)
+            [atom] = learner.code_space_atoms([obj])
             hyp = hazan_optimize(obj, k_max=300, first_atom=atom)
             assert hyp.iterations_used == 1
             assert hyp.final_objective == 0.0
@@ -373,9 +373,55 @@ class TestFirstStep:
             atom = self._first_atom(obj) if handed else None
             hazan_optimize(obj, k_max=5, on_iterate=watch, first_atom=atom)
         assert [k for k, *_ in seen[True]] == [1, 2, 3, 4, 5]
+        assert seen[True][0][3] == maximally_mixed(3).matrix.tobytes()
         # step 1 reports the objective and gradient at I / d, as without
         # a handed-in vertex
         assert seen[True] == seen[False]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_step_one_bytes(self, n, seed):
+        # real and imaginary parts from both signed zeros and a few
+        # values, set part by part so that every -0.0 stays
+        rng = np.random.default_rng(seed)
+        parts = np.array([0.0, -0.0, 0.5, -0.25, 1.0 / 3.0, -2.0 / 7.0])
+        atom = np.empty((1 << n, 1 << n), dtype=np.complex128)
+        atom.real = rng.choice(parts, atom.shape)
+        atom.imag = rng.choice(parts, atom.shape)
+        obj = Objective(TrainingSet(((MeasurementEffect(P("Z" * n)), 0.25),)))
+        hyp = hazan_optimize(obj, k_max=1, first_atom=atom)
+        want = (1.0 - 1.0) * maximally_mixed(n).matrix + 1.0 * atom
+        assert hyp.sigma.matrix.tobytes() == want.tobytes()
+        assert hyp.iterations_used == 1
+
+    def test_stop_objective_stops_after_step_one(self):
+        t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
+                                noise=NoiseModel.with_shots(10), seed=11)
+        obj = Objective(t)
+        atom = self._first_atom(obj)
+        assert hazan_optimize(obj, k_max=10, first_atom=atom).iterations_used == 10
+        hyp = hazan_optimize(obj, k_max=10, first_atom=atom, stop_objective=float("inf"))
+        assert hyp.iterations_used == 1
+        assert hyp.final_objective == obj.value(atom)
+
+    def test_handed_step_one_builds_no_mixed_state(self, monkeypatch):
+        t = sample_training_set(build_distribution(3, "d1"), maximally_mixed(3), 10,
+                                noise=NoiseModel.with_shots(10), seed=11)
+        obj = Objective(t)
+        atom = self._first_atom(obj)
+        built = self._count(monkeypatch, learner, "maximally_mixed")
+        hazan_optimize(obj, k_max=3, first_atom=atom)
+        assert built == []
+        # step 1 reads I / d for on_iterate, or to find its own vertex
+        hazan_optimize(obj, k_max=3, first_atom=atom, on_iterate=lambda *a: None)
+        hazan_optimize(obj, k_max=3)
+        assert len(built) == 2
+        # a chunk of closed-form trials builds none either
+        dist = build_distribution(4, "d2")
+        trainings = [sample_training_set(dist, ghz_density(4), 3, seed=s) for s in range(5)]
+        built.clear()
+        assert [h.iterations_used for h in learner.learn_each(trainings, dist, 10)] == [1] * 5
+        assert built == []
 
     def test_zero_gradient_stops_before_any_step(self, monkeypatch):
         # exact values of I / d are 1/2, which make a zero gradient
@@ -413,7 +459,7 @@ class TestLearnEach:
         assert len(hyps) == len(trainings)
         for t, hyp in zip(trainings, hyps):
             if label == "d2" and noise.kind == "exact":
-                atom = learner.code_space_atom(Objective(t))
+                atom = learner.code_space_atoms([Objective(t)])[0]
                 assert hyp.iterations_used == 1
                 assert hyp.sigma.matrix.tobytes() == atom.tobytes()
             else:
@@ -458,6 +504,22 @@ def _generator_target(gens) -> np.ndarray:
     return sum(kron_dense(p) for p in group) / len(group)
 
 
+def _loop_atom(obj):
+    # the reference: the closed form of one set, one factor per distinct
+    # string in the order of first draw, applied in a Python loop
+    if not np.all(obj.values == 1.0):
+        return None
+    first = {}
+    for k, key in enumerate(obj.training.indices or obj.training.effects()):
+        first.setdefault(key, k)
+    w = np.ones(obj.dim, dtype=np.complex128)
+    for k in first.values():
+        perm = obj.batch._gather_idx[k] & (obj.dim - 1)
+        w = (w + (obj.batch._coeff[k] * w)[perm]) / 2.0
+    norm2 = float(np.vdot(w, w).real)
+    return None if norm2 == 0.0 else np.outer(w, w.conj()) * (1.0 / norm2)
+
+
 class TestCodeSpaceAtom:
     """The closed-form first step of exact data: the projector onto the
     component of the uniform vector in the bottom eigenspace of the
@@ -473,7 +535,7 @@ class TestCodeSpaceAtom:
         seed = data.draw(st.integers(0, 2**32 - 1))
         rho = DensityMatrix(_generator_target(gens))
         training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
-        atom = learner.code_space_atom(Objective(training))
+        atom = learner.code_space_atoms([Objective(training)])[0]
 
         dim = rho.dim
         g = Objective(training).gradient(np.eye(dim, dtype=np.complex128) / dim)
@@ -491,18 +553,62 @@ class TestCodeSpaceAtom:
         residuals = support_residuals(atom, rho, dist)
         assert set(residuals.tolist()) <= {0.0, 0.5, 1.0}
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_chunk_gives_each_set_its_lone_bytes(self, data):
+        gens = data.draw(st.sampled_from(RULE_TARGETS))
+        dist = distribution_from_generators(gens, "d2")
+        rho = DensityMatrix(_generator_target(gens))
+        objs = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            replacement = data.draw(st.booleans())
+            m = data.draw(st.integers(1, 2 * len(dist) if replacement else len(dist)))
+            t = sample_training_set(dist, rho, m, seed=data.draw(st.integers(0, 2**32 - 1)),
+                                    replacement=replacement)
+            # repeat some draws, as draws with replacement do
+            r = data.draw(st.integers(0, len(t)))
+            t = TrainingSet(t.items + t.items[:r], t.noise, t.seed, t.indices + t.indices[:r])
+            kind = data.draw(st.sampled_from(["indexed", "hand-built", "strings", "off"]))
+            if kind == "hand-built":
+                t = TrainingSet(t.items)
+            elif kind == "strings":
+                # any strings, Y and non-commuting ones too, each value 1
+                texts = st.text("IXYZ", min_size=dist.n, max_size=dist.n)
+                strings = data.draw(st.lists(st.tuples(texts, st.sampled_from([1, -1])),
+                                             min_size=1, max_size=6))
+                effects = [MeasurementEffect(PauliString(text, sign)) for text, sign in strings]
+                t = TrainingSet(tuple((e, 1.0) for e in effects + effects[:r]))
+            elif kind == "off":
+                # one value that is not exactly 1
+                items = list(t.items)
+                k = data.draw(st.integers(0, len(items) - 1))
+                items[k] = (items[k][0], 1.0 - 2**-52)
+                t = TrainingSet(tuple(items), t.noise, t.seed, t.indices)
+            objs.append(Objective(t) if t.indices is None else Objective(t, dist))
+        got = learner.code_space_atoms(objs)
+        assert len(got) == len(objs)
+        for obj, atom in zip(objs, got):
+            [lone] = learner.code_space_atoms([obj])
+            assert (atom is None) == (lone is None)
+            if atom is not None:
+                assert atom.tobytes() == lone.tobytes()
+            want = _loop_atom(obj)
+            assert (atom is None) == (want is None)
+            if atom is not None:
+                assert atom.tobytes() == want.tobytes()
+
     def test_uniform_vector_orthogonal_to_code_space(self):
         training = TrainingSet(((MeasurementEffect(P("-XXX")), 1.0),
                                 (MeasurementEffect(P("ZZI")), 1.0)))
-        assert learner.code_space_atom(Objective(training)) is None
+        assert learner.code_space_atoms([Objective(training)])[0] is None
 
     def test_needs_every_value_exactly_one(self):
         effects = [MeasurementEffect(P(t)) for t in ("XX", "ZZ")]
         exact = TrainingSet(tuple((e, 1.0) for e in effects))
-        assert learner.code_space_atom(Objective(exact)) is not None
+        assert learner.code_space_atoms([Objective(exact)])[0] is not None
         for values in ((1.0, 0.5), (1.0, 1.0 - 2**-52)):
             off = TrainingSet(tuple(zip(effects, values)))
-            assert learner.code_space_atom(Objective(off)) is None
+            assert learner.code_space_atoms([Objective(off)])[0] is None
 
 
 class TestShotObjective:
