@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import error_share, learn_each, support_residuals
-from .sampling import MeasurementDistribution, NoiseModel, sample_training_set
+from .learner import Objective, error_share, learn_each, support_residuals
+from .sampling import MeasurementDistribution, NoiseModel, draw_training_sets
 from .states import DensityMatrix
 
 
@@ -117,16 +117,21 @@ class TrialCache:
     def fill(self, m: int, count: int) -> None:
         """Learn the trials 0..count-1 at size m that are not cached yet,
         through :func:`~qpac.learner.learn_each`, and store the
-        :func:`~qpac.learner.support_residuals` of each hypothesis."""
+        :func:`~qpac.learner.support_residuals` of each hypothesis.
+
+        The trials' training sets are drawn as arrays
+        (:func:`~qpac.sampling.draw_training_sets`), each the set that
+        :func:`~qpac.sampling.sample_training_set` draws with its
+        :meth:`trial_seed`, and each objective is built from its row
+        (:meth:`~qpac.learner.Objective.drawn`)."""
         trials = [i for i in range(count) if (m, i) not in self._residuals]
-        trainings = (
-            sample_training_set(
-                self.dist, self.state, m, noise=self.noise, seed=self.trial_seed(m, i),
-                replacement=self.replacement,
-            )
-            for i in trials
+        indices, values = draw_training_sets(
+            self.dist, self.state, m, [self.trial_seed(m, i) for i in trials],
+            self.noise, self.replacement,
         )
-        hyps = learn_each(trainings, self.dist, self.k_max)
+        objs = (Objective.drawn(self.dist, idx, vals, self.noise)
+                for idx, vals in zip(indices, values))
+        hyps = learn_each(objs, self.dist, self.k_max)
         for i, hyp in zip(trials, hyps):
             found = support_residuals(hyp.sigma, self.state, self.dist)
             found.setflags(write=False)

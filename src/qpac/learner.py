@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .linalg import smallest_eigenvector, smallest_eigenvectors
-from .sampling import MeasurementDistribution, TrainingSet
+from .sampling import MeasurementDistribution, NoiseModel, TrainingSet
 from .states import DensityMatrix, EffectBatch, maximally_mixed
 
 _ZERO_GRADIENT_TOL = 1e-12
@@ -52,7 +52,12 @@ class Objective:
     from the support's batch (:meth:`EffectBatch.rows`); any other set
     builds its own batch. Both give the same bytes. Raises
     ``ValueError`` when an indexed item is not the support's effect at
-    its index.
+    its index. :meth:`drawn` builds the objective of a set from its
+    indices and values alone.
+
+    ``indices`` (the set's support positions, or ``None``) and
+    ``noise`` are the set's, as :func:`code_space_atoms` and
+    :func:`learn_each` read them.
     """
 
     def __init__(self, training: TrainingSet, support: MeasurementDistribution | None = None):
@@ -64,9 +69,26 @@ class Objective:
                 if not 0 <= i < len(effects) or (e is not effects[i] and e != effects[i]):
                     raise ValueError(f"training item {e} is not effect {i} of the support")
             self.batch = support.batch.rows(training.indices)
-        self.training = training
         self.values = training.values()
+        self.noise = training.noise
+        self.indices = training.indices
         self.dim = self.batch.dim
+
+    @classmethod
+    def drawn(cls, support: MeasurementDistribution, indices: np.ndarray, values: np.ndarray,
+              noise: NoiseModel) -> "Objective":
+        """The objective of a training set drawn from ``support``, from
+        its support indices and observed values (one row of
+        :func:`~qpac.sampling.draw_training_sets`), with no per-item
+        check: drawn indices name the support's effects by construction.
+        The same bytes as the objective of its :class:`TrainingSet`."""
+        obj = object.__new__(cls)
+        obj.batch = support.batch.rows(indices)
+        obj.values = values
+        obj.noise = noise
+        obj.indices = indices.tolist()
+        obj.dim = obj.batch.dim
+        return obj
 
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
         return self.batch.expectations(sigma) - self.values
@@ -146,8 +168,8 @@ def code_space_atoms(objs: Sequence[Objective]) -> list[np.ndarray | None]:
     coeff = np.zeros((width, len(live), dim), dtype=np.complex128)
     fresh = np.zeros((width, len(live), 1), dtype=bool)
     for t, j in enumerate(live):
-        batch, training = objs[j].batch, objs[j].training
-        keys = training.effects() if training.indices is None else training.indices
+        batch, indices = objs[j].batch, objs[j].indices
+        keys = batch.effects if indices is None else indices
         first: dict = {}
         for k, key in enumerate(keys):
             first.setdefault(key, k)
@@ -265,12 +287,13 @@ def hazan_optimize(
 
 
 def learn_each(
-    trainings: Iterable[TrainingSet],
+    trainings: Iterable[TrainingSet | Objective],
     support: MeasurementDistribution,
     k_max: int,
 ) -> Iterator[Hypothesis]:
     """One :func:`hazan_optimize` hypothesis per training set, in order:
-    the learning path of every protocol.
+    the learning path of every protocol. A set comes as a
+    :class:`TrainingSet` or as its objective (:meth:`Objective.drawn`).
 
     The first-step rule: on a Y-free support (every ``d2`` support), a
     training set of exact data takes the closed form of
@@ -288,16 +311,18 @@ def learn_each(
     solved either.
 
     Each training set must be drawn from ``support``: its objective
-    reads its rows from the support's batch (see :class:`Objective`).
+    reads its rows from the support's batch (see :class:`Objective`),
+    and the first-step rule reads the set's support indices and noise
+    kind from that objective.
     """
     y_free = not any(e.pauli.x & e.pauli.z for e in support.effects)
     dim = 1 << support.n
     chunk = max(1, _STACK_ENTRIES // (dim * dim))
     trainings = iter(trainings)
     while part := list(islice(trainings, chunk)):
-        objs = [Objective(t, support) for t in part]
+        objs = [t if isinstance(t, Objective) else Objective(t, support) for t in part]
         closed = [j for j, obj in enumerate(objs)
-                  if y_free and obj.training.noise.kind == "exact"]
+                  if y_free and obj.noise.kind == "exact"]
         atoms: list = [None] * len(objs)
         for j, atom in zip(closed, code_space_atoms([objs[j] for j in closed])):
             atoms[j] = atom

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -88,21 +88,14 @@ class EffectBatch:
     def __len__(self) -> int:
         return len(self.effects)
 
-    def rows(self, indices: Sequence[int]) -> "EffectBatch":
-        """The batch of the effects at ``indices``, in that order and
-        duplicates kept: rows of this batch's tables, the same bytes that
-        ``EffectBatch`` of those effects builds."""
-        if not indices:
+    def rows(self, indices: Sequence[int] | np.ndarray) -> "EffectBatch":
+        """The batch of the effects at ``indices`` (a sequence or an
+        integer array), in that order and duplicates kept: rows of this
+        batch's tables, the same bytes that ``EffectBatch`` of those
+        effects builds (see :class:`_BatchRows`)."""
+        if len(indices) == 0:
             raise ValueError("empty effect batch")
-        idx = np.asarray(indices)
-        part = object.__new__(EffectBatch)
-        part.effects = tuple(self.effects[i] for i in indices)
-        part.dim = self.dim
-        part._gather_idx = self._gather_idx[idx]
-        part._scatter_idx = self._scatter_idx[idx]
-        part._coeff = self._coeff[idx]
-        part._diag_idx = self._diag_idx
-        return part
+        return _BatchRows(self, np.asarray(indices))
 
     def expected(self, state: DensityMatrix) -> np.ndarray:
         """Read-only Tr(E_i rho) of a target state, computed once for as
@@ -156,6 +149,29 @@ class EffectBatch:
         np.add.at(g, self._scatter_idx.ravel(), vals.ravel())
         g[self._diag_idx] += np.sum(weights) / 2.0
         return g.reshape(self.dim, self.dim)
+
+
+class _BatchRows(EffectBatch):
+    """Rows of a whole batch, from :meth:`EffectBatch.rows`. The tables
+    every reader needs are sliced at once; the effects and the scatter
+    rows, which only some readers need (:meth:`weighted_sum` alone reads
+    the scatter rows, and a closed-form trial never calls it), on first
+    read."""
+
+    def __init__(self, whole: EffectBatch, idx: np.ndarray):
+        self._whole, self._idx = whole, idx
+        self.dim = whole.dim
+        self._gather_idx = whole._gather_idx[idx]
+        self._coeff = whole._coeff[idx]
+        self._diag_idx = whole._diag_idx
+
+    @cached_property
+    def effects(self) -> tuple[MeasurementEffect, ...]:
+        return tuple(self._whole.effects[i] for i in self._idx.tolist())
+
+    @cached_property
+    def _scatter_idx(self) -> np.ndarray:
+        return self._whole._scatter_idx[self._idx]
 
 
 @dataclass(frozen=True, eq=False)

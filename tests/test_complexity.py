@@ -29,7 +29,7 @@ from qpac import (
     support_residuals,
     theorem_bound,
 )
-from qpac import PauliString, complexity, distribution_from_generators, learner, sampling
+from qpac import PauliString, distribution_from_generators, learner, sampling
 from qpac.experiments import ExperimentConfig
 
 from conftest import random_density
@@ -365,8 +365,8 @@ class TestBatchFill:
 
 class TestSupportIndexedTrials:
     """A ``TrialCache`` samples through its support's tables; every
-    training set it learns is the one ``sample_training_set`` draws
-    alone with the trial's seed."""
+    trial it fills learns the training set that ``sample_training_set``
+    draws alone with the trial's seed."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -395,25 +395,14 @@ class TestSupportIndexedTrials:
         count = data.draw(st.integers(1, 4))
         cache = TrialCache(rho, dist, seed=(data.draw(st.integers(0, 99)),), k_max=3,
                            noise=noise, replacement=replacement)
-        learned = []
-        real = complexity.learn_each
-
-        def spy(trainings, *args):
-            trainings = list(trainings)
-            learned.extend(trainings)
-            return real(trainings, *args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(complexity, "learn_each", spy)
-            cache.fill(m, count)
-        assert len(learned) == count
-        for i, got in enumerate(learned):
+        cache.fill(m, count)
+        for i in range(count):
             want = sample_training_set(dist, rho, m, noise=noise, seed=cache.trial_seed(m, i),
                                        replacement=replacement)
-            assert got.effects() == want.effects()
-            assert got.values().tobytes() == want.values().tobytes()
-            assert got.indices == want.indices
-            assert got.effects() == tuple(dist.effects[j] for j in got.indices)
+            assert want.effects() == tuple(dist.effects[j] for j in want.indices)
+            [hyp] = learner.learn_each([want], dist, 3)
+            alone = support_residuals(hyp.sigma, rho, dist)
+            assert cache.residuals(m, i).tobytes() == alone.tobytes()
 
     def test_one_support_batch_per_support(self, monkeypatch):
         builds = []

@@ -168,6 +168,17 @@ class TestEffectBatchRows:
         with pytest.raises(ValueError):
             learner.EffectBatch(build_distribution(2, "d1").effects).rows(())
 
+    def test_integer_array_selection(self):
+        # an index row of a drawn fill is an integer array, whose truth
+        # value is ambiguous
+        batch = learner.EffectBatch(build_distribution(3, "d1").effects)
+        part, want = batch.rows(np.array([4, 0, 4])), batch.rows((4, 0, 4))
+        assert part.effects == want.effects
+        for name in ("_gather_idx", "_scatter_idx", "_coeff"):
+            assert getattr(part, name).tobytes() == getattr(want, name).tobytes()
+        with pytest.raises(ValueError):
+            batch.rows(np.array([], dtype=np.int64))
+
 
 class TestHazanOptimize:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -510,7 +521,7 @@ def _loop_atom(obj):
     if not np.all(obj.values == 1.0):
         return None
     first = {}
-    for k, key in enumerate(obj.training.indices or obj.training.effects()):
+    for k, key in enumerate(obj.batch.effects if obj.indices is None else obj.indices):
         first.setdefault(key, k)
     w = np.ones(obj.dim, dtype=np.complex128)
     for k in first.values():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpac import (
     DensityMatrix,
@@ -21,7 +23,9 @@ from qpac import (
     sample_training_set,
 )
 from qpac.experiments import ExperimentConfig
-from qpac.sampling import _draw_indices
+from qpac.sampling import _draw_indices, _pcg64_states, draw_training_sets
+
+from conftest import random_density
 
 
 def P(text):
@@ -196,6 +200,103 @@ class TestSampleTrainingSet:
         t = sample_training_set(build_distribution(2, "d1"), dust, 6, seed=1)
         zz = [v for e, v in t.items if e.pauli.x == 0]
         assert zz and all(v == 1.0 for v in zz)
+
+
+# seed components of one to four uint32 words: below 2^32, below 2^64,
+# and up to 2^64 itself, with 0 (one word) and the word boundaries
+_COMPONENTS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**64),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96 + 5]),
+)
+
+
+def _default_rng_state(seed) -> tuple[int, int]:
+    state = np.random.default_rng(seed).bit_generator.state
+    assert state["has_uint32"] == 0 and state["uinteger"] == 0
+    return state["state"]["state"], state["state"]["inc"]
+
+
+def _reference_draw(dist, rho, m, noise, seed, replacement):
+    # a training set as default_rng draws it: its support indices first,
+    # then one noise draw per item
+    rng = np.random.default_rng(seed)
+    idx = _draw_indices(rng, len(dist), m, replacement).tolist()
+    table = dist.batch.expected(rho)
+    return idx, [noise.observe(float(table[i]), rng) for i in idx]
+
+
+class TestVectorizedSeeding:
+    """``_pcg64_states`` gives each seed the PCG64 state that
+    ``np.random.default_rng`` gives it: a numpy release that changes
+    SeedSequence or PCG64 seeding fails here."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_states_match_default_rng(self, data):
+        # a (T, k) batch of equal-length seeds, or seeds of mixed lengths
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(1, 6))
+            seeds = data.draw(st.lists(st.tuples(*[_COMPONENTS] * k), min_size=1, max_size=8))
+        else:
+            seeds = data.draw(st.lists(st.lists(_COMPONENTS, min_size=1, max_size=6).map(tuple),
+                                       min_size=1, max_size=8))
+        assert _pcg64_states(seeds) == [_default_rng_state(s) for s in seeds]
+
+    @pytest.mark.parametrize("seeds", [
+        [5], [0, 2**64, 2**32], [[7, 8], (1, 2, 3), range(4)], [np.array([3, 2**40])],
+    ])
+    def test_integer_and_sequence_seeds(self, seeds):
+        assert _pcg64_states(seeds) == [_default_rng_state(s) for s in seeds]
+
+    @pytest.mark.parametrize("seeds", [
+        [(1, -2)], [-1], [(1, 2), (3, -4)], [(1, 2), (3,), (-5,)], [(2**70, -1)],
+    ])
+    def test_negative_component_raises(self, seeds):
+        with pytest.raises(ValueError):
+            np.random.default_rng(seeds[-1])
+        with pytest.raises(ValueError):
+            _pcg64_states(seeds)
+
+    @pytest.mark.parametrize("seeds", [[None], [1.5], [(1, 2.0)], [("3",)], [(1, (2, 3))]])
+    def test_non_integer_component_raises(self, seeds):
+        with pytest.raises(TypeError):
+            _pcg64_states(seeds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_draws_match_default_rng(self, data):
+        # a random state's exact values differ from effect to effect, so
+        # the shots case draws binomials of changing p from one Generator
+        rho = data.draw(st.sampled_from(["ghz", "random"]))
+        dist = build_distribution(3, data.draw(st.sampled_from(["d1", "d2"])))
+        if rho == "ghz":
+            rho = ghz_density(3)
+        else:
+            rho = DensityMatrix(random_density(np.random.default_rng(data.draw(st.integers(0, 99))), 8))
+        noise = data.draw(st.one_of(
+            st.just(NoiseModel.exact()),
+            st.integers(1, 200).map(NoiseModel.with_shots),
+            st.floats(0.0, 0.5).map(NoiseModel.gaussian),
+        ))
+        replacement = data.draw(st.booleans())
+        m = data.draw(st.integers(1, len(dist) + 3 if replacement else len(dist)))
+        seeds = data.draw(st.lists(st.tuples(_COMPONENTS, st.integers(1, 12), st.integers(0, 49)),
+                                   min_size=1, max_size=6))
+        indices, values = draw_training_sets(dist, rho, m, seeds, noise, replacement)
+        assert indices.shape == values.shape == (len(seeds), m)
+        for seed, idx, vals in zip(seeds, indices, values):
+            want_idx, want_vals = _reference_draw(dist, rho, m, noise, seed, replacement)
+            assert idx.tolist() == want_idx
+            assert vals.tobytes() == np.array(want_vals).tobytes()
+            alone = sample_training_set(dist, rho, m, noise=noise, seed=seed,
+                                        replacement=replacement)
+            assert list(alone.indices) == want_idx
+            assert alone.values().tobytes() == vals.tobytes()
+
+    def test_no_seeds_draw_nothing(self):
+        indices, values = draw_training_sets(build_distribution(2, "d1"), ghz_density(2), 3, [])
+        assert indices.shape == values.shape == (0, 3)
 
 
 class TestTrainingSet:
