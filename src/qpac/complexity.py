@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import Objective, error_share, learn_each, support_residuals
+from .learner import error_share, learn_each, support_residuals
 from .sampling import MeasurementDistribution, NoiseModel, draw_training_sets
 from .states import DensityMatrix
 
@@ -122,16 +122,13 @@ class TrialCache:
         The trials' training sets are drawn as arrays
         (:func:`~qpac.sampling.draw_training_sets`), each the set that
         :func:`~qpac.sampling.sample_training_set` draws with its
-        :meth:`trial_seed`, and each objective is built from its row
-        (:meth:`~qpac.learner.Objective.drawn`)."""
+        :meth:`trial_seed`."""
         trials = [i for i in range(count) if (m, i) not in self._residuals]
         indices, values = draw_training_sets(
             self.dist, self.state, m, [self.trial_seed(m, i) for i in trials],
             self.noise, self.replacement,
         )
-        objs = (Objective.drawn(self.dist, idx, vals, self.noise)
-                for idx, vals in zip(indices, values))
-        hyps = learn_each(objs, self.dist, self.k_max)
+        hyps = learn_each(self.dist, indices, values, self.noise, self.k_max)
         for i, hyp in zip(trials, hyps):
             found = support_residuals(hyp.sigma, self.state, self.dist)
             found.setflags(write=False)

@@ -37,7 +37,7 @@ from .sampling import (
     NoiseModel,
     build_distribution,
     distribution_from_generators,
-    sample_training_set,
+    draw_training_sets,
     stabilizer_group,
 )
 from .states import (
@@ -214,6 +214,11 @@ class ExperimentConfig:
         if self.command == "learn":
             if self.m is None or self.m < 1:
                 raise ConfigError(f"learn needs m >= 1, got {self.m}")
+            if self.replacement == "without":
+                support = len(self.distribution(self.n))
+                if self.m > support:
+                    raise ConfigError(f"learn size {self.m} exceeds the support size "
+                                      f"{support} of a draw without replacement")
         if self.command == "sweep-m":
             support = len(self.distribution(self.n))
             if self.m_list is None:
@@ -345,14 +350,13 @@ def run_learn(config: ExperimentConfig) -> ResultTable:
     n = config.n
     state = config.target_state(n)
     dist = config.distribution(n)
-    training = sample_training_set(
-        dist, state, config.m,
-        noise=config.noise_model(), seed=(config.seed, 0),
-        replacement=config.with_replacement(),
+    noise = config.noise_model()
+    indices, values = draw_training_sets(
+        dist, state, config.m, [(config.seed, 0)], noise, config.with_replacement(),
     )
     if config.training_out:
-        _write_training(training, config)
-    [hyp] = learn_each([training], dist, config.k_max)
+        _write_training(dist, indices[0], values[0], noise, config)
+    [hyp] = learn_each(dist, indices, values, noise, config.k_max)
     mixed = maximally_mixed(n)
 
     table = ResultTable(config=config.echo(), columns=LEARN_COLUMNS)
@@ -365,7 +369,7 @@ def run_learn(config: ExperimentConfig) -> ResultTable:
     )
     table.append(
         "mixed_baseline", n, config.m, config.k_max, 0,
-        Objective(training, dist).value(mixed.matrix),
+        Objective.drawn(dist, indices[0], values[0]).value(mixed.matrix),
         evaluate_epsilon(mixed, state, dist, config.gamma),
         fidelity(mixed, state),
         1.0,
@@ -373,11 +377,14 @@ def run_learn(config: ExperimentConfig) -> ResultTable:
     return _finalize(table, config)
 
 
-def _write_training(training, config: ExperimentConfig) -> None:
+def _write_training(dist: MeasurementDistribution, indices: np.ndarray, values: np.ndarray,
+                    noise: NoiseModel, config: ExperimentConfig) -> None:
+    """One row per drawn item: its support effect's Pauli string, its
+    observed value and the noise model."""
     table = ResultTable(config=config.echo(), columns=("pauli", "value", "provenance"))
-    prov = training.noise.describe().replace(",", ";")
-    for eff, val in training.items:
-        table.append(str(eff.pauli), val, prov)
+    prov = noise.describe().replace(",", ";")
+    for i, val in zip(indices.tolist(), values.tolist()):
+        table.append(str(dist.effects[i].pauli), val, prov)
     table.write(config.training_out)
 
 
@@ -407,14 +414,15 @@ def run_sweep_m(config: ExperimentConfig) -> ResultTable:
 
     table = ResultTable(config=config.echo(), columns=SWEEP_M_COLUMNS)
     for m in config.m_list:
-        trainings = (
-            sample_training_set(dist, state, m, noise=noise, seed=(config.seed, m, r),
-                                replacement=config.with_replacement())
-            for r in range(config.repeats)
-        )
-        # m = 0 draws no training set
-        sigmas = ([mixed] * config.repeats if m == 0 else
-                  (hyp.sigma for hyp in learn_each(trainings, dist, config.k_max)))
+        if m == 0:
+            # m = 0 draws no training set
+            sigmas = [mixed] * config.repeats
+        else:
+            indices, values = draw_training_sets(
+                dist, state, m, [(config.seed, m, r) for r in range(config.repeats)],
+                noise, config.with_replacement(),
+            )
+            sigmas = (hyp.sigma for hyp in learn_each(dist, indices, values, noise, config.k_max))
         chunk = np.array([
             (evaluate_epsilon(s, state, dist, config.gamma), fidelity(s, state), fidelity(s, mixed))
             for s in sigmas

@@ -6,12 +6,13 @@ projector on the smallest eigenvector of the gradient with step 1/k,
 so every iterate is a convex combination of projectors: unit trace and
 PSD by construction.
 
-Every protocol learns through :func:`learn_each`, which owns the rule
-for the first step: exact data on a Y-free support takes the closed
-form :func:`code_space_atoms`, one stacked pass per chunk of training
-sets, and every other first step, and every later step, is the
-eigen-step. Step 1 replaces I / d by its vertex, so a vertex handed in
-by :func:`learn_each` needs no I / d. Residuals that are all exactly 0
+Every protocol learns through :func:`learn_each`, from the index and
+value rows of its drawn training sets; it owns the rule for the first
+step: exact data on a Y-free support takes the closed form
+:func:`code_space_atoms`, one stacked pass per chunk of training sets,
+and every other first step, and every later step, is the eigen-step.
+Step 1 replaces I / d by its vertex, so a vertex handed in by
+:func:`learn_each` needs no I / d. Residuals that are all exactly 0
 make the gradient exactly 0, so no step builds a gradient for them.
 """
 
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,46 +47,27 @@ class Hypothesis:
 class Objective:
     """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set.
 
-    Given ``support``, the distribution a training set was drawn from,
-    a set that records its draws' support ``indices`` takes its rows
-    from the support's batch (:meth:`EffectBatch.rows`); any other set
-    builds its own batch. Both give the same bytes. Raises
-    ``ValueError`` when an indexed item is not the support's effect at
-    its index. :meth:`drawn` builds the objective of a set from its
-    indices and values alone.
-
-    ``indices`` (the set's support positions, or ``None``) and
-    ``noise`` are the set's, as :func:`code_space_atoms` and
-    :func:`learn_each` read them.
+    ``Objective(training)`` builds a batch of the set's own effects;
+    :meth:`drawn` reads the rows of a set drawn from a support out of
+    the support's batch (:meth:`EffectBatch.rows`). Both give the same
+    bytes for the same set.
     """
 
-    def __init__(self, training: TrainingSet, support: MeasurementDistribution | None = None):
-        if support is None or training.indices is None:
-            self.batch = EffectBatch(training.effects())
-        else:
-            effects = support.effects
-            for (e, _), i in zip(training.items, training.indices):
-                if not 0 <= i < len(effects) or (e is not effects[i] and e != effects[i]):
-                    raise ValueError(f"training item {e} is not effect {i} of the support")
-            self.batch = support.batch.rows(training.indices)
+    def __init__(self, training: TrainingSet):
+        self.batch = EffectBatch(training.effects())
         self.values = training.values()
-        self.noise = training.noise
-        self.indices = training.indices
         self.dim = self.batch.dim
 
     @classmethod
-    def drawn(cls, support: MeasurementDistribution, indices: np.ndarray, values: np.ndarray,
-              noise: NoiseModel) -> "Objective":
+    def drawn(cls, support: MeasurementDistribution, indices: np.ndarray,
+              values: np.ndarray) -> "Objective":
         """The objective of a training set drawn from ``support``, from
         its support indices and observed values (one row of
-        :func:`~qpac.sampling.draw_training_sets`), with no per-item
-        check: drawn indices name the support's effects by construction.
-        The same bytes as the objective of its :class:`TrainingSet`."""
+        :func:`~qpac.sampling.draw_training_sets`): drawn indices name
+        the support's effects by construction, so no item is checked."""
         obj = object.__new__(cls)
         obj.batch = support.batch.rows(indices)
         obj.values = values
-        obj.noise = noise
-        obj.indices = indices.tolist()
         obj.dim = obj.batch.dim
         return obj
 
@@ -113,17 +94,18 @@ def _vanishes(g: np.ndarray) -> bool:
     return float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL
 
 
-def code_space_atoms(objs: Sequence[Objective]) -> list[np.ndarray | None]:
+def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
+                     values: np.ndarray) -> list[np.ndarray | None]:
     """The first Frank-Wolfe vertex of each exact-data training set in
     closed form, or ``None`` where the rule does not apply: one stacked
-    pass over a chunk of objectives on one qubit count (a lone objective
-    is a list of one).
+    pass over a chunk of training sets of one width.
 
-    Reads each set's observed values and each item's signed permutation
-    from its objective, whose batch holds one row per item: the
-    support's rows for a set with support ``indices``, which also tell
-    the distinct strings apart, and a batch of its own otherwise, where
-    equal effects are the same string.
+    ``indices`` and ``values`` are (T, m) arrays, one training set per
+    row (as :func:`~qpac.sampling.draw_training_sets` gives them): item
+    k of set t is row ``indices[t, k]`` of ``batch``, observed with
+    value ``values[t, k]``. The effects of ``batch`` must be distinct,
+    as a support's are (:class:`~qpac.sampling.MeasurementDistribution`
+    rejects duplicates), so equal indices are the same string.
 
     The rule: when every observed value is exactly 1, the gradient at
     I / d is -sum_i E_i, and its bottom eigenspace is the joint +1
@@ -148,43 +130,38 @@ def code_space_atoms(objs: Sequence[Objective]) -> list[np.ndarray | None]:
 
     The sets whose values are all 1 share one (T, d) stack of w, and
     factor k of every set is applied as one array step. Where item k
-    repeats an earlier string of its set (a draw with replacement), or
-    lies past the end of a shorter set, ``np.where`` keeps that set's w
-    as it was, so each set gets the bytes that its lone call gives.
+    repeats an earlier string of its set (a draw with replacement),
+    ``np.where`` keeps that set's w as it was, so each set gets the
+    bytes that its lone call gives.
 
     :func:`learn_each` takes this step only on Y-free supports (every
     ``d2`` support). The pinned ``d1`` tables hold trials whose power
     iteration did not converge to this vector, so ``d1`` keeps the
     eigen-step until those tables are re-pinned.
     """
-    atoms: list[np.ndarray | None] = [None] * len(objs)
-    live = [j for j, obj in enumerate(objs) if (obj.values == 1.0).all()]
-    if not live:
+    atoms: list[np.ndarray | None] = [None] * len(indices)
+    live = np.flatnonzero((values == 1.0).all(axis=1))
+    if not live.size:
         return atoms
-    dim = objs[live[0]].dim
-    width = max(len(objs[j].values) for j in live)
-    # item k of stacked set t at [k, t]; padding rows stay 0 and masked
-    gather = np.zeros((width, len(live), dim), dtype=np.int64)
-    coeff = np.zeros((width, len(live), dim), dtype=np.complex128)
-    fresh = np.zeros((width, len(live), 1), dtype=bool)
-    for t, j in enumerate(live):
-        batch, indices = objs[j].batch, objs[j].indices
-        keys = batch.effects if indices is None else indices
-        first: dict = {}
-        for k, key in enumerate(keys):
-            first.setdefault(key, k)
-        fresh[list(first.values()), t] = True
-        gather[:len(keys), t] = batch._gather_idx
-        coeff[:len(keys), t] = batch._coeff
-    # a gather row holds i * dim + perm_i, and perm_i < dim; the offset
-    # t * dim reads set t's row of the flattened stack
-    perm = (gather & (dim - 1)) + (np.arange(len(live)) * dim)[:, None]
+    rows = indices[live]
+    dim = batch.dim
+    # item k of stacked set t at [k, t]. A gather row holds i * dim +
+    # perm_i, and perm_i < dim; the offset t * dim reads set t's row of
+    # the flattened stack
+    perm = (batch._gather_idx[rows.T] & (dim - 1)) + (np.arange(len(live)) * dim)[:, None]
+    coeff = batch._coeff[rows.T]
+    # item k is fresh where its index first appears in its set; the
+    # offset t * len(batch) keeps the sets apart in one np.unique
+    keys = rows + (np.arange(len(live)) * len(batch))[:, None]
+    fresh = np.zeros(rows.shape, dtype=bool)
+    fresh.flat[np.unique(keys, return_index=True)[1]] = True
+    fresh = fresh.T[:, :, None]
     w = np.ones((len(live), dim), dtype=np.complex128)
-    for k in range(width):
+    for k in range(rows.shape[1]):
         # P|i> = c_i |perm_i> and perm is an involution, so
         # (P w)[i] = c_perm_i w[perm_i]
         step = (w + (coeff[k] * w).ravel()[perm[k]]) / 2.0
-        # a repeated string, or no item, keeps w as it is
+        # a repeated string keeps w as it is
         w = np.where(fresh[k], step, w)
     norm2 = (w * w.conj()).real.sum(axis=1)
     solved = norm2 != 0.0
@@ -193,7 +170,7 @@ def code_space_atoms(objs: Sequence[Objective]) -> list[np.ndarray | None]:
     # complex factors, as a Python float scalar would be cast: a float64
     # operand makes numpy cast it per entry through a buffer
     outer *= (1.0 / norm2[solved]).astype(np.complex128)[:, None, None]
-    for j, atom in zip(np.asarray(live)[solved], outer):
+    for j, atom in zip(live[solved].tolist(), outer):
         atoms[j] = atom
     return atoms
 
@@ -287,13 +264,17 @@ def hazan_optimize(
 
 
 def learn_each(
-    trainings: Iterable[TrainingSet | Objective],
     support: MeasurementDistribution,
+    indices: np.ndarray,
+    values: np.ndarray,
+    noise: NoiseModel,
     k_max: int,
 ) -> Iterator[Hypothesis]:
     """One :func:`hazan_optimize` hypothesis per training set, in order:
-    the learning path of every protocol. A set comes as a
-    :class:`TrainingSet` or as its objective (:meth:`Objective.drawn`).
+    the learning path of every protocol. The training sets are the rows
+    of the (T, m) ``indices`` and ``values`` arrays that
+    :func:`~qpac.sampling.draw_training_sets` draws from ``support``
+    under ``noise``; each row's objective is :meth:`Objective.drawn`.
 
     The first-step rule: on a Y-free support (every ``d2`` support), a
     training set of exact data takes the closed form of
@@ -309,23 +290,15 @@ def learn_each(
     gradient: it is neither assembled nor solved, and its optimization
     stops at I / d. A gradient that vanishes within the threshold is not
     solved either.
-
-    Each training set must be drawn from ``support``: its objective
-    reads its rows from the support's batch (see :class:`Objective`),
-    and the first-step rule reads the set's support indices and noise
-    kind from that objective.
     """
-    y_free = not any(e.pauli.x & e.pauli.z for e in support.effects)
+    closed = noise.kind == "exact" and not any(e.pauli.x & e.pauli.z for e in support.effects)
     dim = 1 << support.n
     chunk = max(1, _STACK_ENTRIES // (dim * dim))
-    trainings = iter(trainings)
-    while part := list(islice(trainings, chunk)):
-        objs = [t if isinstance(t, Objective) else Objective(t, support) for t in part]
-        closed = [j for j, obj in enumerate(objs)
-                  if y_free and obj.noise.kind == "exact"]
-        atoms: list = [None] * len(objs)
-        for j, atom in zip(closed, code_space_atoms([objs[j] for j in closed])):
-            atoms[j] = atom
+    for lo in range(0, len(indices), chunk):
+        rows, vals = indices[lo:lo + chunk], values[lo:lo + chunk]
+        objs = [Objective.drawn(support, idx, v) for idx, v in zip(rows, vals)]
+        atoms = (code_space_atoms(support.batch, rows, vals) if closed
+                 else [None] * len(objs))
         grads = {}
         if any(atom is None for atom in atoms):
             mixed = maximally_mixed(support.n).matrix

@@ -239,13 +239,25 @@ def _smallest(hs, tol: float, max_sweeps: int | None):
 
 
 def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | None = None):
-    """Unit eigenvector of the smallest eigenvalue of a Hermitian matrix.
+    """A unit eigenvector of a Hermitian matrix, sought at its smallest
+    eigenvalue: the eigen-step's vertex.
 
-    Returns ``(v, lam)`` with ``||h v - lam v|| <= tol * ||h||`` and lam
-    the minimum eigenvalue. Deterministic for fixed input; in degenerate
+    Returns ``(v, lam)``, certified by two tests that every return
+    keeps:
+
+    - the residual: ``||h v - lam v|| <= tol * ||h||_2``;
+    - the min-diagonal test: ``lam <= min_k h_kk + tol * max(max_ij
+      |h_ij|, |lam|)``, a necessary condition for the bottom eigenvalue.
+
+    lam is not guaranteed to be the smallest eigenvalue: an eigenpair
+    higher in the spectrum that passes both tests is returned as found.
+    The power iteration reaches one where its start vector has no
+    component in the bottom eigenspace. Only the ``eigh`` fallback, taken
+    when neither start gives a certified pair, returns the bottom pair by
+    construction. Deterministic for fixed input; in degenerate
     eigenspaces returns the vector the fixed-start iteration converges
     to. Raises :class:`ConvergenceError` only when dim > 256 and the
-    sweep budget is exhausted without a certifiable bottom eigenpair.
+    sweep budget is exhausted without a certified pair.
     """
     return _smallest([h], tol, max_sweeps)[0]
 

@@ -170,18 +170,11 @@ def _generator_distribution(generators: tuple[PauliString, ...], label: str) -> 
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Sampled (effect, observed value) pairs plus provenance.
-
-    ``indices`` holds each item's position in the support it was drawn
-    from, as :func:`sample_training_set` records it; a hand-built set
-    has none. An objective given that support reads the rows of a set
-    with indices from the support's batch (see :class:`qpac.learner.Objective`).
-    """
+    """Sampled (effect, observed value) pairs plus provenance."""
 
     items: tuple[tuple[MeasurementEffect, float], ...]
     noise: NoiseModel = field(default_factory=NoiseModel.exact)
     seed: object = None
-    indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if len(self.items) < 1:
@@ -189,8 +182,6 @@ class TrainingSet:
         for _, v in self.items:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"observed value {v} outside [0, 1]")
-        if self.indices is not None and len(self.indices) != len(self.items):
-            raise ValueError(f"{len(self.indices)} support indices for {len(self.items)} items")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -442,14 +433,12 @@ def sample_training_set(
 
     The one-set form of :func:`draw_training_sets`: each draw's exact
     value is read from the support's Tr(E rho) table, computed once per
-    target state, and the set records each draw's support position as
-    its ``indices``.
+    target state.
     """
     noise = noise or NoiseModel.exact()
     indices, values = draw_training_sets(dist, state, m, [seed], noise, replacement)
-    idx = indices[0].tolist()
-    items = tuple((dist.effects[i], v) for i, v in zip(idx, values[0].tolist()))
-    return TrainingSet(items, noise, seed, tuple(idx))
+    items = tuple((dist.effects[i], v) for i, v in zip(indices[0].tolist(), values[0].tolist()))
+    return TrainingSet(items, noise, seed)
 
 
 def per_shot_outcomes(

@@ -1,5 +1,6 @@
 """Shared test helpers: an independent dense-matrix oracle for the
-symbolic Pauli algebra, and random density-matrix generators."""
+symbolic Pauli algebra, random density-matrix generators, and the index
+rows of a training set."""
 
 import functools
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qpac import PauliString
+from qpac.states import EffectBatch
 
 # independent oracle: literal single-qubit matrices composed with kron,
 # never the package's permutation fast path
@@ -80,3 +82,12 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def index_rows(training):
+    """A training set as ``learner.code_space_atoms`` reads it: a batch
+    of its distinct effects, in order of first draw, and (1, m) index
+    and value rows into that batch."""
+    distinct = list(dict.fromkeys(training.effects()))
+    indices = np.array([[distinct.index(e) for e in training.effects()]])
+    return EffectBatch(distinct), indices, training.values()[None]

@@ -31,8 +31,9 @@ from qpac import (
 )
 from qpac import PauliString, distribution_from_generators, learner, sampling
 from qpac.experiments import ExperimentConfig
+from qpac.sampling import draw_training_sets
 
-from conftest import random_density
+from conftest import index_rows, random_density
 
 
 class TestLearnParams:
@@ -213,7 +214,7 @@ class TestBatchFill:
     @staticmethod
     def _by_rule(rho, dist, m, seed, replacement):
         training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
-        atom = learner.code_space_atoms([Objective(training)])[0]
+        atom = learner.code_space_atoms(*index_rows(training))[0]
         assert atom is not None  # every GHZ d2 string has sign +1
         return support_residuals(atom, rho, dist)
 
@@ -308,7 +309,7 @@ class TestBatchFill:
             if gens[0] not in [e.pauli for e in training.effects()]:
                 continue
             fell_back += 1
-            assert learner.code_space_atoms([Objective(training)])[0] is None
+            assert learner.code_space_atoms(*index_rows(training))[0] is None
             want = self._alone(rho, dist, 2, (5, 2, i), 10, NoiseModel.exact(), False)
             assert cache.residuals(2, i).tobytes() == want.tobytes()
         assert fell_back > 0
@@ -397,10 +398,13 @@ class TestSupportIndexedTrials:
                            noise=noise, replacement=replacement)
         cache.fill(m, count)
         for i in range(count):
+            indices, values = draw_training_sets(dist, rho, m, [cache.trial_seed(m, i)], noise,
+                                                 replacement)
             want = sample_training_set(dist, rho, m, noise=noise, seed=cache.trial_seed(m, i),
                                        replacement=replacement)
-            assert want.effects() == tuple(dist.effects[j] for j in want.indices)
-            [hyp] = learner.learn_each([want], dist, 3)
+            assert want.effects() == tuple(dist.effects[j] for j in indices[0].tolist())
+            assert want.values().tobytes() == values[0].tobytes()
+            [hyp] = learner.learn_each(dist, indices, values, noise, 3)
             alone = support_residuals(hyp.sigma, rho, dist)
             assert cache.residuals(m, i).tobytes() == alone.tobytes()
 
@@ -420,8 +424,9 @@ class TestSupportIndexedTrials:
         caches = [TrialCache(rho, dist, seed=(r,), k_max=5) for r in range(4)]
         for cache in caches:
             cache.fill(3, 4)
-        list(learner.learn_each(
-            [sample_training_set(dist, rho, 3, seed=s) for s in range(3)], dist, 5))
+        sample_training_set(dist, rho, 3, seed=0)
+        list(learner.learn_each(dist, *draw_training_sets(dist, rho, 3, [0, 1, 2]),
+                                NoiseModel.exact(), 5))
         support_residuals(maximally_mixed(3), rho, dist)
         # every trial objective is a row slice of the one support batch
         assert builds == [len(dist)]

@@ -44,6 +44,8 @@ from qpac.experiments import (
 )
 from qpac.table import read_table
 
+from conftest import index_rows
+
 
 def cfg(**kw):
     kw.setdefault("seed", 5)
@@ -217,7 +219,7 @@ class TestOneLearningPath:
                      "--out", str(out)]) == 0
         row = dict(zip(LEARN_COLUMNS, read_table(out).select(hypothesis="learned")[0]))
         training = self._training((3, 0))
-        eps, fid, _ = self._scores(learner.code_space_atoms([Objective(training)])[0])
+        eps, fid, _ = self._scores(learner.code_space_atoms(*index_rows(training))[0])
         assert (row["epsilon_est"], row["fidelity_target"]) == (eps, fid) == (0.0, 1.0)
         # the eigen-step of this training set takes another vector of the
         # degenerate bottom eigenspace, which misses 1/8 of the support
@@ -230,7 +232,7 @@ class TestOneLearningPath:
         table = run_sweep_m(c)
         row = dict(zip(table.columns, table.rows[0]))
         want = np.array([
-            self._scores(learner.code_space_atoms([Objective(self._training((3, self.M, r)))])[0])
+            self._scores(learner.code_space_atoms(*index_rows(self._training((3, self.M, r))))[0])
             for r in range(5)
         ])
         means = want.mean(axis=0)
@@ -486,6 +488,22 @@ class TestSupportLimit:
         assert "support size 3" in capsys.readouterr().err
         assert optimizations == []
         assert not (tmp_path / "t.csv").exists()
+
+    def test_learn_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        draws = []
+        monkeypatch.setattr(sampling, "_draw_indices", lambda *a: draws.append(a))
+        with pytest.raises(ConfigError, match="support size 2 "):
+            cfg(command="learn", n=2, dist="d2", m=5, replacement="without",
+                out=str(tmp_path / "l.csv"))
+        code = main(["learn", "--n", "2", "--dist", "d2", "--m", "5", "--replacement", "without",
+                     "--out", str(tmp_path / "l.csv")])
+        assert code == 2
+        assert "support size 2 " in capsys.readouterr().err
+        assert draws == []
+        assert not (tmp_path / "l.csv").exists()
+        # the whole support, and any size drawn with replacement, still learn
+        cfg(command="learn", n=2, dist="d2", m=2, replacement="without")
+        cfg(command="learn", n=2, dist="d2", m=5, replacement="with")
 
     def test_search_stops_at_support_size(self, tmp_path, capsys):
         code = main(["scaling", "--n-min", "2", "--n-max", "3", "--repeats", "1",

@@ -1,7 +1,9 @@
 """Byte-identity of protocol tables against pinned golden CSVs.
 
 Each config below is run and its table compared byte for byte with the
-file of the same name in ``tests/golden/``. ``threads=1`` is explicit
+file of the same name in ``tests/golden/``; each config in
+``TRAINING_DUMPS`` also writes its ``--training-out`` dump, compared
+with ``<name>_training.csv``. ``threads=1`` is explicit
 because the header echoes the resolved thread count. A change that is
 meant to keep every table identical must pass this unchanged; one that
 is meant to change results re-pins the files with
@@ -34,9 +36,13 @@ CONFIGS = {
                             sweep_values=[0.1, 0.3, 0.5], i_max=6, repeats=2, seed=17),
 }
 
+# every GHZ stabilizer has Tr(E rho) = 1, so its shot averages all read
+# 1.0; clamped Gaussian noise gives values below 1 as well
+TRAINING_DUMPS = ("learn_n4_gauss", "learn_n4_shots")
 
-def _run(name: str, out: str) -> None:
-    run_command(ExperimentConfig(**CONFIGS[name], threads=1, out=out))
+
+def _run(name: str, out: str, training_out: str | None = None) -> None:
+    run_command(ExperimentConfig(**CONFIGS[name], threads=1, out=out, training_out=training_out))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -48,8 +54,19 @@ def test_table_matches_golden(name, tmp_path):
     assert out.read_bytes() == golden
 
 
+@pytest.mark.parametrize("name", TRAINING_DUMPS)
+def test_training_dump_matches_golden(name, tmp_path):
+    dump = tmp_path / f"{name}_training.csv"
+    _run(name, str(tmp_path / f"{name}.csv"), training_out=str(dump))
+    with open(os.path.join(GOLDEN_DIR, f"{name}_training.csv"), "rb") as fh:
+        golden = fh.read()
+    assert dump.read_bytes() == golden
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in sys.argv[1:] or sorted(CONFIGS):
-        _run(name, os.path.join(GOLDEN_DIR, f"{name}.csv"))
-        print(f"wrote {name}.csv")
+        dump = (os.path.join(GOLDEN_DIR, f"{name}_training.csv")
+                if name in TRAINING_DUMPS else None)
+        _run(name, os.path.join(GOLDEN_DIR, f"{name}.csv"), training_out=dump)
+        print(f"wrote {name}.csv" + (f" and {name}_training.csv" if dump else ""))

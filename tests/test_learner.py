@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qpac import (
     DensityMatrix,
-    MeasurementDistribution,
     MeasurementEffect,
     NoiseModel,
     Objective,
@@ -30,8 +29,9 @@ from qpac import (
     fidelity,
 )
 from qpac import learner
+from qpac.sampling import draw_training_sets
 
-from conftest import kron_dense, random_density
+from conftest import index_rows, kron_dense, random_density
 
 
 def P(text):
@@ -136,33 +136,18 @@ class TestEffectBatchRows:
             assert got.tobytes() == want.tobytes()
 
     def test_objective_from_support_rows(self):
-        dist = build_distribution(3, "d1")
-        t = sample_training_set(dist, ghz_density(3), 9, noise=NoiseModel.gaussian(0.1), seed=2)
-        sliced, fresh = Objective(t, dist), Objective(t)
-        sigma = maximally_mixed(3).matrix
-        assert sliced.gradient(sigma).tobytes() == fresh.gradient(sigma).tobytes()
-        # a hand-built set has no indices and builds its own batch
-        hand = TrainingSet(t.items)
-        assert Objective(hand, dist).batch.effects == t.effects()
-
-    def test_an_equal_support_serves(self):
-        # effects are compared by identity first, then by equality
-        t = sample_training_set(build_distribution(3, "d1"), ghz_density(3), 9, seed=2)
-        effects = tuple(MeasurementEffect(e.pauli) for e in build_distribution(3, "d1").effects)
-        twin = MeasurementDistribution(effects, "d1")
-        assert Objective(t, twin).batch.effects == t.effects()
-
-    @pytest.mark.parametrize("other", [
-        lambda: build_distribution(3, "d2"),
-        lambda: build_distribution(4, "d1"),
-        lambda: distribution_from_generators([P("XZI"), P("ZXZ"), P("IZX")]),
-    ])
-    def test_a_foreign_support_is_rejected(self, other):
-        t = sample_training_set(build_distribution(3, "d1"), ghz_density(3), 6, seed=5)
-        with pytest.raises(ValueError, match="not effect"):
-            Objective(t, other())
-        with pytest.raises(ValueError, match="not effect"):
-            list(learner.learn_each([t], other(), 5))
+        # the objective of a drawn index row is the objective of the
+        # training set sampled with the same seed, which builds its own batch
+        dist, rho, noise = build_distribution(3, "d1"), ghz_density(3), NoiseModel.gaussian(0.1)
+        [idx], [vals] = draw_training_sets(dist, rho, 9, [2], noise)
+        drawn = Objective.drawn(dist, idx, vals)
+        fresh = Objective(sample_training_set(dist, rho, 9, noise=noise, seed=2))
+        assert drawn.batch.effects == fresh.batch.effects
+        assert drawn.values.tobytes() == fresh.values.tobytes()
+        sigma = DensityMatrix(random_density(np.random.default_rng(2), 8)).matrix
+        for at in (maximally_mixed(3).matrix, sigma):
+            assert drawn.residuals(at).tobytes() == fresh.residuals(at).tobytes()
+            assert drawn.gradient(at).tobytes() == fresh.gradient(at).tobytes()
 
     def test_empty_selection(self):
         with pytest.raises(ValueError):
@@ -286,9 +271,10 @@ class TestHazanOptimize:
         dist = build_distribution(4, "d2")
         builds = self._count_builds(monkeypatch)
         for seed in range(6):
-            t = sample_training_set(dist, ghz_density(4), 5, seed=seed, replacement=replacement)
-            obj = Objective(t)
-            [atom] = learner.code_space_atoms([obj])
+            indices, values = draw_training_sets(dist, ghz_density(4), 5, [seed],
+                                                 replacement=replacement)
+            obj = Objective.drawn(dist, indices[0], values[0])
+            [atom] = learner.code_space_atoms(dist.batch, indices, values)
             hyp = hazan_optimize(obj, k_max=300, first_atom=atom)
             assert hyp.iterations_used == 1
             assert hyp.final_objective == 0.0
@@ -429,24 +415,25 @@ class TestFirstStep:
         assert len(built) == 2
         # a chunk of closed-form trials builds none either
         dist = build_distribution(4, "d2")
-        trainings = [sample_training_set(dist, ghz_density(4), 3, seed=s) for s in range(5)]
+        indices, values = draw_training_sets(dist, ghz_density(4), 3, list(range(5)))
         built.clear()
-        assert [h.iterations_used for h in learner.learn_each(trainings, dist, 10)] == [1] * 5
+        hyps = learner.learn_each(dist, indices, values, NoiseModel.exact(), 10)
+        assert [h.iterations_used for h in hyps] == [1] * 5
         assert built == []
 
     def test_zero_gradient_stops_before_any_step(self, monkeypatch):
         # exact values of I / d are 1/2, which make a zero gradient
         dist = build_distribution(3, "d1")
-        trainings = [sample_training_set(dist, maximally_mixed(3), 6, seed=s)
-                     for s in range(3)]
-        assert all(self._first_atom(Objective(t)) is None for t in trainings)
+        indices, values = draw_training_sets(dist, maximally_mixed(3), 6, [0, 1, 2])
+        assert all(self._first_atom(Objective.drawn(dist, idx, vals)) is None
+                   for idx, vals in zip(indices, values))
         eigen_steps = self._count(monkeypatch, learner, "smallest_eigenvector")
         stacks = []
         real = learner.smallest_eigenvectors
         monkeypatch.setattr(learner, "smallest_eigenvectors",
                             lambda hs, tol: stacks.append(len(hs)) or real(hs, tol=tol))
         gradients = self._count(monkeypatch, Objective, "gradient")
-        hyps = list(learner.learn_each(trainings, dist, 10))
+        hyps = list(learner.learn_each(dist, indices, values, NoiseModel.exact(), 10))
         assert [h.iterations_used for h in hyps] == [0, 0, 0]
         assert eigen_steps == [] and sum(stacks) == 0
         # their residuals at I / d are exactly 0: no gradient is built
@@ -464,26 +451,29 @@ class TestLearnEach:
     @pytest.mark.parametrize("noise", [NoiseModel.exact(), NoiseModel.gaussian(0.05)])
     def test_rule(self, label, noise):
         rho, dist = ghz_density(3), build_distribution(3, label)
-        trainings = [sample_training_set(dist, rho, m, noise=noise, seed=(9, m))
-                     for m in (1, 2, 3, 5, 8)]
-        hyps = list(learner.learn_each(trainings, dist, 10))
-        assert len(hyps) == len(trainings)
-        for t, hyp in zip(trainings, hyps):
-            if label == "d2" and noise.kind == "exact":
-                atom = learner.code_space_atoms([Objective(t)])[0]
-                assert hyp.iterations_used == 1
-                assert hyp.sigma.matrix.tobytes() == atom.tobytes()
-            else:
-                want = hazan_optimize(Objective(t), k_max=10)
-                assert hyp.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
-                assert hyp.iterations_used == want.iterations_used
+        for m in (1, 2, 3, 5, 8):
+            seeds = [(9, m), (9, m, 1)]
+            indices, values = draw_training_sets(dist, rho, m, seeds, noise)
+            hyps = list(learner.learn_each(dist, indices, values, noise, 10))
+            assert len(hyps) == len(seeds)
+            for seed, hyp in zip(seeds, hyps):
+                t = sample_training_set(dist, rho, m, noise=noise, seed=seed)
+                if label == "d2" and noise.kind == "exact":
+                    atom = learner.code_space_atoms(*index_rows(t))[0]
+                    assert hyp.iterations_used == 1
+                    assert hyp.sigma.matrix.tobytes() == atom.tobytes()
+                else:
+                    want = hazan_optimize(Objective(t), k_max=10)
+                    assert hyp.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+                    assert hyp.iterations_used == want.iterations_used
 
     def test_y_free_training_set_on_d1_takes_the_eigen_step(self):
         # the rule reads the support, not the drawn strings
-        rho, dist = ghz_density(3), build_distribution(3, "d1")
-        t = TrainingSet(tuple((MeasurementEffect(P(s)), 1.0) for s in ("XXX", "ZZI")))
-        [hyp] = learner.learn_each([t], dist, 5)
-        want = hazan_optimize(Objective(t), k_max=5)
+        dist = build_distribution(3, "d1")
+        effects = [MeasurementEffect(P(s)) for s in ("XXX", "ZZI")]
+        indices = np.array([[dist.effects.index(e) for e in effects]])
+        [hyp] = learner.learn_each(dist, indices, np.ones((1, 2)), NoiseModel.exact(), 5)
+        want = hazan_optimize(Objective(TrainingSet(tuple((e, 1.0) for e in effects))), k_max=5)
         assert hyp.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
 
 
@@ -515,18 +505,15 @@ def _generator_target(gens) -> np.ndarray:
     return sum(kron_dense(p) for p in group) / len(group)
 
 
-def _loop_atom(obj):
+def _loop_atom(batch, idx, vals):
     # the reference: the closed form of one set, one factor per distinct
-    # string in the order of first draw, applied in a Python loop
-    if not np.all(obj.values == 1.0):
+    # batch row in the order of first draw, applied in a Python loop
+    if not np.all(vals == 1.0):
         return None
-    first = {}
-    for k, key in enumerate(obj.batch.effects if obj.indices is None else obj.indices):
-        first.setdefault(key, k)
-    w = np.ones(obj.dim, dtype=np.complex128)
-    for k in first.values():
-        perm = obj.batch._gather_idx[k] & (obj.dim - 1)
-        w = (w + (obj.batch._coeff[k] * w)[perm]) / 2.0
+    w = np.ones(batch.dim, dtype=np.complex128)
+    for i in dict.fromkeys(idx.tolist()):
+        perm = batch._gather_idx[i] & (batch.dim - 1)
+        w = (w + (batch._coeff[i] * w)[perm]) / 2.0
     norm2 = float(np.vdot(w, w).real)
     return None if norm2 == 0.0 else np.outer(w, w.conj()) * (1.0 / norm2)
 
@@ -546,7 +533,8 @@ class TestCodeSpaceAtom:
         seed = data.draw(st.integers(0, 2**32 - 1))
         rho = DensityMatrix(_generator_target(gens))
         training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
-        atom = learner.code_space_atoms([Objective(training)])[0]
+        atom = learner.code_space_atoms(
+            dist.batch, *draw_training_sets(dist, rho, m, [seed], replacement=replacement))[0]
 
         dim = rho.dim
         g = Objective(training).gradient(np.eye(dim, dtype=np.complex128) / dim)
@@ -570,40 +558,41 @@ class TestCodeSpaceAtom:
         gens = data.draw(st.sampled_from(RULE_TARGETS))
         dist = distribution_from_generators(gens, "d2")
         rho = DensityMatrix(_generator_target(gens))
-        objs = []
-        for _ in range(data.draw(st.integers(1, 8))):
-            replacement = data.draw(st.booleans())
-            m = data.draw(st.integers(1, 2 * len(dist) if replacement else len(dist)))
-            t = sample_training_set(dist, rho, m, seed=data.draw(st.integers(0, 2**32 - 1)),
-                                    replacement=replacement)
-            # repeat some draws, as draws with replacement do
-            r = data.draw(st.integers(0, len(t)))
-            t = TrainingSet(t.items + t.items[:r], t.noise, t.seed, t.indices + t.indices[:r])
-            kind = data.draw(st.sampled_from(["indexed", "hand-built", "strings", "off"]))
-            if kind == "hand-built":
-                t = TrainingSet(t.items)
-            elif kind == "strings":
-                # any strings, Y and non-commuting ones too, each value 1
-                texts = st.text("IXYZ", min_size=dist.n, max_size=dist.n)
-                strings = data.draw(st.lists(st.tuples(texts, st.sampled_from([1, -1])),
-                                             min_size=1, max_size=6))
-                effects = [MeasurementEffect(PauliString(text, sign)) for text, sign in strings]
-                t = TrainingSet(tuple((e, 1.0) for e in effects + effects[:r]))
-            elif kind == "off":
-                # one value that is not exactly 1
-                items = list(t.items)
-                k = data.draw(st.integers(0, len(items) - 1))
-                items[k] = (items[k][0], 1.0 - 2**-52)
-                t = TrainingSet(tuple(items), t.noise, t.seed, t.indices)
-            objs.append(Objective(t) if t.indices is None else Objective(t, dist))
-        got = learner.code_space_atoms(objs)
-        assert len(got) == len(objs)
-        for obj, atom in zip(objs, got):
-            [lone] = learner.code_space_atoms([obj])
+        # a chunk holds sets of one width, m draws and r repeats of them
+        m = data.draw(st.integers(1, len(dist)))
+        width = m + data.draw(st.integers(0, m))
+        if data.draw(st.booleans()):
+            # sets drawn from the support, each with or without replacement
+            batch, rows = dist.batch, []
+            for _ in range(data.draw(st.integers(1, 8))):
+                [idx], _ = draw_training_sets(dist, rho, m, [data.draw(st.integers(0, 2**32 - 1))],
+                                              replacement=data.draw(st.booleans()))
+                # repeat some draws, as draws with replacement do
+                rows.append(np.resize(idx, width))
+            indices = np.array(rows)
+        else:
+            # any distinct strings, Y and non-commuting ones too
+            texts = st.text("IXYZ", min_size=dist.n, max_size=dist.n)
+            strings = data.draw(st.lists(st.tuples(texts, st.sampled_from([1, -1])),
+                                         min_size=1, max_size=6, unique=True))
+            batch = learner.EffectBatch([MeasurementEffect(PauliString(t, sign))
+                                         for t, sign in strings])
+            row = st.lists(st.integers(0, len(strings) - 1), min_size=width, max_size=width)
+            indices = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
+        # exact values on the target's stabilizers are all 1; some sets
+        # get one value that is not exactly 1
+        values = np.ones(indices.shape)
+        for t in range(len(values)):
+            if data.draw(st.booleans()):
+                values[t, data.draw(st.integers(0, width - 1))] = 1.0 - 2**-52
+        got = learner.code_space_atoms(batch, indices, values)
+        assert len(got) == len(indices)
+        for idx, vals, atom in zip(indices, values, got):
+            [lone] = learner.code_space_atoms(batch, idx[None], vals[None])
             assert (atom is None) == (lone is None)
             if atom is not None:
                 assert atom.tobytes() == lone.tobytes()
-            want = _loop_atom(obj)
+            want = _loop_atom(batch, idx, vals)
             assert (atom is None) == (want is None)
             if atom is not None:
                 assert atom.tobytes() == want.tobytes()
@@ -611,15 +600,15 @@ class TestCodeSpaceAtom:
     def test_uniform_vector_orthogonal_to_code_space(self):
         training = TrainingSet(((MeasurementEffect(P("-XXX")), 1.0),
                                 (MeasurementEffect(P("ZZI")), 1.0)))
-        assert learner.code_space_atoms([Objective(training)])[0] is None
+        assert learner.code_space_atoms(*index_rows(training))[0] is None
 
     def test_needs_every_value_exactly_one(self):
         effects = [MeasurementEffect(P(t)) for t in ("XX", "ZZ")]
         exact = TrainingSet(tuple((e, 1.0) for e in effects))
-        assert learner.code_space_atoms([Objective(exact)])[0] is not None
+        assert learner.code_space_atoms(*index_rows(exact))[0] is not None
         for values in ((1.0, 0.5), (1.0, 1.0 - 2**-52)):
             off = TrainingSet(tuple(zip(effects, values)))
-            assert learner.code_space_atoms([Objective(off)])[0] is None
+            assert learner.code_space_atoms(*index_rows(off))[0] is None
 
 
 class TestShotObjective:

@@ -12,10 +12,13 @@ from qpac import (
     ConvergenceError,
     MeasurementEffect,
     NonHermitianError,
+    Objective,
     PauliString,
+    TrainingSet,
     build_distribution,
     eigendecompose,
     ghz_density,
+    maximally_mixed,
     smallest_eigenvector,
     smallest_eigenvectors,
     sqrt_psd,
@@ -160,6 +163,30 @@ class TestSmallestEigenvector:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             smallest_eigenvector(np.eye(2), tol=0.0)
+
+    @staticmethod
+    def _hidden_bottom_gradient():
+        # the gradient at I / 8 of the hand-built set -ZIZ, +YYX, +YXY, all
+        # values 1: its bottom eigenvalue is -3, and the uniform start
+        # vector has no component in that eigenspace
+        items = tuple((MeasurementEffect(PauliString.from_text(t)), 1.0)
+                      for t in ("-ZIZ", "+YYX", "+YXY"))
+        return Objective(TrainingSet(items)).gradient(maximally_mixed(3).matrix)
+
+    def test_certified_contract_without_bottom_eigenvalue(self):
+        h = self._hidden_bottom_gradient()
+        v, lam = smallest_eigenvector(h, tol=1e-9)
+        max_entry = float(np.max(np.abs(h)))
+        assert np.linalg.norm(h @ v - lam * v) <= 1e-9 * float(np.linalg.norm(h, 2))
+        assert lam <= float(np.min(np.diag(h).real)) + 1e-9 * max(max_entry, abs(lam))
+
+    # strict: once the eigen-step returns the bottom pair this passes,
+    # fails the marker, and the marker goes
+    @pytest.mark.xfail(strict=True, reason="the certificate admits an eigenpair above the bottom")
+    def test_hidden_bottom_eigenvalue_is_found(self):
+        h = self._hidden_bottom_gradient()
+        _, lam = smallest_eigenvector(h, tol=1e-9)
+        assert lam == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-8)
 
     def test_nonconvergence_raises_beyond_fallback_dim(self, rng):
         # a large-dim input with a sweep budget of one cannot converge

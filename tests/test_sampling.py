@@ -167,11 +167,13 @@ class TestSampleTrainingSet:
 
     @pytest.mark.parametrize("replacement", [True, False])
     def test_records_support_indices(self, replacement):
-        d = build_distribution(3, "d1")
-        t = sample_training_set(d, ghz_density(3), 6, seed=8, replacement=replacement)
-        assert len(t.indices) == t.m
-        assert all(isinstance(i, int) for i in t.indices)
-        assert t.effects() == tuple(d.effects[i] for i in t.indices)
+        # the set's items are the support effects at the index row that
+        # draw_training_sets draws with the same seed
+        d, rho = build_distribution(3, "d1"), ghz_density(3)
+        t = sample_training_set(d, rho, 6, seed=8, replacement=replacement)
+        [idx], [vals] = draw_training_sets(d, rho, 6, [8], replacement=replacement)
+        assert t.effects() == tuple(d.effects[i] for i in idx.tolist())
+        assert t.values().tobytes() == vals.tobytes()
 
     @pytest.mark.parametrize("noise", [
         NoiseModel.exact(), NoiseModel.with_shots(7), NoiseModel.gaussian(0.1),
@@ -291,7 +293,7 @@ class TestVectorizedSeeding:
             assert vals.tobytes() == np.array(want_vals).tobytes()
             alone = sample_training_set(dist, rho, m, noise=noise, seed=seed,
                                         replacement=replacement)
-            assert list(alone.indices) == want_idx
+            assert alone.effects() == tuple(dist.effects[i] for i in want_idx)
             assert alone.values().tobytes() == vals.tobytes()
 
     def test_no_seeds_draw_nothing(self):
@@ -306,12 +308,6 @@ class TestTrainingSet:
             TrainingSet(((e, 1.2),))
         with pytest.raises(ValueError):
             TrainingSet(())
-
-    def test_one_index_per_item(self):
-        e = MeasurementEffect(P("XX"))
-        assert TrainingSet(((e, 1.0),)).indices is None
-        with pytest.raises(ValueError):
-            TrainingSet(((e, 1.0), (e, 1.0)), indices=(0,))
 
 
 class TestPerShotOutcomes:
