@@ -5,6 +5,8 @@ from .complexity import (
     LearnParams,
     TrialCache,
     estimate_min_m,
+    estimate_min_ms,
+    fill_trials,
     linear_fit,
     theorem_bound,
 )

@@ -15,6 +15,12 @@ k_max. The search only fills the cache and reads it, so searches that
 share a cache (a sweep relaxing epsilon, gamma or delta) read the same
 trial outcomes and inherit exact monotonicity.
 
+Searches of caches that differ only in their root seed (a protocol's
+repeats) run as one group in lock-step (:func:`estimate_min_ms`): at
+each candidate m every search still running is filled by one
+:func:`fill_trials` call, so their trials share one stack of
+eigen-steps. A lone search is a group of one.
+
 Every trial is learned by :func:`~qpac.learner.learn_each`, the
 learning path that ``learn`` and ``sweep-m`` take too, so a training
 set gets the same hypothesis in every protocol.
@@ -80,9 +86,9 @@ class TrialCache:
     Trial i at training size m samples its training set with
     :meth:`trial_seed` ``(m, i)``, so trials at different m or i draw
     independent streams, and learns it with at most ``k_max``
-    Frank-Wolfe steps. :meth:`fill` is the only place trials are
-    learned; :meth:`residuals` and :meth:`epsilon_estimate` read trials
-    it filled and raise ``KeyError`` for any other.
+    Frank-Wolfe steps. :func:`fill_trials` is the only place trials
+    are learned; :meth:`residuals` and :meth:`epsilon_estimate` read
+    trials it filled and raise ``KeyError`` for any other.
 
     The cache holds no tables of its own: the support's batch
     (``dist.batch``) and its Tr(E rho) table serve every trial's
@@ -114,26 +120,6 @@ class TrialCache:
         base = self.seed if isinstance(self.seed, (list, tuple)) else (self.seed,)
         return (*base, m, i)
 
-    def fill(self, m: int, count: int) -> None:
-        """Learn the trials 0..count-1 at size m that are not cached yet,
-        through :func:`~qpac.learner.learn_each`, and store the
-        :func:`~qpac.learner.support_residuals` of each hypothesis.
-
-        The trials' training sets are drawn as arrays
-        (:func:`~qpac.sampling.draw_training_sets`), each the set that
-        :func:`~qpac.sampling.sample_training_set` draws with its
-        :meth:`trial_seed`."""
-        trials = [i for i in range(count) if (m, i) not in self._residuals]
-        indices, values = draw_training_sets(
-            self.dist, self.state, m, [self.trial_seed(m, i) for i in trials],
-            self.noise, self.replacement,
-        )
-        hyps = learn_each(self.dist, indices, values, self.noise, self.k_max)
-        for i, hyp in zip(trials, hyps):
-            found = support_residuals(hyp.sigma, self.state, self.dist)
-            found.setflags(write=False)
-            self._residuals[(m, i)] = found
-
     def residuals(self, m: int, i: int) -> np.ndarray:
         """Read-only support residuals of the hypothesis of filled trial
         i at size m."""
@@ -145,14 +131,56 @@ class TrialCache:
         return error_share(self.residuals(m, i), gamma)
 
 
-def estimate_min_m(
-    cache: TrialCache,
-    params: LearnParams,
-    *,
-    record: Callable[[int, int, float, bool], None] | None = None,
-) -> int:
+def _check_group(caches: Sequence[TrialCache]) -> None:
+    first = caches[0]
+    for cache in caches[1:]:
+        if (cache.state is not first.state or cache.dist is not first.dist
+                or cache.noise != first.noise or cache.replacement != first.replacement
+                or cache.k_max != first.k_max):
+            raise ValueError("a group of trial caches must share its state, support, "
+                             "noise, replacement mode and k_max")
+
+
+def fill_trials(caches: Sequence[TrialCache], m: int, count: int) -> None:
+    """Learn, for each cache of a group, the trials 0..count-1 at size
+    m that it has not cached yet, and store the
+    :func:`~qpac.learner.support_residuals` of each hypothesis.
+
+    A group shares one state and one support object, one noise model,
+    one replacement mode and one k_max; anything else raises
+    ``ValueError``. Its missing trials, cache by cache in order, are
+    drawn as one pair of arrays (:func:`~qpac.sampling.draw_training_sets`,
+    each row the set that :func:`~qpac.sampling.sample_training_set`
+    draws with its cache's :meth:`~TrialCache.trial_seed`) and learned
+    by one :func:`~qpac.learner.learn_each` call. Each trial's residuals
+    are the bytes that learning it alone gives, so grouping caches
+    changes no result, only how many trials share a stack.
+    """
+    caches = list(caches)
+    if not caches:
+        return
+    _check_group(caches)
+    first = caches[0]
+    trials = [(cache, i) for cache in caches for i in range(count)
+              if (m, i) not in cache._residuals]
+    indices, values = draw_training_sets(
+        first.dist, first.state, m, [cache.trial_seed(m, i) for cache, i in trials],
+        first.noise, first.replacement,
+    )
+    hyps = learn_each(first.dist, indices, values, first.noise, first.k_max)
+    for (cache, i), hyp in zip(trials, hyps):
+        found = support_residuals(hyp.sigma, first.state, first.dist)
+        found.setflags(write=False)
+        cache._residuals[(m, i)] = found
+
+
+Record = Callable[[int, int, float, bool], None]
+
+
+def estimate_min_m(cache: TrialCache, params: LearnParams, *,
+                   record: Record | None = None) -> int:
     """First training-set size m whose trial failure rate is strictly
-    below delta.
+    below delta: :func:`estimate_min_ms` on ``cache`` alone.
 
     Per candidate m = 1, 2, ..., fills trials 0..i_max-1 of ``cache``
     and fails a trial when the exact share of support effects it misses
@@ -161,29 +189,69 @@ def estimate_min_m(
     Raises :class:`SampleSizeCapError` with the failure-rate trajectory
     if no m up to m_cap qualifies; a cache that samples without
     replacement stops at its support size if that is smaller.
+
+    The protocols search their repeats as groups (one group per swept
+    value in ``sweep-errors``), so where several searches reach the
+    cap the error reported is the first in (value, repeat) order, not
+    in (repeat, value) order.
     """
+    return estimate_min_ms([cache], params, records=[record])[0]
+
+
+def estimate_min_ms(
+    caches: Sequence[TrialCache],
+    params: LearnParams,
+    *,
+    records: Sequence[Record | None] | None = None,
+) -> list[int]:
+    """:func:`estimate_min_m` of each cache of a group, searched in
+    lock-step: at each candidate m, the caches still searching are
+    filled by one :func:`fill_trials` call, so their trials share one
+    draw and one :func:`~qpac.learner.learn_each` call.
+
+    The group rules of :func:`fill_trials` apply. Each cache gets the
+    minimum m a lone search gives it, and ``records[j]`` (if given and
+    not None) sees the calls that a lone search of cache j makes, in
+    the same order. When searches reach the cap, the
+    :class:`SampleSizeCapError` of the first of them in group order is
+    raised; a protocol that runs one group per swept value therefore
+    reports the first failing search in (value, repeat) order.
+    """
+    caches = list(caches)
+    records = list(records) if records is not None else [None] * len(caches)
+    if len(records) != len(caches):
+        raise ValueError(f"{len(records)} records for {len(caches)} caches")
+    if not caches:
+        return []
     eps = _exact_fraction(params.epsilon)
     delta = _exact_fraction(params.delta)
     m_cap, limit = params.m_cap, "m_cap"
-    if not cache.replacement and len(cache.dist) < m_cap:
-        m_cap = len(cache.dist)
-        limit = f"support size {m_cap}, sampled without replacement"
-    trajectory = []
+    support = len(caches[0].dist)
+    if not caches[0].replacement and support < m_cap:
+        m_cap, limit = support, f"support size {support}, sampled without replacement"
+    found: list[int | None] = [None] * len(caches)
+    trajectories: list[list[float]] = [[] for _ in caches]
+    searching = list(range(len(caches)))
     for m in range(1, m_cap + 1):
-        cache.fill(m, params.i_max)
-        failures = 0
-        for i in range(params.i_max):
-            eps_est = cache.epsilon_estimate(m, i, params.gamma)
-            failed = eps_est > eps
-            if failed:
-                failures += 1
-            if record is not None:
-                record(m, i, float(eps_est), failed)
-        delta_est = Fraction(failures, params.i_max)
-        trajectory.append(float(delta_est))
-        if delta_est < delta:
-            return m
-    raise SampleSizeCapError(m_cap, trajectory, limit)
+        fill_trials([caches[j] for j in searching], m, params.i_max)
+        for j in searching:
+            cache, record = caches[j], records[j]
+            failures = 0
+            for i in range(params.i_max):
+                eps_est = cache.epsilon_estimate(m, i, params.gamma)
+                failed = eps_est > eps
+                if failed:
+                    failures += 1
+                if record is not None:
+                    record(m, i, float(eps_est), failed)
+            delta_est = Fraction(failures, params.i_max)
+            trajectories[j].append(float(delta_est))
+            if delta_est < delta:
+                found[j] = m
+        searching = [j for j in searching if found[j] is None]
+        if not searching:
+            return found
+    raise SampleSizeCapError(m_cap, trajectories[searching[0]], limit)
 
 
 def theorem_bound(n: int, params: LearnParams, big_k: float) -> float:

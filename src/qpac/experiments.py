@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .complexity import LearnParams, TrialCache, estimate_min_m, linear_fit, theorem_bound
+from .complexity import LearnParams, TrialCache, estimate_min_ms, linear_fit, theorem_bound
 from .errors import ConfigError, StructureError
 from .learner import Objective, evaluate_epsilon, learn_each
 from .pauli import PauliString
@@ -285,7 +285,7 @@ class ExperimentConfig:
     def target_state(self, n: int) -> DensityMatrix:
         if self.generators:
             return _generator_state(self._generator_paulis())
-        return ghz_density(n)
+        return _ghz_state(n)
 
     def distribution(self, n: int) -> MeasurementDistribution:
         if self.generators:
@@ -324,6 +324,14 @@ def _generator_state(generators: tuple[PauliString, ...]) -> DensityMatrix:
         acc[perm, cols] += coeff
     # a 2^n-element stabilizer group averages to its state's projector
     return DensityMatrix._built(acc / dim)
+
+
+@lru_cache
+def _ghz_state(n: int) -> DensityMatrix:
+    """The n-qubit GHZ target, built once per process, so that its
+    support's Tr(E rho) table (:meth:`~qpac.states.EffectBatch.expected`)
+    is computed once too."""
+    return ghz_density(n)
 
 
 def default_out_dir() -> str:
@@ -448,40 +456,44 @@ TRIALS_COLUMNS = ("n", "m", "trial", "epsilon_est", "failed", "seed")
 def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     """Minimum m as one error parameter sweeps and the others stay at
     their defaults. Each repeat reuses its cached trials across the
-    grid, so relaxing the swept parameter never increases m."""
+    grid, so relaxing the swept parameter never increases m. Per swept
+    value the repeats search as one group."""
     n = config.n
     state = config.target_state(n)
     dist = config.distribution(n)
     trial_rows = [] if config.trials_out else None
-    per_repeat = []
-    for r in range(config.repeats):
-        cache = config.trial_cache(state, dist, (config.seed, r))
-        per_repeat.append([
-            _search(cache, config.learn_params(**{config.sweep_param: value}), n, trial_rows)
-            for value in config.sweep_values
-        ])
-    arr = np.array(per_repeat, dtype=float)  # (repeats, len(values))
+    caches = [config.trial_cache(state, dist, (config.seed, r)) for r in range(config.repeats)]
+    per_value = [
+        _search(caches, config.learn_params(**{config.sweep_param: value}), n, trial_rows)
+        for value in config.sweep_values
+    ]
 
     table = ResultTable(config=config.echo(), columns=SWEEP_ERRORS_COLUMNS)
-    for j, value in enumerate(config.sweep_values):
+    for value, min_ms in zip(config.sweep_values, per_value):
+        chunk = np.array(min_ms, dtype=float)
         table.append(
             config.sweep_param, value, config.repeats,
-            float(arr[:, j].mean()), float(arr[:, j].std()),
+            float(chunk.mean()), float(chunk.std()),
         )
     if config.trials_out:
         _write_trials(trial_rows, config)
     return _finalize(table, config)
 
 
-def _search(cache: TrialCache, params: LearnParams, n: int, trial_rows: list | None) -> int:
-    """The minimum m on ``cache``; appends one trials-table row per
-    trial read to ``trial_rows`` unless it is None."""
-    record = None
+def _search(caches: list[TrialCache], params: LearnParams, n: int,
+            trial_rows: list | None) -> list[int]:
+    """The minimum m on each of ``caches``, searched as one group;
+    appends one trials-table row per trial read to ``trial_rows``
+    unless it is None."""
+    records = None
     if trial_rows is not None:
-        def record(m, i, eps, failed):
-            seed = ";".join(str(part) for part in cache.trial_seed(m, i))
-            trial_rows.append((n, m, i, eps, failed, f"({seed})"))
-    return estimate_min_m(cache, params, record=record)
+        def recorder(cache):
+            def record(m, i, eps, failed):
+                seed = ";".join(str(part) for part in cache.trial_seed(m, i))
+                trial_rows.append((n, m, i, eps, failed, f"({seed})"))
+            return record
+        records = [recorder(cache) for cache in caches]
+    return estimate_min_ms(caches, params, records=records)
 
 
 def _write_trials(rows, config: ExperimentConfig) -> None:
@@ -515,10 +527,9 @@ def run_scaling(config: ExperimentConfig) -> ResultTable:
     for n in ns:
         state = config.target_state(n)
         dist = config.distribution(n)
-        min_ms = [
-            _search(config.trial_cache(state, dist, (config.seed, n, r)), params, n, trial_rows)
-            for r in range(config.repeats)
-        ]
+        caches = [config.trial_cache(state, dist, (config.seed, n, r))
+                  for r in range(config.repeats)]
+        min_ms = _search(caches, params, n, trial_rows)
         chunk = np.array(min_ms, dtype=float)
         points.append((n, float(chunk.mean())))
         table.append("point", n, config.repeats, float(chunk.mean()), float(chunk.std()),

@@ -31,8 +31,9 @@ from .states import DensityMatrix, EffectBatch, maximally_mixed
 _ZERO_GRADIENT_TOL = 1e-12
 _EIG_TOL = 1e-9
 # matrix entries of the first-step gradients that learn_each solves as
-# one stack (2^15 complex128 entries, 512 KB): 8 training sets at dim 64
-_STACK_ENTRIES = 1 << 15
+# one stack (2^16 complex128 entries, 1 MB): 16 training sets at dim 64,
+# and at dim 16 the 200 trials of a search group of four repeats
+_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -283,9 +284,10 @@ def learn_each(
     I / d. Training sets are learned in chunks of at most
     ``_STACK_ENTRIES`` gradient entries: a chunk's closed forms are one
     :func:`code_space_atoms` call, and its gradients one
-    :func:`~qpac.linalg.smallest_eigenvectors` stack, which gives each
-    training set the bytes that learning it alone gives. A chunk whose
-    first vertices are all closed forms builds no I / d. A training set
+    :func:`~qpac.linalg.smallest_eigenvectors` stack, which solves a
+    repeated gradient once. Each training set gets the bytes that
+    learning it alone gives. A chunk whose first vertices are all
+    closed forms builds no I / d. A training set
     whose residuals at I / d are all exactly 0 has an exactly zero
     gradient: it is neither assembled nor solved, and its optimization
     stops at I / d. A gradient that vanishes within the threshold is not

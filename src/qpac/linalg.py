@@ -41,8 +41,16 @@ a lone call stops; the others stay in the stacked kernel until they
 stop too. Only a stack of one starts on the scalar kernel, because a
 stacked sweep over one item costs about 3 times a scalar sweep. The
 pre-checks, the certificate, the restart and the fallback are one code
-path for both kernels. ``tests/test_linalg.py`` keeps the allocating
-form as the reference both must match bit for bit.
+path for both kernels. The pre-checks are one pass over the (T, d, d)
+stack, and each matrix's modulus is taken once, for the hermiticity
+scale, the largest entry and the shift c alike. ``tests/test_linalg.py``
+keeps the allocating form as the reference both must match bit for bit.
+
+Since an item's pair depends only on its own bytes, a stack solves
+each distinct matrix once: ``smallest_eigenvectors`` keys the items of
+a stack of two or more by their bytes, and each repeat gets its own
+copy of the pair of its first occurrence. A stack of one (a 16 MB
+gradient at n = 10) is not hashed.
 """
 
 from __future__ import annotations
@@ -56,24 +64,48 @@ from .errors import ConvergenceError, NonHermitianError
 _EIGH_FALLBACK_MAX_DIM = 256
 
 
-def _check_hermitian(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise NonHermitianError(f"not square: {h.shape}")
+def _hermitian_stack(hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A non-empty sequence of matrices as one complex (T, d, d) stack,
+    with each item's largest entry modulus and induced 1-norm (its
+    largest column sum of moduli), read from one modulus pass.
+
+    Each item is checked as a lone matrix is, and the first item in
+    order that fails raises: not square, empty, or not finite and
+    Hermitian within tolerance. Items of mixed shapes are checked one
+    by one, then raise ``ValueError`` if they all pass. A stack of one
+    is a view of its matrix, not a copy.
+    """
+    hs = [np.asarray(h, dtype=np.complex128) for h in hs]
+    if len({h.shape for h in hs}) > 1:
+        for h in hs:
+            _hermitian_stack([h])
+        raise ValueError("stack mixes matrix dimensions")
+    h = hs[0][None] if len(hs) == 1 else np.stack(hs)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise NonHermitianError(f"not square: {h.shape[1:]}")
     if h.size == 0:
         raise NonHermitianError("empty matrix")
-    scale = 1.0 + float(np.max(np.abs(h)))
+    modulus = np.abs(h)
+    max_entry = np.max(modulus, axis=(1, 2))
+    one_norm = np.max(np.sum(modulus, axis=1), axis=1)
+    del modulus
+    scale = 1.0 + max_entry
     # written so that NaN fails each comparison; an inf entry makes the
-    # scale inf, which would otherwise excuse any asymmetry
-    if not (scale < np.inf and np.max(np.abs(h - h.conj().T)) <= 1e-10 * scale):
+    # scale inf, which would otherwise excuse any asymmetry (and fails
+    # before it is computed). A max is exact, so each item's verdict is
+    # its lone verdict
+    if not np.all(scale < np.inf):
         raise NonHermitianError("matrix is not finite and Hermitian within tolerance")
-    return h
+    asym = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2))
+    if not np.all(asym <= 1e-10 * scale):
+        raise NonHermitianError("matrix is not finite and Hermitian within tolerance")
+    return h, max_entry, one_norm
 
 
 def eigendecompose(h: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a
     Hermitian matrix. Thin wrapper over LAPACK with a hermiticity check."""
-    h = _check_hermitian(h)
+    h = _hermitian_stack([h])[0][0]
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs
 
@@ -147,21 +179,20 @@ def _column(x: np.ndarray) -> np.ndarray:
     return x.astype(np.complex128)[:, None]
 
 
-def _power_iterate_stack(hs, vs, cs, tol, max_entries, max_sweeps):
-    """:func:`_power_iterate` on each item of a same-dimension stack,
-    in lock-step; returns its (v, lam, converged) per item, in order.
+def _power_iterate_stack(h, v, cs, tol, max_entry, max_sweeps):
+    """:func:`_power_iterate` on each item of a (T, d, d) stack from
+    the (T, d) start vectors ``v``, in lock-step; returns its (v, lam,
+    converged) per item, in order. ``cs`` and ``max_entry`` hold each
+    item's shift and largest modulus.
 
     A stack of one runs the scalar kernel.
     """
-    if len(hs) == 1:
-        return [_power_iterate(hs[0], vs[0], cs[0], tol, max_entries[0], max_sweeps)]
-    out = [None] * len(hs)
-    active = np.arange(len(hs))
-    h = np.stack(hs)
-    v = np.stack(vs)
-    c = _column(np.array(cs))
-    max_entry = np.array(max_entries)
-    lam = np.zeros(len(hs))
+    if len(h) == 1:
+        return [_power_iterate(h[0], v[0], float(cs[0]), tol, float(max_entry[0]), max_sweeps)]
+    out = [None] * len(h)
+    active = np.arange(len(h))
+    c = _column(cs)
+    lam = np.zeros(len(h))
     for _ in range(max_sweeps):
         hv = np.matmul(h, v[:, :, None])[:, :, 0]
         lam = np.vecdot(v, hv).real
@@ -188,52 +219,44 @@ def _power_iterate_stack(hs, vs, cs, tol, max_entries, max_sweeps):
 def _smallest(hs, tol: float, max_sweeps: int | None):
     """The eigen-step rule on a non-empty sequence of Hermitian
     matrices of one dimension; returns ``(v, lam)`` per matrix."""
-    hs = [_check_hermitian(h) for h in hs]
+    # the shift c of each item is its induced 1-norm, which bounds its spectrum
+    h, max_entry, cs = _hermitian_stack(hs)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    dim = hs[0].shape[0]
-    if any(h.shape[0] != dim for h in hs):
-        raise ValueError("stack mixes matrix dimensions")
+    dim = h.shape[1]
     if max_sweeps is None:
         max_sweeps = 10 * dim
+    diags = h.diagonal(axis1=1, axis2=2).real
 
-    results = [None] * len(hs)
-    todo, cs, max_entries, diags = [], {}, {}, {}
-    for j, h in enumerate(hs):
-        max_entry = float(np.max(np.abs(h)))
-        if max_entry == 0.0:
-            results[j] = (_basis_vector(dim, 0), 0.0)
-            continue
-        todo.append(j)
-        max_entries[j] = max_entry
-        cs[j] = float(np.max(np.sum(np.abs(h), axis=0)))
-        diags[j] = np.real(np.diag(h))
-
-    starts = [np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128) for _ in todo]
+    results = [None] * len(h)
+    for j in np.flatnonzero(max_entry == 0.0):
+        results[j] = (_basis_vector(dim, 0), 0.0)
+    todo = np.flatnonzero(max_entry != 0.0)
+    starts = np.full((len(todo), dim), 1.0 / np.sqrt(dim), dtype=np.complex128)
     for _ in range(2):
-        if not todo:
+        if not todo.size:
             break
-        found = _power_iterate_stack(
-            [hs[j] for j in todo], starts, [cs[j] for j in todo], tol,
-            [max_entries[j] for j in todo], max_sweeps,
-        )
+        # every item, the common case, needs no copy of the stack
+        stack = h if len(todo) == len(h) else h[todo]
+        found = _power_iterate_stack(stack, starts, cs[todo], tol, max_entry[todo], max_sweeps)
         retry = []
-        for j, (v, lam, ok) in zip(todo, found):
+        for j, (v, lam, ok) in zip(todo.tolist(), found):
             # necessary condition for the bottom eigenvalue: lam <= min h_kk
-            if ok and lam <= float(np.min(diags[j])) + tol * max(max_entries[j], abs(lam)):
+            if ok and lam <= float(np.min(diags[j])) + tol * max(float(max_entry[j]), abs(lam)):
                 results[j] = (_normalize_phase(v), lam)
             else:
                 retry.append(j)
-        todo = retry
-        starts = [_basis_vector(dim, int(np.argmin(diags[j]))) for j in todo]
+        todo = np.array(retry, dtype=np.intp)
+        starts = np.zeros((len(todo), dim), dtype=np.complex128)
+        starts[np.arange(len(todo)), np.argmin(diags[todo], axis=1)] = 1.0
 
-    if todo and dim > _EIGH_FALLBACK_MAX_DIM:
+    if todo.size and dim > _EIGH_FALLBACK_MAX_DIM:
         raise ConvergenceError(
             f"power iteration did not reach a certified bottom eigenpair "
             f"in {max_sweeps} sweeps (dim {dim})"
         )
-    for j in todo:
-        vals, vecs = np.linalg.eigh(hs[j])
+    for j in todo.tolist():
+        vals, vecs = np.linalg.eigh(h[j])
         results[j] = (_normalize_phase(vecs[:, 0].astype(np.complex128)), float(vals[0]))
     return results
 
@@ -268,8 +291,24 @@ def smallest_eigenvectors(hs, tol: float = 1e-9):
 
     Every pair is bit for bit the pair a lone call returns; the sweeps
     of the stack run in lock-step, which costs less per matrix than one
-    call after another. Raises as a lone call would for any item.
+    call after another. Matrices with the same bytes are solved once,
+    and each repeat gets its own copy of the pair. Raises as a lone
+    call would for the first item that fails.
     """
-    if len(hs) == 0:
-        return []
-    return _smallest(hs, tol, None)
+    if len(hs) < 2:
+        # a stack of one has no repeats to look for, so its matrix
+        # (16 MB at n = 10) is not hashed
+        return _smallest(hs, tol, None) if len(hs) else []
+    hs = [np.asarray(h, dtype=np.complex128) for h in hs]
+    # the first item with each item's bytes; the keys, as large as the
+    # stack, are dropped before it is solved
+    first: dict = {}
+    source = [first.setdefault((h.shape, h.tobytes()), j) for j, h in enumerate(hs)]
+    del first
+    distinct = [j for j, k in enumerate(source) if k == j]
+    solved = dict(zip(distinct, _smallest([hs[j] for j in distinct], tol, None)))
+    pairs = []
+    for j, k in enumerate(source):
+        v, lam = solved[k]
+        pairs.append((v, lam) if k == j else (v.copy(), lam))
+    return pairs

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qpac import (
     DensityMatrix,
     LearnParams,
+    MeasurementDistribution,
     NoiseModel,
     Objective,
     SampleSizeCapError,
@@ -20,6 +21,8 @@ from qpac import (
     TrialCache,
     build_distribution,
     estimate_min_m,
+    estimate_min_ms,
+    fill_trials,
     ghz_density,
     ghz_generators,
     hazan_optimize,
@@ -29,8 +32,8 @@ from qpac import (
     support_residuals,
     theorem_bound,
 )
-from qpac import PauliString, distribution_from_generators, learner, sampling
-from qpac.experiments import ExperimentConfig
+from qpac import PauliString, complexity, distribution_from_generators, learner, sampling
+from qpac.experiments import ExperimentConfig, run_command
 from qpac.sampling import draw_training_sets
 
 from conftest import index_rows, random_density
@@ -133,14 +136,12 @@ class TestEstimateMinM:
         """failures/i_max == delta must NOT stop (strict <), even where
         binary floats would blur the comparison (0.2 * 5 != 1 exactly)."""
 
-        class StubCache:
-            replacement = True
+        class StubCache(TrialCache):
+            """Fills real trials, but reads fixed error rates."""
 
             def __init__(self):
+                super().__init__(ghz_density(2), build_distribution(2, "d1"), (1,), k_max=1)
                 self.calls = []
-
-            def fill(self, m, count):
-                pass
 
             def epsilon_estimate(self, m, i, gamma):
                 self.calls.append((m, i))
@@ -186,7 +187,7 @@ class TestEstimateMinM:
 
 
 class TestBatchFill:
-    """``TrialCache.fill`` stores, for every trial, the bytes of the
+    """``fill_trials`` stores, for every trial, the bytes of the
     residuals that learning that trial alone gives."""
 
     I_MAX = 7  # three chunks of 3 trials, the last one short
@@ -231,7 +232,7 @@ class TestBatchFill:
                            replacement=replacement)
         sizes = (1, 2, 4)  # d2 at n = 3 has 4 effects to draw without replacement
         for m in sizes:
-            cache.fill(m, self.I_MAX)
+            fill_trials([cache], m, self.I_MAX)
         assert len(optimizations) == len(sizes) * self.I_MAX
         for m in sizes:
             for i in range(self.I_MAX):
@@ -264,7 +265,7 @@ class TestBatchFill:
         mixed = maximally_mixed(3).matrix
         for m in (1, 2, 3):
             stacks.clear()
-            cache.fill(m, self.I_MAX)
+            fill_trials([cache], m, self.I_MAX)
             firsts = [
                 Objective(sample_training_set(dist, rho, m, seed=(5, m, i),
                                               replacement=False)).gradient(mixed).tobytes()
@@ -292,7 +293,7 @@ class TestBatchFill:
         cache = TrialCache(ghz_density(4), build_distribution(4, "d2"), seed=(3,),
                            replacement=replacement)
         for m in (1, 3, 8):
-            cache.fill(m, self.I_MAX)
+            fill_trials([cache], m, self.I_MAX)
         assert steps == [1] * (3 * self.I_MAX)
         assert eigen_steps == []
 
@@ -302,7 +303,7 @@ class TestBatchFill:
         dist = distribution_from_generators(gens, "d2")
         rho = ExperimentConfig(n=3, m=1, generators=[str(p) for p in gens]).target_state(3)
         cache = TrialCache(rho, dist, seed=(5,), k_max=10, replacement=False)
-        cache.fill(2, self.I_MAX)
+        fill_trials([cache], 2, self.I_MAX)
         fell_back = 0
         for i in range(self.I_MAX):
             training = sample_training_set(dist, rho, 2, seed=(5, 2, i), replacement=False)
@@ -339,7 +340,7 @@ class TestBatchFill:
         builds.clear()
         cache = TrialCache(rho, dist, seed=(5,), k_max=10, noise=noise)
         for m in sizes:
-            cache.fill(m, self.I_MAX)
+            fill_trials([cache], m, self.I_MAX)
         # exact values of the mixed target leave residuals of exactly 0 at
         # I / d: neither the fill nor a lone optimization builds a gradient
         assert len(builds) == lone
@@ -396,7 +397,7 @@ class TestSupportIndexedTrials:
         count = data.draw(st.integers(1, 4))
         cache = TrialCache(rho, dist, seed=(data.draw(st.integers(0, 99)),), k_max=3,
                            noise=noise, replacement=replacement)
-        cache.fill(m, count)
+        fill_trials([cache], m, count)
         for i in range(count):
             indices, values = draw_training_sets(dist, rho, m, [cache.trial_seed(m, i)], noise,
                                                  replacement)
@@ -423,7 +424,7 @@ class TestSupportIndexedTrials:
         rho = ghz_density(3)
         caches = [TrialCache(rho, dist, seed=(r,), k_max=5) for r in range(4)]
         for cache in caches:
-            cache.fill(3, 4)
+            fill_trials([cache], 3, 4)
         sample_training_set(dist, rho, 3, seed=0)
         list(learner.learn_each(dist, *draw_training_sets(dist, rho, 3, [0, 1, 2]),
                                 NoiseModel.exact(), 5))
@@ -433,6 +434,164 @@ class TestSupportIndexedTrials:
         assert dist.batch is caches[0].dist.batch
         assert build_distribution(3, "d1") is build_distribution(3, "d1")
         assert build_distribution(3, "d1").batch is build_distribution(3, "d1").batch
+
+
+def _lone_search(cache, params):
+    """The minimum m of a lone search on ``cache`` (or its cap error),
+    with the calls it makes to ``record``."""
+    rows = []
+    try:
+        found = estimate_min_m(cache, params, record=lambda *row: rows.append(row))
+    except SampleSizeCapError as exc:
+        found = exc
+    return found, rows
+
+
+class TestSearchGroups:
+    """Caches searched as one group, in lock-step, each get what a lone
+    search gives them: the minimum m, the residual bytes of every trial
+    read, and the same ``record`` calls in the same order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_group_matches_lone_searches(self, data):
+        n = data.draw(st.integers(2, 3))
+        label = data.draw(st.sampled_from(["d1", "d2"]))
+        replacement = data.draw(st.booleans())
+        noise = data.draw(st.one_of(
+            st.just(NoiseModel.exact()),
+            st.integers(1, 30).map(NoiseModel.with_shots),
+            st.floats(0.01, 0.3).map(NoiseModel.gaussian),
+        ))
+        # exact GHZ values are all 1, so shot noise needs the mixed target
+        rho = maximally_mixed(n) if noise.kind == "shots" else ghz_density(n)
+        dist = build_distribution(n, label)
+        params = LearnParams(
+            epsilon=data.draw(st.sampled_from([0.05, 0.15, 0.3])),
+            gamma=data.draw(st.sampled_from([0.1, 0.2, 0.5])),
+            delta=data.draw(st.sampled_from([0.1, 0.3, 0.5])),
+            i_max=data.draw(st.integers(1, 5)), m_cap=data.draw(st.integers(1, 6)),
+        )
+        root = data.draw(st.integers(0, 99))
+        repeats = data.draw(st.integers(1, 4))
+
+        def caches():
+            return [TrialCache(rho, dist, (root, r), k_max=3, noise=noise,
+                               replacement=replacement) for r in range(repeats)]
+
+        lone = caches()
+        want = [_lone_search(cache, params) for cache in lone]
+        group = caches()
+        rows = [[] for _ in group]
+        records = [lambda *row, out=out: out.append(row) for out in rows]
+        failed = [found for found, _ in want if isinstance(found, SampleSizeCapError)]
+        if failed:
+            with pytest.raises(SampleSizeCapError) as err:
+                estimate_min_ms(group, params, records=records)
+            # the first failing search in group order is reported
+            assert str(err.value) == str(failed[0])
+        else:
+            assert estimate_min_ms(group, params, records=records) == [m for m, _ in want]
+        for cache, alone, got, (_, want_rows) in zip(group, lone, rows, want):
+            assert got == want_rows
+            for m, i, _, _ in want_rows:
+                assert cache.residuals(m, i).tobytes() == alone.residuals(m, i).tobytes()
+
+    def test_repeats_stop_at_different_m(self, monkeypatch):
+        fills = []
+        real = complexity.learn_each
+
+        def counted(support, indices, *args):
+            fills.append(len(indices))
+            return real(support, indices, *args)
+
+        monkeypatch.setattr(complexity, "learn_each", counted)
+        rho, dist = ghz_density(3), build_distribution(3, "d1")
+        params = LearnParams(epsilon=0.05, gamma=0.5, delta=0.1, i_max=6)
+        group = [TrialCache(rho, dist, (17, r)) for r in range(2)]
+        found = estimate_min_ms(group, params)
+        # the pinned sweep_errors_n3 row at gamma 0.5: repeats stop at 1 and 2
+        assert sorted(found) == [1, 2]
+        # one fill per m, of every search still running
+        assert fills == [12, 6]
+        assert found == [_lone_search(TrialCache(rho, dist, (17, r)), params)[0]
+                         for r in range(2)]
+
+    def test_fill_skips_cached_trials(self):
+        rho, dist = ghz_density(2), build_distribution(2, "d1")
+        a, b = (TrialCache(rho, dist, (r,), k_max=5) for r in range(2))
+        fill_trials([a], 2, 3)
+        first = a.residuals(2, 0)
+        fill_trials([a, b], 2, 4)
+        # a's cached trials are not learned again
+        assert a.residuals(2, 0) is first
+        for cache in (a, b):
+            alone = TrialCache(rho, dist, cache.seed, k_max=5)
+            fill_trials([alone], 2, 4)
+            for i in range(4):
+                assert cache.residuals(2, i).tobytes() == alone.residuals(2, i).tobytes()
+
+    @pytest.mark.parametrize("field", ["state", "dist", "noise", "replacement", "k_max"])
+    def test_group_must_share_its_context(self, field):
+        rho, dist = ghz_density(2), build_distribution(2, "d1")
+        context = dict(state=rho, dist=dist, k_max=5, noise=NoiseModel.exact(), replacement=True)
+        # an equal state or support that is another object is another context
+        context[field] = {
+            "state": DensityMatrix(rho.matrix.copy()),
+            "dist": MeasurementDistribution(dist.effects, dist.label),
+            "noise": NoiseModel.gaussian(0.1),
+            "replacement": False,
+            "k_max": 7,
+        }[field]
+        group = [TrialCache(rho, dist, (0,), k_max=5), TrialCache(seed=(1,), **context)]
+        params = LearnParams(epsilon=0.5, gamma=0.5, delta=0.5, i_max=2)
+        with pytest.raises(ValueError, match="must share"):
+            estimate_min_ms(group, params)
+        with pytest.raises(ValueError, match="must share"):
+            fill_trials(group, 1, 2)
+
+
+class TestCapErrorOrder:
+    """``sweep-errors`` searches its repeats as one group per swept
+    value, so the cap error it raises is that of the first failing
+    search in (value, repeat) order."""
+
+    # gamma 0.3 is searched first, then the stricter 0.1
+    CONFIG = dict(command="sweep-errors", n=2, dist="d1", sweep_param="gamma",
+                  sweep_values=[0.3, 0.1], epsilon=0.05, delta=0.2, i_max=5, m_cap=3,
+                  gauss_std=0.1, k_max=20, repeats=2)
+
+    def _lone(self, seed, r, gamma):
+        cache = TrialCache(ghz_density(2), build_distribution(2, "d1"), (seed, r), k_max=20,
+                           noise=NoiseModel.gaussian(0.1))
+        params = LearnParams(epsilon=0.05, gamma=gamma, delta=0.2, i_max=5, m_cap=3)
+        return _lone_search(cache, params)[0]
+
+    def _raised(self, seed, tmp_path):
+        with pytest.raises(SampleSizeCapError) as err:
+            run_command(ExperimentConfig(**self.CONFIG, seed=seed, out=str(tmp_path / "t.csv")))
+        assert not (tmp_path / "t.csv").exists()
+        return err.value
+
+    def test_only_repeat_1_hits_the_cap(self, tmp_path):
+        # repeat 0 stops at m = 2 on both values; repeat 1 at m = 3 on
+        # gamma 0.3 and at no m <= 3 on gamma 0.1
+        assert [self._lone(29, 0, g) for g in (0.3, 0.1)] == [2, 2]
+        assert self._lone(29, 1, 0.3) == 3
+        want = self._lone(29, 1, 0.1)
+        assert isinstance(want, SampleSizeCapError)
+        got = self._raised(29, tmp_path)
+        assert got.delta_trajectory == want.delta_trajectory and str(got) == str(want)
+
+    def test_value_order_comes_before_repeat_order(self, tmp_path):
+        # repeat 0 fails only on gamma 0.1, repeat 1 on both values: the
+        # error is repeat 1's on gamma 0.3, not repeat 0's on gamma 0.1
+        assert self._lone(45, 0, 0.3) == 2
+        first, later = self._lone(45, 1, 0.3), self._lone(45, 0, 0.1)
+        assert isinstance(first, SampleSizeCapError) and isinstance(later, SampleSizeCapError)
+        assert first.delta_trajectory != later.delta_trajectory
+        got = self._raised(45, tmp_path)
+        assert got.delta_trajectory == first.delta_trajectory
 
 
 class TestTheoremBound:

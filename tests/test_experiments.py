@@ -353,7 +353,7 @@ class TestRunScaling:
 
     def test_single_n_rejected_before_any_search(self, tmp_path, monkeypatch, capsys):
         searches = []
-        monkeypatch.setattr(experiments, "estimate_min_m",
+        monkeypatch.setattr(experiments, "estimate_min_ms",
                             lambda *a, **kw: searches.append(a) or 5)
         code = main(["scaling", "--n-min", "5", "--n-max", "5", "--repeats", "3",
                      "--out", str(tmp_path / "sc.csv")])
@@ -375,13 +375,32 @@ class TestGeneratorQubitCount:
     @pytest.mark.parametrize("case", sorted(ARGVS))
     def test_rejected_before_any_search(self, case, tmp_path, monkeypatch, capsys):
         searches = []
-        monkeypatch.setattr(experiments, "estimate_min_m",
+        monkeypatch.setattr(experiments, "estimate_min_ms",
                             lambda *a, **kw: searches.append(a) or 5)
         code = main([*self.ARGVS[case], "--out", str(tmp_path / "t.csv")])
         assert code == 2
         assert "generators" in capsys.readouterr().err
         assert searches == []
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestGhzTarget:
+    def test_built_once_per_process(self, tmp_path, monkeypatch):
+        builds = []
+        real = experiments.ghz_density
+        monkeypatch.setattr(experiments, "ghz_density", lambda n: builds.append(n) or real(n))
+        # a target not built before in this process
+        experiments._ghz_state.cache_clear()
+        outs = [tmp_path / f"l{r}.csv" for r in range(2)]
+        for out in outs:
+            run_learn(cfg(command="learn", n=3, m=4, out=str(out)))
+        assert builds == [3]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # one target object, so the support's weakly keyed Tr(E rho)
+        # table of it is computed once too
+        target = cfg(command="sweep-m", n=3).target_state(3)
+        assert target is cfg(command="learn", n=3, m=1).target_state(3)
+        assert builds == [3]
 
 
 class TestGeneratorTarget:
@@ -433,7 +452,7 @@ class TestLoopBudgets:
     def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
         argv, name = self.ARGVS[case]
         calls = []
-        for func in ("estimate_min_m", "build_distribution", "ghz_density"):
+        for func in ("estimate_min_ms", "build_distribution", "ghz_density"):
             monkeypatch.setattr(experiments, func,
                                 lambda *a, func=func, **kw: calls.append(func))
         code = main([*argv, "--out", str(tmp_path / "t.csv")])
@@ -458,7 +477,7 @@ class TestQubitLimit:
     @pytest.mark.parametrize("case", sorted(ARGVS))
     def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
         calls = []
-        for name in ("estimate_min_m", "build_distribution", "distribution_from_generators",
+        for name in ("estimate_min_ms", "build_distribution", "distribution_from_generators",
                      "ghz_density"):
             monkeypatch.setattr(experiments, name,
                                 lambda *a, name=name, **kw: calls.append(name))

@@ -3,7 +3,11 @@
 Each config below is run and its table compared byte for byte with the
 file of the same name in ``tests/golden/``; each config in
 ``TRAINING_DUMPS`` also writes its ``--training-out`` dump, compared
-with ``<name>_training.csv``. ``threads=1`` is explicit
+with ``<name>_training.csv``, and each config in ``TRIALS_DUMPS`` its
+``--trials-out`` table, compared with ``<name>_trials.csv``. Both
+trials configs run two repeats, so they pin the rows that a search of
+the repeats as one group reads, in the sorted order the table writes
+them. ``threads=1`` is explicit
 because the header echoes the resolved thread count. A change that is
 meant to keep every table identical must pass this unchanged; one that
 is meant to change results re-pins the files with
@@ -39,34 +43,49 @@ CONFIGS = {
 # every GHZ stabilizer has Tr(E rho) = 1, so its shot averages all read
 # 1.0; clamped Gaussian noise gives values below 1 as well
 TRAINING_DUMPS = ("learn_n4_gauss", "learn_n4_shots")
+TRIALS_DUMPS = ("scaling_n2_4", "sweep_errors_n3")
 
 
-def _run(name: str, out: str, training_out: str | None = None) -> None:
-    run_command(ExperimentConfig(**CONFIGS[name], threads=1, out=out, training_out=training_out))
+def _run(name: str, out: str, training_out: str | None = None,
+         trials_out: str | None = None) -> None:
+    run_command(ExperimentConfig(**CONFIGS[name], threads=1, out=out, training_out=training_out,
+                                 trials_out=trials_out))
+
+
+def _golden(name: str) -> bytes:
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_table_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     _run(name, str(out))
-    with open(os.path.join(GOLDEN_DIR, f"{name}.csv"), "rb") as fh:
-        golden = fh.read()
-    assert out.read_bytes() == golden
+    assert out.read_bytes() == _golden(f"{name}.csv")
 
 
 @pytest.mark.parametrize("name", TRAINING_DUMPS)
 def test_training_dump_matches_golden(name, tmp_path):
     dump = tmp_path / f"{name}_training.csv"
     _run(name, str(tmp_path / f"{name}.csv"), training_out=str(dump))
-    with open(os.path.join(GOLDEN_DIR, f"{name}_training.csv"), "rb") as fh:
-        golden = fh.read()
-    assert dump.read_bytes() == golden
+    assert dump.read_bytes() == _golden(f"{name}_training.csv")
+
+
+@pytest.mark.parametrize("name", TRIALS_DUMPS)
+def test_trials_table_matches_golden(name, tmp_path):
+    dump = tmp_path / f"{name}_trials.csv"
+    _run(name, str(tmp_path / f"{name}.csv"), trials_out=str(dump))
+    assert dump.read_bytes() == _golden(f"{name}_trials.csv")
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in sys.argv[1:] or sorted(CONFIGS):
-        dump = (os.path.join(GOLDEN_DIR, f"{name}_training.csv")
-                if name in TRAINING_DUMPS else None)
-        _run(name, os.path.join(GOLDEN_DIR, f"{name}.csv"), training_out=dump)
-        print(f"wrote {name}.csv" + (f" and {name}_training.csv" if dump else ""))
+        dumps = {
+            kind: os.path.join(GOLDEN_DIR, f"{name}_{kind}.csv")
+            for kind, names in (("training", TRAINING_DUMPS), ("trials", TRIALS_DUMPS))
+            if name in names
+        }
+        _run(name, os.path.join(GOLDEN_DIR, f"{name}.csv"), training_out=dumps.get("training"),
+             trials_out=dumps.get("trials"))
+        print(f"wrote {name}.csv" + "".join(f" and {name}_{kind}.csv" for kind in dumps))

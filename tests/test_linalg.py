@@ -304,8 +304,8 @@ class TestSweepBitIdentity:
         rng = np.random.default_rng(seed)
         n = dim.bit_length() - 1
         hs = []
-        # no larger than the stacks of a batch fill, 2^15 entries
-        for _ in range(min(count, max(2, (1 << 15) // dim**2))):
+        # no larger than the stacks of a batch fill, 2^16 entries
+        for _ in range(min(count, max(2, (1 << 16) // dim**2))):
             if dim == 1 << n and n >= 2 and rng.random() < stabilizer_share:
                 # exact data gives weights in {-1, 0, 1}, noisy data any in [-1, 1]
                 weights = (rng.integers(-1, 2, size=40) if rng.random() < 0.5
@@ -370,3 +370,82 @@ class TestSweepBitIdentity:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             smallest_eigenvectors([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("stack,error,match", [
+        # mixed shapes are checked item by item, in order
+        ([np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 3))], NonHermitianError, "Hermitian"),
+        ([np.zeros((2, 3)), np.array([[0.0, 1.0], [0.0, 0.0]])], NonHermitianError, "square"),
+        ([np.eye(2), np.eye(3), np.array([[0.0, 1.0], [0.0, 0.0]])], NonHermitianError,
+         "Hermitian"),
+        ([np.eye(2), np.zeros((2, 3))], NonHermitianError, "square"),
+        # one shape: one pass, with the verdict of each item
+        ([np.zeros((2, 3)), np.zeros((2, 3))], NonHermitianError, r"square: \(2, 3\)"),
+        ([np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2)], NonHermitianError,
+         "Hermitian"),
+        ([np.zeros((0, 0)), np.zeros((0, 0))], NonHermitianError, "empty"),
+    ])
+    def test_first_failing_item_raises(self, stack, error, match):
+        with pytest.raises(error, match=match) as err:
+            smallest_eigenvectors(stack)
+        # the error a lone call raises for the first item that fails
+        first = next(e for e in map(_lone_error, stack) if e is not None)
+        assert type(err.value) is type(first) and str(err.value) == str(first)
+
+
+def _lone_error(h):
+    try:
+        smallest_eigenvector(h)
+    except Exception as exc:
+        return exc
+    return None
+
+
+class TestRepeatedItems:
+    """A stack solves each distinct matrix once; every item still gets
+    the pair of a lone call, in arrays of its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 16), distinct=st.integers(1, 5), count=st.integers(2, 24),
+           seed=st.integers(0, 2**32 - 1))
+    def test_repeats_match_lone_calls(self, dim, distinct, count, seed):
+        rng = np.random.default_rng(seed)
+        n = dim.bit_length() - 1
+        pool = [np.zeros((dim, dim)), -np.eye(dim)]
+        for _ in range(distinct):
+            if dim == 1 << n and n >= 2 and rng.random() < 0.5:
+                # exact first-step gradients: the restart and eigh paths
+                picks = list(rng.integers(0, 64, size=int(rng.integers(1, 6))))
+                pool.append(_stabilizer_sum(n, str(rng.choice(["d1", "d2"])), picks,
+                                            [-1.0] * len(picks)))
+            else:
+                pool.append(random_hermitian(rng, dim))
+        # equal bytes in distinct arrays
+        hs = [pool[k].astype(np.complex128) for k in rng.integers(0, len(pool), size=count)]
+        stacks, got = _stack_lengths(lambda: smallest_eigenvectors(hs))
+        assert stacks == [len({h.tobytes() for h in hs})]
+        for h, (v, lam) in zip(hs, got):
+            want_v, want_lam = smallest_eigenvector(h)
+            assert v.tobytes() == want_v.tobytes()
+            assert lam == want_lam and type(lam) is type(want_lam)
+        vectors = [v for v, _ in got]
+        assert not any(np.shares_memory(a, b)
+                       for k, a in enumerate(vectors) for b in vectors[k + 1:])
+
+    def test_signed_zero_is_another_matrix(self):
+        # equal values with other bytes are solved apart, each as alone
+        h = np.diag([-1.0, 0.0, 2.0]).astype(np.complex128)
+        g = h.copy()
+        g[0, 1] = g[1, 0] = -0.0
+        stacks, got = _stack_lengths(lambda: smallest_eigenvectors([h, g, h]))
+        assert stacks == [2]
+        for m, (v, lam) in zip([h, g, h], got):
+            want_v, want_lam = smallest_eigenvector(m)
+            assert v.tobytes() == want_v.tobytes() and lam == want_lam
+
+
+def _stack_lengths(solve):
+    """The length of every stack that reaches the eigen-step rule
+    while ``solve()`` runs, and its result."""
+    with mock.patch.object(linalg, "_smallest", wraps=linalg._smallest) as rule:
+        got = solve()
+    return [len(call.args[0]) for call in rule.call_args_list], got
