@@ -5,7 +5,6 @@ from .complexity import (
     LearnParams,
     TrialCache,
     estimate_min_m,
-    estimate_min_ms,
     fill_trials,
     linear_fit,
     theorem_bound,

@@ -8,18 +8,18 @@ failure rate drops strictly below delta. Failure-rate comparisons use
 exact rational arithmetic, so the stopping rule carries no floating
 drift.
 
-The trials come from a :class:`TrialCache`, which owns everything that
-decides a trial's outcome: the target, the distribution, the root
-seed, the noise model, the sampling mode and the optimizer budget
-k_max. The search only fills the cache and reads it, so searches that
-share a cache (a sweep relaxing epsilon, gamma or delta) read the same
-trial outcomes and inherit exact monotonicity.
+The trials come from a :class:`TrialCache`, the learning context that
+decides a trial's outcome: the target, the distribution, the noise
+model, the sampling mode and the optimizer budget k_max. A search
+names its root seeds, and each trial is keyed by its own sampling
+seed. The search only fills the cache and reads it, so searches that
+share a cache and a root (a sweep relaxing epsilon, gamma or delta)
+read the same trial outcomes and inherit exact monotonicity.
 
-Searches of caches that differ only in their root seed (a protocol's
-repeats) run as one group in lock-step (:func:`estimate_min_ms`): at
-each candidate m every search still running is filled by one
-:func:`fill_trials` call, so their trials share one stack of
-eigen-steps. A lone search is a group of one.
+:func:`estimate_min_m` searches its roots (a protocol's repeats) in
+lock-step: at each candidate m every root still searching is filled
+by one :func:`fill_trials` call, so their trials share one stack of
+eigen-steps.
 
 Every trial is learned by :func:`~qpac.learner.learn_each`, the
 learning path that ``learn`` and ``sweep-m`` take too, so a training
@@ -81,14 +81,18 @@ def _exact_fraction(x: float) -> Fraction:
 
 
 class TrialCache:
-    """The learning trials of one (state, distribution, seed) context.
+    """The learning trials of one learning context: a target state, its
+    support, a noise model, a sampling mode and an optimizer budget
+    k_max.
 
-    Trial i at training size m samples its training set with
-    :meth:`trial_seed` ``(m, i)``, so trials at different m or i draw
-    independent streams, and learns it with at most ``k_max``
-    Frank-Wolfe steps. :func:`fill_trials` is the only place trials
-    are learned; :meth:`residuals` and :meth:`epsilon_estimate` read
-    trials it filled and raise ``KeyError`` for any other.
+    Each trial is keyed by its own sampling seed ``(*root, m, i)``:
+    trial i at training size m of the search with root seed ``root``
+    (a tuple of non-negative integers). Trials at different roots, m or
+    i draw independent streams, and every search that names a root
+    reads that root's trials. Each trial is learned with at most
+    ``k_max`` Frank-Wolfe steps. :func:`fill_trials` is the only place
+    trials are learned; :meth:`residuals` and :meth:`epsilon_estimate`
+    read trials it filled and raise ``KeyError`` for any other.
 
     The cache holds no tables of its own: the support's batch
     (``dist.batch``) and its Tr(E rho) table serve every trial's
@@ -100,7 +104,6 @@ class TrialCache:
         self,
         state: DensityMatrix,
         dist: MeasurementDistribution,
-        seed,
         k_max: int = 300,
         noise: NoiseModel | None = None,
         replacement: bool = True,
@@ -108,150 +111,103 @@ class TrialCache:
         _at_least_one("k_max", k_max)
         self.state = state
         self.dist = dist
-        self.seed = seed
         self.k_max = k_max
         self.noise = noise or NoiseModel.exact()
         self.replacement = replacement
-        self._residuals: dict[tuple[int, int], np.ndarray] = {}
+        self._residuals: dict[tuple, np.ndarray] = {}
 
-    def trial_seed(self, m: int, i: int) -> tuple:
-        """The sampling seed of trial i at size m: the root seed's
-        components followed by m and i."""
-        base = self.seed if isinstance(self.seed, (list, tuple)) else (self.seed,)
-        return (*base, m, i)
+    def residuals(self, seed: tuple) -> np.ndarray:
+        """Read-only support residuals of the hypothesis of the filled
+        trial with sampling seed ``seed``."""
+        return self._residuals[seed]
 
-    def residuals(self, m: int, i: int) -> np.ndarray:
-        """Read-only support residuals of the hypothesis of filled trial
-        i at size m."""
-        return self._residuals[(m, i)]
-
-    def epsilon_estimate(self, m: int, i: int, gamma: float) -> Fraction:
-        """Exact share of support effects that filled trial i at size m
-        misses by more than gamma."""
-        return error_share(self.residuals(m, i), gamma)
+    def epsilon_estimate(self, seed: tuple, gamma: float) -> Fraction:
+        """Exact share of support effects that the filled trial with
+        sampling seed ``seed`` misses by more than gamma."""
+        return error_share(self.residuals(seed), gamma)
 
 
-def _check_group(caches: Sequence[TrialCache]) -> None:
-    first = caches[0]
-    for cache in caches[1:]:
-        if (cache.state is not first.state or cache.dist is not first.dist
-                or cache.noise != first.noise or cache.replacement != first.replacement
-                or cache.k_max != first.k_max):
-            raise ValueError("a group of trial caches must share its state, support, "
-                             "noise, replacement mode and k_max")
-
-
-def fill_trials(caches: Sequence[TrialCache], m: int, count: int) -> None:
-    """Learn, for each cache of a group, the trials 0..count-1 at size
-    m that it has not cached yet, and store the
+def fill_trials(cache: TrialCache, roots: Sequence[tuple], m: int, count: int) -> None:
+    """Learn the trials 0..count-1 at size m of each root seed in
+    ``roots`` that ``cache`` has not filled yet, and store the
     :func:`~qpac.learner.support_residuals` of each hypothesis.
 
-    A group shares one state and one support object, one noise model,
-    one replacement mode and one k_max; anything else raises
-    ``ValueError``. Its missing trials, cache by cache in order, are
-    drawn as one pair of arrays (:func:`~qpac.sampling.draw_training_sets`,
-    each row the set that :func:`~qpac.sampling.sample_training_set`
-    draws with its cache's :meth:`~TrialCache.trial_seed`) and learned
-    by one :func:`~qpac.learner.learn_each` call. Each trial's residuals
-    are the bytes that learning it alone gives, so grouping caches
-    changes no result, only how many trials share a stack.
+    The missing trials, root by root in order, are drawn as one pair of
+    arrays (:func:`~qpac.sampling.draw_training_sets`, each row the set
+    that :func:`~qpac.sampling.sample_training_set` draws with the
+    trial's seed ``(*root, m, i)``) and learned by one
+    :func:`~qpac.learner.learn_each` call. Each trial's residuals are
+    the bytes that learning it alone gives, so how many roots share a
+    fill changes no result, only how many trials share a stack.
     """
-    caches = list(caches)
-    if not caches:
-        return
-    _check_group(caches)
-    first = caches[0]
-    trials = [(cache, i) for cache in caches for i in range(count)
-              if (m, i) not in cache._residuals]
+    seeds = ((*root, m, i) for root in roots for i in range(count))
+    seeds = [seed for seed in seeds if seed not in cache._residuals]
     indices, values = draw_training_sets(
-        first.dist, first.state, m, [cache.trial_seed(m, i) for cache, i in trials],
-        first.noise, first.replacement,
+        cache.dist, cache.state, m, seeds, cache.noise, cache.replacement,
     )
-    hyps = learn_each(first.dist, indices, values, first.noise, first.k_max)
-    for (cache, i), hyp in zip(trials, hyps):
-        found = support_residuals(hyp.sigma, first.state, first.dist)
+    hyps = learn_each(cache.dist, indices, values, cache.noise, cache.k_max)
+    for seed, hyp in zip(seeds, hyps):
+        found = support_residuals(hyp.sigma, cache.state, cache.dist)
         found.setflags(write=False)
-        cache._residuals[(m, i)] = found
+        cache._residuals[seed] = found
 
 
-Record = Callable[[int, int, float, bool], None]
+Record = Callable[[tuple, int, int, float, bool], None]
 
 
-def estimate_min_m(cache: TrialCache, params: LearnParams, *,
-                   record: Record | None = None) -> int:
-    """First training-set size m whose trial failure rate is strictly
-    below delta: :func:`estimate_min_ms` on ``cache`` alone.
+def estimate_min_m(cache: TrialCache, params: LearnParams, roots: Sequence[tuple], *,
+                   record: Record | None = None) -> list[int]:
+    """For each root seed in ``roots``, the first training-set size m
+    whose trial failure rate is strictly below delta.
 
-    Per candidate m = 1, 2, ..., fills trials 0..i_max-1 of ``cache``
-    and fails a trial when the exact share of support effects it misses
-    by more than gamma (strict) exceeds epsilon. ``record(m, i,
-    epsilon_est, failed)`` is called once per trial read, in order.
+    Per candidate m = 1, 2, ..., reads trials 0..i_max-1 of each root
+    still searching, and fails a trial when the exact share of support
+    effects it misses by more than gamma (strict) exceeds epsilon. The
+    roots search in lock-step: at each m, one :func:`fill_trials` call
+    learns the missing trials of every root still searching, so they
+    share one draw and one :func:`~qpac.learner.learn_each` call. Each
+    root gets the minimum m that a search of it alone gives.
+    ``record(root, m, i, epsilon_est, failed)`` is called once per trial
+    read, root by root at each m, so each root sees the calls of a lone
+    search in the same order.
+
     Raises :class:`SampleSizeCapError` with the failure-rate trajectory
-    if no m up to m_cap qualifies; a cache that samples without
-    replacement stops at its support size if that is smaller.
-
-    The protocols search their repeats as groups (one group per swept
-    value in ``sweep-errors``), so where several searches reach the
-    cap the error reported is the first in (value, repeat) order, not
-    in (repeat, value) order.
+    of the first root in order that no m up to m_cap qualifies for; a
+    cache that samples without replacement stops at its support size if
+    that is smaller. A protocol that searches its repeats once per
+    swept value (``sweep-errors``) therefore reports the first failing
+    search in (value, repeat) order, not in (repeat, value) order.
     """
-    return estimate_min_ms([cache], params, records=[record])[0]
-
-
-def estimate_min_ms(
-    caches: Sequence[TrialCache],
-    params: LearnParams,
-    *,
-    records: Sequence[Record | None] | None = None,
-) -> list[int]:
-    """:func:`estimate_min_m` of each cache of a group, searched in
-    lock-step: at each candidate m, the caches still searching are
-    filled by one :func:`fill_trials` call, so their trials share one
-    draw and one :func:`~qpac.learner.learn_each` call.
-
-    The group rules of :func:`fill_trials` apply. Each cache gets the
-    minimum m a lone search gives it, and ``records[j]`` (if given and
-    not None) sees the calls that a lone search of cache j makes, in
-    the same order. When searches reach the cap, the
-    :class:`SampleSizeCapError` of the first of them in group order is
-    raised; a protocol that runs one group per swept value therefore
-    reports the first failing search in (value, repeat) order.
-    """
-    caches = list(caches)
-    records = list(records) if records is not None else [None] * len(caches)
-    if len(records) != len(caches):
-        raise ValueError(f"{len(records)} records for {len(caches)} caches")
-    if not caches:
-        return []
     eps = _exact_fraction(params.epsilon)
     delta = _exact_fraction(params.delta)
     m_cap, limit = params.m_cap, "m_cap"
-    support = len(caches[0].dist)
-    if not caches[0].replacement and support < m_cap:
+    support = len(cache.dist)
+    if not cache.replacement and support < m_cap:
         m_cap, limit = support, f"support size {support}, sampled without replacement"
-    found: list[int | None] = [None] * len(caches)
-    trajectories: list[list[float]] = [[] for _ in caches]
-    searching = list(range(len(caches)))
+    found: list[int | None] = [None] * len(roots)
+    trajectories: list[list[float]] = [[] for _ in roots]
+    searching = list(range(len(roots)))
     for m in range(1, m_cap + 1):
-        fill_trials([caches[j] for j in searching], m, params.i_max)
+        if not searching:
+            break
+        fill_trials(cache, [roots[j] for j in searching], m, params.i_max)
         for j in searching:
-            cache, record = caches[j], records[j]
             failures = 0
             for i in range(params.i_max):
-                eps_est = cache.epsilon_estimate(m, i, params.gamma)
+                eps_est = cache.epsilon_estimate((*roots[j], m, i), params.gamma)
                 failed = eps_est > eps
                 if failed:
                     failures += 1
                 if record is not None:
-                    record(m, i, float(eps_est), failed)
+                    record(roots[j], m, i, float(eps_est), failed)
             delta_est = Fraction(failures, params.i_max)
             trajectories[j].append(float(delta_est))
             if delta_est < delta:
                 found[j] = m
         searching = [j for j in searching if found[j] is None]
-        if not searching:
-            return found
-    raise SampleSizeCapError(m_cap, trajectories[searching[0]], limit)
+    if searching:
+        raise SampleSizeCapError(m_cap, trajectories[searching[0]], limit)
+    return found
 
 
 def theorem_bound(n: int, params: LearnParams, big_k: float) -> float:

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .complexity import LearnParams, TrialCache, estimate_min_ms, linear_fit, theorem_bound
+from .complexity import LearnParams, TrialCache, estimate_min_m, linear_fit, theorem_bound
 from .errors import ConfigError, StructureError
 from .learner import Objective, evaluate_epsilon, learn_each
 from .pauli import PauliString
@@ -184,6 +184,8 @@ class ExperimentConfig:
             raise ConfigError("shots and gauss-std are mutually exclusive noise models")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 0:
             raise ConfigError(f"threads must be >= 0, got {self.threads}")
         for name in ("i_max", "k_max", "m_cap"):
@@ -200,6 +202,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value > MAX_QUBITS:
                 raise ConfigError(f"{name} = {value} exceeds MAX_QUBITS: need n <= {MAX_QUBITS}")
+            # scaling checks its n range below
+            if not self.generators and self.command != "scaling" and self.n < 2:
+                raise ConfigError(f"a GHZ target needs n >= 2, got n = {self.n}")
         if self.generators:
             # a generator list fixes one qubit count
             if self.command == "scaling":
@@ -223,9 +228,11 @@ class ExperimentConfig:
             support = len(self.distribution(self.n))
             if self.m_list is None:
                 self.m_list = list(range(0, support + 1))
+            if not self.m_list:
+                raise ConfigError("sweep-m needs at least one size in m_list")
             if any(m < 0 for m in self.m_list):
                 raise ConfigError("sweep-m sizes must be >= 0")
-            if self.replacement == "without" and max(self.m_list, default=0) > support:
+            if self.replacement == "without" and max(self.m_list) > support:
                 raise ConfigError(f"sweep-m size {max(self.m_list)} exceeds the support size "
                                   f"{support} of a draw without replacement")
         if self.command == "sweep-errors":
@@ -235,6 +242,8 @@ class ExperimentConfig:
                 )
             if self.sweep_values is None:
                 self.sweep_values = list(_SWEEP_DEFAULT_GRIDS[self.sweep_param])
+            if not self.sweep_values:
+                raise ConfigError("sweep-errors needs at least one value in sweep_values")
             if any(not 0.0 < v <= 1.0 for v in self.sweep_values):
                 raise ConfigError("swept values must lie in (0, 1]")
         # the fit needs at least two qubit counts
@@ -263,11 +272,11 @@ class ExperimentConfig:
         values.update(overrides)
         return LearnParams(**values)
 
-    def trial_cache(self, state: DensityMatrix, dist: MeasurementDistribution, seed) -> TrialCache:
-        """The minimum-m search's trials for one target, distribution
-        and root seed, under this config's noise, sampling and k_max."""
+    def trial_cache(self, state: DensityMatrix, dist: MeasurementDistribution) -> TrialCache:
+        """The minimum-m search's trials for one target and distribution,
+        under this config's noise, sampling and k_max."""
         return TrialCache(
-            state, dist, seed,
+            state, dist,
             k_max=self.k_max, noise=self.noise_model(),
             replacement=self.with_replacement(),
         )
@@ -455,16 +464,16 @@ TRIALS_COLUMNS = ("n", "m", "trial", "epsilon_est", "failed", "seed")
 
 def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     """Minimum m as one error parameter sweeps and the others stay at
-    their defaults. Each repeat reuses its cached trials across the
-    grid, so relaxing the swept parameter never increases m. Per swept
-    value the repeats search as one group."""
+    their defaults. One cache serves every value and repeat, and each
+    repeat reuses its own trials across the grid, so relaxing the swept
+    parameter never increases m. Per swept value the repeats search in
+    lock-step."""
     n = config.n
-    state = config.target_state(n)
-    dist = config.distribution(n)
+    cache = config.trial_cache(config.target_state(n), config.distribution(n))
+    roots = [(config.seed, r) for r in range(config.repeats)]
     trial_rows = [] if config.trials_out else None
-    caches = [config.trial_cache(state, dist, (config.seed, r)) for r in range(config.repeats)]
     per_value = [
-        _search(caches, config.learn_params(**{config.sweep_param: value}), n, trial_rows)
+        _search(cache, config.learn_params(**{config.sweep_param: value}), roots, n, trial_rows)
         for value in config.sweep_values
     ]
 
@@ -480,20 +489,17 @@ def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     return _finalize(table, config)
 
 
-def _search(caches: list[TrialCache], params: LearnParams, n: int,
+def _search(cache: TrialCache, params: LearnParams, roots: list[tuple], n: int,
             trial_rows: list | None) -> list[int]:
-    """The minimum m on each of ``caches``, searched as one group;
-    appends one trials-table row per trial read to ``trial_rows``
-    unless it is None."""
-    records = None
+    """The minimum m of each of ``roots`` on ``cache``; appends one
+    trials-table row per trial read to ``trial_rows`` unless it is
+    None."""
+    record = None
     if trial_rows is not None:
-        def recorder(cache):
-            def record(m, i, eps, failed):
-                seed = ";".join(str(part) for part in cache.trial_seed(m, i))
-                trial_rows.append((n, m, i, eps, failed, f"({seed})"))
-            return record
-        records = [recorder(cache) for cache in caches]
-    return estimate_min_ms(caches, params, records=records)
+        def record(root, m, i, eps, failed):
+            seed = ";".join(str(part) for part in (*root, m, i))
+            trial_rows.append((n, m, i, eps, failed, f"({seed})"))
+    return estimate_min_m(cache, params, roots, record=record)
 
 
 def _write_trials(rows, config: ExperimentConfig) -> None:
@@ -525,11 +531,9 @@ def run_scaling(config: ExperimentConfig) -> ResultTable:
     table = ResultTable(config=config.echo(), columns=SCALING_COLUMNS)
     points = []
     for n in ns:
-        state = config.target_state(n)
-        dist = config.distribution(n)
-        caches = [config.trial_cache(state, dist, (config.seed, n, r))
-                  for r in range(config.repeats)]
-        min_ms = _search(caches, params, n, trial_rows)
+        cache = config.trial_cache(config.target_state(n), config.distribution(n))
+        roots = [(config.seed, n, r) for r in range(config.repeats)]
+        min_ms = _search(cache, params, roots, n, trial_rows)
         chunk = np.array(min_ms, dtype=float)
         points.append((n, float(chunk.mean())))
         table.append("point", n, config.repeats, float(chunk.mean()), float(chunk.std()),

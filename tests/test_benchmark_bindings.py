@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qpac import hazan_optimize, smallest_eigenvector
+from qpac.experiments import ExperimentConfig, run_command
 from qpac.table import ResultTable
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -55,3 +56,21 @@ def test_hooks_read_bound_arguments():
     assert args["k_max"] == 300
     assert "h" in _bound(smallest_eigenvector, object())
     assert "path" in _bound(ResultTable.write, object(), "t.csv")
+
+
+def test_protocols_search_through_the_traced_name(tracing, tmp_path):
+    # the tracer rebinds complexity.estimate_min_m wherever qpac binds
+    # it; a protocol that searched through another name would leave
+    # its search spans at 0
+    config = ExperimentConfig(command="scaling", n_min=2, n_max=3, dist="d2", i_max=2,
+                              repeats=2, epsilon=0.15, gamma=0.2, delta=0.2,
+                              out=str(tmp_path / "s.csv"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_command(config)
+    finally:
+        tracer.remove()
+    searches = [s for s in tracer.spans if s.name == "complexity.estimate_min_m"]
+    # one search per n, of all its repeats
+    assert len(searches) == 2

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qpac import (
     DensityMatrix,
     LearnParams,
-    MeasurementDistribution,
     NoiseModel,
     Objective,
     SampleSizeCapError,
@@ -21,7 +20,6 @@ from qpac import (
     TrialCache,
     build_distribution,
     estimate_min_m,
-    estimate_min_ms,
     fill_trials,
     ghz_density,
     ghz_generators,
@@ -55,7 +53,7 @@ class TestLearnParams:
             LearnParams(epsilon=0.5, gamma=0.5, delta=0.5, k_max=10)
         rho, dist = ghz_density(2), build_distribution(2, "d1")
         with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
-            TrialCache(rho, dist, (1,), k_max=0)
+            TrialCache(rho, dist, k_max=0)
 
 
 class TestEstimateMinM:
@@ -89,7 +87,7 @@ class TestEstimateMinM:
                 exact_first_m = m
         assert exact_first_m is not None, f"no m <= 4 passes; rates {rates}"
         params = LearnParams(epsilon=eps, gamma=gam, delta=delt, i_max=50)
-        got = estimate_min_m(TrialCache(rho, dist, (1,)), params)
+        [got] = estimate_min_m(TrialCache(rho, dist), params, [(1,)])
         assert got == exact_first_m
         assert got <= 4
         # the exact rates must sit away from the threshold for the MC
@@ -101,13 +99,13 @@ class TestEstimateMinM:
         dist = build_distribution(2, "d1")
         for gamma in (0.5, 0.6):
             params = LearnParams(epsilon=0.15, gamma=gamma, delta=0.2, i_max=20)
-            assert estimate_min_m(TrialCache(rho, dist, (2,)), params) == 1
+            assert estimate_min_m(TrialCache(rho, dist), params, [(2,)]) == [1]
 
     def test_vacuous_epsilon_gives_one(self):
         rho = ghz_density(3)
         dist = build_distribution(3, "d1")
         params = LearnParams(epsilon=1.0, gamma=0.1, delta=0.9, i_max=10)
-        assert estimate_min_m(TrialCache(rho, dist, (3,)), params) == 1
+        assert estimate_min_m(TrialCache(rho, dist), params, [(3,)]) == [1]
 
     def test_full_support_always_reachable(self):
         # without replacement, m = |support| reproduces the state exactly
@@ -117,7 +115,7 @@ class TestEstimateMinM:
             params = LearnParams(
                 epsilon=0.05, gamma=0.1, delta=0.1, i_max=10, m_cap=len(dist)
             )
-            got = estimate_min_m(TrialCache(rho, dist, (4, n), replacement=False), params)
+            [got] = estimate_min_m(TrialCache(rho, dist, replacement=False), params, [(4, n)])
             assert got <= len(dist)
 
     def test_cap_error_carries_trajectory(self):
@@ -128,7 +126,7 @@ class TestEstimateMinM:
         )
         noise = NoiseModel.gaussian(0.4)
         with pytest.raises(SampleSizeCapError) as err:
-            estimate_min_m(TrialCache(rho, dist, (5,), noise=noise), params)
+            estimate_min_m(TrialCache(rho, dist, noise=noise), params, [(5,)])
         assert err.value.m_cap == 3
         assert len(err.value.delta_trajectory) == 3
 
@@ -140,10 +138,11 @@ class TestEstimateMinM:
             """Fills real trials, but reads fixed error rates."""
 
             def __init__(self):
-                super().__init__(ghz_density(2), build_distribution(2, "d1"), (1,), k_max=1)
+                super().__init__(ghz_density(2), build_distribution(2, "d1"), k_max=1)
                 self.calls = []
 
-            def epsilon_estimate(self, m, i, gamma):
+            def epsilon_estimate(self, seed, gamma):
+                m, i = seed[-2:]
                 self.calls.append((m, i))
                 if m == 1:
                     # exactly 1 failure out of 5: delta_est == 0.2 == delta
@@ -151,18 +150,19 @@ class TestEstimateMinM:
                 return Fraction(0, 1)
 
         params = LearnParams(epsilon=0.5, gamma=0.3, delta=0.2, i_max=5)
-        got = estimate_min_m(StubCache(), params)
-        assert got == 2  # m=1 ties delta exactly and must be rejected
+        got = estimate_min_m(StubCache(), params, [(1,)])
+        assert got == [2]  # m=1 ties delta exactly and must be rejected
 
     def test_monotone_under_relaxation_with_shared_cache(self):
         rho = ghz_density(3)
         dist = build_distribution(3, "d1")
-        cache = TrialCache(rho, dist, seed=(7,), k_max=300)
+        cache = TrialCache(rho, dist, k_max=300)
 
         def m_for(**kw):
             base = dict(epsilon=0.05, gamma=0.1, delta=0.1, i_max=30)
             base.update(kw)
-            return estimate_min_m(cache, LearnParams(**base))
+            [m] = estimate_min_m(cache, LearnParams(**base), [(7,)])
+            return m
 
         for name, grid in (
             ("epsilon", [0.05, 0.1, 0.2, 0.5]),
@@ -177,13 +177,12 @@ class TestEstimateMinM:
         dist = build_distribution(2, "d1")
         params = LearnParams(epsilon=0.15, gamma=0.2, delta=0.2, i_max=5)
         rows = []
-        estimate_min_m(
-            TrialCache(rho, dist, (8,)), params,
-            record=lambda m, i, eps, failed: rows.append((m, i, eps, failed)),
-        )
-        ms = {m for m, *_ in rows}
-        assert all(len({i for m2, i, *_ in rows if m2 == m}) == 5 for m in ms)
-        assert all(0.0 <= eps <= 1.0 for _, _, eps, _ in rows)
+        estimate_min_m(TrialCache(rho, dist), params, [(8,)],
+                       record=lambda *row: rows.append(row))
+        assert {root for root, *_ in rows} == {(8,)}
+        ms = {m for _, m, *_ in rows}
+        assert all(len({i for _, m2, i, *_ in rows if m2 == m}) == 5 for m in ms)
+        assert all(0.0 <= eps <= 1.0 for *_, eps, _ in rows)
 
 
 class TestBatchFill:
@@ -228,15 +227,14 @@ class TestBatchFill:
         # exact GHZ values are all 1, so shot noise needs the mixed target
         rho = maximally_mixed(3) if noise.kind == "shots" else ghz_density(3)
         dist = build_distribution(3, label)
-        cache = TrialCache(rho, dist, seed=(5,), k_max=10, noise=noise,
-                           replacement=replacement)
+        cache = TrialCache(rho, dist, k_max=10, noise=noise, replacement=replacement)
         sizes = (1, 2, 4)  # d2 at n = 3 has 4 effects to draw without replacement
         for m in sizes:
-            fill_trials([cache], m, self.I_MAX)
+            fill_trials(cache, [(5,)], m, self.I_MAX)
         assert len(optimizations) == len(sizes) * self.I_MAX
         for m in sizes:
             for i in range(self.I_MAX):
-                got = cache.residuals(m, i)
+                got = cache.residuals((5, m, i))
                 if noise.kind == "exact" and label == "d2":
                     # exact Y-free trials stop on the closed-form first step
                     want = self._by_rule(rho, dist, m, (5, m, i), replacement)
@@ -247,7 +245,7 @@ class TestBatchFill:
         # the lookups above were all answered by the fill, and a lookup
         # of a trial no fill reached learns nothing
         with pytest.raises(KeyError):
-            cache.epsilon_estimate(1, self.I_MAX, 0.1)
+            cache.epsilon_estimate((5, 1, self.I_MAX), 0.1)
         assert len(optimizations) == len(sizes) * self.I_MAX
 
     def test_each_first_gradient_solved_in_its_chunk(self, optimizations, monkeypatch):
@@ -261,11 +259,11 @@ class TestBatchFill:
         monkeypatch.setattr(learner, "smallest_eigenvectors", counted)
         # set-based d1 draws at n = 3 pick among 7 effects
         rho, dist = ghz_density(3), build_distribution(3, "d1")
-        cache = TrialCache(rho, dist, seed=(5,), k_max=1, replacement=False)
+        cache = TrialCache(rho, dist, k_max=1, replacement=False)
         mixed = maximally_mixed(3).matrix
         for m in (1, 2, 3):
             stacks.clear()
-            fill_trials([cache], m, self.I_MAX)
+            fill_trials(cache, [(5,)], m, self.I_MAX)
             firsts = [
                 Objective(sample_training_set(dist, rho, m, seed=(5, m, i),
                                               replacement=False)).gradient(mixed).tobytes()
@@ -290,10 +288,9 @@ class TestBatchFill:
                             lambda hs, **k: eigen_steps.extend(hs) or [])
         monkeypatch.setattr(learner, "smallest_eigenvector",
                             lambda *a, **k: eigen_steps.append(None))
-        cache = TrialCache(ghz_density(4), build_distribution(4, "d2"), seed=(3,),
-                           replacement=replacement)
+        cache = TrialCache(ghz_density(4), build_distribution(4, "d2"), replacement=replacement)
         for m in (1, 3, 8):
-            fill_trials([cache], m, self.I_MAX)
+            fill_trials(cache, [(3,)], m, self.I_MAX)
         assert steps == [1] * (3 * self.I_MAX)
         assert eigen_steps == []
 
@@ -302,8 +299,8 @@ class TestBatchFill:
         gens = [PauliString.from_text(t) for t in ("-XXX", "ZZI", "IZZ")]
         dist = distribution_from_generators(gens, "d2")
         rho = ExperimentConfig(n=3, m=1, generators=[str(p) for p in gens]).target_state(3)
-        cache = TrialCache(rho, dist, seed=(5,), k_max=10, replacement=False)
-        fill_trials([cache], 2, self.I_MAX)
+        cache = TrialCache(rho, dist, k_max=10, replacement=False)
+        fill_trials(cache, [(5,)], 2, self.I_MAX)
         fell_back = 0
         for i in range(self.I_MAX):
             training = sample_training_set(dist, rho, 2, seed=(5, 2, i), replacement=False)
@@ -312,7 +309,7 @@ class TestBatchFill:
             fell_back += 1
             assert learner.code_space_atoms(*index_rows(training))[0] is None
             want = self._alone(rho, dist, 2, (5, 2, i), 10, NoiseModel.exact(), False)
-            assert cache.residuals(2, i).tobytes() == want.tobytes()
+            assert cache.residuals((5, 2, i)).tobytes() == want.tobytes()
         assert fell_back > 0
 
     @pytest.mark.parametrize("target,noise", [
@@ -338,9 +335,9 @@ class TestBatchFill:
                 self._alone(rho, dist, m, (5, m, i), 10, noise, True)
         lone = len(builds)
         builds.clear()
-        cache = TrialCache(rho, dist, seed=(5,), k_max=10, noise=noise)
+        cache = TrialCache(rho, dist, k_max=10, noise=noise)
         for m in sizes:
-            fill_trials([cache], m, self.I_MAX)
+            fill_trials(cache, [(5,)], m, self.I_MAX)
         # exact values of the mixed target leave residuals of exactly 0 at
         # I / d: neither the fill nor a lone optimization builds a gradient
         assert len(builds) == lone
@@ -350,9 +347,10 @@ class TestBatchFill:
     def test_cache_shared_across_gamma_grid(self, optimizations):
         rho = ghz_density(3)
         dist = build_distribution(3, "d1")
-        cache = TrialCache(rho, dist, seed=(7,), k_max=300)
+        cache = TrialCache(rho, dist, k_max=300)
         found = [
-            estimate_min_m(cache, LearnParams(epsilon=0.05, gamma=g, delta=0.1, i_max=self.I_MAX))
+            estimate_min_m(cache, LearnParams(epsilon=0.05, gamma=g, delta=0.1, i_max=self.I_MAX),
+                           [(7,)])[0]
             for g in (0.1, 0.3, 0.6)
         ]
         top = max(found)
@@ -361,7 +359,7 @@ class TestBatchFill:
         for m in range(1, top + 1):
             for i in range(self.I_MAX):
                 want = self._alone(rho, dist, m, (7, m, i), 300, NoiseModel.exact(), True)
-                assert cache.residuals(m, i).tobytes() == want.tobytes()
+                assert cache.residuals((7, m, i)).tobytes() == want.tobytes()
         assert len(optimizations) == top * self.I_MAX
 
 
@@ -395,19 +393,19 @@ class TestSupportIndexedTrials:
         m_top = len(dist) if not replacement else len(dist) + 2
         m = data.draw(st.integers(1, min(m_top, 6)))
         count = data.draw(st.integers(1, 4))
-        cache = TrialCache(rho, dist, seed=(data.draw(st.integers(0, 99)),), k_max=3,
-                           noise=noise, replacement=replacement)
-        fill_trials([cache], m, count)
+        root = (data.draw(st.integers(0, 99)),)
+        cache = TrialCache(rho, dist, k_max=3, noise=noise, replacement=replacement)
+        fill_trials(cache, [root], m, count)
         for i in range(count):
-            indices, values = draw_training_sets(dist, rho, m, [cache.trial_seed(m, i)], noise,
-                                                 replacement)
-            want = sample_training_set(dist, rho, m, noise=noise, seed=cache.trial_seed(m, i),
+            seed = (*root, m, i)
+            indices, values = draw_training_sets(dist, rho, m, [seed], noise, replacement)
+            want = sample_training_set(dist, rho, m, noise=noise, seed=seed,
                                        replacement=replacement)
             assert want.effects() == tuple(dist.effects[j] for j in indices[0].tolist())
             assert want.values().tobytes() == values[0].tobytes()
             [hyp] = learner.learn_each(dist, indices, values, noise, 3)
             alone = support_residuals(hyp.sigma, rho, dist)
-            assert cache.residuals(m, i).tobytes() == alone.tobytes()
+            assert cache.residuals(seed).tobytes() == alone.tobytes()
 
     def test_one_support_batch_per_support(self, monkeypatch):
         builds = []
@@ -422,9 +420,9 @@ class TestSupportIndexedTrials:
         sampling._generator_distribution.cache_clear()
         dist = distribution_from_generators(ghz_generators(3))
         rho = ghz_density(3)
-        caches = [TrialCache(rho, dist, seed=(r,), k_max=5) for r in range(4)]
-        for cache in caches:
-            fill_trials([cache], 3, 4)
+        caches = [TrialCache(rho, dist, k_max=5) for _ in range(4)]
+        for r, cache in enumerate(caches):
+            fill_trials(cache, [(r,)], 3, 4)
         sample_training_set(dist, rho, 3, seed=0)
         list(learner.learn_each(dist, *draw_training_sets(dist, rho, 3, [0, 1, 2]),
                                 NoiseModel.exact(), 5))
@@ -436,21 +434,21 @@ class TestSupportIndexedTrials:
         assert build_distribution(3, "d1").batch is build_distribution(3, "d1").batch
 
 
-def _lone_search(cache, params):
-    """The minimum m of a lone search on ``cache`` (or its cap error),
-    with the calls it makes to ``record``."""
+def _lone_search(cache, params, root):
+    """The minimum m of a search of ``root`` alone on ``cache`` (or its
+    cap error), with the calls it makes to ``record``."""
     rows = []
     try:
-        found = estimate_min_m(cache, params, record=lambda *row: rows.append(row))
+        [found] = estimate_min_m(cache, params, [root], record=lambda *row: rows.append(row))
     except SampleSizeCapError as exc:
         found = exc
     return found, rows
 
 
 class TestSearchGroups:
-    """Caches searched as one group, in lock-step, each get what a lone
-    search gives them: the minimum m, the residual bytes of every trial
-    read, and the same ``record`` calls in the same order."""
+    """Several roots searched in one cache, in lock-step, each get what
+    a lone-root search gives them: the minimum m, the residual bytes of
+    every trial read, and the same ``record`` calls in the same order."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -472,30 +470,30 @@ class TestSearchGroups:
             delta=data.draw(st.sampled_from([0.1, 0.3, 0.5])),
             i_max=data.draw(st.integers(1, 5)), m_cap=data.draw(st.integers(1, 6)),
         )
-        root = data.draw(st.integers(0, 99))
-        repeats = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 99))
+        roots = [(seed, r) for r in range(data.draw(st.integers(1, 4)))]
 
-        def caches():
-            return [TrialCache(rho, dist, (root, r), k_max=3, noise=noise,
-                               replacement=replacement) for r in range(repeats)]
+        def cache():
+            return TrialCache(rho, dist, k_max=3, noise=noise, replacement=replacement)
 
-        lone = caches()
-        want = [_lone_search(cache, params) for cache in lone]
-        group = caches()
-        rows = [[] for _ in group]
-        records = [lambda *row, out=out: out.append(row) for out in rows]
+        lone = [cache() for _ in roots]
+        want = [_lone_search(alone, params, root) for alone, root in zip(lone, roots)]
+        group = cache()
+        rows = []
+        record = lambda *row: rows.append(row)
         failed = [found for found, _ in want if isinstance(found, SampleSizeCapError)]
         if failed:
             with pytest.raises(SampleSizeCapError) as err:
-                estimate_min_ms(group, params, records=records)
-            # the first failing search in group order is reported
+                estimate_min_m(group, params, roots, record=record)
+            # the first failing root in order is reported
             assert str(err.value) == str(failed[0])
         else:
-            assert estimate_min_ms(group, params, records=records) == [m for m, _ in want]
-        for cache, alone, got, (_, want_rows) in zip(group, lone, rows, want):
-            assert got == want_rows
-            for m, i, _, _ in want_rows:
-                assert cache.residuals(m, i).tobytes() == alone.residuals(m, i).tobytes()
+            assert estimate_min_m(group, params, roots, record=record) == [m for m, _ in want]
+        for root, alone, (_, want_rows) in zip(roots, lone, want):
+            assert [row for row in rows if row[0] == root] == want_rows
+            for _, m, i, _, _ in want_rows:
+                trial = (*root, m, i)
+                assert group.residuals(trial).tobytes() == alone.residuals(trial).tobytes()
 
     def test_repeats_stop_at_different_m(self, monkeypatch):
         fills = []
@@ -508,51 +506,38 @@ class TestSearchGroups:
         monkeypatch.setattr(complexity, "learn_each", counted)
         rho, dist = ghz_density(3), build_distribution(3, "d1")
         params = LearnParams(epsilon=0.05, gamma=0.5, delta=0.1, i_max=6)
-        group = [TrialCache(rho, dist, (17, r)) for r in range(2)]
-        found = estimate_min_ms(group, params)
+        roots = [(17, r) for r in range(2)]
+        found = estimate_min_m(TrialCache(rho, dist), params, roots)
         # the pinned sweep_errors_n3 row at gamma 0.5: repeats stop at 1 and 2
         assert sorted(found) == [1, 2]
-        # one fill per m, of every search still running
+        # one fill per m, of every root still searching
         assert fills == [12, 6]
-        assert found == [_lone_search(TrialCache(rho, dist, (17, r)), params)[0]
-                         for r in range(2)]
+        assert found == [_lone_search(TrialCache(rho, dist), params, root)[0] for root in roots]
 
-    def test_fill_skips_cached_trials(self):
+    def test_fill_skips_cached_trials(self, monkeypatch):
+        fills = []
+        real = complexity.learn_each
+        monkeypatch.setattr(complexity, "learn_each",
+                            lambda support, indices, *args:
+                            fills.append(len(indices)) or real(support, indices, *args))
         rho, dist = ghz_density(2), build_distribution(2, "d1")
-        a, b = (TrialCache(rho, dist, (r,), k_max=5) for r in range(2))
-        fill_trials([a], 2, 3)
-        first = a.residuals(2, 0)
-        fill_trials([a, b], 2, 4)
-        # a's cached trials are not learned again
-        assert a.residuals(2, 0) is first
-        for cache in (a, b):
-            alone = TrialCache(rho, dist, cache.seed, k_max=5)
-            fill_trials([alone], 2, 4)
+        cache = TrialCache(rho, dist, k_max=5)
+        fill_trials(cache, [(0,)], 2, 3)
+        first = cache.residuals((0, 2, 0))
+        fill_trials(cache, [(0,), (1,)], 2, 4)
+        # root (0,)'s cached trials are not learned again
+        assert cache.residuals((0, 2, 0)) is first
+        assert fills == [3, 1 + 4]
+        for root in ((0,), (1,)):
+            alone = TrialCache(rho, dist, k_max=5)
+            fill_trials(alone, [root], 2, 4)
             for i in range(4):
-                assert cache.residuals(2, i).tobytes() == alone.residuals(2, i).tobytes()
-
-    @pytest.mark.parametrize("field", ["state", "dist", "noise", "replacement", "k_max"])
-    def test_group_must_share_its_context(self, field):
-        rho, dist = ghz_density(2), build_distribution(2, "d1")
-        context = dict(state=rho, dist=dist, k_max=5, noise=NoiseModel.exact(), replacement=True)
-        # an equal state or support that is another object is another context
-        context[field] = {
-            "state": DensityMatrix(rho.matrix.copy()),
-            "dist": MeasurementDistribution(dist.effects, dist.label),
-            "noise": NoiseModel.gaussian(0.1),
-            "replacement": False,
-            "k_max": 7,
-        }[field]
-        group = [TrialCache(rho, dist, (0,), k_max=5), TrialCache(seed=(1,), **context)]
-        params = LearnParams(epsilon=0.5, gamma=0.5, delta=0.5, i_max=2)
-        with pytest.raises(ValueError, match="must share"):
-            estimate_min_ms(group, params)
-        with pytest.raises(ValueError, match="must share"):
-            fill_trials(group, 1, 2)
+                seed = (*root, 2, i)
+                assert cache.residuals(seed).tobytes() == alone.residuals(seed).tobytes()
 
 
 class TestCapErrorOrder:
-    """``sweep-errors`` searches its repeats as one group per swept
+    """``sweep-errors`` searches its repeats in lock-step once per swept
     value, so the cap error it raises is that of the first failing
     search in (value, repeat) order."""
 
@@ -562,10 +547,10 @@ class TestCapErrorOrder:
                   gauss_std=0.1, k_max=20, repeats=2)
 
     def _lone(self, seed, r, gamma):
-        cache = TrialCache(ghz_density(2), build_distribution(2, "d1"), (seed, r), k_max=20,
+        cache = TrialCache(ghz_density(2), build_distribution(2, "d1"), k_max=20,
                            noise=NoiseModel.gaussian(0.1))
         params = LearnParams(epsilon=0.05, gamma=gamma, delta=0.2, i_max=5, m_cap=3)
-        return _lone_search(cache, params)[0]
+        return _lone_search(cache, params, (seed, r))[0]
 
     def _raised(self, seed, tmp_path):
         with pytest.raises(SampleSizeCapError) as err:

@@ -309,9 +309,9 @@ class TestTrialRows:
         first_gamma = {}
         read = TrialCache.epsilon_estimate
 
-        def spy(cache, m, i, gamma):
-            first_gamma.setdefault(cache.trial_seed(m, i), gamma)
-            return read(cache, m, i, gamma)
+        def spy(cache, seed, gamma):
+            first_gamma.setdefault(seed, gamma)
+            return read(cache, seed, gamma)
 
         monkeypatch.setattr(TrialCache, "epsilon_estimate", spy)
         path = tmp_path / "t.csv"
@@ -353,7 +353,7 @@ class TestRunScaling:
 
     def test_single_n_rejected_before_any_search(self, tmp_path, monkeypatch, capsys):
         searches = []
-        monkeypatch.setattr(experiments, "estimate_min_ms",
+        monkeypatch.setattr(experiments, "estimate_min_m",
                             lambda *a, **kw: searches.append(a) or 5)
         code = main(["scaling", "--n-min", "5", "--n-max", "5", "--repeats", "3",
                      "--out", str(tmp_path / "sc.csv")])
@@ -375,7 +375,7 @@ class TestGeneratorQubitCount:
     @pytest.mark.parametrize("case", sorted(ARGVS))
     def test_rejected_before_any_search(self, case, tmp_path, monkeypatch, capsys):
         searches = []
-        monkeypatch.setattr(experiments, "estimate_min_ms",
+        monkeypatch.setattr(experiments, "estimate_min_m",
                             lambda *a, **kw: searches.append(a) or 5)
         code = main([*self.ARGVS[case], "--out", str(tmp_path / "t.csv")])
         assert code == 2
@@ -452,7 +452,7 @@ class TestLoopBudgets:
     def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
         argv, name = self.ARGVS[case]
         calls = []
-        for func in ("estimate_min_ms", "build_distribution", "ghz_density"):
+        for func in ("estimate_min_m", "build_distribution", "ghz_density"):
             monkeypatch.setattr(experiments, func,
                                 lambda *a, func=func, **kw: calls.append(func))
         code = main([*argv, "--out", str(tmp_path / "t.csv")])
@@ -477,7 +477,7 @@ class TestQubitLimit:
     @pytest.mark.parametrize("case", sorted(ARGVS))
     def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
         calls = []
-        for name in ("estimate_min_ms", "build_distribution", "distribution_from_generators",
+        for name in ("estimate_min_m", "build_distribution", "distribution_from_generators",
                      "ghz_density"):
             monkeypatch.setattr(experiments, name,
                                 lambda *a, name=name, **kw: calls.append(name))
@@ -491,6 +491,67 @@ class TestQubitLimit:
         c = cfg(command="bound-curve", n_min=2, n_max=20, big_k=1.0,
                 out=str(tmp_path / "b.csv"))
         assert len(run_bound_curve(c).rows) == 19
+
+
+class TestNamedLimits:
+    """A negative seed, a GHZ target on fewer than two qubits and an
+    empty sweep each fail at config time with a ``ConfigError`` that
+    names the limit, before any work."""
+
+    ARGVS = {
+        "learn-seed": (["learn", "--n", "2", "--m", "2", "--seed", "-1"], "seed must be >= 0"),
+        "sweep-m-seed": (["sweep-m", "--n", "2", "--m-list", "1", "--seed", "-3"],
+                         "seed must be >= 0"),
+        "sweep-errors-seed": (["sweep-errors", "--n", "2", "--sweep-param", "gamma",
+                               "--seed", "-1"], "seed must be >= 0"),
+        "scaling-seed": (["scaling", "--n-min", "2", "--n-max", "3", "--seed", "-1"],
+                         "seed must be >= 0"),
+        "learn-n1": (["learn", "--n", "1", "--m", "1"], "GHZ target needs n >= 2"),
+        "sweep-m-n1": (["sweep-m", "--n", "1"], "GHZ target needs n >= 2"),
+        "sweep-errors-n0": (["sweep-errors", "--n", "0", "--sweep-param", "gamma"],
+                            "GHZ target needs n >= 2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ARGVS))
+    def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
+        argv, message = self.ARGVS[case]
+        calls = []
+        for name in ("estimate_min_m", "build_distribution", "ghz_density", "draw_training_sets"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *a, name=name, **kw: calls.append(name))
+        code = main([*argv, "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_config_errors(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(command="learn", m=1, seed=-1)
+        for command in ("learn", "sweep-m", "sweep-errors"):
+            with pytest.raises(ConfigError, match="GHZ target needs n >= 2, got n = 1"):
+                ExperimentConfig(command=command, n=1, m=1, sweep_param="gamma")
+
+    def test_single_qubit_generator_target_learns(self, tmp_path):
+        out = tmp_path / "l.csv"
+        assert main(["learn", "--n", "1", "--m", "1", "--generators", "Z",
+                     "--out", str(out)]) == 0
+        assert len(read_table(str(out)).rows) == 2
+
+    @pytest.mark.parametrize("values", [
+        {"command": "sweep-m", "n": 2, "m_list": []},
+        {"command": "sweep-errors", "n": 2, "sweep_param": "gamma", "sweep_values": []},
+    ], ids=["m_list", "sweep_values"])
+    def test_empty_sweep_in_a_config_file(self, values, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(values))
+        with pytest.raises(ConfigError, match="at least one"):
+            ExperimentConfig.from_file(str(path))
+        code = main([values["command"], "--config", str(path), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "at least one" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
 
 
 class TestSupportLimit:
@@ -534,10 +595,11 @@ class TestSupportLimit:
         assert not (tmp_path / "t.csv").exists()
 
     def test_cap_error_carries_trajectory(self):
-        cache = TrialCache(ghz_density(2), build_distribution(2, "d1"), (1,),
+        cache = TrialCache(ghz_density(2), build_distribution(2, "d1"),
                            k_max=20, noise=NoiseModel.gaussian(0.1), replacement=False)
         with pytest.raises(SampleSizeCapError) as err:
-            estimate_min_m(cache, LearnParams(epsilon=0.05, gamma=0.1, delta=0.1, i_max=10))
+            estimate_min_m(cache, LearnParams(epsilon=0.05, gamma=0.1, delta=0.1, i_max=10),
+                           [(1,)])
         assert err.value.m_cap == 3
         assert len(err.value.delta_trajectory) == 3
 
