@@ -54,6 +54,7 @@ from .states import (
     fidelity,
     ghz_density,
     maximally_mixed,
+    stabilizer_state,
 )
 
 __version__ = "0.1.0"

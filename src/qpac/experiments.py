@@ -43,10 +43,10 @@ from .sampling import (
 from .states import (
     MAX_QUBITS,
     DensityMatrix,
-    _pauli_action,
     fidelity,
     ghz_density,
     maximally_mixed,
+    stabilizer_state,
 )
 from .table import ResultTable, read_table
 
@@ -251,6 +251,8 @@ class ExperimentConfig:
             raise ConfigError(f"scaling needs 2 <= n_min < n_max, got {self.n_min}..{self.n_max}")
         if self.command == "bound-curve" and (self.big_k is None or self.big_k < 0):
             raise ConfigError("bound-curve needs a non-negative K")
+        if self.command == "bound-curve" and not 1 <= self.n_min <= self.n_max:
+            raise ConfigError(f"bound-curve needs 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
 
     # -- resolution helpers ------------------------------------------------
 
@@ -323,16 +325,7 @@ def _generator_state(generators: tuple[PauliString, ...]) -> DensityMatrix:
     n = group.n
     if len(group) != 2**n:
         raise ConfigError(f"need {n} independent generators for a pure {n}-qubit target")
-    # the projector is the group average; each element adds its signed
-    # permutation, so no dense Pauli matrix is formed
-    dim = 1 << n
-    cols = np.arange(dim)
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for p in group:
-        perm, coeff = _pauli_action(p)
-        acc[perm, cols] += coeff
-    # a 2^n-element stabilizer group averages to its state's projector
-    return DensityMatrix._built(acc / dim)
+    return stabilizer_state(group)
 
 
 @lru_cache
@@ -471,7 +464,7 @@ def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
     n = config.n
     cache = config.trial_cache(config.target_state(n), config.distribution(n))
     roots = [(config.seed, r) for r in range(config.repeats)]
-    trial_rows = [] if config.trials_out else None
+    trial_rows = {} if config.trials_out else None
     per_value = [
         _search(cache, config.learn_params(**{config.sweep_param: value}), roots, n, trial_rows)
         for value in config.sweep_values
@@ -490,25 +483,22 @@ def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
 
 
 def _search(cache: TrialCache, params: LearnParams, roots: list[tuple], n: int,
-            trial_rows: list | None) -> list[int]:
-    """The minimum m of each of ``roots`` on ``cache``; appends one
-    trials-table row per trial read to ``trial_rows`` unless it is
-    None."""
+            trial_rows: dict | None) -> list[int]:
+    """The minimum m of each of ``roots`` on ``cache``; unless
+    ``trial_rows`` is None, keeps in it the trials-table row of each
+    trial's first read, keyed by the trial's seed."""
     record = None
     if trial_rows is not None:
         def record(root, m, i, eps, failed):
-            seed = ";".join(str(part) for part in (*root, m, i))
-            trial_rows.append((n, m, i, eps, failed, f"({seed})"))
+            seed = (*root, m, i)
+            if seed not in trial_rows:
+                trial_rows[seed] = (n, m, i, eps, failed, f"({';'.join(map(str, seed))})")
     return estimate_min_m(cache, params, roots, record=record)
 
 
-def _write_trials(rows, config: ExperimentConfig) -> None:
-    """One row per trial: the row of its first read, keyed by its seed."""
-    first = {}
-    for row in rows:
-        first.setdefault(row[-1], row)
+def _write_trials(rows: dict, config: ExperimentConfig) -> None:
     table = ResultTable(config=config.echo(), columns=TRIALS_COLUMNS)
-    for row in sorted(first.values()):
+    for row in sorted(rows.values()):
         table.append(*row)
     table.write(config.trials_out)
 
@@ -526,7 +516,7 @@ def run_scaling(config: ExperimentConfig) -> ResultTable:
     extrapolation, plus the reference fit line for comparison."""
     ns = list(range(config.n_min, config.n_max + 1))
     params = config.learn_params()
-    trial_rows = [] if config.trials_out else None
+    trial_rows = {} if config.trials_out else None
 
     table = ResultTable(config=config.echo(), columns=SCALING_COLUMNS)
     points = []

@@ -6,8 +6,8 @@ Bit n-1-q of ``x`` is set when factor q is X or Y, bit n-1-q of ``z``
 when it is Z or Y, and the string is phase * i^|x&z| * X^x Z^z, so each
 Y = iXZ contributes one factor of i. Products, commutation and the
 identity test are XORs and popcounts on the masks, and
-:func:`qpac.states._pauli_action` reads its signed permutation from
-them: expectations and gradients stay O(2^n) instead of O(4^n).
+:class:`qpac.states.EffectBatch` reads each string's signed permutation
+from them: expectations and gradients stay O(2^n) instead of O(4^n).
 """
 
 from __future__ import annotations

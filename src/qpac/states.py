@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NonPhysicalStateError
 from .linalg import eigendecompose, sqrt_psd
-from .pauli import PauliString
+from .pauli import PauliString, StabilizerGroup
 
 MAX_QUBITS = 10
 
@@ -27,35 +27,17 @@ PSD_TOL = 1e-9
 _CLAMP_SLACK = 1e-9
 
 
-@lru_cache(maxsize=4096)
-def _pauli_action(p: PauliString):
-    """Permutation/coefficient form of a Pauli string: P|k> = c_k |perm_k>.
-
-    Read from the masks of ``p`` = phase * i^|x&z| * X^x Z^z: Z^z signs
-    |k> by (-1)^|k&z| and X^x moves it to |k^x>. Factor 0 owns the most
-    significant bit, so this is the Kronecker product of the factors.
-    """
-    k = np.arange(1 << p.n, dtype=np.int64)
-    perm = k ^ p.x
-    parity = np.bitwise_count(k & p.z)
-    n_y = (p.x & p.z).bit_count()
-    coeff = np.where(parity % 2 == 0, 1.0, -1.0).astype(np.complex128)
-    coeff *= p.phase * (1j) ** (n_y % 4)
-    perm.setflags(write=False)
-    coeff.setflags(write=False)
-    return perm, coeff
-
-
 class EffectBatch:
     """Vectorized expectations of a fixed tuple of effects.
 
-    Precomputes the signed-permutation gather for every Pauli string so
-    all Tr(E_i sigma) evaluate as one fancy-indexed contraction. A
-    support owns one batch (``MeasurementDistribution.batch``), and its
-    tables serve every reader of that support: :meth:`expected` is the
-    one Tr(E rho) table of a target state, which sampling and the
-    support residuals read, and :meth:`rows` slices the objective of a
-    training set drawn from the support out of it.
+    Builds the signed permutation of every Pauli string, the package's
+    only code that does, so all Tr(E_i sigma) evaluate as one
+    fancy-indexed contraction. A support owns one batch
+    (``MeasurementDistribution.batch``), and its tables serve every
+    reader of that support: :meth:`expected` is the one Tr(E rho) table
+    of a target state, which sampling and the support residuals read,
+    and :meth:`rows` slices the objective of a training set drawn from
+    the support out of it.
     """
 
     # Tr(E_i rho) per live target state, made on the first :meth:`expected`
@@ -74,7 +56,14 @@ class EffectBatch:
         scatter = []
         coeffs = []
         for e in self.effects:
-            perm, coeff = _pauli_action(e.pauli)
+            # P|k> = c_k |perm_k>, read from the masks of P = phase *
+            # i^|x&z| * X^x Z^z: Z^z signs |k> by (-1)^|k&z| and X^x
+            # moves it to |k^x>. Factor 0 owns the most significant bit,
+            # so this is the Kronecker product of the factors.
+            p = e.pauli
+            perm = rows ^ p.x
+            coeff = np.where(np.bitwise_count(rows & p.z) % 2 == 0, 1.0, -1.0).astype(np.complex128)
+            coeff *= p.phase * (1j) ** ((p.x & p.z).bit_count() % 4)
             # Tr(P sigma) reads sigma[k, perm[k]]; the matrix of P has its
             # entries at [perm[k], k]
             gather.append(rows * self.dim + perm)
@@ -269,6 +258,25 @@ def ghz_density(n: int) -> DensityMatrix:
             m[i, j] = 0.5
     # v v^dag for the unit vector v = (e_0 + e_{d-1}) / sqrt(2)
     return DensityMatrix._built(m)
+
+
+def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
+    """The pure state a full stabilizer group fixes: the average of its
+    2^n elements, identity included.
+
+    Each element adds its signed permutation, scattered from one batch of
+    the group's effects in group order, so no dense Pauli matrix is
+    formed and every entry is exact (a multiple of 1/2^n).
+    """
+    n = group.n
+    if len(group) != 1 << n:
+        raise ValueError(f"a pure {n}-qubit state needs {1 << n} group elements, got {len(group)}")
+    batch = EffectBatch([MeasurementEffect(p) for p in group])
+    dim = batch.dim
+    acc = np.zeros(dim * dim, dtype=np.complex128)
+    np.add.at(acc, batch._scatter_idx.ravel(), batch._coeff.ravel())
+    # a 2^n-element stabilizer group averages to its state's projector
+    return DensityMatrix._built(acc.reshape(dim, dim) / dim)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:

@@ -421,13 +421,18 @@ class TestGeneratorTarget:
         for cache in (sampling.stabilizer_group, sampling._generator_distribution,
                       experiments._generator_state):
             cache.cache_clear()
-        tables = [
-            run_sweep_m(cfg(command="sweep-m", n=3, dist="d2", generators=self.CLUSTER3,
-                            m_list=[2], repeats=3, out=str(tmp_path / f"s{r}.csv")))
-            for r in range(2)
-        ]
+        tables, builds = [], []
+        for r in range(2):
+            tables.append(run_sweep_m(cfg(command="sweep-m", n=3, dist="d2",
+                                          generators=self.CLUSTER3, m_list=[2], repeats=3,
+                                          out=str(tmp_path / f"s{r}.csv"))))
+            builds.append((len(closures), len(batches)))
+            closures.clear()
+            batches.clear()
         assert tables[0].rows == tables[1].rows
-        assert (len(closures), len(batches)) == (1, 1)
+        # the first run builds the closure, the support's batch and the
+        # target's batch (stabilizer_state); the second builds none
+        assert builds == [(1, 2), (0, 0)]
 
     @pytest.mark.parametrize("gens", [["XX", "XX"], ["XX", "ZI"], ["XX"]],
                              ids=["dependent", "non-commuting", "too-few"])
@@ -494,9 +499,10 @@ class TestQubitLimit:
 
 
 class TestNamedLimits:
-    """A negative seed, a GHZ target on fewer than two qubits and an
-    empty sweep each fail at config time with a ``ConfigError`` that
-    names the limit, before any work."""
+    """A negative seed, a GHZ target on fewer than two qubits, an empty
+    sweep and a bound-curve n range that is empty or reaches below one
+    qubit each fail at config time with a ``ConfigError`` that names
+    the limit, before any work."""
 
     ARGVS = {
         "learn-seed": (["learn", "--n", "2", "--m", "2", "--seed", "-1"], "seed must be >= 0"),
@@ -510,13 +516,20 @@ class TestNamedLimits:
         "sweep-m-n1": (["sweep-m", "--n", "1"], "GHZ target needs n >= 2"),
         "sweep-errors-n0": (["sweep-errors", "--n", "0", "--sweep-param", "gamma"],
                             "GHZ target needs n >= 2"),
+        "bound-curve-reversed": (["bound-curve", "--K", "1", "--n-min", "5", "--n-max", "3"],
+                                 "bound-curve needs 1 <= n_min <= n_max, got 5..3"),
+        "bound-curve-negative": (["bound-curve", "--K", "1", "--n-min", "-3", "--n-max", "2"],
+                                 "bound-curve needs 1 <= n_min <= n_max, got -3..2"),
+        "bound-curve-n0": (["bound-curve", "--K", "1", "--n-min", "0", "--n-max", "2"],
+                           "bound-curve needs 1 <= n_min <= n_max, got 0..2"),
     }
 
     @pytest.mark.parametrize("case", sorted(ARGVS))
     def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
         argv, message = self.ARGVS[case]
         calls = []
-        for name in ("estimate_min_m", "build_distribution", "ghz_density", "draw_training_sets"):
+        for name in ("estimate_min_m", "build_distribution", "ghz_density", "draw_training_sets",
+                     "theorem_bound"):
             monkeypatch.setattr(experiments, name,
                                 lambda *a, name=name, **kw: calls.append(name))
         code = main([*argv, "--out", str(tmp_path / "t.csv")])
@@ -531,6 +544,13 @@ class TestNamedLimits:
         for command in ("learn", "sweep-m", "sweep-errors"):
             with pytest.raises(ConfigError, match="GHZ target needs n >= 2, got n = 1"):
                 ExperimentConfig(command=command, n=1, m=1, sweep_param="gamma")
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (20, 20), (1, 20)])
+    def test_bound_curve_range_edges(self, lo, hi, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bound-curve", "--K", "1", "--n-min", str(lo), "--n-max", str(hi),
+                     "--out", str(out)]) == 0
+        assert read_table(str(out)).column("n") == list(range(lo, hi + 1))
 
     def test_single_qubit_generator_target_learns(self, tmp_path):
         out = tmp_path / "l.csv"

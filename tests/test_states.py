@@ -21,8 +21,9 @@ from qpac import (
     ghz_generators,
     group_closure,
     maximally_mixed,
+    stabilizer_state,
 )
-from qpac.states import _pauli_action
+from qpac.states import EffectBatch
 
 from conftest import ghz_vector, kron_dense, random_density
 
@@ -154,16 +155,17 @@ class TestMaximallyMixed:
 
 
 def action_dense(p):
-    """The matrix of P|k> = c_k |perm_k> from the package's signed
-    permutation."""
-    perm, coeff = _pauli_action(p)
-    m = np.zeros((len(perm), len(perm)), dtype=complex)
-    m[perm, np.arange(len(perm))] = coeff
-    return m
+    """The matrix of P|k> = c_k |perm_k> from the scatter row and
+    coefficients of a one-effect batch."""
+    batch = EffectBatch([MeasurementEffect(p)])
+    m = np.zeros(batch.dim * batch.dim, dtype=complex)
+    m[batch._scatter_idx[0]] = batch._coeff[0]
+    return m.reshape(batch.dim, batch.dim)
 
 
 class TestToDense:
-    """The signed permutation of ``_pauli_action`` as a dense matrix."""
+    """The signed permutation of a one-effect ``EffectBatch`` as a dense
+    matrix."""
 
     def test_single_x(self):
         assert np.array_equal(action_dense(P("X")), np.array([[0, 1], [1, 0]], dtype=complex))
@@ -180,6 +182,62 @@ class TestToDense:
             n = int(rng.integers(1, 7))
             p = PauliString(tuple(rng.choice(list("IXYZ"), n)), int(rng.choice([1, -1])))
             assert np.array_equal(action_dense(p), kron_dense(p))
+
+
+@st.composite
+def signed_strings(draw):
+    """1 to 16 signed strings on one qubit count, Y factors allowed,
+    drawn from a pool of at most 6 so that repeats are common."""
+    n = draw(st.integers(1, 6))
+    factors = st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n).map(tuple)
+    pool = draw(st.lists(st.builds(PauliString, factors, st.sampled_from([1, -1])),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=16))
+    return [pool[i] for i in picks]
+
+
+class TestEffectBatchTables:
+    @given(strings=signed_strings())
+    @settings(max_examples=200, deadline=None)
+    def test_row_is_its_one_effect_batch(self, strings):
+        """Row t of a batch's tables holds the bytes of the one-effect
+        batch of string t, whatever the other rows hold."""
+        batch = EffectBatch([MeasurementEffect(p) for p in strings])
+        for t, p in enumerate(strings):
+            one = EffectBatch([MeasurementEffect(p)])
+            for name in ("_gather_idx", "_scatter_idx", "_coeff"):
+                row, want = getattr(batch, name)[t], getattr(one, name)[0]
+                assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+
+
+def cluster_generators(n):
+    return tuple(P("".join("X" if j == q else "Z" if abs(j - q) == 1 else "I" for j in range(n)))
+                 for q in range(n))
+
+
+class TestStabilizerState:
+    """The average of a full group's elements, against the kron oracle:
+    every entry is a multiple of 1/2^n, so the two agree exactly."""
+
+    GENERATORS = (
+        [ghz_generators(n) for n in range(2, 7)]
+        + [cluster_generators(n) for n in range(3, 7)]
+        + [tuple(P(g) for g in text.split(","))
+           for text in ("XXX,-ZZI,IZZ", "-XXX,ZZI,IZZ", "XXXX,ZZII,-IZZI,IIZZ", "XY,YX")]
+    )
+
+    @pytest.mark.parametrize("gens", GENERATORS, ids=lambda gens: ",".join(map(str, gens)))
+    def test_matches_kron_oracle(self, gens):
+        group = group_closure(gens)
+        want = sum(kron_dense(g) for g in group) / 2**group.n
+        rho = stabilizer_state(group)
+        assert np.array_equal(rho.matrix, want)
+        for p in group.non_identity():
+            assert expectation(MeasurementEffect(p), rho) == 1.0
+
+    def test_partial_group_rejected(self):
+        with pytest.raises(ValueError, match="needs 4 group elements, got 2"):
+            stabilizer_state(group_closure([P("XX")]))
 
 
 class TestExpectation:
