@@ -14,6 +14,10 @@ and every other first step, and every later step, is the eigen-step.
 Step 1 replaces I / d by its vertex, so a vertex handed in by
 :func:`learn_each` needs no I / d. Residuals that are all exactly 0
 make the gradient exactly 0, so no step builds a gradient for them.
+Up to dim 256 a gradient is a dense matrix; above it, where the
+eigen-step has no dense fallback, it is an
+:class:`~qpac.states.EffectSum` of the same entries, and no step forms
+a d x d gradient unless ``on_iterate`` asks for one.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import smallest_eigenvector, smallest_eigenvectors
+from .linalg import _EIGH_FALLBACK_MAX_DIM, _smallest_built
 from .sampling import MeasurementDistribution, NoiseModel, TrainingSet
-from .states import DensityMatrix, EffectBatch, maximally_mixed
+from .states import DensityMatrix, EffectBatch, EffectSum, maximally_mixed
 
 _ZERO_GRADIENT_TOL = 1e-12
 _EIG_TOL = 1e-9
@@ -91,8 +95,20 @@ def _as_matrix(sigma) -> np.ndarray:
     return sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
 
 
-def _vanishes(g: np.ndarray) -> bool:
-    return float(np.max(np.abs(g))) <= _ZERO_GRADIENT_TOL
+def _step_gradient(obj: Objective, sigma: np.ndarray, residuals: np.ndarray):
+    """The gradient at sigma as the eigen-step reads it, from the
+    residuals there: the dense matrix of :meth:`Objective.gradient` up
+    to dim 256, and above it, where the eigen-step has no dense
+    fallback, the same sum as an :class:`~qpac.states.EffectSum`, with
+    no d x d matrix."""
+    if obj.dim > _EIGH_FALLBACK_MAX_DIM:
+        return obj.batch.weighted_operator(2.0 * residuals)
+    return obj.gradient(sigma, residuals=residuals)
+
+
+def _vanishes(g: np.ndarray | EffectSum) -> bool:
+    top = g.max_entry if isinstance(g, EffectSum) else float(np.max(np.abs(g)))
+    return top <= _ZERO_GRADIENT_TOL
 
 
 def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
@@ -229,18 +245,20 @@ def hazan_optimize(
             if r is None:
                 r = obj.residuals(sigma)
             if r.any() or on_iterate is not None:
-                g = obj.gradient(sigma, residuals=r)
+                g = _step_gradient(obj, sigma, r)
         if on_iterate is not None:
-            on_iterate(k, float(np.dot(r, r)), float(np.linalg.eigvalsh(g)[0]), sigma)
+            # the hook reads a dense gradient at every dim
+            dense = g if isinstance(g, np.ndarray) else obj.gradient(sigma, residuals=r)
+            on_iterate(k, float(np.dot(r, r)), float(np.linalg.eigvalsh(dense)[0]), sigma)
         if atom is None:
             if g is None or _vanishes(g):
                 # stationary point of a convex objective: optimal, no
                 # movement this or any later step
                 break
-            v, _ = smallest_eigenvector(g, tol=_EIG_TOL)
+            [(v, _)] = _smallest_built([g], tol=_EIG_TOL)
             atom = np.outer(v, v.conj())
-        # the spent gradient is one d x d matrix (16 MB at n = 10) that
-        # the update need not hold
+        # the spent gradient, a d x d matrix up to dim 256, that the
+        # update need not hold
         del g
         alpha = 1.0 / k
         # step 1 (alpha = 1) in one pass: atom + 0.0 is the bytes of
@@ -283,9 +301,12 @@ def learn_each(
     Every other training set takes the eigen-step of its gradient at
     I / d. Training sets are learned in chunks of at most
     ``_STACK_ENTRIES`` gradient entries: a chunk's closed forms are one
-    :func:`code_space_atoms` call, and its gradients one
-    :func:`~qpac.linalg.smallest_eigenvectors` stack, which solves a
-    repeated gradient once. Each training set gets the bytes that
+    :func:`code_space_atoms` call, and its gradients one eigen-step
+    stack (``linalg._smallest_built``, with the pairs of
+    :func:`~qpac.linalg.smallest_eigenvectors`), which solves a
+    repeated gradient once; above dim 256 a chunk holds one training
+    set, whose gradient is an :class:`~qpac.states.EffectSum`. Each
+    training set gets the bytes that
     learning it alone gives. A chunk whose first vertices are all
     closed forms builds no I / d. A training set
     whose residuals at I / d are all exactly 0 has an exactly zero
@@ -306,12 +327,12 @@ def learn_each(
             mixed = maximally_mixed(support.n).matrix
             for j, obj in enumerate(objs):
                 if atoms[j] is None and (r := obj.residuals(mixed)).any():
-                    grads[j] = obj.gradient(mixed, residuals=r)
+                    grads[j] = _step_gradient(obj, mixed, r)
             # a d x d matrix (16 MB at n = 10) that the optimizer need not hold
             del mixed
         live = [j for j, g in grads.items() if not _vanishes(g)]
-        solved = smallest_eigenvectors([grads[j] for j in live], tol=_EIG_TOL)
-        # d x d matrices that the optimizer need not hold either
+        solved = _smallest_built([grads[j] for j in live], tol=_EIG_TOL)
+        # d x d matrices up to dim 256, that the optimizer need not hold either
         del grads
         for j, (v, _) in zip(live, solved):
             atoms[j] = np.outer(v, v.conj())

@@ -51,6 +51,25 @@ each distinct matrix once: ``smallest_eigenvectors`` keys the items of
 a stack of two or more by their bytes, and each repeat gets its own
 copy of the pair of its first occurrence. A stack of one (a 16 MB
 gradient at n = 10) is not hashed.
+
+So h takes three forms: one dense matrix, a stack of them, and, for
+the learner's gradients above dim 256 (n >= 9), an operator. The
+learner reaches the eigen-step through ``_smallest_built``: its
+gradients are real-weighted sums of Pauli strings, Hermitian by
+construction, so the h - h^dag pass is skipped, while the modulus pass
+that sets the shift and the tolerance scale stays. Up to dim 256 the
+learner hands in dense gradients, and each pair is the pair of the
+public functions. Above dim 256, where no ``eigh`` fallback exists, it
+hands in one operator, and no d x d gradient is formed: the sweep
+reads h only through ``h.dot(v, out)``, which for a matrix is the
+``zgemv`` of ``np.dot``, and the certificate reads the operator's
+``diagonal``, ``max_entry`` and ``one_norm`` (the duck type is spelled
+out at ``_smallest_built``; ``states.EffectSum`` is the one this
+package builds). Its ``max_entry`` and ``diagonal`` have the bytes of
+the dense gradient's, so the zero-gradient test and the min-diagonal
+certificate decide as on the dense matrix; its products and its
+1-norm round differently from ``zgemv`` and the dense column sums, so
+its pairs may differ from the dense kernel's in the last bits.
 """
 
 from __future__ import annotations
@@ -64,7 +83,7 @@ from .errors import ConvergenceError, NonHermitianError
 _EIGH_FALLBACK_MAX_DIM = 256
 
 
-def _hermitian_stack(hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hermitian_stack(hs, built: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A non-empty sequence of matrices as one complex (T, d, d) stack,
     with each item's largest entry modulus and induced 1-norm (its
     largest column sum of moduli), read from one modulus pass.
@@ -73,12 +92,14 @@ def _hermitian_stack(hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order that fails raises: not square, empty, or not finite and
     Hermitian within tolerance. Items of mixed shapes are checked one
     by one, then raise ``ValueError`` if they all pass. A stack of one
-    is a view of its matrix, not a copy.
+    is a view of its matrix, not a copy. ``built`` matrices are
+    Hermitian by construction: the h - h^dag pass is skipped, and only
+    finiteness is checked.
     """
     hs = [np.asarray(h, dtype=np.complex128) for h in hs]
     if len({h.shape for h in hs}) > 1:
         for h in hs:
-            _hermitian_stack([h])
+            _hermitian_stack([h], built)
         raise ValueError("stack mixes matrix dimensions")
     h = hs[0][None] if len(hs) == 1 else np.stack(hs)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
@@ -89,6 +110,17 @@ def _hermitian_stack(hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     max_entry = np.max(modulus, axis=(1, 2))
     one_norm = np.max(np.sum(modulus, axis=1), axis=1)
     del modulus
+    scale = _finite_scale(max_entry)
+    if not built:
+        asym = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2))
+        if not np.all(asym <= 1e-10 * scale):
+            raise NonHermitianError("matrix is not finite and Hermitian within tolerance")
+    return h, max_entry, one_norm
+
+
+def _finite_scale(max_entry: np.ndarray) -> np.ndarray:
+    """The hermiticity scale 1 + max |h_ij| of each item; raises unless
+    every item is finite."""
     scale = 1.0 + max_entry
     # written so that NaN fails each comparison; an inf entry makes the
     # scale inf, which would otherwise excuse any asymmetry (and fails
@@ -96,10 +128,7 @@ def _hermitian_stack(hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # its lone verdict
     if not np.all(scale < np.inf):
         raise NonHermitianError("matrix is not finite and Hermitian within tolerance")
-    asym = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2))
-    if not np.all(asym <= 1e-10 * scale):
-        raise NonHermitianError("matrix is not finite and Hermitian within tolerance")
-    return h, max_entry, one_norm
+    return scale
 
 
 def eigendecompose(h: np.ndarray):
@@ -147,7 +176,7 @@ def _power_iterate(h, v, c, tol, max_entry, max_sweeps):
     w_re, w_im = w.real, w.imag
     lam = 0.0
     for _ in range(max_sweeps):
-        np.dot(h, v, hv)
+        h.dot(v, hv)
         lam = float(np.vdot(v, hv).real)
         np.multiply(lam, v, w)
         np.subtract(hv, w, w)
@@ -216,17 +245,30 @@ def _power_iterate_stack(h, v, cs, tol, max_entry, max_sweeps):
     return out
 
 
-def _smallest(hs, tol: float, max_sweeps: int | None):
+def _smallest(hs, tol: float, max_sweeps: int | None, built: bool = False):
     """The eigen-step rule on a non-empty sequence of Hermitian
-    matrices of one dimension; returns ``(v, lam)`` per matrix."""
+    matrices of one dimension; returns ``(v, lam)`` per matrix.
+
+    ``built`` items are Hermitian by construction (see
+    :func:`_smallest_built`): dense matrices skip the h - h^dag pass,
+    and a lone operator is read through its fields and ``dot``.
+    """
     # the shift c of each item is its induced 1-norm, which bounds its spectrum
-    h, max_entry, cs = _hermitian_stack(hs)
+    if built and not isinstance(hs[0], np.ndarray):
+        (op,) = hs
+        # the operator stands for its stack of one; the loop below
+        # never slices a stack of one, and dim > 256 has no eigh fallback
+        h, max_entry, cs = hs, np.array([op.max_entry]), np.array([op.one_norm])
+        _finite_scale(max_entry)
+        diags = op.diagonal[None]
+    else:
+        h, max_entry, cs = _hermitian_stack(hs, built)
+        diags = h.diagonal(axis1=1, axis2=2).real
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    dim = h.shape[1]
+    dim = diags.shape[1]
     if max_sweeps is None:
         max_sweeps = 10 * dim
-    diags = h.diagonal(axis1=1, axis2=2).real
 
     results = [None] * len(h)
     for j in np.flatnonzero(max_entry == 0.0):
@@ -295,10 +337,31 @@ def smallest_eigenvectors(hs, tol: float = 1e-9):
     and each repeat gets its own copy of the pair. Raises as a lone
     call would for the first item that fails.
     """
+    return _distinct_smallest(hs, tol, built=False)
+
+
+def _smallest_built(hs, tol: float = 1e-9):
+    """:func:`smallest_eigenvectors` of matrices the package built
+    Hermitian by construction, the learner's gradients: the same pairs,
+    without the h - h^dag pass. The modulus pass that sets each item's
+    shift and tolerance scale stays.
+
+    Above dim 256 an item may instead be an operator, alone in its
+    stack: an object with ``dim``, ``diagonal`` (the real diagonal),
+    ``max_entry`` (the largest entry modulus), ``one_norm`` (the
+    induced 1-norm) and ``dot(v, out)`` (h v into ``out``), as
+    :class:`~qpac.states.EffectSum` provides them. No d x d matrix is
+    read.
+    """
+    return _distinct_smallest(hs, tol, built=True)
+
+
+def _distinct_smallest(hs, tol: float, built: bool):
+    """The pairs of a stack, each distinct item solved once."""
     if len(hs) < 2:
         # a stack of one has no repeats to look for, so its matrix
         # (16 MB at n = 10) is not hashed
-        return _smallest(hs, tol, None) if len(hs) else []
+        return _smallest(hs, tol, None, built) if len(hs) else []
     hs = [np.asarray(h, dtype=np.complex128) for h in hs]
     # the first item with each item's bytes; the keys, as large as the
     # stack, are dropped before it is solved
@@ -306,7 +369,7 @@ def smallest_eigenvectors(hs, tol: float = 1e-9):
     source = [first.setdefault((h.shape, h.tobytes()), j) for j, h in enumerate(hs)]
     del first
     distinct = [j for j, k in enumerate(source) if k == j]
-    solved = dict(zip(distinct, _smallest([hs[j] for j in distinct], tol, None)))
+    solved = dict(zip(distinct, _smallest([hs[j] for j in distinct], tol, None, built)))
     pairs = []
     for j, k in enumerate(source):
         v, lam = solved[k]

@@ -139,6 +139,60 @@ class EffectBatch:
         g[self._diag_idx] += np.sum(weights) / 2.0
         return g.reshape(self.dim, self.dim)
 
+    def weighted_operator(self, weights: np.ndarray) -> "EffectSum":
+        """sum_i w_i E_i for real weights as an :class:`EffectSum`, with
+        no d x d matrix: the entries of :meth:`weighted_sum`, added in
+        the same order.
+
+        The rows that share an X-mask x share a permutation, so their
+        entries lie on one diagonal, [k ^ x, k]; each diagonal is one
+        row of a (K, d) table, K <= m + 1, that adds row i's w_i / 2 *
+        coeff_i in row order and, on the identity's diagonal x = 0, the
+        Sum w / 2 last, as :meth:`weighted_sum` adds them.
+        """
+        vals = (weights[:, None] / 2.0) * self._coeff
+        # row i's X-mask is where its permutation sends basis state 0;
+        # sorted, so the identity's mask 0 leads (np.unique would import
+        # numpy.ma, half a megabyte, for this)
+        x = self._gather_idx[:, 0]
+        present = np.zeros(self.dim, dtype=bool)
+        present[x] = present[0] = True
+        masks = np.flatnonzero(present)
+        table = np.zeros((len(masks), self.dim), dtype=np.complex128)
+        np.add.at(table, np.searchsorted(masks, x), vals)
+        table[0] += np.sum(weights) / 2.0
+        return EffectSum(masks, table)
+
+
+class EffectSum:
+    """A Hermitian sum_i w_i E_i of effects with real weights, as the
+    eigen-step reads it above dim 256: its nonzero diagonals, never a
+    d x d matrix (:meth:`EffectBatch.weighted_operator`).
+
+    Diagonal j holds the entries [k ^ x_j, k] of the dense sum, with
+    X-mask ``masks[j]``; row 0 is the main diagonal. Every entry of the
+    dense sum lies on one diagonal or is 0, so ``max_entry`` and
+    ``diagonal`` have the bytes of the dense sum's largest modulus and
+    real diagonal, and ``one_norm`` is its largest column sum of moduli.
+    :meth:`dot` is the product (h v)[r] = Sum_j h[r, r ^ x_j] v[r ^ x_j]:
+    one gather of v, one multiply and one sum over the K diagonals.
+    """
+
+    def __init__(self, masks: np.ndarray, table: np.ndarray):
+        self.dim = table.shape[1]
+        modulus = np.abs(table)
+        self.max_entry = float(np.max(modulus))
+        self.one_norm = float(np.max(np.sum(modulus, axis=0)))
+        self.diagonal = table[0].real.copy()
+        # row r of diagonal j pairs h[r, r ^ x_j] = table[j, r ^ x_j]
+        # with v[r ^ x_j]
+        self._cols = np.arange(self.dim) ^ masks[:, None]
+        self._entries = np.take_along_axis(table, self._cols, axis=1)
+
+    def dot(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """h v, into ``out`` when given."""
+        return np.sum(self._entries * v[self._cols], axis=0, out=out)
+
 
 class _BatchRows(EffectBatch):
     """Rows of a whole batch, from :meth:`EffectBatch.rows`. The tables
@@ -223,6 +277,11 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def purity(self) -> float:
+        """Tr(rho^2), computed once per state: the matrix is read-only."""
+        return self._purity
+
+    @cached_property
+    def _purity(self) -> float:
         # Tr(rho^2) = ||rho||_F^2 for Hermitian rho
         return float(np.sum(np.abs(self.matrix) ** 2))
 

@@ -250,13 +250,13 @@ class TestBatchFill:
 
     def test_each_first_gradient_solved_in_its_chunk(self, optimizations, monkeypatch):
         stacks = []
-        real = learner.smallest_eigenvectors
+        real = learner._smallest_built
 
         def counted(hs, tol):
             stacks.append([h.tobytes() for h in hs])
             return real(hs, tol=tol)
 
-        monkeypatch.setattr(learner, "smallest_eigenvectors", counted)
+        monkeypatch.setattr(learner, "_smallest_built", counted)
         # set-based d1 draws at n = 3 pick among 7 effects
         rho, dist = ghz_density(3), build_distribution(3, "d1")
         cache = TrialCache(rho, dist, k_max=1, replacement=False)
@@ -283,11 +283,10 @@ class TestBatchFill:
 
         monkeypatch.setattr(learner, "hazan_optimize", counted)
         eigen_steps = []
-        # an empty stack solves nothing
-        monkeypatch.setattr(learner, "smallest_eigenvectors",
+        # an empty stack solves nothing; the learner's first and later
+        # steps share this entry
+        monkeypatch.setattr(learner, "_smallest_built",
                             lambda hs, **k: eigen_steps.extend(hs) or [])
-        monkeypatch.setattr(learner, "smallest_eigenvector",
-                            lambda *a, **k: eigen_steps.append(None))
         cache = TrialCache(ghz_density(4), build_distribution(4, "d2"), replacement=replacement)
         for m in (1, 3, 8):
             fill_trials(cache, [(3,)], m, self.I_MAX)

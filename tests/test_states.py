@@ -1,6 +1,7 @@
 """Density matrices, effects, expectations, and fidelity against dense
 oracles."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -333,6 +334,25 @@ class TestFidelity:
         assert fidelity(a, b) == pytest.approx(want, abs=1e-12)
         with pytest.raises(AssertionError):
             fidelity(other, other)
+
+    def test_purity_computed_once_per_state(self, monkeypatch, rng):
+        passes = []
+        real = DensityMatrix._purity.func
+
+        def counted(state):
+            passes.append(state)
+            return real(state)
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(DensityMatrix, "_purity")
+        monkeypatch.setattr(DensityMatrix, "_purity", cached)
+        sigma = DensityMatrix(random_density(rng, 8))
+        mixed, target = maximally_mixed(3), ghz_density(3)
+        want = [fidelity(sigma, target), fidelity(sigma, mixed), fidelity(mixed, target)]
+        # the same bytes from the cached purities, and one pass per state
+        assert [fidelity(sigma, target), fidelity(sigma, mixed), fidelity(mixed, target)] == want
+        assert sigma.purity() == float(np.sum(np.abs(sigma.matrix) ** 2))
+        assert sorted(map(id, passes)) == sorted(map(id, [sigma, mixed, target]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
