@@ -24,10 +24,9 @@ from .learner import (
     Objective,
     evaluate_epsilon,
     hazan_optimize,
-    shot_objective_value,
     support_residuals,
 )
-from .linalg import eigendecompose, smallest_eigenvector, smallest_eigenvectors, sqrt_psd
+from .linalg import eigendecompose, smallest_eigenvector, sqrt_psd
 from .pauli import (
     PauliString,
     StabilizerGroup,
@@ -41,10 +40,8 @@ from .sampling import (
     XZ_STABILIZER,
     MeasurementDistribution,
     NoiseModel,
-    TrainingSet,
     build_distribution,
     distribution_from_generators,
-    per_shot_outcomes,
     sample_training_set,
 )
 from .states import (

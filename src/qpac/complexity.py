@@ -133,9 +133,8 @@ def fill_trials(cache: TrialCache, roots: Sequence[tuple], m: int, count: int) -
     :func:`~qpac.learner.support_residuals` of each hypothesis.
 
     The missing trials, root by root in order, are drawn as one pair of
-    arrays (:func:`~qpac.sampling.draw_training_sets`, each row the set
-    that :func:`~qpac.sampling.sample_training_set` draws with the
-    trial's seed ``(*root, m, i)``) and learned by one
+    arrays (:func:`~qpac.sampling.draw_training_sets`, each row drawn
+    with the trial's seed ``(*root, m, i)``) and learned by one
     :func:`~qpac.learner.learn_each` call. Each trial's residuals are
     the bytes that learning it alone gives, so how many roots share a
     fill changes no result, only how many trials share a stack.

@@ -379,7 +379,7 @@ def run_learn(config: ExperimentConfig) -> ResultTable:
     )
     table.append(
         "mixed_baseline", n, config.m, config.k_max, 0,
-        Objective.drawn(dist, indices[0], values[0]).value(mixed.matrix),
+        Objective(dist.batch, indices[0], values[0]).value(mixed.matrix),
         evaluate_epsilon(mixed, state, dist, config.gamma),
         fidelity(mixed, state),
         1.0,

@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .linalg import _EIGH_FALLBACK_MAX_DIM, _smallest_built
-from .sampling import MeasurementDistribution, NoiseModel, TrainingSet
+from .sampling import MeasurementDistribution, NoiseModel
 from .states import DensityMatrix, EffectBatch, EffectSum, maximally_mixed
 
 _ZERO_GRADIENT_TOL = 1e-12
@@ -50,31 +50,17 @@ class Hypothesis:
 
 
 class Objective:
-    """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set.
-
-    ``Objective(training)`` builds a batch of the set's own effects;
-    :meth:`drawn` reads the rows of a set drawn from a support out of
-    the support's batch (:meth:`EffectBatch.rows`). Both give the same
-    bytes for the same set.
+    """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set drawn
+    from a support: its support indices and observed values (one row of
+    :func:`~qpac.sampling.draw_training_sets`), read as rows of the
+    support's ``batch`` (:meth:`EffectBatch.rows`). Drawn indices name
+    the support's effects by construction, so no item is checked.
     """
 
-    def __init__(self, training: TrainingSet):
-        self.batch = EffectBatch(training.effects())
-        self.values = training.values()
+    def __init__(self, batch: EffectBatch, indices: np.ndarray, values: np.ndarray):
+        self.batch = batch.rows(indices)
+        self.values = values
         self.dim = self.batch.dim
-
-    @classmethod
-    def drawn(cls, support: MeasurementDistribution, indices: np.ndarray,
-              values: np.ndarray) -> "Objective":
-        """The objective of a training set drawn from ``support``, from
-        its support indices and observed values (one row of
-        :func:`~qpac.sampling.draw_training_sets`): drawn indices name
-        the support's effects by construction, so no item is checked."""
-        obj = object.__new__(cls)
-        obj.batch = support.batch.rows(indices)
-        obj.values = values
-        obj.dim = obj.batch.dim
-        return obj
 
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
         return self.batch.expectations(sigma) - self.values
@@ -89,10 +75,6 @@ class Objective:
         if residuals is None:
             residuals = self.residuals(sigma)
         return self.batch.weighted_sum(2.0 * residuals)
-
-
-def _as_matrix(sigma) -> np.ndarray:
-    return sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
 
 
 def _step_gradient(obj: Objective, sigma: np.ndarray, residuals: np.ndarray):
@@ -218,9 +200,10 @@ def hazan_optimize(
     ``on_iterate(k, objective, gradient_min_eigenvalue, sigma)`` is
     called once per step before the update, e.g. to check every
     iterate's invariants; it sees the gradient even where it vanishes.
-    ``stop_objective`` enables an early objective-threshold stop for
-    speed-sensitive loops; it is disabled by default to mirror the
-    fixed iteration protocol.
+    ``stop_objective`` stops the loop once the objective is at most its
+    value. No protocol sets it; it stays because the benchmark's
+    per-layer tracer (``perfbench/tracing.py``) reads it by name, to
+    tell a zero-gradient stop from a threshold stop.
 
     ``first_atom`` hands in the Frank-Wolfe vertex of step 1, solved by
     :func:`learn_each`; the caller guarantees that the gradient at
@@ -293,7 +276,8 @@ def learn_each(
     the learning path of every protocol. The training sets are the rows
     of the (T, m) ``indices`` and ``values`` arrays that
     :func:`~qpac.sampling.draw_training_sets` draws from ``support``
-    under ``noise``; each row's objective is :meth:`Objective.drawn`.
+    under ``noise``; each row's objective reads its rows of the
+    support's batch (:class:`Objective`).
 
     The first-step rule: on a Y-free support (every ``d2`` support), a
     training set of exact data takes the closed form of
@@ -302,8 +286,8 @@ def learn_each(
     I / d. Training sets are learned in chunks of at most
     ``_STACK_ENTRIES`` gradient entries: a chunk's closed forms are one
     :func:`code_space_atoms` call, and its gradients one eigen-step
-    stack (``linalg._smallest_built``, with the pairs of
-    :func:`~qpac.linalg.smallest_eigenvectors`), which solves a
+    stack (``linalg._smallest_built``, each pair that of
+    :func:`~qpac.linalg.smallest_eigenvector`), which solves a
     repeated gradient once; above dim 256 a chunk holds one training
     set, whose gradient is an :class:`~qpac.states.EffectSum`. Each
     training set gets the bytes that
@@ -319,7 +303,7 @@ def learn_each(
     chunk = max(1, _STACK_ENTRIES // (dim * dim))
     for lo in range(0, len(indices), chunk):
         rows, vals = indices[lo:lo + chunk], values[lo:lo + chunk]
-        objs = [Objective.drawn(support, idx, v) for idx, v in zip(rows, vals)]
+        objs = [Objective(support.batch, idx, v) for idx, v in zip(rows, vals)]
         atoms = (code_space_atoms(support.batch, rows, vals) if closed
                  else [None] * len(objs))
         grads = {}
@@ -341,24 +325,11 @@ def learn_each(
             yield hazan_optimize(obj, k_max=k_max, first_atom=atoms.pop(0))
 
 
-def shot_objective_value(outcomes, sigma) -> float:
-    """Single-outcome objective sum_ij (Tr(E_i sigma) - b_ij)^2 over raw
-    per-shot bits grouped per effect."""
-    m = _as_matrix(sigma)
-    total = 0.0
-    for eff, bits in outcomes:
-        t = float(EffectBatch((eff,)).expectations(m)[0])
-        bits = np.asarray(bits, dtype=float)
-        s = bits.size
-        # sum over bits of (t - b)^2 with b^2 = b
-        total += s * t * t - 2.0 * t * float(bits.sum()) + float(bits.sum())
-    return total
-
-
-def support_residuals(sigma, state: DensityMatrix, dist: MeasurementDistribution) -> np.ndarray:
+def support_residuals(sigma: DensityMatrix, state: DensityMatrix,
+                      dist: MeasurementDistribution) -> np.ndarray:
     """|Tr(E sigma) - Tr(E rho)| for every effect in the support."""
     batch = dist.batch
-    return np.abs(batch.expectations(_as_matrix(sigma)) - batch.expected(state))
+    return np.abs(batch.expectations(sigma.matrix) - batch.expected(state))
 
 
 def error_share(residuals: np.ndarray, gamma: float) -> Fraction:
@@ -369,7 +340,8 @@ def error_share(residuals: np.ndarray, gamma: float) -> Fraction:
     return Fraction(int(np.count_nonzero(residuals > gamma)), len(residuals))
 
 
-def evaluate_epsilon(sigma, state: DensityMatrix, dist: MeasurementDistribution, gamma: float) -> float:
+def evaluate_epsilon(sigma: DensityMatrix, state: DensityMatrix, dist: MeasurementDistribution,
+                     gamma: float) -> float:
     """Exact probability mass of support effects whose prediction misses
     by more than gamma (strict inequality).
 

@@ -27,14 +27,14 @@ computes.
 Two kernels run that contract. The scalar kernel serves
 ``smallest_eigenvector`` and any stack of one; a sweep allocates
 nothing: it overwrites the start vector with each iterate and reuses
-one buffer for h v and one for the residual and the next iterate.
-``smallest_eigenvectors`` runs the stacked kernel on larger stacks of
-same-dimension matrices, in lock-step: h v is one stacked ``matmul``
-(a gemv per item), <v, hv> one ``vecdot`` (a zdotc per item, as
-``vdot``), each norm two real ``vecdot`` calls (a ddot per item and
-view, as ``re.dot(re)``), and lam, c and the norm reach each item's
-row as complex columns, as a Python float reaches the scalar kernel's
-vector. So every item sees the scalar kernel's BLAS calls and
+one buffer for h v and one for the residual and the next iterate. The
+learner's ``_smallest_built`` runs the stacked kernel on larger stacks
+of same-dimension matrices, in lock-step: h v is one stacked
+``matmul`` (a gemv per item), <v, hv> one ``vecdot`` (a zdotc per
+item, as ``vdot``), each norm two real ``vecdot`` calls (a ddot per
+item and view, as ``re.dot(re)``), and lam, c and the norm reach each
+item's row as complex columns, as a Python float reaches the scalar
+kernel's vector. So every item sees the scalar kernel's BLAS calls and
 elementwise float operations in the same order, and its (v, lam) is
 bit for bit a lone call's. An item leaves the stack at the sweep where
 a lone call stops; the others stay in the stacked kernel until they
@@ -43,12 +43,13 @@ stacked sweep over one item costs about 3 times a scalar sweep. The
 pre-checks, the certificate, the restart and the fallback are one code
 path for both kernels. The pre-checks are one pass over the (T, d, d)
 stack, and each matrix's modulus is taken once, for the hermiticity
-scale, the largest entry and the shift c alike. ``tests/test_linalg.py``
-keeps the allocating form as the reference both must match bit for bit.
+scale, the largest entry and the shift c alike.
+``tests/test_linalg.py`` keeps the allocating form as the reference
+both must match bit for bit.
 
 Since an item's pair depends only on its own bytes, a stack solves
-each distinct matrix once: ``smallest_eigenvectors`` keys the items of
-a stack of two or more by their bytes, and each repeat gets its own
+each distinct matrix once: ``_smallest_built`` keys the items of a
+stack of two or more by their bytes, and each repeat gets its own
 copy of the pair of its first occurrence. A stack of one (a 16 MB
 gradient at n = 10) is not hashed.
 
@@ -58,18 +59,18 @@ learner reaches the eigen-step through ``_smallest_built``: its
 gradients are real-weighted sums of Pauli strings, Hermitian by
 construction, so the h - h^dag pass is skipped, while the modulus pass
 that sets the shift and the tolerance scale stays. Up to dim 256 the
-learner hands in dense gradients, and each pair is the pair of the
-public functions. Above dim 256, where no ``eigh`` fallback exists, it
-hands in one operator, and no d x d gradient is formed: the sweep
-reads h only through ``h.dot(v, out)``, which for a matrix is the
-``zgemv`` of ``np.dot``, and the certificate reads the operator's
+learner hands in dense gradients, and each pair is the pair of
+``smallest_eigenvector``. Above dim 256, where no ``eigh`` fallback
+exists, it hands in one operator, and no d x d gradient is formed: the
+sweep reads h only through ``h.dot(v, out)``, which for a matrix is
+the ``zgemv`` of ``np.dot``, and the certificate reads the operator's
 ``diagonal``, ``max_entry`` and ``one_norm`` (the duck type is spelled
 out at ``_smallest_built``; ``states.EffectSum`` is the one this
 package builds). Its ``max_entry`` and ``diagonal`` have the bytes of
 the dense gradient's, so the zero-gradient test and the min-diagonal
-certificate decide as on the dense matrix; its products and its
-1-norm round differently from ``zgemv`` and the dense column sums, so
-its pairs may differ from the dense kernel's in the last bits.
+certificate decide as on the dense matrix; its products and its 1-norm
+round differently from ``zgemv`` and the dense column sums, so its
+pairs may differ from the dense kernel's in the last bits.
 """
 
 from __future__ import annotations
@@ -84,23 +85,17 @@ _EIGH_FALLBACK_MAX_DIM = 256
 
 
 def _hermitian_stack(hs, built: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A non-empty sequence of matrices as one complex (T, d, d) stack,
-    with each item's largest entry modulus and induced 1-norm (its
-    largest column sum of moduli), read from one modulus pass.
+    """A non-empty sequence of same-shape matrices as one complex
+    (T, d, d) stack, with each item's largest entry modulus and induced
+    1-norm (its largest column sum of moduli), read from one modulus
+    pass.
 
-    Each item is checked as a lone matrix is, and the first item in
-    order that fails raises: not square, empty, or not finite and
-    Hermitian within tolerance. Items of mixed shapes are checked one
-    by one, then raise ``ValueError`` if they all pass. A stack of one
-    is a view of its matrix, not a copy. ``built`` matrices are
-    Hermitian by construction: the h - h^dag pass is skipped, and only
-    finiteness is checked.
+    Raises unless every item is square, non-empty, and finite and
+    Hermitian within tolerance. A stack of one is a view of its matrix,
+    not a copy. ``built`` matrices are Hermitian by construction: the
+    h - h^dag pass is skipped, and only finiteness is checked.
     """
     hs = [np.asarray(h, dtype=np.complex128) for h in hs]
-    if len({h.shape for h in hs}) > 1:
-        for h in hs:
-            _hermitian_stack([h], built)
-        raise ValueError("stack mixes matrix dimensions")
     h = hs[0][None] if len(hs) == 1 else np.stack(hs)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise NonHermitianError(f"not square: {h.shape[1:]}")
@@ -327,24 +322,16 @@ def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | Non
     return _smallest([h], tol, max_sweeps)[0]
 
 
-def smallest_eigenvectors(hs, tol: float = 1e-9):
-    """:func:`smallest_eigenvector` of each matrix in a stack of
-    same-dimension Hermitian matrices, as a list of ``(v, lam)``.
-
-    Every pair is bit for bit the pair a lone call returns; the sweeps
-    of the stack run in lock-step, which costs less per matrix than one
-    call after another. Matrices with the same bytes are solved once,
-    and each repeat gets its own copy of the pair. Raises as a lone
-    call would for the first item that fails.
-    """
-    return _distinct_smallest(hs, tol, built=False)
-
-
 def _smallest_built(hs, tol: float = 1e-9):
-    """:func:`smallest_eigenvectors` of matrices the package built
-    Hermitian by construction, the learner's gradients: the same pairs,
+    """:func:`smallest_eigenvector` of each matrix in a stack of
+    same-dimension matrices the package built Hermitian by construction,
+    the learner's gradients, as a list of ``(v, lam)``: the same pairs,
     without the h - h^dag pass. The modulus pass that sets each item's
     shift and tolerance scale stays.
+
+    The sweeps of the stack run in lock-step, which costs less per
+    matrix than one call after another. Matrices with the same bytes
+    are solved once, and each repeat gets its own copy of the pair.
 
     Above dim 256 an item may instead be an operator, alone in its
     stack: an object with ``dim``, ``diagonal`` (the real diagonal),
@@ -353,15 +340,10 @@ def _smallest_built(hs, tol: float = 1e-9):
     :class:`~qpac.states.EffectSum` provides them. No d x d matrix is
     read.
     """
-    return _distinct_smallest(hs, tol, built=True)
-
-
-def _distinct_smallest(hs, tol: float, built: bool):
-    """The pairs of a stack, each distinct item solved once."""
     if len(hs) < 2:
         # a stack of one has no repeats to look for, so its matrix
         # (16 MB at n = 10) is not hashed
-        return _smallest(hs, tol, None, built) if len(hs) else []
+        return _smallest(hs, tol, None, built=True) if len(hs) else []
     hs = [np.asarray(h, dtype=np.complex128) for h in hs]
     # the first item with each item's bytes; the keys, as large as the
     # stack, are dropped before it is solved
@@ -369,7 +351,7 @@ def _distinct_smallest(hs, tol: float, built: bool):
     source = [first.setdefault((h.shape, h.tobytes()), j) for j, h in enumerate(hs)]
     del first
     distinct = [j for j, k in enumerate(source) if k == j]
-    solved = dict(zip(distinct, _smallest([hs[j] for j in distinct], tol, None, built)))
+    solved = dict(zip(distinct, _smallest([hs[j] for j in distinct], tol, None, built=True)))
     pairs = []
     for j, k in enumerate(source):
         v, lam = solved[k]

@@ -11,7 +11,7 @@ those states for a whole batch of seeds at once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -166,35 +166,6 @@ def distribution_from_generators(
 @lru_cache
 def _generator_distribution(generators: tuple[PauliString, ...], label: str) -> MeasurementDistribution:
     return MeasurementDistribution(_support(stabilizer_group(generators), label), "custom")
-
-
-@dataclass(frozen=True)
-class TrainingSet:
-    """Sampled (effect, observed value) pairs plus provenance."""
-
-    items: tuple[tuple[MeasurementEffect, float], ...]
-    noise: NoiseModel = field(default_factory=NoiseModel.exact)
-    seed: object = None
-
-    def __post_init__(self):
-        if len(self.items) < 1:
-            raise ValueError("training set must contain at least one item")
-        for _, v in self.items:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"observed value {v} outside [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def m(self) -> int:
-        return len(self.items)
-
-    def effects(self) -> tuple[MeasurementEffect, ...]:
-        return tuple(e for e, _ in self.items)
-
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.items], dtype=float)
 
 
 # numpy's SeedSequence (bit_generator.pyx), after O'Neill's seed_seq
@@ -399,8 +370,7 @@ def draw_training_sets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The training sets of size m drawn with each of ``seeds``, as a
     (T, m) array of support indices and a (T, m) array of observed
-    values: row t is the set :func:`sample_training_set` draws with
-    ``seeds[t]``.
+    values, row t drawn with ``seeds[t]``.
 
     Each set's generator starts where ``np.random.default_rng(seed)``
     does (:func:`_seeded`) and draws the set's support indices first,
@@ -426,40 +396,13 @@ def sample_training_set(
     noise: NoiseModel | None = None,
     seed=0,
     replacement: bool = True,
-) -> TrainingSet:
-    """m uniform draws from the support with observed values per the
-    noise model. Fully reproducible from the seed, an integer or a
-    sequence of non-negative integers.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one-set form of :func:`draw_training_sets`: the (m,) support
+    indices and observed values of the set drawn with ``seed``.
 
-    The one-set form of :func:`draw_training_sets`: each draw's exact
-    value is read from the support's Tr(E rho) table, computed once per
-    target state.
+    No protocol calls it; every one draws through
+    :func:`draw_training_sets`. It stays because the benchmark's
+    per-layer tracer (``perfbench/tracing.py``) wraps it by name.
     """
-    noise = noise or NoiseModel.exact()
     indices, values = draw_training_sets(dist, state, m, [seed], noise, replacement)
-    items = tuple((dist.effects[i], v) for i, v in zip(indices[0].tolist(), values[0].tolist()))
-    return TrainingSet(items, noise, seed)
-
-
-def per_shot_outcomes(
-    dist: MeasurementDistribution,
-    state: DensityMatrix,
-    m_prime: int,
-    shots: int,
-    seed=0,
-    replacement: bool = True,
-):
-    """Raw Bernoulli outcomes grouped per sampled effect.
-
-    Returns a list of (effect, bits) with bits a uint8 array of length
-    ``shots``; each bit is 1 with probability Tr(E rho).
-    """
-    if shots < 1:
-        raise ValueError(f"need shots >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    idx = _draw_indices(rng, len(dist), m_prime, replacement)
-    values = dist.batch.expected(state)[idx]
-    return [
-        (dist.effects[i], (rng.random(shots) < p).astype(np.uint8))
-        for i, p in zip(idx.tolist(), values.tolist())
-    ]
+    return indices[0], values[0]

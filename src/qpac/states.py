@@ -44,18 +44,18 @@ class EffectBatch:
     _targets: weakref.WeakKeyDictionary | None = None
 
     def __init__(self, effects: Sequence[MeasurementEffect]):
-        self.effects = tuple(effects)
-        if not self.effects:
+        effects = tuple(effects)
+        if not effects:
             raise ValueError("empty effect batch")
-        n = self.effects[0].n
-        if any(e.n != n for e in self.effects):
+        n = effects[0].n
+        if any(e.n != n for e in effects):
             raise ValueError("effect batch mixes qubit counts")
         self.dim = 1 << n
         rows = np.arange(self.dim, dtype=np.int64)
         gather = []
         scatter = []
         coeffs = []
-        for e in self.effects:
+        for e in effects:
             # P|k> = c_k |perm_k>, read from the masks of P = phase *
             # i^|x&z| * X^x Z^z: Z^z signs |k> by (-1)^|k&z| and X^x
             # moves it to |k^x>. Factor 0 owns the most significant bit,
@@ -75,7 +75,7 @@ class EffectBatch:
         self._diag_idx = rows * self.dim + rows
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return len(self._coeff)
 
     def rows(self, indices: Sequence[int] | np.ndarray) -> "EffectBatch":
         """The batch of the effects at ``indices`` (a sequence or an
@@ -196,10 +196,9 @@ class EffectSum:
 
 class _BatchRows(EffectBatch):
     """Rows of a whole batch, from :meth:`EffectBatch.rows`. The tables
-    every reader needs are sliced at once; the effects and the scatter
-    rows, which only some readers need (:meth:`weighted_sum` alone reads
-    the scatter rows, and a closed-form trial never calls it), on first
-    read."""
+    every reader needs are sliced at once; the scatter rows, which
+    only :meth:`weighted_sum` reads (a closed-form trial never calls
+    it), on first read."""
 
     def __init__(self, whole: EffectBatch, idx: np.ndarray):
         self._whole, self._idx = whole, idx
@@ -207,10 +206,6 @@ class _BatchRows(EffectBatch):
         self._gather_idx = whole._gather_idx[idx]
         self._coeff = whole._coeff[idx]
         self._diag_idx = whole._diag_idx
-
-    @cached_property
-    def effects(self) -> tuple[MeasurementEffect, ...]:
-        return tuple(self._whole.effects[i] for i in self._idx.tolist())
 
     @cached_property
     def _scatter_idx(self) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Shared test helpers: an independent dense-matrix oracle for the
-symbolic Pauli algebra, random density-matrix generators, and the index
-rows of a training set."""
+symbolic Pauli algebra, random density-matrix generators, and the
+learner's form of hand-built (effect, value) pairs."""
 
 import functools
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qpac import PauliString
+from qpac.learner import Objective
 from qpac.states import EffectBatch
 
 # independent oracle: literal single-qubit matrices composed with kron,
@@ -84,10 +85,17 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def index_rows(training):
-    """A training set as ``learner.code_space_atoms`` reads it: a batch
-    of its distinct effects, in order of first draw, and (1, m) index
-    and value rows into that batch."""
-    distinct = list(dict.fromkeys(training.effects()))
-    indices = np.array([[distinct.index(e) for e in training.effects()]])
-    return EffectBatch(distinct), indices, training.values()[None]
+def index_rows(items):
+    """(effect, value) pairs as the learner reads a drawn training set:
+    a batch of their distinct effects, in order of first draw, and
+    (1, m) index and value rows into that batch."""
+    effects = [e for e, _ in items]
+    distinct = list(dict.fromkeys(effects))
+    indices = np.array([[distinct.index(e) for e in effects]])
+    return EffectBatch(distinct), indices, np.array([[v for _, v in items]], dtype=float)
+
+
+def objective(items):
+    """The learner's objective of (effect, value) pairs."""
+    batch, indices, values = index_rows(items)
+    return Objective(batch, indices[0], values[0])

@@ -17,7 +17,6 @@ from qpac import (
     NoiseModel,
     Objective,
     PauliString,
-    TrainingSet,
     build_distribution,
     expectation,
     ghz_density,
@@ -26,17 +25,17 @@ from qpac import (
     hazan_optimize,
     maximally_mixed,
     pauli_multiply,
-    per_shot_outcomes,
     sample_training_set,
-    shot_objective_value,
     xz_subset,
     PauliPhaseError,
 )
 from qpac.experiments import replay
 from qpac.repro import run_repro
+from qpac.sampling import _draw_indices
+from qpac.states import EffectBatch
 from qpac.table import read_table
 
-from conftest import decompose_pauli_product, ghz_vector, kron_dense, random_density
+from conftest import decompose_pauli_product, ghz_vector, kron_dense, objective, random_density
 
 
 @pytest.fixture(scope="session")
@@ -149,10 +148,9 @@ def test_criterion_6_optimizer_correctness():
     for n in (2, 3, 4):
         rng = np.random.default_rng(600 + n)
         dist = build_distribution(n, "d1")
-        training = sample_training_set(
+        obj = Objective(dist.batch, *sample_training_set(
             dist, ghz_density(n), 2 * n, noise=NoiseModel.gaussian(0.1), seed=(600, n)
-        )
-        obj = Objective(training)
+        ))
         dim = 2**n
         for _ in range(20):
             sigma = random_density(rng, dim)
@@ -172,11 +170,11 @@ def test_criterion_6_optimizer_correctness():
         trace_err = max(trace_err, abs(np.trace(sigma).real - 1.0))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(sigma)[0]))
 
+    dist = build_distribution(3, "d1")
     noisy = sample_training_set(
-        build_distribution(3, "d1"), maximally_mixed(3), 10,
-        noise=NoiseModel.with_shots(10), seed=601,
+        dist, maximally_mixed(3), 10, noise=NoiseModel.with_shots(10), seed=601,
     )
-    hazan_optimize(Objective(noisy), k_max=300, on_iterate=watch)
+    hazan_optimize(Objective(dist.batch, *noisy), k_max=300, on_iterate=watch)
     iterate_ok = trace_err <= 1e-12 and min_eig >= -1e-10
 
     finals = {}
@@ -185,7 +183,7 @@ def test_criterion_6_optimizer_correctness():
         training = sample_training_set(
             dist, ghz_density(n), len(dist), seed=(602, n), replacement=False
         )
-        finals[n] = hazan_optimize(Objective(training), k_max=300).final_objective
+        finals[n] = hazan_optimize(Objective(dist.batch, *training), k_max=300).final_objective
     converge_ok = all(f <= 1e-3 for f in finals.values())
 
     report(
@@ -197,6 +195,36 @@ def test_criterion_6_optimizer_correctness():
     )
 
 
+def per_shot_outcomes(dist, state, m_prime, shots, seed=0, replacement=True):
+    """Raw Bernoulli outcomes grouped per sampled effect.
+
+    Returns a list of (effect, bits) with bits a uint8 array of length
+    ``shots``; each bit is 1 with probability Tr(E rho).
+    """
+    if shots < 1:
+        raise ValueError(f"need shots >= 1, got {shots}")
+    rng = np.random.default_rng(seed)
+    idx = _draw_indices(rng, len(dist), m_prime, replacement)
+    values = dist.batch.expected(state)[idx]
+    return [
+        (dist.effects[i], (rng.random(shots) < p).astype(np.uint8))
+        for i, p in zip(idx.tolist(), values.tolist())
+    ]
+
+
+def shot_objective_value(outcomes, sigma) -> float:
+    """Single-outcome objective sum_ij (Tr(E_i sigma) - b_ij)^2 over raw
+    per-shot bits grouped per effect."""
+    total = 0.0
+    for eff, bits in outcomes:
+        t = float(EffectBatch((eff,)).expectations(sigma)[0])
+        bits = np.asarray(bits, dtype=float)
+        s = bits.size
+        # sum over bits of (t - b)^2 with b^2 = b
+        total += s * t * t - 2.0 * t * float(bits.sum()) + float(bits.sum())
+    return total
+
+
 def test_criterion_7_per_shot_identity():
     rng = np.random.default_rng(700)
     dist = build_distribution(3, "d1")
@@ -204,9 +232,7 @@ def test_criterion_7_per_shot_identity():
     worst = 0.0
     for shots in (1, 10, 100):
         outcomes = per_shot_outcomes(dist, mixed, 6, shots=shots, seed=(700, shots))
-        averaged = Objective(
-            TrainingSet(tuple((eff, float(bits.mean())) for eff, bits in outcomes))
-        )
+        averaged = objective(tuple((eff, float(bits.mean())) for eff, bits in outcomes))
         diffs = []
         for _ in range(10):
             sigma = random_density(rng, 8)

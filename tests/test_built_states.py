@@ -34,9 +34,9 @@ def _learned(n: int, m: int, noise: NoiseModel, seed: int, k_max: int) -> Densit
     # exact GHZ values are all 1, so shot noise needs the mixed target
     # (every value 1/2) to be noisy; Gaussian noise perturbs either
     target = maximally_mixed(n) if noise.kind == "shots" else ghz_density(n)
-    training = sample_training_set(build_distribution(n, "d1"), target, m,
-                                   noise=noise, seed=seed)
-    return hazan_optimize(Objective(training), k_max=k_max).sigma
+    dist = build_distribution(n, "d1")
+    training = sample_training_set(dist, target, m, noise=noise, seed=seed)
+    return hazan_optimize(Objective(dist.batch, *training), k_max=k_max).sigma
 
 
 _GENERATOR_SETS = (

@@ -16,7 +16,6 @@ from qpac import (
     NoiseModel,
     Objective,
     SampleSizeCapError,
-    TrainingSet,
     TrialCache,
     build_distribution,
     estimate_min_m,
@@ -34,7 +33,7 @@ from qpac import PauliString, complexity, distribution_from_generators, learner,
 from qpac.experiments import ExperimentConfig, run_command
 from qpac.sampling import draw_training_sets
 
-from conftest import index_rows, random_density
+from conftest import random_density
 
 
 class TestLearnParams:
@@ -63,8 +62,7 @@ class TestEstimateMinM:
         failures = 0
         sequences = list(product(range(len(dist)), repeat=m))
         for seq in sequences:
-            items = tuple((dist.effects[i], 1.0) for i in seq)
-            hyp = hazan_optimize(Objective(TrainingSet(items)), k_max=300)
+            hyp = hazan_optimize(Objective(dist.batch, np.array(seq), np.ones(m)), k_max=300)
             resid = support_residuals(hyp.sigma, rho, dist)
             eps_est = Fraction(int(np.count_nonzero(resid > gamma)), len(resid))
             if eps_est > Fraction(str(epsilon)):
@@ -208,15 +206,15 @@ class TestBatchFill:
     def _alone(rho, dist, m, seed, k_max, noise, replacement):
         training = sample_training_set(dist, rho, m, noise=noise, seed=seed,
                                        replacement=replacement)
-        hyp = hazan_optimize(Objective(training), k_max=k_max)
+        hyp = hazan_optimize(Objective(dist.batch, *training), k_max=k_max)
         return support_residuals(hyp.sigma, rho, dist)
 
     @staticmethod
     def _by_rule(rho, dist, m, seed, replacement):
-        training = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
-        atom = learner.code_space_atoms(*index_rows(training))[0]
+        idx, vals = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
+        [atom] = learner.code_space_atoms(dist.batch, idx[None], vals[None])
         assert atom is not None  # every GHZ d2 string has sign +1
-        return support_residuals(atom, rho, dist)
+        return support_residuals(DensityMatrix(atom), rho, dist)
 
     @pytest.mark.parametrize("replacement", [True, False])
     @pytest.mark.parametrize("label", ["d1", "d2"])
@@ -264,11 +262,10 @@ class TestBatchFill:
         for m in (1, 2, 3):
             stacks.clear()
             fill_trials(cache, [(5,)], m, self.I_MAX)
-            firsts = [
-                Objective(sample_training_set(dist, rho, m, seed=(5, m, i),
-                                              replacement=False)).gradient(mixed).tobytes()
-                for i in range(self.I_MAX)
-            ]
+            firsts = []
+            for i in range(self.I_MAX):
+                training = sample_training_set(dist, rho, m, seed=(5, m, i), replacement=False)
+                firsts.append(Objective(dist.batch, *training).gradient(mixed).tobytes())
             assert stacks == [firsts[lo:lo + 3] for lo in range(0, self.I_MAX, 3)]
 
     @pytest.mark.parametrize("replacement", [True, False])
@@ -302,11 +299,11 @@ class TestBatchFill:
         fill_trials(cache, [(5,)], 2, self.I_MAX)
         fell_back = 0
         for i in range(self.I_MAX):
-            training = sample_training_set(dist, rho, 2, seed=(5, 2, i), replacement=False)
-            if gens[0] not in [e.pauli for e in training.effects()]:
+            idx, vals = sample_training_set(dist, rho, 2, seed=(5, 2, i), replacement=False)
+            if gens[0] not in [dist.effects[j].pauli for j in idx.tolist()]:
                 continue
             fell_back += 1
-            assert learner.code_space_atoms(*index_rows(training))[0] is None
+            assert learner.code_space_atoms(dist.batch, idx[None], vals[None])[0] is None
             want = self._alone(rho, dist, 2, (5, 2, i), 10, NoiseModel.exact(), False)
             assert cache.residuals((5, 2, i)).tobytes() == want.tobytes()
         assert fell_back > 0
@@ -364,7 +361,7 @@ class TestBatchFill:
 
 class TestSupportIndexedTrials:
     """A ``TrialCache`` samples through its support's tables; every
-    trial it fills learns the training set that ``sample_training_set``
+    trial it fills learns the training set that ``draw_training_sets``
     draws alone with the trial's seed."""
 
     @settings(max_examples=40, deadline=None)
@@ -398,10 +395,6 @@ class TestSupportIndexedTrials:
         for i in range(count):
             seed = (*root, m, i)
             indices, values = draw_training_sets(dist, rho, m, [seed], noise, replacement)
-            want = sample_training_set(dist, rho, m, noise=noise, seed=seed,
-                                       replacement=replacement)
-            assert want.effects() == tuple(dist.effects[j] for j in indices[0].tolist())
-            assert want.values().tobytes() == values[0].tobytes()
             [hyp] = learner.learn_each(dist, indices, values, noise, 3)
             alone = support_residuals(hyp.sigma, rho, dist)
             assert cache.residuals(seed).tobytes() == alone.tobytes()

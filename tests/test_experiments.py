@@ -44,7 +44,6 @@ from qpac.experiments import (
 )
 from qpac.table import read_table
 
-from conftest import index_rows
 
 
 def cfg(**kw):
@@ -203,9 +202,11 @@ class TestOneLearningPath:
 
     N, M = 4, 6
 
-    def _training(self, seed):
-        return sample_training_set(build_distribution(self.N, "d2"), ghz_density(self.N),
-                                   self.M, seed=seed)
+    def _atom(self, seed):
+        # the closed-form first vertex of the set drawn with this seed
+        dist = build_distribution(self.N, "d2")
+        idx, vals = sample_training_set(dist, ghz_density(self.N), self.M, seed=seed)
+        return learner.code_space_atoms(dist.batch, idx[None], vals[None])[0]
 
     def _scores(self, sigma):
         rho, dist = ghz_density(self.N), build_distribution(self.N, "d2")
@@ -218,12 +219,13 @@ class TestOneLearningPath:
         assert main(["learn", "--n", "4", "--dist", "d2", "--m", "6", "--seed", "3",
                      "--out", str(out)]) == 0
         row = dict(zip(LEARN_COLUMNS, read_table(out).select(hypothesis="learned")[0]))
-        training = self._training((3, 0))
-        eps, fid, _ = self._scores(learner.code_space_atoms(*index_rows(training))[0])
+        eps, fid, _ = self._scores(self._atom((3, 0)))
         assert (row["epsilon_est"], row["fidelity_target"]) == (eps, fid) == (0.0, 1.0)
         # the eigen-step of this training set takes another vector of the
         # degenerate bottom eigenspace, which misses 1/8 of the support
-        bare = hazan_optimize(Objective(training), k_max=300).sigma
+        dist = build_distribution(self.N, "d2")
+        training = sample_training_set(dist, ghz_density(self.N), self.M, seed=(3, 0))
+        bare = hazan_optimize(Objective(dist.batch, *training), k_max=300).sigma
         assert self._scores(bare)[0] == 0.125
 
     def test_sweep_m(self, tmp_path):
@@ -232,7 +234,7 @@ class TestOneLearningPath:
         table = run_sweep_m(c)
         row = dict(zip(table.columns, table.rows[0]))
         want = np.array([
-            self._scores(learner.code_space_atoms(*index_rows(self._training((3, self.M, r))))[0])
+            self._scores(self._atom((3, self.M, r)))
             for r in range(5)
         ])
         means = want.mean(axis=0)
@@ -300,7 +302,7 @@ class TestTrialRows:
                 dist, state, m, noise=config.noise_model(), seed=seed,
                 replacement=config.with_replacement(),
             )
-            hyp = hazan_optimize(Objective(training), k_max=config.k_max)
+            hyp = hazan_optimize(Objective(dist.batch, *training), k_max=config.k_max)
             assert evaluate_epsilon(hyp.sigma, state, dist, gamma) == eps
             assert failed == (eps > config.epsilon)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpac import (
+    ConvergenceError,
     MeasurementEffect,
     NoiseModel,
     PauliString,
@@ -168,3 +169,19 @@ class TestLearnPath:
         want = run_learn(ExperimentConfig(**kwargs)).rows
         assert got == want
         assert [type(x) for x in got[0]] == [type(x) for x in want[0]]
+
+    # strict: once the eigen-step certifies this gradient within its
+    # sweep budget, this passes, fails the marker, and the marker goes
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="above dim 256 the eigen-step has no eigh fallback")
+    def test_noisy_cluster_learn_at_n9_completes(self, tmp_path):
+        # the gradient of step 2 has 4 eigenvalues within 4e-15 of 0 and
+        # the next at 9.1e-4, and its shift equals its top eigenvalue:
+        # the power iteration contracts by about 0.998 per sweep and needs
+        # more than the 10 * dim = 5120 sweeps of each start
+        cluster = ["XZIIIIIII", "ZXZIIIIII", "IZXZIIIII", "IIZXZIIII", "IIIZXZIII",
+                   "IIIIZXZII", "IIIIIZXZI", "IIIIIIZXZ", "IIIIIIIZX"]
+        config = ExperimentConfig(command="learn", n=9, dist="d1", m=20, generators=cluster,
+                                  gauss_std=0.05, k_max=2, seed=401,
+                                  out=str(tmp_path / "learn.csv"))
+        assert run_learn(config).rows[0][4] == 2

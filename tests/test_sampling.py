@@ -12,20 +12,19 @@ from qpac import (
     NoiseModel,
     PauliString,
     StructureError,
-    TrainingSet,
     build_distribution,
     distribution_from_generators,
     expectation,
     ghz_density,
     ghz_generators,
     maximally_mixed,
-    per_shot_outcomes,
     sample_training_set,
 )
 from qpac.experiments import ExperimentConfig
 from qpac.sampling import _draw_indices, _pcg64_states, draw_training_sets
 
 from conftest import random_density
+from test_acceptance import per_shot_outcomes
 
 
 def P(text):
@@ -89,33 +88,31 @@ class TestNoiseModel:
 class TestSampleTrainingSet:
     def test_exact_ghz_values_are_one(self):
         d = build_distribution(3, "d1")
-        t = sample_training_set(d, ghz_density(3), 10, seed=5)
-        assert t.m == 10
-        assert all(v == 1.0 for _, v in t.items)
+        idx, vals = sample_training_set(d, ghz_density(3), 10, seed=5)
+        assert idx.shape == vals.shape == (10,)
+        assert np.all(vals == 1.0)
 
     def test_reproducible_and_seed_sensitive(self):
         d = build_distribution(4, "d1")
         rho = ghz_density(4)
         a = sample_training_set(d, rho, 20, seed=9)
         b = sample_training_set(d, rho, 20, seed=9)
-        assert a.items == b.items
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
         seen = set()
         for seed in range(100):
-            t = sample_training_set(d, rho, 10, seed=seed)
-            seen.add(tuple(e.pauli for e, _ in t.items))
+            idx, _ = sample_training_set(d, rho, 10, seed=seed)
+            seen.add(tuple(idx.tolist()))
         assert len(seen) == 100  # no collisions across 100 seeds
 
     def test_uniform_within_multinomial_bounds(self):
         d = build_distribution(3, "d1")
         rho = ghz_density(3)
-        t = sample_training_set(d, rho, 100_000, seed=2)
-        counts = {}
-        for e, _ in t.items:
-            counts[e.pauli] = counts.get(e.pauli, 0) + 1
+        idx, _ = sample_training_set(d, rho, 100_000, seed=2)
+        counts = np.bincount(idx, minlength=len(d))
         k = len(d)
         expect = 100_000 / k
         sigma = np.sqrt(100_000 * (1 / k) * (1 - 1 / k))
-        for c in counts.values():
+        for c in counts:
             assert abs(c - expect) < 5 * sigma
 
     def test_with_replacement_duplicates(self):
@@ -123,40 +120,37 @@ class TestSampleTrainingSet:
         rho = ghz_density(2)
         dup_seen = 0
         for seed in range(30):
-            t = sample_training_set(d, rho, len(d) + 1, seed=seed)
-            paulis = [e.pauli for e, _ in t.items]
-            if len(set(paulis)) < len(paulis):
+            idx, _ = sample_training_set(d, rho, len(d) + 1, seed=seed)
+            if len(set(idx.tolist())) < len(idx):
                 dup_seen += 1
         assert dup_seen == 30  # pigeonhole: m > support forces duplicates
 
     def test_without_replacement(self):
         d = build_distribution(3, "d1")
         rho = ghz_density(3)
-        t = sample_training_set(d, rho, len(d), seed=1, replacement=False)
-        assert len({e.pauli for e, _ in t.items}) == len(d)
+        idx, _ = sample_training_set(d, rho, len(d), seed=1, replacement=False)
+        assert len(set(idx.tolist())) == len(d)
         with pytest.raises(ValueError):
             sample_training_set(d, rho, len(d) + 1, seed=1, replacement=False)
 
     def test_shot_noise_concentrates(self):
         d = build_distribution(3, "d1")
         mixed = maximally_mixed(3)
-        t = sample_training_set(d, mixed, 50, noise=NoiseModel.with_shots(10_000), seed=3)
-        vals = t.values()
+        _, vals = sample_training_set(d, mixed, 50, noise=NoiseModel.with_shots(10_000), seed=3)
         # binomial tail: P(|mean - 0.5| > 0.02 at S=1e4) < 1e-4 per item
         assert np.max(np.abs(vals - 0.5)) < 0.02
 
     def test_gaussian_zero_is_exact(self):
         d = build_distribution(2, "d1")
         rho = ghz_density(2)
-        a = sample_training_set(d, rho, 8, noise=NoiseModel.gaussian(0.0), seed=4)
-        b = sample_training_set(d, rho, 8, noise=NoiseModel.exact(), seed=4)
-        assert [v for _, v in a.items] == [v for _, v in b.items]
+        _, a = sample_training_set(d, rho, 8, noise=NoiseModel.gaussian(0.0), seed=4)
+        _, b = sample_training_set(d, rho, 8, noise=NoiseModel.exact(), seed=4)
+        assert a.tolist() == b.tolist()
 
     def test_gaussian_clamped(self):
         d = build_distribution(2, "d1")
         rho = ghz_density(2)  # exact values are 1.0, noise pushes above
-        t = sample_training_set(d, rho, 50, noise=NoiseModel.gaussian(0.5), seed=6)
-        vals = t.values()
+        _, vals = sample_training_set(d, rho, 50, noise=NoiseModel.gaussian(0.5), seed=6)
         assert np.all(vals <= 1.0) and np.all(vals >= 0.0)
         assert np.any(vals < 1.0)
 
@@ -167,13 +161,13 @@ class TestSampleTrainingSet:
 
     @pytest.mark.parametrize("replacement", [True, False])
     def test_records_support_indices(self, replacement):
-        # the set's items are the support effects at the index row that
-        # draw_training_sets draws with the same seed
+        # the set is the index and value row that draw_training_sets
+        # draws with the same seed
         d, rho = build_distribution(3, "d1"), ghz_density(3)
-        t = sample_training_set(d, rho, 6, seed=8, replacement=replacement)
-        [idx], [vals] = draw_training_sets(d, rho, 6, [8], replacement=replacement)
-        assert t.effects() == tuple(d.effects[i] for i in idx.tolist())
-        assert t.values().tobytes() == vals.tobytes()
+        idx, vals = sample_training_set(d, rho, 6, seed=8, replacement=replacement)
+        [want_idx], [want_vals] = draw_training_sets(d, rho, 6, [8], replacement=replacement)
+        assert idx.tobytes() == want_idx.tobytes()
+        assert vals.tobytes() == want_vals.tobytes()
 
     @pytest.mark.parametrize("noise", [
         NoiseModel.exact(), NoiseModel.with_shots(7), NoiseModel.gaussian(0.1),
@@ -189,18 +183,19 @@ class TestSampleTrainingSet:
         ]
         for d, rho in targets:
             for seed in range(5):
-                got = sample_training_set(d, rho, 9, noise=noise, seed=seed)
+                _, got = sample_training_set(d, rho, 9, noise=noise, seed=seed)
                 rng = np.random.default_rng(seed)
                 want = [noise.observe(expectation(d.effects[i], rho), rng)
                         for i in _draw_indices(rng, len(d), 9, True).tolist()]
-                assert got.values().tobytes() == np.array(want).tobytes()
-                assert all(type(v) is float for _, v in got.items)
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.array(want).tobytes()
 
     def test_dust_clamped(self):
         # Tr(ZZ rho) = 1 + 8e-10: the drawn exact value is clamped to 1
         dust = DensityMatrix(np.diag([1 + 4e-10, -4e-10, 0, 0]).astype(complex))
-        t = sample_training_set(build_distribution(2, "d1"), dust, 6, seed=1)
-        zz = [v for e, v in t.items if e.pauli.x == 0]
+        d = build_distribution(2, "d1")
+        idx, vals = sample_training_set(d, dust, 6, seed=1)
+        zz = [v for i, v in zip(idx.tolist(), vals.tolist()) if d.effects[i].pauli.x == 0]
         assert zz and all(v == 1.0 for v in zz)
 
 
@@ -291,23 +286,14 @@ class TestVectorizedSeeding:
             want_idx, want_vals = _reference_draw(dist, rho, m, noise, seed, replacement)
             assert idx.tolist() == want_idx
             assert vals.tobytes() == np.array(want_vals).tobytes()
-            alone = sample_training_set(dist, rho, m, noise=noise, seed=seed,
-                                        replacement=replacement)
-            assert alone.effects() == tuple(dist.effects[i] for i in want_idx)
-            assert alone.values().tobytes() == vals.tobytes()
+            alone_idx, alone_vals = sample_training_set(dist, rho, m, noise=noise, seed=seed,
+                                                        replacement=replacement)
+            assert alone_idx.tolist() == want_idx
+            assert alone_vals.tobytes() == vals.tobytes()
 
     def test_no_seeds_draw_nothing(self):
         indices, values = draw_training_sets(build_distribution(2, "d1"), ghz_density(2), 3, [])
         assert indices.shape == values.shape == (0, 3)
-
-
-class TestTrainingSet:
-    def test_value_range_enforced(self):
-        e = MeasurementEffect(P("XX"))
-        with pytest.raises(ValueError):
-            TrainingSet(((e, 1.2),))
-        with pytest.raises(ValueError):
-            TrainingSet(())
 
 
 class TestPerShotOutcomes:
