@@ -222,22 +222,21 @@ def theorem_bound(n: int, params: LearnParams, big_k: float) -> float:
     return (big_k / g4e2) * (n / g4e2 * log_ge**2 + math.log(1.0 / params.delta))
 
 
-def linear_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
+def linear_fit(points: Sequence[tuple[float, float | Fraction]]) -> tuple[float, float, float]:
     """Ordinary least squares m = slope * n + intercept over the mean m
-    per distinct n. Returns (slope, intercept, r_squared)."""
-    groups: dict[float, list[float]] = {}
+    per distinct n, in exact rationals, each result rounded to float
+    once. Returns (slope, intercept, r_squared)."""
+    groups: dict[Fraction, list[Fraction]] = {}
     for n, m in points:
-        groups.setdefault(float(n), []).append(float(m))
+        groups.setdefault(Fraction(n), []).append(Fraction(m))
     if len(groups) < 2:
         raise ValueError(f"need at least 2 distinct n values, got {len(groups)}")
-    ns = np.array(sorted(groups))
-    means = np.array([np.mean(groups[n]) for n in ns])
-    slope, intercept = np.polyfit(ns, means, 1)
-    pred = slope * ns + intercept
-    ss_res = float(np.sum((means - pred) ** 2))
-    ss_tot = float(np.sum((means - means.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res < 1e-24 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), float(r2)
+    ns = sorted(groups)
+    means = [sum(groups[n]) / len(groups[n]) for n in ns]
+    n_bar, m_bar = sum(ns) / len(ns), sum(means) / len(means)
+    s_nm = sum((n - n_bar) * (m - m_bar) for n, m in zip(ns, means))
+    slope = s_nm / sum((n - n_bar) ** 2 for n in ns)
+    ss_tot = sum((m - m_bar) ** 2 for m in means)
+    # 1 - ss_res / ss_tot, exactly; equal means fit exactly
+    r2 = slope * s_nm / ss_tot if ss_tot else Fraction(1)
+    return float(slope), float(m_bar - slope * n_bar), float(r2)

@@ -21,6 +21,7 @@ import json
 import os
 import typing
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -525,7 +526,7 @@ def run_scaling(config: ExperimentConfig) -> ResultTable:
         roots = [(config.seed, n, r) for r in range(config.repeats)]
         min_ms = _search(cache, params, roots, n, trial_rows)
         chunk = np.array(min_ms, dtype=float)
-        points.append((n, float(chunk.mean())))
+        points.append((n, Fraction(sum(min_ms), config.repeats)))
         table.append("point", n, config.repeats, float(chunk.mean()), float(chunk.std()),
                      None, None, None, None, None)
 

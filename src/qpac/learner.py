@@ -128,7 +128,9 @@ def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
     choose.
 
     The sets whose values are all 1 share one (T, d) stack of w, and
-    factor k of every set is applied as one array step. Where item k
+    factor k of every set is applied as one array step
+    (:meth:`EffectBatch.apply`, which alone reads the batch's tables).
+    Where item k
     repeats an earlier string of its set (a draw with replacement),
     ``np.where`` keeps that set's w as it was, so each set gets the
     bytes that its lone call gives.
@@ -143,23 +145,15 @@ def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
     if not live.size:
         return atoms
     rows = indices[live]
-    dim = batch.dim
-    # item k of stacked set t at [k, t]. A gather row holds i * dim +
-    # perm_i, and perm_i < dim; the offset t * dim reads set t's row of
-    # the flattened stack
-    perm = (batch._gather_idx[rows.T] & (dim - 1)) + (np.arange(len(live)) * dim)[:, None]
-    coeff = batch._coeff[rows.T]
     # item k is fresh where its index first appears in its set; the
     # offset t * len(batch) keeps the sets apart in one np.unique
     keys = rows + (np.arange(len(live)) * len(batch))[:, None]
     fresh = np.zeros(rows.shape, dtype=bool)
     fresh.flat[np.unique(keys, return_index=True)[1]] = True
     fresh = fresh.T[:, :, None]
-    w = np.ones((len(live), dim), dtype=np.complex128)
+    w = np.ones((len(live), batch.dim), dtype=np.complex128)
     for k in range(rows.shape[1]):
-        # P|i> = c_i |perm_i> and perm is an involution, so
-        # (P w)[i] = c_perm_i w[perm_i]
-        step = (w + (coeff[k] * w).ravel()[perm[k]]) / 2.0
+        step = (w + batch.apply(rows[:, k], w)) / 2.0
         # a repeated string keeps w as it is
         w = np.where(fresh[k], step, w)
     norm2 = (w * w.conj()).real.sum(axis=1)

@@ -42,8 +42,8 @@ stop too. Only a stack of one starts on the scalar kernel, because a
 stacked sweep over one item costs about 3 times a scalar sweep. The
 pre-checks, the certificate, the restart and the fallback are one code
 path for both kernels. The pre-checks are one pass over the (T, d, d)
-stack, and each matrix's modulus is taken once, for the hermiticity
-scale, the largest entry and the shift c alike.
+stack, and each matrix's modulus is taken once, for the finiteness
+test, the largest entry and the shift c alike.
 ``tests/test_linalg.py`` keeps the allocating form as the reference
 both must match bit for bit.
 
@@ -54,10 +54,11 @@ copy of the pair of its first occurrence. A stack of one (a 16 MB
 gradient at n = 10) is not hashed.
 
 So h takes three forms: one dense matrix, a stack of them, and, for
-the learner's gradients above dim 256 (n >= 9), an operator. The
-learner reaches the eigen-step through ``_smallest_built``: its
-gradients are real-weighted sums of Pauli strings, Hermitian by
-construction, so the h - h^dag pass is skipped, while the modulus pass
+the learner's gradients above dim 256 (n >= 9), an operator. Only the
+public entries check h - h^dag, on their input, before the shared
+code. The learner reaches the eigen-step through ``_smallest_built``:
+its gradients are real-weighted sums of Pauli strings, Hermitian by
+construction, so no h - h^dag pass runs, while the modulus pass
 that sets the shift and the tolerance scale stays. Up to dim 256 the
 learner hands in dense gradients, and each pair is the pair of
 ``smallest_eigenvector``. Above dim 256, where no ``eigh`` fallback
@@ -84,32 +85,36 @@ from .errors import ConvergenceError, NonHermitianError
 _EIGH_FALLBACK_MAX_DIM = 256
 
 
-def _hermitian_stack(hs, built: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A non-empty sequence of same-shape matrices as one complex
-    (T, d, d) stack, with each item's largest entry modulus and induced
-    1-norm (its largest column sum of moduli), read from one modulus
-    pass.
+def _hermitian(h) -> np.ndarray:
+    """``h`` as a complex matrix; raises unless it is square, non-empty,
+    and finite and Hermitian within tolerance: the public entries' check."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise NonHermitianError(f"not square: {h.shape}")
+    if h.size == 0:
+        raise NonHermitianError("empty matrix")
+    scale = _finite_scale(np.max(np.abs(h)))
+    if not np.max(np.abs(h - h.conj().T)) <= 1e-10 * scale:
+        raise NonHermitianError("matrix is not finite and Hermitian within tolerance")
+    return h
 
-    Raises unless every item is square, non-empty, and finite and
-    Hermitian within tolerance. A stack of one is a view of its matrix,
-    not a copy. ``built`` matrices are Hermitian by construction: the
-    h - h^dag pass is skipped, and only finiteness is checked.
+
+def _hermitian_stack(hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A non-empty sequence of same-shape Hermitian matrices as one
+    complex (T, d, d) stack, with each item's largest entry modulus and
+    induced 1-norm (its largest column sum of moduli), read from one
+    modulus pass.
+
+    Raises unless every item is finite; hermiticity is the caller's
+    (:func:`_hermitian`). A stack of one is a view of its matrix.
     """
     hs = [np.asarray(h, dtype=np.complex128) for h in hs]
     h = hs[0][None] if len(hs) == 1 else np.stack(hs)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise NonHermitianError(f"not square: {h.shape[1:]}")
-    if h.size == 0:
-        raise NonHermitianError("empty matrix")
     modulus = np.abs(h)
     max_entry = np.max(modulus, axis=(1, 2))
     one_norm = np.max(np.sum(modulus, axis=1), axis=1)
     del modulus
-    scale = _finite_scale(max_entry)
-    if not built:
-        asym = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2))
-        if not np.all(asym <= 1e-10 * scale):
-            raise NonHermitianError("matrix is not finite and Hermitian within tolerance")
+    _finite_scale(max_entry)
     return h, max_entry, one_norm
 
 
@@ -129,8 +134,7 @@ def _finite_scale(max_entry: np.ndarray) -> np.ndarray:
 def eigendecompose(h: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a
     Hermitian matrix. Thin wrapper over LAPACK with a hermiticity check."""
-    h = _hermitian_stack([h])[0][0]
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_hermitian(h))
     return vals, vecs
 
 
@@ -240,16 +244,13 @@ def _power_iterate_stack(h, v, cs, tol, max_entry, max_sweeps):
     return out
 
 
-def _smallest(hs, tol: float, max_sweeps: int | None, built: bool = False):
+def _smallest(hs, tol: float, max_sweeps: int | None):
     """The eigen-step rule on a non-empty sequence of Hermitian
-    matrices of one dimension; returns ``(v, lam)`` per matrix.
-
-    ``built`` items are Hermitian by construction (see
-    :func:`_smallest_built`): dense matrices skip the h - h^dag pass,
-    and a lone operator is read through its fields and ``dot``.
+    matrices of one dimension, or on a lone operator (see
+    :func:`_smallest_built`); returns ``(v, lam)`` per item.
     """
     # the shift c of each item is its induced 1-norm, which bounds its spectrum
-    if built and not isinstance(hs[0], np.ndarray):
+    if not isinstance(hs[0], np.ndarray):
         (op,) = hs
         # the operator stands for its stack of one; the loop below
         # never slices a stack of one, and dim > 256 has no eigh fallback
@@ -257,7 +258,7 @@ def _smallest(hs, tol: float, max_sweeps: int | None, built: bool = False):
         _finite_scale(max_entry)
         diags = op.diagonal[None]
     else:
-        h, max_entry, cs = _hermitian_stack(hs, built)
+        h, max_entry, cs = _hermitian_stack(hs)
         diags = h.diagonal(axis1=1, axis2=2).real
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -319,7 +320,7 @@ def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | Non
     to. Raises :class:`ConvergenceError` only when dim > 256 and the
     sweep budget is exhausted without a certified pair.
     """
-    return _smallest([h], tol, max_sweeps)[0]
+    return _smallest([_hermitian(h)], tol, max_sweeps)[0]
 
 
 def _smallest_built(hs, tol: float = 1e-9):
@@ -343,7 +344,7 @@ def _smallest_built(hs, tol: float = 1e-9):
     if len(hs) < 2:
         # a stack of one has no repeats to look for, so its matrix
         # (16 MB at n = 10) is not hashed
-        return _smallest(hs, tol, None, built=True) if len(hs) else []
+        return _smallest(hs, tol, None) if len(hs) else []
     hs = [np.asarray(h, dtype=np.complex128) for h in hs]
     # the first item with each item's bytes; the keys, as large as the
     # stack, are dropped before it is solved
@@ -351,7 +352,7 @@ def _smallest_built(hs, tol: float = 1e-9):
     source = [first.setdefault((h.shape, h.tobytes()), j) for j, h in enumerate(hs)]
     del first
     distinct = [j for j, k in enumerate(source) if k == j]
-    solved = dict(zip(distinct, _smallest([hs[j] for j in distinct], tol, None, built=True)))
+    solved = dict(zip(distinct, _smallest([hs[j] for j in distinct], tol, None)))
     pairs = []
     for j, k in enumerate(source):
         v, lam = solved[k]

@@ -30,8 +30,10 @@ _CLAMP_SLACK = 1e-9
 class EffectBatch:
     """Vectorized expectations of a fixed tuple of effects.
 
-    Builds the signed permutation of every Pauli string, the package's
-    only code that does, so all Tr(E_i sigma) evaluate as one
+    Builds the signed permutation P|k> = c_k |perm_k> of every Pauli
+    string, the package's only code that does, as two (m, d) tables
+    that only its methods read: the flat positions k * d + perm_k that
+    Tr(P sigma) reads, and the c_k. So all Tr(E_i sigma) evaluate as one
     fancy-indexed contraction. A support owns one batch
     (``MeasurementDistribution.batch``), and its tables serve every
     reader of that support: :meth:`expected` is the one Tr(E rho) table
@@ -52,26 +54,18 @@ class EffectBatch:
             raise ValueError("effect batch mixes qubit counts")
         self.dim = 1 << n
         rows = np.arange(self.dim, dtype=np.int64)
-        gather = []
-        scatter = []
-        coeffs = []
-        for e in effects:
+        # filled row by row, so that a build holds each table once
+        self._gather_idx = np.empty((len(effects), self.dim), dtype=np.int64)
+        self._coeff = np.empty((len(effects), self.dim), dtype=np.complex128)
+        for gather, coeff, e in zip(self._gather_idx, self._coeff, effects):
             # P|k> = c_k |perm_k>, read from the masks of P = phase *
             # i^|x&z| * X^x Z^z: Z^z signs |k> by (-1)^|k&z| and X^x
             # moves it to |k^x>. Factor 0 owns the most significant bit,
             # so this is the Kronecker product of the factors.
             p = e.pauli
-            perm = rows ^ p.x
-            coeff = np.where(np.bitwise_count(rows & p.z) % 2 == 0, 1.0, -1.0).astype(np.complex128)
+            gather[:] = rows * self.dim + (rows ^ p.x)
+            coeff[:] = np.where(np.bitwise_count(rows & p.z) % 2 == 0, 1.0, -1.0)
             coeff *= p.phase * (1j) ** ((p.x & p.z).bit_count() % 4)
-            # Tr(P sigma) reads sigma[k, perm[k]]; the matrix of P has its
-            # entries at [perm[k], k]
-            gather.append(rows * self.dim + perm)
-            scatter.append(perm * self.dim + rows)
-            coeffs.append(coeff)
-        self._gather_idx = np.array(gather)     # (m, dim) indices into sigma.flat
-        self._scatter_idx = np.array(scatter)
-        self._coeff = np.array(coeffs)          # (m, dim) signed coefficients
         self._diag_idx = rows * self.dim + rows
 
     def __len__(self) -> int:
@@ -133,11 +127,26 @@ class EffectBatch:
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """Dense sum_i w_i E_i, assembled from the symbolic actions."""
-        g = np.zeros(self.dim * self.dim, dtype=np.complex128)
-        vals = (weights[:, None] / 2.0) * self._coeff
-        np.add.at(g, self._scatter_idx.ravel(), vals.ravel())
+        g = self._pauli_sum(weights / 2.0)
         g[self._diag_idx] += np.sum(weights) / 2.0
         return g.reshape(self.dim, self.dim)
+
+    def _pauli_sum(self, weights: np.ndarray) -> np.ndarray:
+        """Flat dense sum_i w_i P_i for real weights, added in row order:
+        a Hermitian P holds conj(c_k) at [k, perm_k], the position that
+        Tr(P sigma) reads."""
+        vals = weights[:, None] * self._coeff
+        np.conjugate(vals, out=vals)
+        g = np.zeros(self.dim * self.dim, dtype=np.complex128)
+        np.add.at(g, self._gather_idx.ravel(), vals.ravel())
+        return g
+
+    def apply(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """P_rows[t] w[t] for each row t of a (T, d) stack ``w``: perm is
+        an involution, so (P w)[k] = c_perm_k w[perm_k]. The offset t * d
+        reads row t of the flattened product."""
+        perm = (self._gather_idx[rows] & (self.dim - 1)) + (np.arange(len(w)) * self.dim)[:, None]
+        return (self._coeff[rows] * w).ravel()[perm]
 
     def weighted_operator(self, weights: np.ndarray) -> "EffectSum":
         """sum_i w_i E_i for real weights as an :class:`EffectSum`, with
@@ -195,21 +204,14 @@ class EffectSum:
 
 
 class _BatchRows(EffectBatch):
-    """Rows of a whole batch, from :meth:`EffectBatch.rows`. The tables
-    every reader needs are sliced at once; the scatter rows, which
-    only :meth:`weighted_sum` reads (a closed-form trial never calls
-    it), on first read."""
+    """Rows of a whole batch, from :meth:`EffectBatch.rows`: slices of
+    its gather and coefficient tables."""
 
     def __init__(self, whole: EffectBatch, idx: np.ndarray):
-        self._whole, self._idx = whole, idx
         self.dim = whole.dim
         self._gather_idx = whole._gather_idx[idx]
         self._coeff = whole._coeff[idx]
         self._diag_idx = whole._diag_idx
-
-    @cached_property
-    def _scatter_idx(self) -> np.ndarray:
-        return self._whole._scatter_idx[self._idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +320,7 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
     """The pure state a full stabilizer group fixes: the average of its
     2^n elements, identity included.
 
-    Each element adds its signed permutation, scattered from one batch of
+    Each element adds its signed permutation, summed from one batch of
     the group's effects in group order, so no dense Pauli matrix is
     formed and every entry is exact (a multiple of 1/2^n).
     """
@@ -326,11 +328,9 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
     if len(group) != 1 << n:
         raise ValueError(f"a pure {n}-qubit state needs {1 << n} group elements, got {len(group)}")
     batch = EffectBatch([MeasurementEffect(p) for p in group])
-    dim = batch.dim
-    acc = np.zeros(dim * dim, dtype=np.complex128)
-    np.add.at(acc, batch._scatter_idx.ravel(), batch._coeff.ravel())
+    acc = batch._pauli_sum(np.ones(len(batch))).reshape(batch.dim, batch.dim)
     # a 2^n-element stabilizer group averages to its state's projector
-    return DensityMatrix._built(acc.reshape(dim, dim) / dim)
+    return DensityMatrix._built(acc / batch.dim)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:

@@ -33,6 +33,28 @@ def kron_dense(p: PauliString) -> np.ndarray:
     return m
 
 
+def pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """perm and c of P|k> = c_k |perm_k>, read from the (x, z) masks of
+    P = phase * i^|x&z| * X^x Z^z: perm_k = k ^ x and c_k = phase *
+    i^|x&z| * (-1)^|k&z|. A reference for the package's tables."""
+    k = np.arange(1 << p.n)
+    sign = np.where(np.bitwise_count(k & p.z) % 2, -1, 1)
+    return k ^ p.x, (p.phase * 1j ** ((p.x & p.z).bit_count() % 4) * sign).astype(complex)
+
+
+def scattered_sum(strings, weights) -> np.ndarray:
+    """Dense sum_i w_i P_i, added string by string at the scatter
+    positions of P|k> = c_k |perm_k>, [perm_k, k] = flat (k ^ x) * d + k,
+    read from the masks: the layout the package no longer keeps, as the
+    byte reference of its sums."""
+    dim = 1 << strings[0].n
+    g = np.zeros(dim * dim, dtype=complex)
+    for p, w in zip(strings, weights):
+        perm, c = pauli_action(p)
+        g[perm * dim + np.arange(dim)] += w * c
+    return g.reshape(dim, dim)
+
+
 def decompose_pauli_product(mat: np.ndarray):
     """Write a matrix known to be (phase * Pauli string) as such.
 

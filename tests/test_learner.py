@@ -28,7 +28,7 @@ from qpac import (
 from qpac import learner
 from qpac.sampling import draw_training_sets
 
-from conftest import index_rows, kron_dense, objective, random_density
+from conftest import index_rows, kron_dense, objective, pauli_action, random_density
 from test_acceptance import per_shot_outcomes, shot_objective_value
 
 
@@ -126,7 +126,7 @@ class TestEffectBatchRows:
         part = learner.EffectBatch(dist.effects).rows(tuple(picks))
         fresh = learner.EffectBatch([dist.effects[i] for i in picks])
         assert len(part) == len(fresh) and part.dim == fresh.dim
-        for name in ("_gather_idx", "_scatter_idx", "_coeff", "_diag_idx"):
+        for name in ("_gather_idx", "_coeff", "_diag_idx"):
             got, want = getattr(part, name), getattr(fresh, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -141,7 +141,7 @@ class TestEffectBatchRows:
         batch = learner.EffectBatch(build_distribution(3, "d1").effects)
         part, want = batch.rows(np.array([4, 0, 4])), batch.rows((4, 0, 4))
         assert len(part) == len(want) == 3
-        for name in ("_gather_idx", "_scatter_idx", "_coeff"):
+        for name in ("_gather_idx", "_coeff"):
             assert getattr(part, name).tobytes() == getattr(want, name).tobytes()
         with pytest.raises(ValueError):
             batch.rows(np.array([], dtype=np.int64))
@@ -485,15 +485,16 @@ def _generator_target(gens) -> np.ndarray:
     return sum(kron_dense(p) for p in group) / len(group)
 
 
-def _loop_atom(batch, idx, vals):
+def _loop_atom(strings, idx, vals):
     # the reference: the closed form of one set, one factor per distinct
-    # batch row in the order of first draw, applied in a Python loop
+    # string in the order of first draw, applied in a Python loop to the
+    # action read from the string's masks
     if not np.all(vals == 1.0):
         return None
-    w = np.ones(batch.dim, dtype=np.complex128)
+    w = np.ones(1 << strings[0].n, dtype=np.complex128)
     for i in dict.fromkeys(idx.tolist()):
-        perm = batch._gather_idx[i] & (batch.dim - 1)
-        w = (w + (batch._coeff[i] * w)[perm]) / 2.0
+        perm, coeff = pauli_action(strings[i])
+        w = (w + (coeff * w)[perm]) / 2.0
     norm2 = float(np.vdot(w, w).real)
     return None if norm2 == 0.0 else np.outer(w, w.conj()) * (1.0 / norm2)
 
@@ -544,6 +545,7 @@ class TestCodeSpaceAtom:
         if data.draw(st.booleans()):
             # sets drawn from the support, each with or without replacement
             batch, rows = dist.batch, []
+            strings = [e.pauli for e in dist.effects]
             for _ in range(data.draw(st.integers(1, 8))):
                 [idx], _ = draw_training_sets(dist, rho, m, [data.draw(st.integers(0, 2**32 - 1))],
                                               replacement=data.draw(st.booleans()))
@@ -555,8 +557,8 @@ class TestCodeSpaceAtom:
             texts = st.text("IXYZ", min_size=dist.n, max_size=dist.n)
             strings = data.draw(st.lists(st.tuples(texts, st.sampled_from([1, -1])),
                                          min_size=1, max_size=6, unique=True))
-            batch = learner.EffectBatch([MeasurementEffect(PauliString(t, sign))
-                                         for t, sign in strings])
+            strings = [PauliString(t, sign) for t, sign in strings]
+            batch = learner.EffectBatch([MeasurementEffect(p) for p in strings])
             row = st.lists(st.integers(0, len(strings) - 1), min_size=width, max_size=width)
             indices = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
         # exact values on the target's stabilizers are all 1; some sets
@@ -572,7 +574,7 @@ class TestCodeSpaceAtom:
             assert (atom is None) == (lone is None)
             if atom is not None:
                 assert atom.tobytes() == lone.tobytes()
-            want = _loop_atom(batch, idx, vals)
+            want = _loop_atom(strings, idx, vals)
             assert (atom is None) == (want is None)
             if atom is not None:
                 assert atom.tobytes() == want.tobytes()

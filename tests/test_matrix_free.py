@@ -21,6 +21,8 @@ from qpac.experiments import ExperimentConfig, run_learn
 from qpac.sampling import draw_training_sets
 from qpac.states import EffectBatch, EffectSum
 
+from conftest import scattered_sum
+
 # any signed strings, Y factors allowed: an odd count of Y gives
 # imaginary entries, which no GHZ stabilizer has
 any_strings = st.integers(1, 6).flatmap(lambda n: st.lists(
@@ -44,14 +46,18 @@ weighted_rows = st.fixed_dictionaries(dict(
 
 
 def _batch_and_weights(case):
+    """The rows a case picks from its batch, their weights, and their
+    strings."""
     if case["label"] == "any":
-        batch = EffectBatch([MeasurementEffect(p) for p in case["strings"]])
+        strings = case["strings"]
+        batch = EffectBatch([MeasurementEffect(p) for p in strings])
     else:
-        batch = build_distribution(case["n"], case["label"]).batch
+        support = build_distribution(case["n"], case["label"])
+        strings, batch = [e.pauli for e in support.effects], support.batch
     # pick k names a pseudo-random row, spread over the whole batch
     rows = [(k * 7919 + case["seed"]) % len(batch) for k in case["picks"]]
     weights = case["scale"] * np.array(case["weights"][: len(rows)])
-    return batch.rows(np.array(rows)), weights
+    return batch.rows(np.array(rows)), weights, [strings[i] for i in rows]
 
 
 class TestWeightedSum:
@@ -60,32 +66,45 @@ class TestWeightedSum:
     def test_bytewise_hermitian(self, case):
         # the premise of the learner's eigen-step entry, which skips the
         # h - h^dag check
-        batch, weights = _batch_and_weights(case)
+        batch, weights, _ = _batch_and_weights(case)
         g = batch.weighted_sum(weights)
         assert np.array_equal(g, g.conj().T)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=weighted_rows, scale=st.sampled_from([1.0, 1e4, 1e8]), negative_zero=st.booleans())
+    def test_bytes_of_the_scatter_reference(self, case, scale, negative_zero):
+        # the sum added at the gather positions, conjugated, against the
+        # scatter positions [k ^ x, k] read from the masks
+        batch, weights, strings = _batch_and_weights(case)
+        weights = scale * weights
+        if negative_zero:
+            weights[weights == 0.0] = -0.0
+        want = scattered_sum(strings, weights / 2.0)
+        want[np.diag_indices(batch.dim)] += np.sum(weights) / 2.0
+        assert batch.weighted_sum(weights).tobytes() == want.tobytes()
+
     def test_only_the_learner_skips_the_check(self, monkeypatch):
         # at dim <= 256 the learner's dense gradients reach the eigen-step
-        # without the h - h^dag pass; a public call keeps it
-        seen = []
-        real = linalg._hermitian_stack
-        monkeypatch.setattr(linalg, "_hermitian_stack",
-                            lambda hs, built=False: seen.append(built) or real(hs, built))
+        # without the h - h^dag check; the public entries run it first
+        checked, stacked = [], []
+        check, stack = linalg._hermitian, linalg._hermitian_stack
+        monkeypatch.setattr(linalg, "_hermitian", lambda h: checked.append(np.shape(h)) or check(h))
+        monkeypatch.setattr(linalg, "_hermitian_stack", lambda hs: stacked.append(len(hs)) or stack(hs))
         support, noise = build_distribution(3, "d1"), NoiseModel.gaussian(0.05)
         indices, values = draw_training_sets(support, ghz_density(3), 6, [(1, 0), (1, 1)], noise)
         hyps = learner.learn_each(support, indices, values, noise, 4)
         assert [h.iterations_used for h in hyps] == [4, 4]
-        assert seen and all(seen)
-        seen.clear()
+        assert stacked and not checked
         linalg.smallest_eigenvector(np.eye(2))
-        assert seen == [False]
+        linalg.eigendecompose(np.eye(3))
+        assert checked == [(2, 2), (3, 3)]
 
 
 class TestEffectSum:
     @settings(max_examples=60, deadline=None)
     @given(case=weighted_rows)
     def test_matches_the_dense_sum(self, case):
-        batch, weights = _batch_and_weights(case)
+        batch, weights, _ = _batch_and_weights(case)
         g = batch.weighted_sum(weights)
         op = batch.weighted_operator(weights)
         assert isinstance(op, EffectSum) and op.dim == g.shape[0]

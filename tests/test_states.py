@@ -26,7 +26,7 @@ from qpac import (
 )
 from qpac.states import EffectBatch
 
-from conftest import ghz_vector, kron_dense, random_density
+from conftest import ghz_vector, kron_dense, pauli_action, random_density, scattered_sum
 
 
 def P(text):
@@ -156,17 +156,14 @@ class TestMaximallyMixed:
 
 
 def action_dense(p):
-    """The matrix of P|k> = c_k |perm_k> from the scatter row and
-    coefficients of a one-effect batch."""
-    batch = EffectBatch([MeasurementEffect(p)])
-    m = np.zeros(batch.dim * batch.dim, dtype=complex)
-    m[batch._scatter_idx[0]] = batch._coeff[0]
-    return m.reshape(batch.dim, batch.dim)
+    """The matrix of P|k> = c_k |perm_k>, scattered from the masks of P
+    to [k ^ x, k] (``conftest.scattered_sum``)."""
+    return scattered_sum([p], [1.0])
 
 
 class TestToDense:
-    """The signed permutation of a one-effect ``EffectBatch`` as a dense
-    matrix."""
+    """The signed permutation read from the masks, the reference of the
+    batch's tables and sums, against the kron oracle."""
 
     def test_single_x(self):
         assert np.array_equal(action_dense(P("X")), np.array([[0, 1], [1, 0]], dtype=complex))
@@ -206,9 +203,21 @@ class TestEffectBatchTables:
         batch = EffectBatch([MeasurementEffect(p) for p in strings])
         for t, p in enumerate(strings):
             one = EffectBatch([MeasurementEffect(p)])
-            for name in ("_gather_idx", "_scatter_idx", "_coeff"):
+            for name in ("_gather_idx", "_coeff"):
                 row, want = getattr(batch, name)[t], getattr(one, name)[0]
                 assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+
+    @given(strings=signed_strings())
+    @settings(max_examples=100, deadline=None)
+    def test_row_is_the_action_of_its_masks(self, strings):
+        """Row t holds the gather positions [k, k ^ x] and the
+        coefficients of string t, read from its masks."""
+        batch = EffectBatch([MeasurementEffect(p) for p in strings])
+        k = np.arange(batch.dim)
+        for t, p in enumerate(strings):
+            perm, coeff = pauli_action(p)
+            assert np.array_equal(batch._gather_idx[t], k * batch.dim + perm)
+            assert np.array_equal(batch._coeff[t], coeff)
 
 
 def cluster_generators(n):
@@ -235,6 +244,14 @@ class TestStabilizerState:
         assert np.array_equal(rho.matrix, want)
         for p in group.non_identity():
             assert expectation(MeasurementEffect(p), rho) == 1.0
+
+    @pytest.mark.parametrize("gens", GENERATORS, ids=lambda gens: ",".join(map(str, gens)))
+    def test_bytes_of_the_scatter_reference(self, gens):
+        # the group average added at the scatter positions read from the
+        # masks, the layout the package no longer keeps: the same bytes
+        group = group_closure(gens)
+        want = scattered_sum(list(group), np.ones(len(group))) / 2**group.n
+        assert stabilizer_state(group).matrix.tobytes() == want.tobytes()
 
     def test_partial_group_rejected(self):
         with pytest.raises(ValueError, match="needs 4 group elements, got 2"):
