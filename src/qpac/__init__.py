@@ -11,7 +11,6 @@ from .complexity import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     NonHermitianError,
     NonPhysicalStateError,
     PauliPhaseError,
@@ -46,7 +45,6 @@ from .sampling import (
 )
 from .states import (
     DensityMatrix,
-    MeasurementEffect,
     expectation,
     fidelity,
     ghz_density,

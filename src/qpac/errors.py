@@ -21,10 +21,6 @@ class NonPhysicalStateError(QpacError, ValueError):
     """A density matrix violates trace/PSD invariants beyond tolerance."""
 
 
-class ConvergenceError(QpacError, RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
-
-
 class ConfigError(QpacError, ValueError):
     """Invalid experiment configuration."""
 

@@ -395,7 +395,7 @@ def _write_training(dist: MeasurementDistribution, indices: np.ndarray, values: 
     table = ResultTable(config=config.echo(), columns=("pauli", "value", "provenance"))
     prov = noise.describe().replace(",", ";")
     for i, val in zip(indices.tolist(), values.tolist()):
-        table.append(str(dist.effects[i].pauli), val, prov)
+        table.append(str(dist.effects[i]), val, prov)
     table.write(config.training_out)
 
 

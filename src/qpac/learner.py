@@ -14,10 +14,10 @@ and every other first step, and every later step, is the eigen-step.
 Step 1 replaces I / d by its vertex, so a vertex handed in by
 :func:`learn_each` needs no I / d. Residuals that are all exactly 0
 make the gradient exactly 0, so no step builds a gradient for them.
-Up to dim 256 a gradient is a dense matrix; above it, where the
-eigen-step has no dense fallback, it is an
+Up to dim 256 a gradient is a dense matrix; above it, it is an
 :class:`~qpac.states.EffectSum` of the same entries, and no step forms
-a d x d gradient unless ``on_iterate`` asks for one.
+a d x d gradient unless ``on_iterate`` or the eigen-step's ``eigh``
+fallback asks for one.
 """
 
 from __future__ import annotations
@@ -28,12 +28,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import _EIGH_FALLBACK_MAX_DIM, _smallest_built
+from .linalg import _smallest_built
 from .sampling import MeasurementDistribution, NoiseModel
 from .states import DensityMatrix, EffectBatch, EffectSum, maximally_mixed
 
 _ZERO_GRADIENT_TOL = 1e-12
 _EIG_TOL = 1e-9
+# the largest dim whose gradients are dense matrices; above it they are
+# EffectSums
+_DENSE_GRADIENT_MAX_DIM = 256
 # matrix entries of the first-step gradients that learn_each solves as
 # one stack (2^16 complex128 entries, 1 MB): 16 training sets at dim 64,
 # and at dim 16 the 200 trials of a search group of four repeats
@@ -80,10 +83,9 @@ class Objective:
 def _step_gradient(obj: Objective, sigma: np.ndarray, residuals: np.ndarray):
     """The gradient at sigma as the eigen-step reads it, from the
     residuals there: the dense matrix of :meth:`Objective.gradient` up
-    to dim 256, and above it, where the eigen-step has no dense
-    fallback, the same sum as an :class:`~qpac.states.EffectSum`, with
-    no d x d matrix."""
-    if obj.dim > _EIGH_FALLBACK_MAX_DIM:
+    to dim 256, and above it the same sum as an
+    :class:`~qpac.states.EffectSum`, with no d x d matrix."""
+    if obj.dim > _DENSE_GRADIENT_MAX_DIM:
         return obj.batch.weighted_operator(2.0 * residuals)
     return obj.gradient(sigma, residuals=residuals)
 
@@ -292,7 +294,7 @@ def learn_each(
     stops at I / d. A gradient that vanishes within the threshold is not
     solved either.
     """
-    closed = noise.kind == "exact" and not any(e.pauli.x & e.pauli.z for e in support.effects)
+    closed = noise.kind == "exact" and not any(p.x & p.z for p in support.effects)
     dim = 1 << support.n
     chunk = max(1, _STACK_ENTRIES // (dim * dim))
     for lo in range(0, len(indices), chunk):

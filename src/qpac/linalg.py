@@ -13,8 +13,8 @@ converged candidate must also pass the min-diagonal test (lam <= min_k
 h_kk, a necessary condition for the bottom eigenvalue). On failure the
 iteration restarts once from the basis vector with the smallest
 diagonal entry; if that is still not certifiable, or the sweep budget
-runs out, the full decomposition is the fallback for dim <= 256 and
-larger inputs raise.
+runs out, the full decomposition ``eigh`` is the fallback, at every
+dimension.
 
 Results decide table bytes (the minimum m of a search is set by the
 first step's eigenvector), so the float operations of a sweep and
@@ -61,17 +61,19 @@ its gradients are real-weighted sums of Pauli strings, Hermitian by
 construction, so no h - h^dag pass runs, while the modulus pass
 that sets the shift and the tolerance scale stays. Up to dim 256 the
 learner hands in dense gradients, and each pair is the pair of
-``smallest_eigenvector``. Above dim 256, where no ``eigh`` fallback
-exists, it hands in one operator, and no d x d gradient is formed: the
+``smallest_eigenvector``. Above dim 256 it hands in one operator, and
+no d x d gradient is formed unless the ``eigh`` fallback is taken: the
 sweep reads h only through ``h.dot(v, out)``, which for a matrix is
-the ``zgemv`` of ``np.dot``, and the certificate reads the operator's
-``diagonal``, ``max_entry`` and ``one_norm`` (the duck type is spelled
-out at ``_smallest_built``; ``states.EffectSum`` is the one this
-package builds). Its ``max_entry`` and ``diagonal`` have the bytes of
-the dense gradient's, so the zero-gradient test and the min-diagonal
-certificate decide as on the dense matrix; its products and its 1-norm
-round differently from ``zgemv`` and the dense column sums, so its
-pairs may differ from the dense kernel's in the last bits.
+the ``zgemv`` of ``np.dot``, the certificate reads the operator's
+``diagonal``, ``max_entry`` and ``one_norm``, and the fallback
+decomposes its ``dense()`` matrix (the duck type is spelled out at
+``_smallest_built``; ``states.EffectSum`` is the one this package
+builds). Its ``max_entry``, ``diagonal`` and ``dense()`` have the bytes
+of the dense gradient's, so the zero-gradient test, the min-diagonal
+certificate and the fallback decide as on the dense matrix; its
+products and its 1-norm round differently from ``zgemv`` and the
+dense column sums, so its power-iteration pairs may differ from the
+dense kernel's in the last bits.
 """
 
 from __future__ import annotations
@@ -80,9 +82,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, NonHermitianError
-
-_EIGH_FALLBACK_MAX_DIM = 256
+from .errors import NonHermitianError
 
 
 def _hermitian(h) -> np.ndarray:
@@ -250,16 +250,17 @@ def _smallest(hs, tol: float, max_sweeps: int | None):
     :func:`_smallest_built`); returns ``(v, lam)`` per item.
     """
     # the shift c of each item is its induced 1-norm, which bounds its spectrum
-    if not isinstance(hs[0], np.ndarray):
+    if isinstance(hs[0], np.ndarray):
+        op = None
+        h, max_entry, cs = _hermitian_stack(hs)
+        diags = h.diagonal(axis1=1, axis2=2).real
+    else:
         (op,) = hs
         # the operator stands for its stack of one; the loop below
-        # never slices a stack of one, and dim > 256 has no eigh fallback
+        # never slices a stack of one, and the fallback densifies it
         h, max_entry, cs = hs, np.array([op.max_entry]), np.array([op.one_norm])
         _finite_scale(max_entry)
         diags = op.diagonal[None]
-    else:
-        h, max_entry, cs = _hermitian_stack(hs)
-        diags = h.diagonal(axis1=1, axis2=2).real
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     dim = diags.shape[1]
@@ -288,13 +289,8 @@ def _smallest(hs, tol: float, max_sweeps: int | None):
         starts = np.zeros((len(todo), dim), dtype=np.complex128)
         starts[np.arange(len(todo)), np.argmin(diags[todo], axis=1)] = 1.0
 
-    if todo.size and dim > _EIGH_FALLBACK_MAX_DIM:
-        raise ConvergenceError(
-            f"power iteration did not reach a certified bottom eigenpair "
-            f"in {max_sweeps} sweeps (dim {dim})"
-        )
     for j in todo.tolist():
-        vals, vecs = np.linalg.eigh(h[j])
+        vals, vecs = np.linalg.eigh(h[j] if op is None else op.dense())
         results[j] = (_normalize_phase(vecs[:, 0].astype(np.complex128)), float(vals[0]))
     return results
 
@@ -317,8 +313,8 @@ def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | Non
     when neither start gives a certified pair, returns the bottom pair by
     construction. Deterministic for fixed input; in degenerate
     eigenspaces returns the vector the fixed-start iteration converges
-    to. Raises :class:`ConvergenceError` only when dim > 256 and the
-    sweep budget is exhausted without a certified pair.
+    to. Never raises for want of convergence: the fallback serves every
+    dimension.
     """
     return _smallest([_hermitian(h)], tol, max_sweeps)[0]
 
@@ -337,9 +333,9 @@ def _smallest_built(hs, tol: float = 1e-9):
     Above dim 256 an item may instead be an operator, alone in its
     stack: an object with ``dim``, ``diagonal`` (the real diagonal),
     ``max_entry`` (the largest entry modulus), ``one_norm`` (the
-    induced 1-norm) and ``dot(v, out)`` (h v into ``out``), as
-    :class:`~qpac.states.EffectSum` provides them. No d x d matrix is
-    read.
+    induced 1-norm), ``dot(v, out)`` (h v into ``out``) and ``dense()``
+    (the d x d matrix), as :class:`~qpac.states.EffectSum` provides
+    them. Only the ``eigh`` fallback reads a d x d matrix.
     """
     if len(hs) < 2:
         # a stack of one has no repeats to look for, so its matrix

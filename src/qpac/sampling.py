@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StructureError
 from .pauli import PauliString, StabilizerGroup, ghz_generators, group_closure, xz_subset
-from .states import DensityMatrix, EffectBatch, MeasurementEffect
+from .states import DensityMatrix, EffectBatch
 
 FULL_STABILIZER = "d1"  # uniform over all non-identity stabilizer effects
 XZ_STABILIZER = "d2"    # uniform over the Y-free subset
@@ -76,23 +76,24 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MeasurementDistribution:
-    """Uniform distribution over an ordered tuple of effects.
+    """Uniform distribution over an ordered tuple of effects, each given
+    by its Pauli string.
 
     The support owns its tables: :attr:`batch`, built on first use,
     holds every effect's signed permutation and each target state's
     Tr(E rho), and every trial drawn from the support reads them.
     """
 
-    effects: tuple[MeasurementEffect, ...]
+    effects: tuple[PauliString, ...]
     label: str = "custom"
 
     def __post_init__(self):
         if not self.effects:
             raise StructureError("distribution support is empty")
         n = self.effects[0].n
-        if any(e.n != n for e in self.effects):
+        if any(p.n != n for p in self.effects):
             raise StructureError("support mixes qubit counts")
-        if any(e.pauli.is_identity for e in self.effects):
+        if any(p.is_identity for p in self.effects):
             raise StructureError("identity effect is excluded from the support")
         if len(set(self.effects)) != len(self.effects):
             raise StructureError("duplicate effects in support")
@@ -118,16 +119,14 @@ class MeasurementDistribution:
         return len(self.effects)
 
 
-def _support(group: StabilizerGroup, label: str) -> tuple[MeasurementEffect, ...]:
+def _support(group: StabilizerGroup, label: str) -> tuple[PauliString, ...]:
     """The support a label selects from a stabilizer group, in canonical
     order: "d1" all non-identity elements, "d2" the Y-free ones."""
     if label == FULL_STABILIZER:
-        paulis = group.non_identity()
-    elif label == XZ_STABILIZER:
-        paulis = xz_subset(group)
-    else:
-        raise ValueError(f"unsupported distribution label {label!r}")
-    return tuple(MeasurementEffect(p) for p in paulis)
+        return group.non_identity()
+    if label == XZ_STABILIZER:
+        return xz_subset(group)
+    raise ValueError(f"unsupported distribution label {label!r}")
 
 
 @lru_cache

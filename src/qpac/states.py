@@ -1,5 +1,8 @@
 """Density matrices, measurement effects, expectations, and fidelity.
 
+A Pauli string P stands for its two-outcome effect E = (I + P)/2, whose
+eigenvalues are 0 and 1 (the complementary effect is I - E): supports,
+batches and :func:`expectation` take strings, and read them as effects.
 A Pauli string is a signed permutation of the computational basis, so
 Tr(P rho) is a single O(2^n) gather along one matrix diagonal-like
 stripe; the package never forms a Pauli string as a dense 2^n x 2^n
@@ -45,24 +48,23 @@ class EffectBatch:
     # Tr(E_i rho) per live target state, made on the first :meth:`expected`
     _targets: weakref.WeakKeyDictionary | None = None
 
-    def __init__(self, effects: Sequence[MeasurementEffect]):
+    def __init__(self, effects: Sequence[PauliString]):
         effects = tuple(effects)
         if not effects:
             raise ValueError("empty effect batch")
         n = effects[0].n
-        if any(e.n != n for e in effects):
+        if any(p.n != n for p in effects):
             raise ValueError("effect batch mixes qubit counts")
         self.dim = 1 << n
         rows = np.arange(self.dim, dtype=np.int64)
         # filled row by row, so that a build holds each table once
         self._gather_idx = np.empty((len(effects), self.dim), dtype=np.int64)
         self._coeff = np.empty((len(effects), self.dim), dtype=np.complex128)
-        for gather, coeff, e in zip(self._gather_idx, self._coeff, effects):
+        for gather, coeff, p in zip(self._gather_idx, self._coeff, effects):
             # P|k> = c_k |perm_k>, read from the masks of P = phase *
             # i^|x&z| * X^x Z^z: Z^z signs |k> by (-1)^|k&z| and X^x
             # moves it to |k^x>. Factor 0 owns the most significant bit,
             # so this is the Kronecker product of the factors.
-            p = e.pauli
             gather[:] = rows * self.dim + (rows ^ p.x)
             coeff[:] = np.where(np.bitwise_count(rows & p.z) % 2 == 0, 1.0, -1.0)
             coeff *= p.phase * (1j) ** ((p.x & p.z).bit_count() % 4)
@@ -175,8 +177,9 @@ class EffectBatch:
 
 class EffectSum:
     """A Hermitian sum_i w_i E_i of effects with real weights, as the
-    eigen-step reads it above dim 256: its nonzero diagonals, never a
-    d x d matrix (:meth:`EffectBatch.weighted_operator`).
+    eigen-step reads it above dim 256: its nonzero diagonals, and a
+    d x d matrix only from :meth:`dense`, for the ``eigh`` fallback
+    (:meth:`EffectBatch.weighted_operator`).
 
     Diagonal j holds the entries [k ^ x_j, k] of the dense sum, with
     X-mask ``masks[j]``; row 0 is the main diagonal. Every entry of the
@@ -201,6 +204,12 @@ class EffectSum:
     def dot(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """h v, into ``out`` when given."""
         return np.sum(self._entries * v[self._cols], axis=0, out=out)
+
+    def dense(self) -> np.ndarray:
+        """The d x d sum, with the bytes of :meth:`EffectBatch.weighted_sum`."""
+        h = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        h[np.arange(self.dim), self._cols] = self._entries
+        return h
 
 
 class _BatchRows(EffectBatch):
@@ -283,23 +292,6 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
 
-@dataclass(frozen=True)
-class MeasurementEffect:
-    """Two-outcome POVM element E = (I + P)/2 for a Pauli string P.
-
-    Eigenvalues of E are 0 and 1; the complementary effect is I - E.
-    """
-
-    pauli: PauliString
-
-    @property
-    def n(self) -> int:
-        return self.pauli.n
-
-    def __str__(self) -> str:
-        return f"(I{self.pauli})/2" if self.pauli.phase == 1 else f"(I-{str(self.pauli)[1:]})/2"
-
-
 def ghz_density(n: int) -> DensityMatrix:
     """Rank-1 projector onto (|0...0> + |1...1>)/sqrt(2).
 
@@ -327,7 +319,7 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
     n = group.n
     if len(group) != 1 << n:
         raise ValueError(f"a pure {n}-qubit state needs {1 << n} group elements, got {len(group)}")
-    batch = EffectBatch([MeasurementEffect(p) for p in group])
+    batch = EffectBatch(group.elements)
     acc = batch._pauli_sum(np.ones(len(batch))).reshape(batch.dim, batch.dim)
     # a 2^n-element stabilizer group averages to its state's projector
     return DensityMatrix._built(acc / batch.dim)
@@ -345,8 +337,9 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return DensityMatrix._built(m)
 
 
-def expectation(effect: MeasurementEffect, state: DensityMatrix) -> float:
-    """Outcome-1 probability Tr(E rho): the rule of
+def expectation(effect: PauliString, state: DensityMatrix) -> float:
+    """Outcome-1 probability Tr((I + P)/2 rho) of the effect of string
+    P: the rule of
     :meth:`EffectBatch.expected` applied to a one-effect batch."""
     return float(EffectBatch((effect,)).expected(state)[0])
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qpac import (
-    MeasurementEffect,
     NoiseModel,
     Objective,
     PauliString,
@@ -278,9 +277,8 @@ def test_criterion_8_algebra_oracles():
             sample = [sample[i] for i in rng.integers(0, len(sample), 12)]
         v = ghz_vector(n)
         for p in sample:
-            eff = MeasurementEffect(p)
-            expect_ok &= abs(expectation(eff, rho) - 1.0) <= 1e-12
-            expect_ok &= abs(expectation(eff, mixed) - 0.5) <= 1e-12
+            expect_ok &= abs(expectation(p, rho) - 1.0) <= 1e-12
+            expect_ok &= abs(expectation(p, mixed) - 0.5) <= 1e-12
             stab_ok &= bool(np.allclose(kron_dense(p) @ v, v, atol=1e-12))
 
     ok = sizes_ok and xz_ok and expect_ok and stab_ok

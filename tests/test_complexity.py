@@ -300,7 +300,7 @@ class TestBatchFill:
         fell_back = 0
         for i in range(self.I_MAX):
             idx, vals = sample_training_set(dist, rho, 2, seed=(5, 2, i), replacement=False)
-            if gens[0] not in [dist.effects[j].pauli for j in idx.tolist()]:
+            if gens[0] not in [dist.effects[j] for j in idx.tolist()]:
                 continue
             fell_back += 1
             assert learner.code_space_atoms(dist.batch, idx[None], vals[None])[0] is None

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qpac import (
     DensityMatrix,
-    MeasurementEffect,
     NoiseModel,
     Objective,
     PauliString,
@@ -55,7 +54,7 @@ class TestObjectiveValue:
         assert got == pytest.approx(len(dist) / 4.0, abs=1e-12)
 
     def test_single_consistent_item(self):
-        obj = objective(((MeasurementEffect(P("ZZ")), 0.5),))
+        obj = objective(((P("ZZ"), 0.5),))
         assert obj.value(maximally_mixed(2).matrix) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -66,9 +65,9 @@ class TestGradient:
         assert np.max(np.abs(g)) < 1e-12
 
     def test_single_item_at_mixed_is_minus_effect(self):
-        eff = MeasurementEffect(P("ZIZ"))
+        eff = P("ZIZ")
         g = objective(((eff, 1.0),)).gradient(maximally_mixed(3).matrix)
-        dense_e = (np.eye(8) + kron_dense(eff.pauli)) / 2
+        dense_e = (np.eye(8) + kron_dense(eff)) / 2
         assert np.allclose(g, -dense_e, atol=1e-12)
 
     def test_hermitian(self, rng):
@@ -80,10 +79,10 @@ class TestGradient:
     def test_odd_y_effect_assembly(self, rng):
         # custom targets can carry odd-Y strings whose dense matrices
         # are complex; the assembly must not transpose them
-        eff = MeasurementEffect(P("XY"))
+        eff = P("XY")
         sigma = random_density(rng, 4)
         g = objective(((eff, 0.9),)).gradient(sigma)
-        dense_e = (np.eye(4) + kron_dense(eff.pauli)) / 2
+        dense_e = (np.eye(4) + kron_dense(eff)) / 2
         w = 2 * (np.trace(dense_e @ sigma).real - 0.9)
         assert np.allclose(g, w * dense_e, atol=1e-12)
 
@@ -156,12 +155,12 @@ class TestHazanOptimize:
         assert fidelity(hyp.sigma, rho) >= 0.99
 
     def test_single_item_one_iteration(self):
-        eff = MeasurementEffect(P("XX"))
+        eff = P("XX")
         hyp = hazan_optimize(objective(((eff, 1.0),)), k_max=1)
         sigma = hyp.sigma.matrix
         # first step replaces sigma entirely by the rank-1 projector
         assert hyp.sigma.purity() == pytest.approx(1.0, abs=1e-10)
-        dense_e = (np.eye(4) + kron_dense(eff.pauli)) / 2
+        dense_e = (np.eye(4) + kron_dense(eff)) / 2
         assert np.trace(dense_e @ sigma).real == pytest.approx(1.0, abs=1e-9)
         assert hyp.final_objective == pytest.approx(0.0, abs=1e-15)
 
@@ -369,7 +368,7 @@ class TestFirstStep:
         atom = np.empty((1 << n, 1 << n), dtype=np.complex128)
         atom.real = rng.choice(parts, atom.shape)
         atom.imag = rng.choice(parts, atom.shape)
-        obj = objective(((MeasurementEffect(P("Z" * n)), 0.25),))
+        obj = objective(((P("Z" * n), 0.25),))
         hyp = hazan_optimize(obj, k_max=1, first_atom=atom)
         want = (1.0 - 1.0) * maximally_mixed(n).matrix + 1.0 * atom
         assert hyp.sigma.matrix.tobytes() == want.tobytes()
@@ -450,7 +449,7 @@ class TestLearnEach:
     def test_y_free_training_set_on_d1_takes_the_eigen_step(self):
         # the rule reads the support, not the drawn strings
         dist = build_distribution(3, "d1")
-        effects = [MeasurementEffect(P(s)) for s in ("XXX", "ZZI")]
+        effects = [P(s) for s in ("XXX", "ZZI")]
         indices = np.array([[dist.effects.index(e) for e in effects]])
         [hyp] = learner.learn_each(dist, indices, np.ones((1, 2)), NoiseModel.exact(), 5)
         want = hazan_optimize(Objective(dist.batch, indices[0], np.ones(2)), k_max=5)
@@ -545,7 +544,7 @@ class TestCodeSpaceAtom:
         if data.draw(st.booleans()):
             # sets drawn from the support, each with or without replacement
             batch, rows = dist.batch, []
-            strings = [e.pauli for e in dist.effects]
+            strings = list(dist.effects)
             for _ in range(data.draw(st.integers(1, 8))):
                 [idx], _ = draw_training_sets(dist, rho, m, [data.draw(st.integers(0, 2**32 - 1))],
                                               replacement=data.draw(st.booleans()))
@@ -558,7 +557,7 @@ class TestCodeSpaceAtom:
             strings = data.draw(st.lists(st.tuples(texts, st.sampled_from([1, -1])),
                                          min_size=1, max_size=6, unique=True))
             strings = [PauliString(t, sign) for t, sign in strings]
-            batch = learner.EffectBatch([MeasurementEffect(p) for p in strings])
+            batch = learner.EffectBatch(strings)
             row = st.lists(st.integers(0, len(strings) - 1), min_size=width, max_size=width)
             indices = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
         # exact values on the target's stabilizers are all 1; some sets
@@ -580,11 +579,11 @@ class TestCodeSpaceAtom:
                 assert atom.tobytes() == want.tobytes()
 
     def test_uniform_vector_orthogonal_to_code_space(self):
-        items = ((MeasurementEffect(P("-XXX")), 1.0), (MeasurementEffect(P("ZZI")), 1.0))
+        items = ((P("-XXX"), 1.0), (P("ZZI"), 1.0))
         assert learner.code_space_atoms(*index_rows(items))[0] is None
 
     def test_needs_every_value_exactly_one(self):
-        effects = [MeasurementEffect(P(t)) for t in ("XX", "ZZ")]
+        effects = [P(t) for t in ("XX", "ZZ")]
         exact = tuple((e, 1.0) for e in effects)
         assert learner.code_space_atoms(*index_rows(exact))[0] is not None
         for values in ((1.0, 0.5), (1.0, 1.0 - 2**-52)):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qpac import (
     DensityMatrix,
     MeasurementDistribution,
-    MeasurementEffect,
     NoiseModel,
     PauliString,
     StructureError,
@@ -41,7 +40,7 @@ class TestBuildDistribution:
         assert len(build_distribution(6, "d2")) == 32
 
     def test_d1_n2_support(self):
-        support = {e.pauli for e in build_distribution(2, "d1").effects}
+        support = set(build_distribution(2, "d1").effects)
         assert support == {P("XX"), P("ZZ"), P("-YY")}
 
     def test_unknown_label(self):
@@ -50,10 +49,10 @@ class TestBuildDistribution:
 
     def test_identity_excluded(self):
         with pytest.raises(StructureError):
-            MeasurementDistribution((MeasurementEffect(P("II")),))
+            MeasurementDistribution((P("II"),))
 
     def test_duplicates_rejected(self):
-        e = MeasurementEffect(P("XX"))
+        e = P("XX")
         with pytest.raises(StructureError):
             MeasurementDistribution((e, e))
 
@@ -195,7 +194,7 @@ class TestSampleTrainingSet:
         dust = DensityMatrix(np.diag([1 + 4e-10, -4e-10, 0, 0]).astype(complex))
         d = build_distribution(2, "d1")
         idx, vals = sample_training_set(d, dust, 6, seed=1)
-        zz = [v for i, v in zip(idx.tolist(), vals.tolist()) if d.effects[i].pauli.x == 0]
+        zz = [v for i, v in zip(idx.tolist(), vals.tolist()) if d.effects[i].x == 0]
         assert zz and all(v == 1.0 for v in zz)
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import qpac.states
 from qpac import (
     DensityMatrix,
-    MeasurementEffect,
     NonPhysicalStateError,
     PauliString,
     build_distribution,
@@ -152,7 +151,7 @@ class TestMaximallyMixed:
     def test_nonidentity_effect_is_half(self):
         mixed = maximally_mixed(3)
         for p in group_closure(ghz_generators(3)).non_identity():
-            assert expectation(MeasurementEffect(p), mixed) == pytest.approx(0.5, abs=1e-14)
+            assert expectation(p, mixed) == pytest.approx(0.5, abs=1e-14)
 
 
 def action_dense(p):
@@ -200,9 +199,9 @@ class TestEffectBatchTables:
     def test_row_is_its_one_effect_batch(self, strings):
         """Row t of a batch's tables holds the bytes of the one-effect
         batch of string t, whatever the other rows hold."""
-        batch = EffectBatch([MeasurementEffect(p) for p in strings])
+        batch = EffectBatch(strings)
         for t, p in enumerate(strings):
-            one = EffectBatch([MeasurementEffect(p)])
+            one = EffectBatch([p])
             for name in ("_gather_idx", "_coeff"):
                 row, want = getattr(batch, name)[t], getattr(one, name)[0]
                 assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
@@ -212,7 +211,7 @@ class TestEffectBatchTables:
     def test_row_is_the_action_of_its_masks(self, strings):
         """Row t holds the gather positions [k, k ^ x] and the
         coefficients of string t, read from its masks."""
-        batch = EffectBatch([MeasurementEffect(p) for p in strings])
+        batch = EffectBatch(strings)
         k = np.arange(batch.dim)
         for t, p in enumerate(strings):
             perm, coeff = pauli_action(p)
@@ -243,7 +242,7 @@ class TestStabilizerState:
         rho = stabilizer_state(group)
         assert np.array_equal(rho.matrix, want)
         for p in group.non_identity():
-            assert expectation(MeasurementEffect(p), rho) == 1.0
+            assert expectation(p, rho) == 1.0
 
     @pytest.mark.parametrize("gens", GENERATORS, ids=lambda gens: ",".join(map(str, gens)))
     def test_bytes_of_the_scatter_reference(self, gens):
@@ -263,44 +262,44 @@ class TestExpectation:
     def test_stabilizer_effects_on_ghz(self, n):
         rho = ghz_density(n)
         for p in group_closure(ghz_generators(n)).non_identity():
-            assert expectation(MeasurementEffect(p), rho) == pytest.approx(1.0, abs=1e-12)
+            assert expectation(p, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_signed_yy_on_ghz2(self):
         rho = ghz_density(2)
-        assert expectation(MeasurementEffect(P("-YY")), rho) == pytest.approx(1.0, abs=1e-12)
-        assert expectation(MeasurementEffect(P("YY")), rho) == pytest.approx(0.0, abs=1e-12)
+        assert expectation(P("-YY"), rho) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(P("YY"), rho) == pytest.approx(0.0, abs=1e-12)
         # dense oracle for the same numbers
         e = (np.eye(4) + kron_dense(P("-YY"))) / 2
         assert np.trace(e @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_dense_trace_on_random_states(self, n, rng):
-        effects = [MeasurementEffect(p) for p in group_closure(ghz_generators(n)).non_identity()]
+        effects = group_closure(ghz_generators(n)).non_identity()
         for _ in range(20):
             rho = DensityMatrix(random_density(rng, 2**n))
             for eff in effects:
-                dense = (np.eye(2**n) + kron_dense(eff.pauli)) / 2
+                dense = (np.eye(2**n) + kron_dense(eff)) / 2
                 want = float(np.trace(dense @ rho.matrix).real)
                 assert expectation(eff, rho) == pytest.approx(want, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(MeasurementEffect(P("XX")), ghz_density(3))
+            expectation(P("XX"), ghz_density(3))
 
     def test_out_of_range_rejected(self):
         # a trace-one but badly non-PSD matrix pushes Tr(E rho) outside
         # [0,1]; wrapped unchecked, so that the expectation rule decides
         bad = DensityMatrix._built(np.diag([2.0, -1.0]).astype(complex))
         with pytest.raises(NonPhysicalStateError, match="outside"):
-            expectation(MeasurementEffect(P("Z")), bad)
+            expectation(P("Z"), bad)
         # a non-Hermitian matrix gives Tr(P rho) an imaginary part
         skew = DensityMatrix._built(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
         with pytest.raises(NonPhysicalStateError, match="imaginary"):
-            expectation(MeasurementEffect(P("X")), skew)
+            expectation(P("X"), skew)
 
     def test_dust_clamped(self):
         dust = DensityMatrix(np.diag([1.0 + 4e-10, -4e-10]).astype(complex))
-        assert expectation(MeasurementEffect(P("Z")), dust) == 1.0
+        assert expectation(P("Z"), dust) == 1.0
 
 
 class TestFidelity:
