@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,8 +180,17 @@ class ExperimentConfig:
             raise ConfigError(f"replacement must be 'with' or 'without', got {self.replacement!r}")
         if self.shots < 0:
             raise ConfigError(f"shots must be >= 0, got {self.shots}")
-        if self.gauss_std < 0:
-            raise ConfigError(f"gauss_std must be >= 0, got {self.gauss_std}")
+        # comparisons that NaN fails too, so that no NaN, infinity or
+        # JSON integer beyond the float range reaches a run or its header
+        top = sys.float_info.max
+        for name in ("gauss_std", "big_k"):
+            v = getattr(self, name)
+            if v is not None and not 0.0 <= v <= top:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+        for name in ("reference_slope", "reference_intercept"):
+            v = getattr(self, name)
+            if not -top <= v <= top:
+                raise ConfigError(f"{name} must be finite, got {v}")
         if self.shots > 0 and self.gauss_std > 0:
             raise ConfigError("shots and gauss-std are mutually exclusive noise models")
         if self.repeats < 1:
@@ -250,7 +260,7 @@ class ExperimentConfig:
         # the fit needs at least two qubit counts
         if self.command == "scaling" and not 2 <= self.n_min < self.n_max:
             raise ConfigError(f"scaling needs 2 <= n_min < n_max, got {self.n_min}..{self.n_max}")
-        if self.command == "bound-curve" and (self.big_k is None or self.big_k < 0):
+        if self.command == "bound-curve" and self.big_k is None:
             raise ConfigError("bound-curve needs a non-negative K")
         if self.command == "bound-curve" and not 1 <= self.n_min <= self.n_max:
             raise ConfigError(f"bound-curve needs 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")

@@ -14,17 +14,17 @@ and every other first step, and every later step, is the eigen-step.
 Step 1 replaces I / d by its vertex, so a vertex handed in by
 :func:`learn_each` needs no I / d. Residuals that are all exactly 0
 make the gradient exactly 0, so no step builds a gradient for them.
-Up to dim 256 a gradient is a dense matrix; above it, it is an
-:class:`~qpac.states.EffectSum` of the same entries, and no step forms
-a d x d gradient unless ``on_iterate`` or the eigen-step's ``eigh``
-fallback asks for one.
+Every step reads its gradient from :meth:`Objective.gradient`: up to
+dim 256 a dense matrix, above it an :class:`~qpac.states.EffectSum`
+of the same entries, so no step forms a d x d gradient unless the
+eigen-step's ``eigh`` fallback asks for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -39,8 +39,10 @@ _EIG_TOL = 1e-9
 _DENSE_GRADIENT_MAX_DIM = 256
 # matrix entries of the first-step gradients that learn_each solves as
 # one stack (2^16 complex128 entries, 1 MB): 16 training sets at dim 64,
-# and at dim 16 the 200 trials of a search group of four repeats
-_STACK_ENTRIES = 1 << 16
+# and at dim 16 the 200 trials of a search group of four repeats. It is
+# the square of the largest dense dim, so that above it a chunk holds
+# one training set, whose EffectSum _smallest_built must see alone
+_STACK_ENTRIES = _DENSE_GRADIENT_MAX_DIM ** 2
 
 
 @dataclass(frozen=True)
@@ -72,22 +74,14 @@ class Objective:
         r = self.residuals(sigma)
         return float(np.dot(r, r))
 
-    def gradient(self, sigma: np.ndarray, residuals: np.ndarray | None = None) -> np.ndarray:
-        """2 sum_i (Tr(E_i sigma) - y_i) E_i as a dense Hermitian matrix,
-        from ``residuals`` when the caller has computed them at sigma."""
-        if residuals is None:
-            residuals = self.residuals(sigma)
+    def gradient(self, residuals: np.ndarray) -> np.ndarray | EffectSum:
+        """2 sum_i r_i E_i, the gradient at the sigma whose
+        :meth:`residuals` are r, in the form the eigen-step reads: a
+        dense Hermitian matrix up to dim 256, and above it the same sum
+        as an :class:`~qpac.states.EffectSum`, with no d x d matrix."""
+        if self.dim > _DENSE_GRADIENT_MAX_DIM:
+            return self.batch.weighted_operator(2.0 * residuals)
         return self.batch.weighted_sum(2.0 * residuals)
-
-
-def _step_gradient(obj: Objective, sigma: np.ndarray, residuals: np.ndarray):
-    """The gradient at sigma as the eigen-step reads it, from the
-    residuals there: the dense matrix of :meth:`Objective.gradient` up
-    to dim 256, and above it the same sum as an
-    :class:`~qpac.states.EffectSum`, with no d x d matrix."""
-    if obj.dim > _DENSE_GRADIENT_MAX_DIM:
-        return obj.batch.weighted_operator(2.0 * residuals)
-    return obj.gradient(sigma, residuals=residuals)
 
 
 def _vanishes(g: np.ndarray | EffectSum) -> bool:
@@ -175,7 +169,6 @@ def hazan_optimize(
     k_max: int = 300,
     *,
     stop_objective: float | None = None,
-    on_iterate: Callable[[int, float, float, np.ndarray], None] | None = None,
     first_atom: np.ndarray | None = None,
 ) -> Hypothesis:
     """Minimize the quadratic objective over unit-trace PSD matrices.
@@ -186,16 +179,14 @@ def hazan_optimize(
     entirely, and is taken in one pass as ``atom + 0.0``, the bytes of
     ``(1 - 1.0) I / d + 1.0 atom``.
 
-    The stop rule: each step computes the residuals r once. When every
-    entry of r is exactly 0, the gradient 2 sum_i r_i E_i is exactly 0
-    and is not built; otherwise it is assembled from that r, and a
-    gradient below the zero threshold stops the loop too. Either way
-    sigma is optimal (convex objective) and the iteration stops moving.
+    Each step runs in one order: the residuals r at sigma; a stop when
+    every entry of r is exactly 0, which makes the gradient
+    2 sum_i r_i E_i exactly 0, so it is not built; the gradient
+    ``obj.gradient(r)``; a stop when it vanishes within the zero
+    threshold; then the eigen-step. At either stop sigma is optimal
+    (convex objective) and the iteration stops moving.
     ``final_objective`` reuses r when sigma has not moved since.
 
-    ``on_iterate(k, objective, gradient_min_eigenvalue, sigma)`` is
-    called once per step before the update, e.g. to check every
-    iterate's invariants; it sees the gradient even where it vanishes.
     ``stop_objective`` stops the loop once the objective is at most its
     value. No protocol sets it; it stays because the benchmark's
     per-layer tracer (``perfbench/tracing.py``) reads it by name, to
@@ -204,41 +195,35 @@ def hazan_optimize(
     ``first_atom`` hands in the Frank-Wolfe vertex of step 1, solved by
     :func:`learn_each`; the caller guarantees that the gradient at
     I / d does not vanish, so step 1 neither builds nor tests it, and
-    I / d itself is not built (unless ``on_iterate`` needs them). Every
-    step applies the same update ``(1 - alpha) sigma + alpha atom``, so
-    handing in the eigen-step's ``np.outer(v, v.conj())`` gives the
-    bytes of a run without it.
+    I / d itself is not built. Every step applies the same update
+    ``(1 - alpha) sigma + alpha atom``, so handing in the eigen-step's
+    ``np.outer(v, v.conj())`` gives the bytes of a run without it.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
 
-    # I / d, built only where step 1 reads its residuals or gradient there
-    sigma = (maximally_mixed(obj.dim.bit_length() - 1).matrix
-             if first_atom is None or on_iterate is not None else None)
+    # I / d, built only where step 1 finds its own vertex
+    sigma = maximally_mixed(obj.dim.bit_length() - 1).matrix if first_atom is None else None
     atom = first_atom
     iterations = 0
     r = None  # the residuals at sigma, once computed
     for k in range(1, k_max + 1):
-        g = None
-        if atom is None or on_iterate is not None:
+        if atom is None:
             if r is None:
                 r = obj.residuals(sigma)
-            if r.any() or on_iterate is not None:
-                g = _step_gradient(obj, sigma, r)
-        if on_iterate is not None:
-            # the hook reads a dense gradient at every dim
-            dense = g if isinstance(g, np.ndarray) else obj.gradient(sigma, residuals=r)
-            on_iterate(k, float(np.dot(r, r)), float(np.linalg.eigvalsh(dense)[0]), sigma)
-        if atom is None:
-            if g is None or _vanishes(g):
-                # stationary point of a convex objective: optimal, no
-                # movement this or any later step
+            # either stop is a stationary point of a convex objective:
+            # optimal, no movement this or any later step. Residuals all
+            # exactly 0 make the gradient exactly 0, which is not built
+            if not r.any():
+                break
+            g = obj.gradient(r)
+            if _vanishes(g):
                 break
             [(v, _)] = _smallest_built([g], tol=_EIG_TOL)
             atom = np.outer(v, v.conj())
-        # the spent gradient, a d x d matrix up to dim 256, that the
-        # update need not hold
-        del g
+            # the spent gradient, a d x d matrix up to dim 256, that the
+            # update need not hold
+            del g
         alpha = 1.0 / k
         # step 1 (alpha = 1) in one pass: atom + 0.0 is the bytes of
         # (1 - 1.0) * sigma + 1.0 * atom, every nonzero kept and every
@@ -307,7 +292,7 @@ def learn_each(
             mixed = maximally_mixed(support.n).matrix
             for j, obj in enumerate(objs):
                 if atoms[j] is None and (r := obj.residuals(mixed)).any():
-                    grads[j] = _step_gradient(obj, mixed, r)
+                    grads[j] = obj.gradient(r)
             # a d x d matrix (16 MB at n = 10) that the optimizer need not hold
             del mixed
         live = [j for j, g in grads.items() if not _vanishes(g)]

@@ -42,7 +42,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "shots" and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.kind == "gaussian" and self.std < 0:
+        # written so that a NaN std fails it
+        if self.kind == "gaussian" and not self.std >= 0:
             raise ValueError(f"gaussian std must be >= 0, got {self.std}")
 
     @classmethod

@@ -1,13 +1,14 @@
 """Shared test helpers: an independent dense-matrix oracle for the
-symbolic Pauli algebra, random density-matrix generators, and the
-learner's form of hand-built (effect, value) pairs."""
+symbolic Pauli algebra, random density-matrix generators, the
+learner's form of hand-built (effect, value) pairs, and the Frank-Wolfe
+iterates of a run rebuilt from its recorded vertices."""
 
 import functools
 
 import numpy as np
 import pytest
 
-from qpac import PauliString
+from qpac import PauliString, learner
 from qpac.learner import Objective
 from qpac.states import EffectBatch
 
@@ -121,3 +122,31 @@ def objective(items):
     """The learner's objective of (effect, value) pairs."""
     batch, indices, values = index_rows(items)
     return Objective(batch, indices[0], values[0])
+
+
+def record_vertices(monkeypatch) -> list:
+    """Every eigenvector that ``learner._smallest_built`` returns, in
+    order: the Frank-Wolfe vertices of the steps that solve their own."""
+    vertices = []
+    real = learner._smallest_built
+
+    def recorded(hs, tol):
+        pairs = real(hs, tol=tol)
+        vertices.extend(v for v, _ in pairs)
+        return pairs
+
+    monkeypatch.setattr(learner, "_smallest_built", recorded)
+    return vertices
+
+
+def fw_iterates(vertices, hyp) -> list:
+    """sigma_1, sigma_2, ... of a run from its vertices, with the loop's
+    update: ``atom + 0.0`` at k = 1, then (1 - 1/k) sigma + (1/k) atom.
+    The last iterate must have the bytes of ``hyp.sigma``."""
+    iterates = []
+    for k, v in enumerate(vertices, 1):
+        atom = np.outer(v, v.conj())
+        alpha = 1.0 / k
+        iterates.append(atom + 0.0 if k == 1 else (1.0 - alpha) * iterates[-1] + alpha * atom)
+    assert iterates[-1].tobytes() == hyp.sigma.matrix.tobytes()
+    return iterates

@@ -34,7 +34,8 @@ from qpac.sampling import _draw_indices
 from qpac.states import EffectBatch
 from qpac.table import read_table
 
-from conftest import decompose_pauli_product, ghz_vector, kron_dense, objective, random_density
+from conftest import (decompose_pauli_product, fw_iterates, ghz_vector, kron_dense, objective,
+                      random_density, record_vertices)
 
 
 @pytest.fixture(scope="session")
@@ -142,7 +143,7 @@ def test_criterion_5_error_parameter_sweeps(fig4):
     )
 
 
-def test_criterion_6_optimizer_correctness():
+def test_criterion_6_optimizer_correctness(monkeypatch):
     worst_rel = 0.0
     for n in (2, 3, 4):
         rng = np.random.default_rng(600 + n)
@@ -158,22 +159,19 @@ def test_criterion_6_optimizer_correctness():
             delta /= np.trace(delta).real
             t = 1e-6
             fd = (obj.value(sigma + t * delta) - obj.value(sigma - t * delta)) / (2 * t)
-            an = float(np.real(np.trace(obj.gradient(sigma) @ delta)))
+            an = float(np.real(np.trace(obj.gradient(obj.residuals(sigma)) @ delta)))
             worst_rel = max(worst_rel, abs(fd - an) / max(1e-12, abs(an)))
     grad_ok = worst_rel <= 1e-5
-
-    trace_err, min_eig = 0.0, 0.0
-
-    def watch(k, f, glam, sigma):
-        nonlocal trace_err, min_eig
-        trace_err = max(trace_err, abs(np.trace(sigma).real - 1.0))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(sigma)[0]))
 
     dist = build_distribution(3, "d1")
     noisy = sample_training_set(
         dist, maximally_mixed(3), 10, noise=NoiseModel.with_shots(10), seed=601,
     )
-    hazan_optimize(Objective(dist.batch, *noisy), k_max=300, on_iterate=watch)
+    vertices = record_vertices(monkeypatch)
+    iterates = fw_iterates(vertices, hazan_optimize(Objective(dist.batch, *noisy), k_max=300))
+    monkeypatch.undo()
+    trace_err = max(abs(np.trace(s).real - 1.0) for s in iterates)
+    min_eig = min(0.0, *(float(np.linalg.eigvalsh(s)[0]) for s in iterates))
     iterate_ok = trace_err <= 1e-12 and min_eig >= -1e-10
 
     finals = {}

@@ -49,6 +49,16 @@ class TestCli:
         assert code == 2
         assert "K" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["learn", "--n", "3", "--m", "5", "--gauss-std", "nan"], "gauss_std"),
+        (["bound-curve", "--K", "nan"], "big_k"),
+    ])
+    def test_non_finite_float_exits_2_without_a_table(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generators_flag(self, tmp_path):
         out = tmp_path / "g.csv"
         code = main([

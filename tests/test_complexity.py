@@ -265,7 +265,8 @@ class TestBatchFill:
             firsts = []
             for i in range(self.I_MAX):
                 training = sample_training_set(dist, rho, m, seed=(5, m, i), replacement=False)
-                firsts.append(Objective(dist.batch, *training).gradient(mixed).tobytes())
+                obj = Objective(dist.batch, *training)
+                firsts.append(obj.gradient(obj.residuals(mixed)).tobytes())
             assert stacks == [firsts[lo:lo + 3] for lo in range(0, self.I_MAX, 3)]
 
     @pytest.mark.parametrize("replacement", [True, False])

@@ -92,6 +92,17 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(command="fly")
 
+    # 10**400 is a JSON integer that no float holds
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize("name", ["gauss_std", "big_k", "reference_slope",
+                                      "reference_intercept"])
+    def test_non_finite_float_names_its_field(self, name, value):
+        # NaN fails every comparison, so a check written as v < 0 let a
+        # NaN std run as exact data under a header that reads NaN
+        command = "bound-curve" if name == "big_k" else "learn"
+        with pytest.raises(ConfigError, match=name):
+            cfg(command=command, m=2, **{name: value})
+
     def test_file_and_flag_merge(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"command": "learn", "m": 4, "seed": 9, "gamma": 0.2}))

@@ -27,7 +27,8 @@ from qpac import (
 from qpac import learner
 from qpac.sampling import draw_training_sets
 
-from conftest import index_rows, kron_dense, objective, pauli_action, random_density
+from conftest import (fw_iterates, index_rows, kron_dense, objective, pauli_action,
+                      random_density, record_vertices)
 from test_acceptance import per_shot_outcomes, shot_objective_value
 
 
@@ -61,19 +62,20 @@ class TestObjectiveValue:
 class TestGradient:
     def test_zero_at_target(self):
         obj, _, rho = full_support_objective(3)
-        g = obj.gradient(rho.matrix)
+        g = obj.gradient(obj.residuals(rho.matrix))
         assert np.max(np.abs(g)) < 1e-12
 
     def test_single_item_at_mixed_is_minus_effect(self):
         eff = P("ZIZ")
-        g = objective(((eff, 1.0),)).gradient(maximally_mixed(3).matrix)
+        obj = objective(((eff, 1.0),))
+        g = obj.gradient(obj.residuals(maximally_mixed(3).matrix))
         dense_e = (np.eye(8) + kron_dense(eff)) / 2
         assert np.allclose(g, -dense_e, atol=1e-12)
 
     def test_hermitian(self, rng):
         dist = build_distribution(3, "d1")
         obj = Objective(dist.batch, *sample_training_set(dist, ghz_density(3), 12, seed=8))
-        g = obj.gradient(DensityMatrix(random_density(rng, 8)).matrix)
+        g = obj.gradient(obj.residuals(DensityMatrix(random_density(rng, 8)).matrix))
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
 
     def test_odd_y_effect_assembly(self, rng):
@@ -81,7 +83,8 @@ class TestGradient:
         # are complex; the assembly must not transpose them
         eff = P("XY")
         sigma = random_density(rng, 4)
-        g = objective(((eff, 0.9),)).gradient(sigma)
+        obj = objective(((eff, 0.9),))
+        g = obj.gradient(obj.residuals(sigma))
         dense_e = (np.eye(4) + kron_dense(eff)) / 2
         w = 2 * (np.trace(dense_e @ sigma).real - 0.9)
         assert np.allclose(g, w * dense_e, atol=1e-12)
@@ -105,7 +108,7 @@ class TestGradient:
             delta = delta / np.trace(delta).real  # unit-trace direction
             step = 1e-6
             fd = (obj.value(sigma + step * delta) - obj.value(sigma - step * delta)) / (2 * step)
-            analytic = float(np.real(np.trace(obj.gradient(sigma) @ delta)))
+            analytic = float(np.real(np.trace(obj.gradient(obj.residuals(sigma)) @ delta)))
             assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-9)
 
 
@@ -172,24 +175,20 @@ class TestHazanOptimize:
         assert hyp.final_objective == pytest.approx(0.0, abs=1e-18)
         assert hyp.iterations_used == 0
 
-    def test_iterate_invariants_under_noise(self):
+    def test_iterate_invariants_under_noise(self, monkeypatch):
         # shot-sampled mixed-state values are genuinely noisy, so the
         # optimum is not reachable in a few steps and the loop runs
         dist = build_distribution(3, "d1")
         obj = Objective(dist.batch, *sample_training_set(
             dist, maximally_mixed(3), 10, noise=NoiseModel.with_shots(10), seed=11
         ))
-        traces, mineigs = [], []
-
-        def watch(k, f, glam, sigma):
-            traces.append(abs(np.trace(sigma).real - 1.0))
-            mineigs.append(float(np.linalg.eigvalsh(sigma)[0]))
-
-        hyp = hazan_optimize(obj, k_max=120, on_iterate=watch)
-        assert len(traces) >= 50
-        assert max(traces) <= 1e-12
-        assert min(mineigs) >= -1e-10
-        assert hyp.iterations_used == len(traces)
+        vertices = record_vertices(monkeypatch)
+        hyp = hazan_optimize(obj, k_max=120)
+        iterates = fw_iterates(vertices, hyp)
+        assert len(iterates) >= 50
+        assert max(abs(np.trace(s).real - 1.0) for s in iterates) <= 1e-12
+        assert min(float(np.linalg.eigvalsh(s)[0]) for s in iterates) >= -1e-10
+        assert hyp.iterations_used == len(iterates)
 
     def test_deterministic(self):
         dist = build_distribution(3, "d2")
@@ -280,7 +279,7 @@ class TestFirstStep:
     def _first_atom(obj):
         # the vertex learn_each hands in, or None where the gradient at
         # I / d vanishes and no vertex may be handed in
-        g = obj.gradient(np.eye(obj.dim, dtype=np.complex128) / obj.dim)
+        g = obj.gradient(obj.residuals(np.eye(obj.dim, dtype=np.complex128) / obj.dim))
         if learner._vanishes(g):
             return None
         v, _ = smallest_eigenvector(g, tol=1e-9)
@@ -341,23 +340,6 @@ class TestFirstStep:
         assert len(eigen_steps) == 9
         assert len(gradients) == 9
 
-    def test_on_iterate_sees_step_one(self):
-        seen = {}
-        for handed in (False, True):
-            obj = self._shots_objective()
-            calls = seen[handed] = []
-
-            def watch(k, f, glam, sigma):
-                calls.append((k, f, glam, sigma.tobytes()))
-
-            atom = self._first_atom(obj) if handed else None
-            hazan_optimize(obj, k_max=5, on_iterate=watch, first_atom=atom)
-        assert [k for k, *_ in seen[True]] == [1, 2, 3, 4, 5]
-        assert seen[True][0][3] == maximally_mixed(3).matrix.tobytes()
-        # step 1 reports the objective and gradient at I / d, as without
-        # a handed-in vertex
-        assert seen[True] == seen[False]
-
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_step_one_bytes(self, n, seed):
@@ -388,10 +370,9 @@ class TestFirstStep:
         built = self._count(monkeypatch, learner, "maximally_mixed")
         hazan_optimize(obj, k_max=3, first_atom=atom)
         assert built == []
-        # step 1 reads I / d for on_iterate, or to find its own vertex
-        hazan_optimize(obj, k_max=3, first_atom=atom, on_iterate=lambda *a: None)
+        # step 1 reads I / d to find its own vertex
         hazan_optimize(obj, k_max=3)
-        assert len(built) == 2
+        assert len(built) == 1
         # a chunk of closed-form trials builds none either
         dist = build_distribution(4, "d2")
         indices, values = draw_training_sets(dist, ghz_density(4), 3, list(range(5)))
@@ -516,8 +497,8 @@ class TestCodeSpaceAtom:
         atom = learner.code_space_atoms(dist.batch, indices, values)[0]
 
         dim = rho.dim
-        g = Objective(dist.batch, indices[0], values[0]).gradient(
-            np.eye(dim, dtype=np.complex128) / dim)
+        obj = Objective(dist.batch, indices[0], values[0])
+        g = obj.gradient(obj.residuals(np.eye(dim, dtype=np.complex128) / dim))
         vals, vecs = np.linalg.eigh(g)
         # the eigenvalues of -sum_i E_i are integers
         bottom = vecs[:, vals < vals[0] + 0.5]

@@ -166,7 +166,8 @@ class TestSmallestEigenvector:
         # vector has no component in that eigenspace
         items = tuple((PauliString.from_text(t), 1.0)
                       for t in ("-ZIZ", "+YYX", "+YXY"))
-        return objective(items).gradient(maximally_mixed(3).matrix)
+        obj = objective(items)
+        return obj.gradient(obj.residuals(maximally_mixed(3).matrix))
 
     def test_certified_contract_without_bottom_eigenvalue(self):
         h = self._hidden_bottom_gradient()

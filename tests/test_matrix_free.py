@@ -182,6 +182,24 @@ class TestLearnPath:
         # the first step and both later ones
         assert solved == [EffectSum] * 3
 
+    def test_chunk_above_dim_256_holds_one_training_set(self, monkeypatch):
+        # _STACK_ENTRIES is the square of the largest dense dim, so each
+        # first-step stack at n = 9 holds one training set's EffectSum
+        support = build_distribution(9, "d1")
+        noise = NoiseModel.gaussian(0.05)
+        indices, values = draw_training_sets(support, ghz_density(9), 20, [0, 1, 2], noise)
+        stacks = []
+        real = learner._smallest_built
+
+        def counted(hs, tol):
+            stacks.append([type(h) for h in hs])
+            return real(hs, tol=tol)
+
+        monkeypatch.setattr(learner, "_smallest_built", counted)
+        hyps = list(learner.learn_each(support, indices, values, noise, 1))
+        assert [h.iterations_used for h in hyps] == [1, 1, 1]
+        assert stacks == [[EffectSum]] * 3
+
     @pytest.mark.parametrize("config", [
         dict(seed=100, m=5), dict(seed=101, m=20), dict(seed=102, m=40),
         dict(seed=200, m=20, gauss_std=0.05, k_max=4),
@@ -195,8 +213,7 @@ class TestLearnPath:
         got = run_learn(ExperimentConfig(**kwargs)).rows
         # the dense kernel: every step hands the dense gradient to the
         # eigen-step, as up to dim 256
-        monkeypatch.setattr(learner, "_step_gradient",
-                            lambda obj, sigma, r: obj.gradient(sigma, residuals=r))
+        monkeypatch.setattr(learner, "_DENSE_GRADIENT_MAX_DIM", 512)
         want = run_learn(ExperimentConfig(**kwargs)).rows
         assert got == want
         assert [type(x) for x in got[0]] == [type(x) for x in want[0]]

@@ -77,6 +77,8 @@ class TestNoiseModel:
             NoiseModel.with_shots(0)
         with pytest.raises(ValueError):
             NoiseModel.gaussian(-0.1)
+        with pytest.raises(ValueError):
+            NoiseModel.gaussian(float("nan"))
 
     def test_describe(self):
         assert NoiseModel.exact().describe() == "exact"
