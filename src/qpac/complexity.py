@@ -218,6 +218,8 @@ def theorem_bound(n: int, params: LearnParams, big_k: float) -> float:
     if big_k < 0:
         raise ValueError(f"K must be non-negative, got {big_k}")
     g4e2 = params.gamma**4 * params.epsilon**2
+    if not g4e2:
+        return math.inf  # gamma^4 epsilon^2 underflowed
     log_ge = math.log(1.0 / (params.gamma * params.epsilon))
     return (big_k / g4e2) * (n / g4e2 * log_ge**2 + math.log(1.0 / params.delta))
 

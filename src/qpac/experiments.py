@@ -31,7 +31,7 @@ from . import __version__
 from .complexity import LearnParams, TrialCache, estimate_min_m, linear_fit, theorem_bound
 from .errors import ConfigError, StructureError
 from .learner import Objective, evaluate_epsilon, learn_each
-from .pauli import PauliString
+from .pauli import PauliString, ghz_generators
 from .sampling import (
     FULL_STABILIZER,
     XZ_STABILIZER,
@@ -46,7 +46,6 @@ from .states import (
     MAX_QUBITS,
     DensityMatrix,
     fidelity,
-    ghz_density,
     maximally_mixed,
     stabilizer_state,
 )
@@ -220,11 +219,9 @@ class ExperimentConfig:
             # a generator list fixes one qubit count
             if self.command == "scaling":
                 raise ConfigError("scaling needs at least two qubit counts; generators fix one")
-            if self.command != "bound-curve" and any(
-                PauliString.from_text(g).n != self.n for g in self.generators
-            ):
-                raise ConfigError(f"generators must act on n={self.n} qubits")
             if self.command != "bound-curve":
+                if any(p.n != self.n for p in self._generator_paulis()):
+                    raise ConfigError(f"generators must act on n={self.n} qubits")
                 # a list that pins no state fails here, before any work
                 self.target_state(self.n)
         if self.command == "learn":
@@ -264,6 +261,11 @@ class ExperimentConfig:
             raise ConfigError("bound-curve needs a non-negative K")
         if self.command == "bound-curve" and not 1 <= self.n_min <= self.n_max:
             raise ConfigError(f"bound-curve needs 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
+        # the bound grows with n, so n_max holds its largest value
+        if self.command == "bound-curve" and not theorem_bound(self.n_max, self.learn_params(),
+                                                               self.big_k) <= top:
+            raise ConfigError(f"bound-curve: the bound is not finite for K = {self.big_k}, epsilon = "
+                              f"{self.epsilon}, gamma = {self.gamma} and delta = {self.delta}")
 
     # -- resolution helpers ------------------------------------------------
 
@@ -302,12 +304,14 @@ class ExperimentConfig:
         return os.path.join(default_out_dir(), f"{self.command}.csv")
 
     def _generator_paulis(self) -> tuple[PauliString, ...]:
-        return tuple(PauliString.from_text(g) for g in self.generators)
+        try:
+            return tuple(PauliString.from_text(g) for g in self.generators)
+        except ValueError as exc:
+            raise ConfigError(f"generators: {exc}") from exc
 
     def target_state(self, n: int) -> DensityMatrix:
-        if self.generators:
-            return _generator_state(self._generator_paulis())
-        return _ghz_state(n)
+        """The target of a generator list, else of the n-qubit GHZ group."""
+        return _generator_state(self._generator_paulis() if self.generators else ghz_generators(n))
 
     def distribution(self, n: int) -> MeasurementDistribution:
         if self.generators:
@@ -327,8 +331,9 @@ class ExperimentConfig:
 @lru_cache
 def _generator_state(generators: tuple[PauliString, ...]) -> DensityMatrix:
     """The pure state a generator tuple stabilizes, built once per
-    process from the group its supports share. Raises ``ConfigError``
-    for a list that is no stabilizer group or pins no pure state."""
+    process from the group its supports share, so its Tr(E rho) tables
+    are too. Raises ``ConfigError`` for a list that is no stabilizer
+    group or pins no pure state."""
     try:
         group = stabilizer_group(generators)
     except StructureError as exc:
@@ -337,14 +342,6 @@ def _generator_state(generators: tuple[PauliString, ...]) -> DensityMatrix:
     if len(group) != 2**n:
         raise ConfigError(f"need {n} independent generators for a pure {n}-qubit target")
     return stabilizer_state(group)
-
-
-@lru_cache
-def _ghz_state(n: int) -> DensityMatrix:
-    """The n-qubit GHZ target, built once per process, so that its
-    support's Tr(E rho) table (:meth:`~qpac.states.EffectBatch.expected`)
-    is computed once too."""
-    return ghz_density(n)
 
 
 def default_out_dir() -> str:

@@ -293,11 +293,9 @@ def learn_each(
             for j, obj in enumerate(objs):
                 if atoms[j] is None and (r := obj.residuals(mixed)).any():
                     grads[j] = obj.gradient(r)
-            # a d x d matrix (16 MB at n = 10) that the optimizer need not hold
-            del mixed
         live = [j for j, g in grads.items() if not _vanishes(g)]
         solved = _smallest_built([grads[j] for j in live], tol=_EIG_TOL)
-        # d x d matrices up to dim 256, that the optimizer need not hold either
+        # d x d matrices up to dim 256, that the optimizer need not hold
         del grads
         for j, (v, _) in zip(live, solved):
             atoms[j] = np.outer(v, v.conj())

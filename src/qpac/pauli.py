@@ -92,7 +92,7 @@ class PauliString:
         """Parse e.g. ``"-YY"`` or ``"+ZIZ"`` or ``"XX"`` (sign optional)."""
         text = text.strip()
         phase = 1
-        if text[:1] in "+-":
+        if text.startswith(("+", "-")):
             phase = 1 if text[0] == "+" else -1
             text = text[1:]
         if not text:

@@ -137,19 +137,18 @@ def build_distribution(n: int, label: str) -> MeasurementDistribution:
     "d1" is uniform over all 2^n - 1 non-identity stabilizer effects of
     GHZ_n; "d2" over the 2^(n-1) effects whose Pauli strings contain
     only I, X, Z factors. Both in canonical order. Each is built once
-    per process, so its :attr:`~MeasurementDistribution.batch` is too.
+    per process, so its :attr:`~MeasurementDistribution.batch` is too,
+    from the closure (:func:`stabilizer_group`) the GHZ target shares.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return MeasurementDistribution(_support(group_closure(ghz_generators(n)), label), label)
+    return MeasurementDistribution(_support(stabilizer_group(ghz_generators(n)), label), label)
 
 
 @lru_cache
 def stabilizer_group(generators: tuple[PauliString, ...]) -> StabilizerGroup:
     """The :func:`~qpac.pauli.group_closure` of a generator tuple, closed
-    once per process: a custom target's state and each of its supports
-    read the same group. Raises :class:`StructureError` as the closure
-    does."""
+    once per process: a target's state and each of its supports, GHZ or
+    custom, read the same group. Raises :class:`StructureError` as the
+    closure does."""
     return group_closure(generators)
 
 

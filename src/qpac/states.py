@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NonPhysicalStateError
 from .linalg import eigendecompose, sqrt_psd
-from .pauli import PauliString, StabilizerGroup
+from .pauli import PauliString, StabilizerGroup, ghz_generators, group_closure
 
 MAX_QUBITS = 10
 
@@ -34,7 +34,7 @@ class EffectBatch:
     """Vectorized expectations of a fixed tuple of effects.
 
     Builds the signed permutation P|k> = c_k |perm_k> of every Pauli
-    string, the package's only code that does, as two (m, d) tables
+    string, the package's only tables of them, as two (m, d) tables
     that only its methods read: the flat positions k * d + perm_k that
     Tr(P sigma) reads, and the c_k. So all Tr(E_i sigma) evaluate as one
     fancy-indexed contraction. A support owns one batch
@@ -128,20 +128,15 @@ class EffectBatch:
         return (tr + traces.real) / 2.0
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """Dense sum_i w_i E_i, assembled from the symbolic actions."""
-        g = self._pauli_sum(weights / 2.0)
-        g[self._diag_idx] += np.sum(weights) / 2.0
-        return g.reshape(self.dim, self.dim)
-
-    def _pauli_sum(self, weights: np.ndarray) -> np.ndarray:
-        """Flat dense sum_i w_i P_i for real weights, added in row order:
-        a Hermitian P holds conj(c_k) at [k, perm_k], the position that
-        Tr(P sigma) reads."""
-        vals = weights[:, None] * self._coeff
+        """Dense sum_i w_i E_i, assembled from the symbolic actions and
+        added in row order: a Hermitian P holds conj(c_k) at
+        [k, perm_k], the position that Tr(P sigma) reads."""
+        vals = (weights / 2.0)[:, None] * self._coeff
         np.conjugate(vals, out=vals)
         g = np.zeros(self.dim * self.dim, dtype=np.complex128)
         np.add.at(g, self._gather_idx.ravel(), vals.ravel())
-        return g
+        g[self._diag_idx] += np.sum(weights) / 2.0
+        return g.reshape(self.dim, self.dim)
 
     def apply(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """P_rows[t] w[t] for each row t of a (T, d) stack ``w``: perm is
@@ -236,7 +231,7 @@ class DensityMatrix:
     and name the eigenvalue. The two rules agree except within rounding
     of the -1e-9 boundary.
 
-    States the package builds itself (GHZ and generator projectors,
+    States the package builds itself (stabilizer projectors,
     I / 2^n, Frank-Wolfe iterates) are valid by construction and are
     wrapped by :meth:`_built` without the O(d^3) check; the tests pass
     each of them through the public validator.
@@ -292,49 +287,56 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
 
+@lru_cache
 def ghz_density(n: int) -> DensityMatrix:
-    """Rank-1 projector onto (|0...0> + |1...1>)/sqrt(2).
-
-    Exactly four nonzero entries, each 1/2.
-    """
+    """Rank-1 projector onto (|0...0> + |1...1>)/sqrt(2), the
+    :func:`stabilizer_state` of the GHZ group, built once per n."""
     if n < 2 or n > MAX_QUBITS:
         raise ValueError(f"GHZ density supports 2 <= n <= {MAX_QUBITS}, got {n}")
-    dim = 1 << n
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for i in (0, dim - 1):
-        for j in (0, dim - 1):
-            m[i, j] = 0.5
-    # v v^dag for the unit vector v = (e_0 + e_{d-1}) / sqrt(2)
-    return DensityMatrix._built(m)
+    return stabilizer_state(group_closure(ghz_generators(n)))
 
 
 def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
-    """The pure state a full stabilizer group fixes: the average of its
-    2^n elements, identity included.
+    """The pure state a full stabilizer group fixes, the average
+    2^-n Sum_g g of its 2^n elements, built from one column.
 
-    Each element adds its signed permutation, summed from one batch of
-    the group's effects in group order, so no dense Pauli matrix is
-    formed and every entry is exact (a multiple of 1/2^n).
+    rho = c c^dag / c_j0 for its column c = rho e_j0, with j0 the
+    smallest index where rho_j0j0 = 2^-n Sum sign_g (-1)^|j0 & z_g| over
+    the Z-type elements (x_g = 0) is nonzero. Element g sends e_j0 to
+    c_g(j0) e_(j0 ^ x_g), c_g its signed-permutation coefficient
+    (:class:`EffectBatch`). Each entry is i^k / 2^r, so every step is
+    exact and rho has the bytes of the group average.
     """
-    n = group.n
-    if len(group) != 1 << n:
-        raise ValueError(f"a pure {n}-qubit state needs {1 << n} group elements, got {len(group)}")
-    batch = EffectBatch(group.elements)
-    acc = batch._pauli_sum(np.ones(len(batch))).reshape(batch.dim, batch.dim)
-    # a 2^n-element stabilizer group averages to its state's projector
-    return DensityMatrix._built(acc / batch.dim)
+    n, dim = group.n, 1 << group.n
+    if len(group) != dim:
+        raise ValueError(f"a pure {n}-qubit state needs {dim} group elements, got {len(group)}")
+    x, z, phase = np.array([(p.x, p.z, p.phase) for p in group], dtype=np.int64).T
+    # 2^n rho_jj for every j: a Walsh-Hadamard transform of the Z-type signs
+    diag = np.bincount(z[x == 0], weights=phase[x == 0], minlength=dim)
+    for b in range(n):
+        pair = diag.reshape(-1, 2, 1 << b)
+        diag = np.stack((pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]), axis=1).ravel()
+    j0 = int(np.flatnonzero(diag)[0])
+    # c_g(j0) = phase * i^|x & z| * (-1)^|j0 & z| = i^e
+    e = (np.bitwise_count(x & z) + 2 * np.bitwise_count(j0 & z) + 1 - phase) % 4
+    col = np.zeros(dim, dtype=np.complex128)
+    np.add.at(col, j0 ^ x, np.array([1, 1j, -1, -1j])[e] / dim)
+    rows = np.flatnonzero(col)
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    # the group's projector; + 0.0 clears the -0.0 that the products
+    # write into some imaginary parts, as the group average holds none
+    rho[np.ix_(rows, rows)] = np.outer(col[rows], col[rows].conj() / col[j0].real) + 0.0
+    return DensityMatrix._built(rho)
 
 
+@lru_cache
 def maximally_mixed(n: int) -> DensityMatrix:
-    """The uninformative baseline I / 2^n."""
+    """The uninformative baseline I / 2^n, built once per qubit count."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     dim = 1 << n
-    # the bytes of np.eye(dim) / dim without a complex division per entry
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m.flat[::dim + 1] = 1.0 / dim
     # diagonal, nonnegative, trace 1
-    return DensityMatrix._built(m)
+    return DensityMatrix._built(np.eye(dim, dtype=np.complex128) / dim)
 
 
 def expectation(effect: PauliString, state: DensityMatrix) -> float:

@@ -59,6 +59,26 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_generator_in_config_exits_2_without_a_table(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 3, "m": 2, "generators": ["XXX", "", "IZZ"]}))
+        out = tmp_path / "x.csv"
+        assert main(["learn", "--config", str(path), "--out", str(out)]) == 2
+        assert "generators: empty Pauli string" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--K", "1", "--n-min", "1", "--n-max", "2", "--epsilon", "1e-300"],
+        ["--K", "1e308", "--epsilon", "0.01", "--gamma", "0.01"],
+    ], ids=["underflow", "overflow"])
+    def test_non_finite_bound_exits_2_without_a_table(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["bound-curve", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "the bound is not finite for K = " in err
+        assert "epsilon = " in err and "gamma = " in err
+        assert not out.exists()
+
     def test_generators_flag(self, tmp_path):
         out = tmp_path / "g.csv"
         code = main([

@@ -400,10 +400,12 @@ class TestGeneratorQubitCount:
 class TestGhzTarget:
     def test_built_once_per_process(self, tmp_path, monkeypatch):
         builds = []
-        real = experiments.ghz_density
-        monkeypatch.setattr(experiments, "ghz_density", lambda n: builds.append(n) or real(n))
-        # a target not built before in this process
-        experiments._ghz_state.cache_clear()
+        real = experiments.stabilizer_state
+        monkeypatch.setattr(experiments, "stabilizer_state",
+                            lambda group: builds.append(group.n) or real(group))
+        # a target not built before in this process: the one target
+        # function resolves a GHZ config to its generators
+        experiments._generator_state.cache_clear()
         outs = [tmp_path / f"l{r}.csv" for r in range(2)]
         for out in outs:
             run_learn(cfg(command="learn", n=3, m=4, out=str(out)))
@@ -443,9 +445,10 @@ class TestGeneratorTarget:
             closures.clear()
             batches.clear()
         assert tables[0].rows == tables[1].rows
-        # the first run builds the closure, the support's batch and the
-        # target's batch (stabilizer_state); the second builds none
-        assert builds == [(1, 2), (0, 0)]
+        # the first run builds the closure and the support's batch (the
+        # target, one column of its group average, builds no batch); the
+        # second builds neither
+        assert builds == [(1, 1), (0, 0)]
 
     @pytest.mark.parametrize("gens", [["XX", "XX"], ["XX", "ZI"], ["XX"]],
                              ids=["dependent", "non-commuting", "too-few"])
@@ -470,7 +473,7 @@ class TestLoopBudgets:
     def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
         argv, name = self.ARGVS[case]
         calls = []
-        for func in ("estimate_min_m", "build_distribution", "ghz_density"):
+        for func in ("estimate_min_m", "build_distribution", "_generator_state"):
             monkeypatch.setattr(experiments, func,
                                 lambda *a, func=func, **kw: calls.append(func))
         code = main([*argv, "--out", str(tmp_path / "t.csv")])
@@ -496,7 +499,7 @@ class TestQubitLimit:
     def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
         calls = []
         for name in ("estimate_min_m", "build_distribution", "distribution_from_generators",
-                     "ghz_density"):
+                     "_generator_state"):
             monkeypatch.setattr(experiments, name,
                                 lambda *a, name=name, **kw: calls.append(name))
         code = main([*self.ARGVS[case], "--out", str(tmp_path / "t.csv")])
@@ -541,7 +544,7 @@ class TestNamedLimits:
     def test_rejected_before_any_work(self, case, tmp_path, monkeypatch, capsys):
         argv, message = self.ARGVS[case]
         calls = []
-        for name in ("estimate_min_m", "build_distribution", "ghz_density", "draw_training_sets",
+        for name in ("estimate_min_m", "build_distribution", "_generator_state", "draw_training_sets",
                      "theorem_bound"):
             monkeypatch.setattr(experiments, name,
                                 lambda *a, name=name, **kw: calls.append(name))

@@ -34,6 +34,11 @@ class TestPauliString:
         with pytest.raises(ValueError):
             PauliString(("Q",))
 
+    @pytest.mark.parametrize("text", ["", "   ", "+", "-", " - "])
+    def test_text_without_factors_rejected(self, text):
+        with pytest.raises(ValueError, match="empty Pauli string"):
+            PauliString.from_text(text)
+
     def test_rejects_imaginary_phase(self):
         with pytest.raises(PauliPhaseError):
             PauliString(("X",), phase=1j)

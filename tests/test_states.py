@@ -232,7 +232,11 @@ class TestStabilizerState:
         [ghz_generators(n) for n in range(2, 7)]
         + [cluster_generators(n) for n in range(3, 7)]
         + [tuple(P(g) for g in text.split(","))
-           for text in ("XXX,-ZZI,IZZ", "-XXX,ZZI,IZZ", "XXXX,ZZII,-IZZI,IIZZ", "XY,YX")]
+           for text in ("XXX,-ZZI,IZZ", "-XXX,ZZI,IZZ", "XXXX,ZZII,-IZZI,IIZZ", "XY,YX",
+                        # the first nonzero diagonal entry is not at index 0
+                        "-XX,-ZZ", "-ZII,-IZI,-IIZ",
+                        # Y factors, which put i into the column
+                        "-YY,ZZ", "YZ,ZY")]
     )
 
     @pytest.mark.parametrize("gens", GENERATORS, ids=lambda gens: ",".join(map(str, gens)))
@@ -251,6 +255,23 @@ class TestStabilizerState:
         group = group_closure(gens)
         want = scattered_sum(list(group), np.ones(len(group))) / 2**group.n
         assert stabilizer_state(group).matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gens", GENERATORS, ids=lambda gens: ",".join(map(str, gens)))
+    def test_no_negative_zero(self, gens):
+        m = stabilizer_state(group_closure(gens)).matrix
+        for part in (m.real, m.imag):
+            assert not np.signbit(part[part == 0]).any()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ghz_density_has_the_bytes_of_its_four_entries(self, n):
+        # v v^dag for the unit vector v = (e_0 + e_{d-1}) / sqrt(2),
+        # written entry by entry
+        dim = 1 << n
+        want = np.zeros((dim, dim), dtype=np.complex128)
+        for i in (0, dim - 1):
+            for j in (0, dim - 1):
+                want[i, j] = 0.5
+        assert ghz_density(n).matrix.tobytes() == want.tobytes()
 
     def test_partial_group_rejected(self):
         with pytest.raises(ValueError, match="needs 4 group elements, got 2"):
@@ -363,7 +384,9 @@ class TestFidelity:
         cached.__set_name__(DensityMatrix, "_purity")
         monkeypatch.setattr(DensityMatrix, "_purity", cached)
         sigma = DensityMatrix(random_density(rng, 8))
-        mixed, target = maximally_mixed(3), ghz_density(3)
+        # fresh states: the package's own are built once per process,
+        # and their purity with them
+        mixed, target = (DensityMatrix(s.matrix) for s in (maximally_mixed(3), ghz_density(3)))
         want = [fidelity(sigma, target), fidelity(sigma, mixed), fidelity(mixed, target)]
         # the same bytes from the cached purities, and one pass per state
         assert [fidelity(sigma, target), fidelity(sigma, mixed), fidelity(mixed, target)] == want
