@@ -76,8 +76,22 @@ def _flag_values(args: argparse.Namespace) -> dict:
     return values
 
 
+def _join_signed_generators(argv: list[str]) -> list[str]:
+    """``--generators -XXX,ZZI`` as ``--generators=-XXX,ZZI``: argparse
+    takes a value that starts with a single ``-`` for a flag, so a list
+    whose first string has a sign would read as a missing value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--generators" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--generators={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_generators(argv))
     try:
         if args.command == "repro":
             report = run_repro(args.scenario, out_dir=args.out_dir)

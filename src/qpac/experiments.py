@@ -31,7 +31,7 @@ from . import __version__
 from .complexity import LearnParams, TrialCache, estimate_min_m, linear_fit, theorem_bound
 from .errors import ConfigError, StructureError
 from .learner import Objective, evaluate_epsilon, learn_each
-from .pauli import PauliString, ghz_generators
+from .pauli import PauliString, ghz_generators, stabilizer_group
 from .sampling import (
     FULL_STABILIZER,
     XZ_STABILIZER,
@@ -40,7 +40,6 @@ from .sampling import (
     build_distribution,
     distribution_from_generators,
     draw_training_sets,
-    stabilizer_group,
 )
 from .states import (
     MAX_QUBITS,

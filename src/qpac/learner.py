@@ -306,9 +306,17 @@ def learn_each(
 
 def support_residuals(sigma: DensityMatrix, state: DensityMatrix,
                       dist: MeasurementDistribution) -> np.ndarray:
-    """|Tr(E sigma) - Tr(E rho)| for every effect in the support."""
+    """|Tr(E sigma) - Tr(E rho)| for every effect in the support.
+
+    I / d, kept per process, reads its Tr(E sigma) from the support's
+    table of it (:meth:`EffectBatch.expected`), as the target does:
+    every entry is exactly 1/2, which that rule's checks and clamp leave
+    as :meth:`EffectBatch.expectations` computes it.
+    """
     batch = dist.batch
-    return np.abs(batch.expectations(sigma.matrix) - batch.expected(state))
+    predicted = (batch.expected(sigma) if sigma is maximally_mixed(dist.n)
+                 else batch.expectations(sigma.matrix))
+    return np.abs(predicted - batch.expected(state))
 
 
 def error_share(residuals: np.ndarray, gamma: float) -> Fraction:

@@ -13,6 +13,7 @@ from them: expectations and gradients stay O(2^n) instead of O(4^n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -192,6 +193,15 @@ def group_closure(generators: Sequence[PauliString]) -> StabilizerGroup:
     if len({(e.x, e.z) for e in elements}) != len(elements):
         raise StructureError("closure contains P and -P; not a stabilizer group")
     return StabilizerGroup(tuple(sorted(elements, key=PauliString.sort_key)))
+
+
+@lru_cache
+def stabilizer_group(generators: tuple[PauliString, ...]) -> StabilizerGroup:
+    """The :func:`group_closure` of a generator tuple, closed once per
+    process: a target's state and each of its supports, GHZ or custom,
+    read the same group. Raises :class:`StructureError` as the closure
+    does."""
+    return group_closure(generators)
 
 
 def xz_subset(group: StabilizerGroup) -> tuple[PauliString, ...]:

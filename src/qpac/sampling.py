@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import StructureError
-from .pauli import PauliString, StabilizerGroup, ghz_generators, group_closure, xz_subset
+from .pauli import PauliString, StabilizerGroup, ghz_generators, stabilizer_group, xz_subset
 from .states import DensityMatrix, EffectBatch
 
 FULL_STABILIZER = "d1"  # uniform over all non-identity stabilizer effects
@@ -138,18 +138,10 @@ def build_distribution(n: int, label: str) -> MeasurementDistribution:
     GHZ_n; "d2" over the 2^(n-1) effects whose Pauli strings contain
     only I, X, Z factors. Both in canonical order. Each is built once
     per process, so its :attr:`~MeasurementDistribution.batch` is too,
-    from the closure (:func:`stabilizer_group`) the GHZ target shares.
+    from the closure (:func:`~qpac.pauli.stabilizer_group`) the GHZ
+    target (:func:`~qpac.states.ghz_density`) shares.
     """
     return MeasurementDistribution(_support(stabilizer_group(ghz_generators(n)), label), label)
-
-
-@lru_cache
-def stabilizer_group(generators: tuple[PauliString, ...]) -> StabilizerGroup:
-    """The :func:`~qpac.pauli.group_closure` of a generator tuple, closed
-    once per process: a target's state and each of its supports, GHZ or
-    custom, read the same group. Raises :class:`StructureError` as the
-    closure does."""
-    return group_closure(generators)
 
 
 def distribution_from_generators(

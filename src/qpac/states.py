@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonPhysicalStateError
 from .linalg import eigendecompose, sqrt_psd
-from .pauli import PauliString, StabilizerGroup, ghz_generators, group_closure
+from .pauli import PauliString, StabilizerGroup, ghz_generators, stabilizer_group
 
 MAX_QUBITS = 10
 
@@ -262,15 +262,23 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    # rho == rho^T entrywise, so :func:`fidelity` may read rho as
+    # stored; only builders that know it (I / 2^n, a real stabilizer
+    # target) say so, and every other state reads as not symmetric
+    _symmetric = False
+
     @classmethod
-    def _built(cls, m: np.ndarray) -> "DensityMatrix":
+    def _built(cls, m: np.ndarray, symmetric: bool = False) -> "DensityMatrix":
         """Wrap a complex128 density matrix the package has just built,
         without validation. Takes ownership: ``m`` becomes read-only and
         no caller may keep writing to it. Each call site names the
-        invariant that makes its matrix a valid state."""
+        invariant that makes its matrix a valid state, and passes
+        ``symmetric`` when it also makes m equal to its transpose."""
         m.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "matrix", m)
+        if symmetric:
+            object.__setattr__(state, "_symmetric", True)
         return state
 
     @property
@@ -293,7 +301,7 @@ def ghz_density(n: int) -> DensityMatrix:
     :func:`stabilizer_state` of the GHZ group, built once per n."""
     if n < 2 or n > MAX_QUBITS:
         raise ValueError(f"GHZ density supports 2 <= n <= {MAX_QUBITS}, got {n}")
-    return stabilizer_state(group_closure(ghz_generators(n)))
+    return stabilizer_state(stabilizer_group(ghz_generators(n)))
 
 
 def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
@@ -321,12 +329,17 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
     e = (np.bitwise_count(x & z) + 2 * np.bitwise_count(j0 & z) + 1 - phase) % 4
     col = np.zeros(dim, dtype=np.complex128)
     np.add.at(col, j0 ^ x, np.array([1, 1j, -1, -1j])[e] / dim)
-    rows = np.flatnonzero(col)
+    # the group's projector, written in place on the rows where c is
+    # nonzero, so the build holds one d x d array and never writes the
+    # zero rows of a sparse target (GHZ has two live rows), whose pages
+    # stay unmapped; + 0.0 clears the -0.0 that the products write into zero entries
+    # and some imaginary parts, as the group average holds none. A real
+    # column makes rho real, and so equal to its transpose
     rho = np.zeros((dim, dim), dtype=np.complex128)
-    # the group's projector; + 0.0 clears the -0.0 that the products
-    # write into some imaginary parts, as the group average holds none
-    rho[np.ix_(rows, rows)] = np.outer(col[rows], col[rows].conj() / col[j0].real) + 0.0
-    return DensityMatrix._built(rho)
+    live = (col != 0)[:, None]
+    np.multiply(col[:, None], col.conj() / col[j0].real, out=rho, where=live)
+    np.add(rho, 0.0, out=rho, where=live)
+    return DensityMatrix._built(rho, symmetric=not col.imag.any())
 
 
 @lru_cache
@@ -336,7 +349,7 @@ def maximally_mixed(n: int) -> DensityMatrix:
         raise ValueError(f"need n >= 1, got {n}")
     dim = 1 << n
     # diagonal, nonnegative, trace 1
-    return DensityMatrix._built(np.eye(dim, dtype=np.complex128) / dim)
+    return DensityMatrix._built(np.eye(dim, dtype=np.complex128) / dim, symmetric=True)
 
 
 def expectation(effect: PauliString, state: DensityMatrix) -> float:
@@ -352,12 +365,24 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     Amplitude convention (not squared). When either argument is pure
     (purity >= 1 - 1e-10), F = sqrt(Re Tr(a b)), which for a = |psi><psi|
     is sqrt(<psi| b |psi>); the trace is an O(d^2) elementwise sum, no
-    eigendecomposition. It agrees with the general path to 1e-8.
+    eigendecomposition and no BLAS call. It agrees with the general path
+    to 1e-8.
+
+    b's purity is tested first: the protocols pass the target or I / d
+    as b, each kept per process with its purity, so F(sigma, target)
+    computes no purity of sigma. The overlap Sum_ij a_ij b_ji reads a b
+    that the package built equal to its transpose (I / d, a real
+    stabilizer target) as stored, and any other b through the strided
+    view b^T, with no copy. Both paths sum the same products in the
+    same order, up to the sign of a zero, which can only flip the sign
+    of a zero sum; max(0, .) maps that to +0.0, so the result does not
+    depend on the path.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if _is_pure(a) or _is_pure(b):
-        overlap = float(np.real(np.sum(a.matrix * b.matrix.T)))
+    if _is_pure(b) or _is_pure(a):
+        bt = b.matrix if b._symmetric else b.matrix.T
+        overlap = float(np.real(np.sum(a.matrix * bt)))
         return _clamp_unit(np.sqrt(max(0.0, overlap)))
     return _general_fidelity(a, b)
 

@@ -88,6 +88,19 @@ class TestCli:
         assert code == 0
         assert read_table(out).config["generators"] == ["XX", "ZZ"]
 
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    def test_generators_flag_takes_a_leading_sign(self, tmp_path, joined):
+        out = tmp_path / "g.csv"
+        flag = ["--generators=-XXX,ZZI,IZZ"] if joined else ["--generators", "-XXX,ZZI,IZZ"]
+        code = main(["learn", "--n", "3", "--m", "3", *flag, "--out", str(out)])
+        assert code == 0
+        assert read_table(out).config["generators"] == ["-XXX", "ZZI", "IZZ"]
+
+    def test_generators_flag_before_another_flag_still_needs_a_value(self):
+        with pytest.raises(SystemExit) as err:
+            main(["learn", "--n", "3", "--generators", "--m", "3"])
+        assert err.value.code == 2
+
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["repro", "fig99"])

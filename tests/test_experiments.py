@@ -26,6 +26,7 @@ from qpac import (
     hazan_optimize,
     learner,
     maximally_mixed,
+    pauli,
     sample_training_set,
     sampling,
     states,
@@ -427,13 +428,13 @@ class TestGeneratorTarget:
 
     def test_built_once_per_process(self, tmp_path, monkeypatch):
         closures, batches = [], []
-        real_closure, real_batch = sampling.group_closure, states.EffectBatch.__init__
-        monkeypatch.setattr(sampling, "group_closure",
+        real_closure, real_batch = pauli.group_closure, states.EffectBatch.__init__
+        monkeypatch.setattr(pauli, "group_closure",
                             lambda gens: closures.append(None) or real_closure(gens))
         monkeypatch.setattr(states.EffectBatch, "__init__",
                             lambda batch, effects: batches.append(None) or real_batch(batch, effects))
         # a target not built before in this process
-        for cache in (sampling.stabilizer_group, sampling._generator_distribution,
+        for cache in (pauli.stabilizer_group, sampling._generator_distribution,
                       experiments._generator_state):
             cache.cache_clear()
         tables, builds = [], []
@@ -449,6 +450,22 @@ class TestGeneratorTarget:
         # target, one column of its group average, builds no batch); the
         # second builds neither
         assert builds == [(1, 1), (0, 0)]
+
+    def test_ghz_target_and_supports_share_one_closure(self, monkeypatch):
+        closures = []
+        real_closure = pauli.group_closure
+        monkeypatch.setattr(pauli, "group_closure",
+                            lambda gens: closures.append(None) or real_closure(gens))
+        # a GHZ group not closed before in this process
+        for cache in (pauli.stabilizer_group, states.ghz_density, sampling.build_distribution):
+            cache.cache_clear()
+        # a library caller's order: the target first, then its supports
+        target = ghz_density(5)
+        for label in ("d1", "d2"):
+            build_distribution(5, label)
+        assert len(closures) == 1
+        assert target.matrix.tobytes() == states.stabilizer_state(
+            real_closure(ghz_generators(5))).matrix.tobytes()
 
     @pytest.mark.parametrize("gens", [["XX", "XX"], ["XX", "ZI"], ["XX"]],
                              ids=["dependent", "non-commuting", "too-few"])

@@ -652,18 +652,48 @@ class TestEvaluateEpsilon:
         rho = ghz_density(3)
         dist = build_distribution(3, "d1")
         batch = dist.batch
-        first = support_residuals(maximally_mixed(3), rho, dist)
+        [hyp] = learner.learn_each(dist, *draw_training_sets(dist, rho, 4, [0]),
+                                   NoiseModel.exact(), 2)
+        sigma = hyp.sigma
+        first = support_residuals(sigma, rho, dist)
         calls = []
         real = learner.EffectBatch.expectations
         monkeypatch.setattr(learner.EffectBatch, "expectations",
                             lambda self, m: calls.append(None) or real(self, m))
-        again = support_residuals(maximally_mixed(3), rho, dist)
+        again = support_residuals(sigma, rho, dist)
         assert again.tobytes() == first.tobytes()
         # one for sigma; Tr(E rho) is read from the batch's table
         assert len(calls) == 1
         want = real(batch, rho.matrix)
         assert batch.expected(rho).tobytes() == want.tobytes()
         assert not batch.expected(rho).flags.writeable
+
+    def test_mixed_baseline_reads_its_table(self, monkeypatch):
+        rho = ghz_density(3)
+        dist = build_distribution(3, "d1")
+        mixed = maximally_mixed(3)
+        want = np.abs(dist.batch.expectations(mixed.matrix) - dist.batch.expected(rho))
+        calls = []
+        real = learner.EffectBatch.expectations
+        monkeypatch.setattr(learner.EffectBatch, "expectations",
+                            lambda self, m: calls.append(None) or real(self, m))
+        assert support_residuals(mixed, rho, dist).tobytes() == want.tobytes()
+        # Tr(E I/d) is read from the batch's table of I/d, as Tr(E rho) is
+        assert calls == []
+        # an equal state that is not the package's I/d computes its own
+        assert support_residuals(DensityMatrix(mixed.matrix), rho, dist).tobytes() == want.tobytes()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("label", ["d1", "d2"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_mixed_baseline_table_has_the_bytes_of_its_pass(self, n, label):
+        # every Tr(E I/d) is exactly 1/2, so the table's checks and clamp
+        # keep the bytes of the expectations pass
+        batch = build_distribution(n, label).batch
+        mixed = maximally_mixed(n)
+        table = batch.expected(mixed)
+        assert table.tobytes() == batch.expectations(mixed.matrix).tobytes()
+        assert (table == 0.5).all()
 
     def test_support_residuals_values(self):
         rho = ghz_density(2)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import qpac.states
 from qpac import (
     DensityMatrix,
+    NoiseModel,
     NonPhysicalStateError,
     PauliString,
     build_distribution,
@@ -23,6 +24,8 @@ from qpac import (
     maximally_mixed,
     stabilizer_state,
 )
+from qpac.learner import learn_each
+from qpac.sampling import draw_training_sets
 from qpac.states import EffectBatch
 
 from conftest import ghz_vector, kron_dense, pauli_action, random_density, scattered_sum
@@ -396,6 +399,63 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(ghz_density(2), ghz_density(3))
+
+    def test_pure_target_computes_no_purity_of_the_other(self, rng):
+        sigma = DensityMatrix(random_density(rng, 8))
+        target = ghz_density(3)
+        want = np.sqrt(np.real(np.trace(sigma.matrix @ target.matrix)))
+        assert fidelity(sigma, target) == pytest.approx(want, abs=1e-12)
+        assert "_purity" not in vars(sigma)
+
+
+def y_target(n):
+    """(|0...0> + i|1...1>) / sqrt(2), stabilized by YX...X and the GHZ
+    pairs ZZ: a pure target with imaginary entries, so rho^T = conj(rho)
+    differs from rho."""
+    return stabilizer_state(group_closure((P("Y" + "X" * (n - 1)),) + ghz_generators(n)[1:]))
+
+
+class TestFidelityOverlapBytes:
+    """The pure branch reads a b equal to its transpose as stored, and
+    any other b through the transpose: for learned hypotheses against
+    the states the protocols score them with, the overlap has the bytes
+    of np.sum(a * b^T), the sum that every b took before."""
+
+    @staticmethod
+    def transposed(a, b):
+        overlap = float(np.real(np.sum(a.matrix * b.matrix.T)))
+        return qpac.states._clamp_unit(np.sqrt(max(0.0, overlap)))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_learned_hypotheses(self, n):
+        ghz = ghz_density(n)
+        symmetric = [maximally_mixed(n), ghz, stabilizer_state(group_closure(cluster_generators(n)))]
+        for b in symmetric:
+            # bytewise, signed zeros too, so the products are the same bytes
+            assert b._symmetric and b.matrix.tobytes() == b.matrix.T.tobytes()
+        complex_target = y_target(n)
+        assert not complex_target._symmetric
+        # a state from outside the package is not tested: it reads as
+        # not symmetric, and takes the transpose, even when it is
+        assert not DensityMatrix(maximally_mixed(n).matrix)._symmetric
+        for label in ("d1", "d2"):
+            dist = build_distribution(n, label)
+            for noise in (NoiseModel.exact(), NoiseModel.gaussian(0.05)):
+                indices, values = draw_training_sets(dist, ghz, 6, [(n, 0), (n, 1)], noise)
+                for hyp in learn_each(dist, indices, values, noise, 1):
+                    # one Frank-Wolfe step: a pure sigma, so every pair
+                    # below takes the pure branch
+                    assert hyp.iterations_used == 1
+                    for b in symmetric + [complex_target]:
+                        assert fidelity(hyp.sigma, b) == self.transposed(hyp.sigma, b)
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_complex_target_takes_the_transpose(self, n):
+        # Tr(rho rho^T) = |<psi|psi*>|^2 = 0 for this target, so reading it
+        # as stored would score it 0 against itself
+        rho = y_target(n)
+        assert fidelity(rho, rho) == 1.0
+        assert np.sum(rho.matrix * rho.matrix).real == 0.0
 
 
 class TestEffectBasics:
