@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import error_share, learn_each, support_residuals
+from .learner import error_share, learn_each, support_residuals, vertex_support_residuals
 from .sampling import MeasurementDistribution, NoiseModel, draw_training_sets
 from .states import DensityMatrix
 
@@ -126,6 +126,14 @@ class TrialCache:
         sampling seed ``seed`` misses by more than gamma."""
         return error_share(self.residuals(seed), gamma)
 
+    def error_counts(self, root: tuple, m: int, count: int, gamma: float) -> np.ndarray:
+        """The number of support effects that each filled trial
+        0..count-1 at size m of root seed ``root`` misses by more than
+        gamma (strict), as one integer array: the numerators of their
+        :meth:`epsilon_estimate` over the support size."""
+        found = np.array([self._residuals[(*root, m, i)] for i in range(count)])
+        return np.count_nonzero(found > gamma, axis=1)
+
 
 def fill_trials(cache: TrialCache, roots: Sequence[tuple], m: int, count: int) -> None:
     """Learn the trials 0..count-1 at size m of each root seed in
@@ -135,9 +143,13 @@ def fill_trials(cache: TrialCache, roots: Sequence[tuple], m: int, count: int) -
     The missing trials, root by root in order, are drawn as one pair of
     arrays (:func:`~qpac.sampling.draw_training_sets`, each row drawn
     with the trial's seed ``(*root, m, i)``) and learned by one
-    :func:`~qpac.learner.learn_each` call. Each trial's residuals are
-    the bytes that learning it alone gives, so how many roots share a
-    fill changes no result, only how many trials share a stack.
+    :func:`~qpac.learner.learn_each` call. The hypotheses of one
+    Frank-Wolfe step are scored together by
+    :func:`~qpac.learner.vertex_support_residuals`, so no d x d matrix
+    is built for them; any other hypothesis is scored alone. Each
+    trial's residuals are the bytes that learning it alone
+    gives, so how many roots share a fill changes no result, only how
+    many trials share a stack.
     """
     seeds = ((*root, m, i) for root in roots for i in range(count))
     seeds = [seed for seed in seeds if seed not in cache._residuals]
@@ -145,13 +157,21 @@ def fill_trials(cache: TrialCache, roots: Sequence[tuple], m: int, count: int) -
         cache.dist, cache.state, m, seeds, cache.noise, cache.replacement,
     )
     hyps = learn_each(cache.dist, indices, values, cache.noise, cache.k_max)
+    vertices = {}
     for seed, hyp in zip(seeds, hyps):
-        found = support_residuals(hyp.sigma, cache.state, cache.dist)
+        if hyp.vertex is None:
+            found = support_residuals(hyp.sigma, cache.state, cache.dist)
+            found.setflags(write=False)
+            cache._residuals[seed] = found
+        else:
+            vertices[seed] = hyp.vertex
+    if vertices:
+        found = vertex_support_residuals(list(vertices.values()), cache.state, cache.dist)
         found.setflags(write=False)
-        cache._residuals[seed] = found
+        cache._residuals.update(zip(vertices, found))
 
 
-Record = Callable[[tuple, int, int, float, bool], None]
+Record = Callable[[tuple, int, np.ndarray, np.ndarray], None]
 
 
 def estimate_min_m(cache: TrialCache, params: LearnParams, roots: Sequence[tuple], *,
@@ -161,14 +181,21 @@ def estimate_min_m(cache: TrialCache, params: LearnParams, roots: Sequence[tuple
 
     Per candidate m = 1, 2, ..., reads trials 0..i_max-1 of each root
     still searching, and fails a trial when the exact share of support
-    effects it misses by more than gamma (strict) exceeds epsilon. The
+    effects it misses by more than gamma (strict) exceeds epsilon. Each
+    (root, m) is decided from one integer array of the trials' error
+    counts (:meth:`TrialCache.error_counts`): with epsilon = p / q
+    exactly and support size |S|, a trial's count c fails when
+    c q > p |S|, that is when c exceeds floor(p |S| / q), the
+    ``Fraction`` comparison c / |S| > p / q done in integers. The
     roots search in lock-step: at each m, one :func:`fill_trials` call
     learns the missing trials of every root still searching, so they
     share one draw and one :func:`~qpac.learner.learn_each` call. Each
     root gets the minimum m that a search of it alone gives.
-    ``record(root, m, i, epsilon_est, failed)`` is called once per trial
-    read, root by root at each m, so each root sees the calls of a lone
-    search in the same order.
+    ``record(root, m, epsilon_est, failed)`` is called once per
+    (root, m) read, with the (i_max,) arrays of its trials' error rates
+    c / |S| (correctly rounded, as ``float`` of the ``Fraction`` is)
+    and failures, root by root at each m, so each root sees the calls
+    of a lone search in the same order.
 
     Raises :class:`SampleSizeCapError` with the failure-rate trajectory
     of the first root in order that no m up to m_cap qualifies for; a
@@ -183,6 +210,8 @@ def estimate_min_m(cache: TrialCache, params: LearnParams, roots: Sequence[tuple
     support = len(cache.dist)
     if not cache.replacement and support < m_cap:
         m_cap, limit = support, f"support size {support}, sampled without replacement"
+    # the largest error count whose share does not exceed epsilon
+    tolerated = eps.numerator * support // eps.denominator
     found: list[int | None] = [None] * len(roots)
     trajectories: list[list[float]] = [[] for _ in roots]
     searching = list(range(len(roots)))
@@ -191,15 +220,11 @@ def estimate_min_m(cache: TrialCache, params: LearnParams, roots: Sequence[tuple
             break
         fill_trials(cache, [roots[j] for j in searching], m, params.i_max)
         for j in searching:
-            failures = 0
-            for i in range(params.i_max):
-                eps_est = cache.epsilon_estimate((*roots[j], m, i), params.gamma)
-                failed = eps_est > eps
-                if failed:
-                    failures += 1
-                if record is not None:
-                    record(roots[j], m, i, float(eps_est), failed)
-            delta_est = Fraction(failures, params.i_max)
+            counts = cache.error_counts(roots[j], m, params.i_max, params.gamma)
+            failed = counts > tolerated
+            if record is not None:
+                record(roots[j], m, counts / support, failed)
+            delta_est = Fraction(int(np.count_nonzero(failed)), params.i_max)
             trajectories[j].append(float(delta_est))
             if delta_est < delta:
                 found[j] = m

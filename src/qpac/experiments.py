@@ -492,21 +492,27 @@ def run_sweep_errors(config: ExperimentConfig) -> ResultTable:
 def _search(cache: TrialCache, params: LearnParams, roots: list[tuple], n: int,
             trial_rows: dict | None) -> list[int]:
     """The minimum m of each of ``roots`` on ``cache``; unless
-    ``trial_rows`` is None, keeps in it the trials-table row of each
-    trial's first read, keyed by the trial's seed."""
+    ``trial_rows`` is None, keeps in it the error rates and failures of
+    each (root, m) at its first read, keyed by (n, root, m). A protocol
+    reads i_max trials at every (root, m), so these are the rows of
+    each trial's first read."""
     record = None
     if trial_rows is not None:
-        def record(root, m, i, eps, failed):
-            seed = (*root, m, i)
-            if seed not in trial_rows:
-                trial_rows[seed] = (n, m, i, eps, failed, f"({';'.join(map(str, seed))})")
+        def record(root, m, eps, failed):
+            trial_rows.setdefault((n, root, m), (eps, failed))
     return estimate_min_m(cache, params, roots, record=record)
 
 
-def _write_trials(rows: dict, config: ExperimentConfig) -> None:
-    table = ResultTable(config=config.echo(), columns=TRIALS_COLUMNS)
-    for row in sorted(rows.values()):
-        table.append(*row)
+def _write_trials(trial_rows: dict, config: ExperimentConfig) -> None:
+    """One row per trial read, in the order of ``sorted`` on the row
+    tuples: by n, m, trial, epsilon_est, failed, then the seed as text
+    (FORMATS.md)."""
+    rows = []
+    for (n, root, m), (eps, failed) in trial_rows.items():
+        prefix = f"({';'.join(map(str, (*root, m)))};"
+        rows += zip([n] * len(eps), [m] * len(eps), range(len(eps)), eps.tolist(),
+                    failed.tolist(), [f"{prefix}{i})" for i in range(len(eps))])
+    table = ResultTable(config=config.echo(), columns=TRIALS_COLUMNS, rows=sorted(rows))
     table.write(config.trials_out)
 
 

@@ -4,27 +4,40 @@ The objective is the sum of squared residuals between hypothesis
 expectations and observed values. Each step moves toward the rank-1
 projector on the smallest eigenvector of the gradient with step 1/k,
 so every iterate is a convex combination of projectors: unit trace and
-PSD by construction.
+PSD by construction. Step 1 replaces I / d by its vertex, so a
+hypothesis of one step is that vertex alone: a :class:`Vertex`, the
+vector v of the projector scale * v v^dag, from which
+:attr:`Hypothesis.sigma` builds the d x d matrix only when it is read.
 
 Every protocol learns through :func:`learn_each`, from the index and
 value rows of its drawn training sets; it owns the rule for the first
 step: exact data on a Y-free support takes the closed form
 :func:`code_space_atoms`, one stacked pass per chunk of training sets,
 and every other first step, and every later step, is the eigen-step.
-Step 1 replaces I / d by its vertex, so a vertex handed in by
-:func:`learn_each` needs no I / d. Residuals that are all exactly 0
-make the gradient exactly 0, so no step builds a gradient for them.
-Every step reads its gradient from :meth:`Objective.gradient`: up to
-dim 256 a dense matrix, above it an :class:`~qpac.states.EffectSum`
-of the same entries, so no step forms a d x d gradient unless the
-eigen-step's ``eigh`` fallback asks for one.
+A chunk's step-1 residuals are one stacked pass over its vertices
+(:meth:`EffectBatch.vertex_expectations`), and a one-vertex
+hypothesis is scored against its support the same way
+(:func:`vertex_support_residuals`), so a trial that stops after step 1
+builds no d x d matrix.
+
+Residuals r bound the gradient 2 sum_i r_i E_i: every entry of an
+effect has modulus at most 1, so no gradient entry exceeds
+2 sum_i |r_i|. A step whose residuals give 4 sum_i |r_i| <= the zero
+threshold therefore stops without building its gradient; that rule
+covers residuals that are all exactly 0, and every stop it takes is
+one that the built gradient would take too. Every step that builds
+its gradient reads it from :meth:`Objective.gradient`: up to dim 256 a
+dense matrix, above it an :class:`~qpac.states.EffectSum` of the same
+entries, so no step forms a d x d gradient unless the eigen-step's
+``eigh`` fallback asks for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,38 +50,97 @@ _EIG_TOL = 1e-9
 # the largest dim whose gradients are dense matrices; above it they are
 # EffectSums
 _DENSE_GRADIENT_MAX_DIM = 256
-# matrix entries of the first-step gradients that learn_each solves as
-# one stack (2^16 complex128 entries, 1 MB): 16 training sets at dim 64,
-# and at dim 16 the 200 trials of a search group of four repeats. It is
-# the square of the largest dense dim, so that above it a chunk holds
-# one training set, whose EffectSum _smallest_built must see alone
+# matrix entries of the stacks that learn_each and fill_trials build
+# for a chunk of training sets (2^16 complex128 entries, 1 MB): its
+# first-step gradients, T x d x d, and its vertex products, T x m x d
+# or T x |S| x d. That is 16 training sets at dim 64, and at dim 16 the
+# 200 trials of a search group of four repeats. It is the square of the
+# largest dense dim, so that above it a chunk holds one training set,
+# whose EffectSum _smallest_built must see alone
 _STACK_ENTRIES = _DENSE_GRADIENT_MAX_DIM ** 2
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """Learner output: the hypothesis state and run diagnostics."""
+@dataclass(frozen=True, eq=False)
+class Vertex:
+    """A Frank-Wolfe vertex scale * v v^dag, held as its vector: the
+    eigen-step's unit v with scale 1, or a closed form's w with its
+    exact scale 1 / <w|w> (:func:`code_space_atoms`)."""
 
-    sigma: DensityMatrix
+    v: np.ndarray
+    scale: float = 1.0
+
+    def matrix(self) -> np.ndarray:
+        """The first iterate at this vertex as a d x d matrix:
+        ``np.outer(v, v.conj())``, scaled in place, then + 0.0. That is
+        the bytes of step 1, ``(1 - 1.0) I / d + 1.0 atom``: every
+        nonzero kept and every zero +0.0."""
+        sigma = np.outer(self.v, self.v.conj())
+        if self.scale != 1.0:
+            sigma *= self.scale
+        sigma += 0.0
+        return sigma
+
+
+def _stacked(vertices: Sequence[Vertex]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, d) vectors and (T,) scales of a sequence of vertices."""
+    return np.array([x.v for x in vertices]), np.array([x.scale for x in vertices])
+
+
+@dataclass(frozen=True, eq=False)
+class Hypothesis:
+    """Learner output: the hypothesis state and run diagnostics.
+
+    ``iterate`` is the :class:`Vertex` of a hypothesis that stopped
+    after step 1 without building its matrix, and the d x d iterate of
+    any other. :attr:`sigma` is the state either way, built from the
+    vertex on first read (:meth:`Vertex.matrix`).
+    """
+
+    iterate: np.ndarray | Vertex
     iterations_used: int
     final_objective: float
+
+    @property
+    def vertex(self) -> Vertex | None:
+        """The one vertex that this hypothesis is, else None."""
+        return self.iterate if isinstance(self.iterate, Vertex) else None
+
+    @cached_property
+    def sigma(self) -> DensityMatrix:
+        # I / d or a convex combination of it and rank-1 projectors v v^dag
+        vertex = self.vertex
+        return DensityMatrix._built(self.iterate if vertex is None else vertex.matrix())
 
 
 class Objective:
     """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set drawn
     from a support: its support indices and observed values (one row of
     :func:`~qpac.sampling.draw_training_sets`), read as rows of the
-    support's ``batch`` (:meth:`EffectBatch.rows`). Drawn indices name
-    the support's effects by construction, so no item is checked.
+    support's ``batch`` (:meth:`EffectBatch.rows`), sliced on the first
+    read of :attr:`batch`. Drawn indices name the support's effects by
+    construction, so no item is checked.
     """
 
     def __init__(self, batch: EffectBatch, indices: np.ndarray, values: np.ndarray):
-        self.batch = batch.rows(indices)
+        self.support_batch = batch
+        self.indices = indices
         self.values = values
-        self.dim = self.batch.dim
+        self.dim = batch.dim
+
+    @cached_property
+    def batch(self) -> EffectBatch:
+        """The training set's rows of the support's batch."""
+        return self.support_batch.rows(self.indices)
 
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
         return self.batch.expectations(sigma) - self.values
+
+    def vertex_residuals(self, vertex: Vertex) -> np.ndarray:
+        """:meth:`residuals` at the first iterate ``vertex.matrix()``,
+        without that matrix (:meth:`EffectBatch.vertex_expectations`)."""
+        v, scale = _stacked([vertex])
+        [found] = self.support_batch.vertex_expectations(v, scale, self.indices[None])
+        return found - self.values
 
     def value(self, sigma: np.ndarray) -> float:
         r = self.residuals(sigma)
@@ -84,13 +156,21 @@ class Objective:
         return self.batch.weighted_sum(2.0 * residuals)
 
 
+def _stationary(r: np.ndarray) -> np.ndarray:
+    """Whether residuals r (one set, or one per row) bound the gradient
+    2 sum_i r_i E_i within the zero threshold: every entry of an effect
+    has modulus at most 1, so 4 sum_i |r_i| <= the threshold leaves the
+    gradient's entries at half of it, with room for rounding."""
+    return 4.0 * np.abs(r).sum(axis=-1) <= _ZERO_GRADIENT_TOL
+
+
 def _vanishes(g: np.ndarray | EffectSum) -> bool:
     top = g.max_entry if isinstance(g, EffectSum) else float(np.max(np.abs(g)))
     return top <= _ZERO_GRADIENT_TOL
 
 
 def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
-                     values: np.ndarray) -> list[np.ndarray | None]:
+                     values: np.ndarray) -> list[Vertex | None]:
     """The first Frank-Wolfe vertex of each exact-data training set in
     closed form, or ``None`` where the rule does not apply: one stacked
     pass over a chunk of training sets of one width.
@@ -114,9 +194,9 @@ def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
     Values of exactly 1 observed on one state imply that the strings
     commute, so the factors commute and w is the projection of
     |1...1> onto the code space. Every entry of w is dyadic and
-    <w|w> is a power of two, so the returned w w^dag / <w|w> is exact;
-    on a support of Y-free stabilizers of the target every residual it
-    leaves is exactly 0, 1/2 or 1.
+    <w|w> is a power of two, so the vertex ``Vertex(w, 1 / <w|w>)`` is
+    exact; on a support of Y-free stabilizers of the target every
+    residual it leaves is exactly 0, 1/2 or 1. No w w^dag is formed.
 
     Returns ``None`` for a set where some value is not exactly 1, or
     where w = 0: |+^n> is orthogonal to the code space (a sampled
@@ -136,7 +216,7 @@ def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
     iteration did not converge to this vector, so ``d1`` keeps the
     eigen-step until those tables are re-pinned.
     """
-    atoms: list[np.ndarray | None] = [None] * len(indices)
+    atoms: list[Vertex | None] = [None] * len(indices)
     live = np.flatnonzero((values == 1.0).all(axis=1))
     if not live.size:
         return atoms
@@ -154,13 +234,8 @@ def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
         w = np.where(fresh[k], step, w)
     norm2 = (w * w.conj()).real.sum(axis=1)
     solved = norm2 != 0.0
-    w = w[solved]
-    outer = w[:, :, None] * w.conj()[:, None, :]
-    # complex factors, as a Python float scalar would be cast: a float64
-    # operand makes numpy cast it per entry through a buffer
-    outer *= (1.0 / norm2[solved]).astype(np.complex128)[:, None, None]
-    for j, atom in zip(live[solved].tolist(), outer):
-        atoms[j] = atom
+    for j, v, norm in zip(live[solved].tolist(), w[solved], norm2[solved].tolist()):
+        atoms[j] = Vertex(v, 1.0 / norm)
     return atoms
 
 
@@ -169,7 +244,8 @@ def hazan_optimize(
     k_max: int = 300,
     *,
     stop_objective: float | None = None,
-    first_atom: np.ndarray | None = None,
+    first_vertex: Vertex | None = None,
+    first_residuals: np.ndarray | None = None,
 ) -> Hypothesis:
     """Minimize the quadratic objective over unit-trace PSD matrices.
 
@@ -180,9 +256,9 @@ def hazan_optimize(
     ``(1 - 1.0) I / d + 1.0 atom``.
 
     Each step runs in one order: the residuals r at sigma; a stop when
-    every entry of r is exactly 0, which makes the gradient
-    2 sum_i r_i E_i exactly 0, so it is not built; the gradient
-    ``obj.gradient(r)``; a stop when it vanishes within the zero
+    r bounds the gradient within the zero threshold (4 sum |r_i| <= it,
+    which residuals of exactly 0 meet), so it is not built; the
+    gradient ``obj.gradient(r)``; a stop when it vanishes within the
     threshold; then the eigen-step. At either stop sigma is optimal
     (convex objective) and the iteration stops moving.
     ``final_objective`` reuses r when sigma has not moved since.
@@ -192,58 +268,58 @@ def hazan_optimize(
     per-layer tracer (``perfbench/tracing.py``) reads it by name, to
     tell a zero-gradient stop from a threshold stop.
 
-    ``first_atom`` hands in the Frank-Wolfe vertex of step 1, solved by
+    ``first_vertex`` hands in the vertex of step 1, solved by
     :func:`learn_each`; the caller guarantees that the gradient at
     I / d does not vanish, so step 1 neither builds nor tests it, and
-    I / d itself is not built. Every step applies the same update
-    ``(1 - alpha) sigma + alpha atom``, so handing in the eigen-step's
-    ``np.outer(v, v.conj())`` gives the bytes of a run without it.
+    I / d itself is not built. ``first_residuals`` are the training
+    residuals at that vertex, as :func:`learn_each` computes them for a
+    chunk at once; without them they are
+    :meth:`Objective.vertex_residuals`. The step-1 iterate is built
+    (:meth:`Vertex.matrix`, the bytes of ``atom + 0.0``) only to take
+    step 2, so a run that stops after step 1 returns the vertex as its
+    hypothesis. Handing in the eigen-step's ``Vertex(v)`` gives the
+    bytes of a run without it.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
 
-    # I / d, built only where step 1 finds its own vertex
-    sigma = maximally_mixed(obj.dim.bit_length() - 1).matrix if first_atom is None else None
-    atom = first_atom
-    iterations = 0
-    r = None  # the residuals at sigma, once computed
-    for k in range(1, k_max + 1):
-        if atom is None:
-            if r is None:
-                r = obj.residuals(sigma)
-            # either stop is a stationary point of a convex objective:
-            # optimal, no movement this or any later step. Residuals all
-            # exactly 0 make the gradient exactly 0, which is not built
-            if not r.any():
-                break
-            g = obj.gradient(r)
-            if _vanishes(g):
-                break
-            [(v, _)] = _smallest_built([g], tol=_EIG_TOL)
-            atom = np.outer(v, v.conj())
-            # the spent gradient, a d x d matrix up to dim 256, that the
-            # update need not hold
-            del g
+    if first_vertex is None:
+        sigma, iterations, r = maximally_mixed(obj.dim.bit_length() - 1).matrix, 0, None
+    else:
+        # step 1 is taken; sigma_1, the vertex, is built where it is read
+        sigma, iterations = None, 1
+        r = obj.vertex_residuals(first_vertex) if first_residuals is None else first_residuals
+    for k in range(iterations + 1, k_max + 1):
+        if r is None:
+            r = obj.residuals(sigma)
+        if stop_objective is not None and iterations and float(np.dot(r, r)) <= stop_objective:
+            break
+        # either stop is a stationary point of a convex objective:
+        # optimal, no movement this or any later step
+        if _stationary(r):
+            break
+        if sigma is None:
+            sigma = first_vertex.matrix()
+        g = obj.gradient(r)
+        if _vanishes(g):
+            break
+        [(v, _)] = _smallest_built([g], tol=_EIG_TOL)
+        # the spent gradient, a d x d matrix up to dim 256, that the
+        # update need not hold
+        del g
+        atom = np.outer(v, v.conj())
         alpha = 1.0 / k
         # step 1 (alpha = 1) in one pass: atom + 0.0 is the bytes of
         # (1 - 1.0) * sigma + 1.0 * atom, every nonzero kept and every
         # zero +0.0
         sigma = atom + 0.0 if k == 1 else (1.0 - alpha) * sigma + alpha * atom
-        atom = r = None
+        r = None
         iterations = k
-        if stop_objective is not None:
-            r = obj.residuals(sigma)
-            if float(np.dot(r, r)) <= stop_objective:
-                break
 
     if r is None:
         r = obj.residuals(sigma)
-    return Hypothesis(
-        # I / d or a convex combination of it and rank-1 projectors v v^dag
-        sigma=DensityMatrix._built(sigma),
-        iterations_used=iterations,
-        final_objective=float(np.dot(r, r)),
-    )
+    return Hypothesis(first_vertex if sigma is None else sigma, iterations,
+                      float(np.dot(r, r)))
 
 
 def learn_each(
@@ -264,44 +340,51 @@ def learn_each(
     training set of exact data takes the closed form of
     :func:`code_space_atoms` as its first vertex where that applies.
     Every other training set takes the eigen-step of its gradient at
-    I / d. Training sets are learned in chunks of at most
-    ``_STACK_ENTRIES`` gradient entries: a chunk's closed forms are one
-    :func:`code_space_atoms` call, and its gradients one eigen-step
-    stack (``linalg._smallest_built``, each pair that of
-    :func:`~qpac.linalg.smallest_eigenvector`), which solves a
-    repeated gradient once; above dim 256 a chunk holds one training
+    I / d, whose residuals are read from the support's table of I / d
+    (:meth:`EffectBatch.expected`). Training sets are learned in chunks
+    whose stacks hold at most ``_STACK_ENTRIES`` entries: a chunk's
+    closed forms are one :func:`code_space_atoms` call, its gradients
+    one eigen-step stack (``linalg._smallest_built``, each pair that of
+    :func:`~qpac.linalg.smallest_eigenvector`), which solves a repeated
+    gradient once, and the step-1 residuals of all its vertices one
+    :meth:`EffectBatch.vertex_expectations` pass, handed to
+    :func:`hazan_optimize`; above dim 256 a chunk holds one training
     set, whose gradient is an :class:`~qpac.states.EffectSum`. Each
-    training set gets the bytes that
-    learning it alone gives. A chunk whose first vertices are all
-    closed forms builds no I / d. A training set
-    whose residuals at I / d are all exactly 0 has an exactly zero
-    gradient: it is neither assembled nor solved, and its optimization
-    stops at I / d. A gradient that vanishes within the threshold is not
-    solved either.
+    training set gets the bytes that learning it alone gives. A chunk
+    whose first vertices are all closed forms builds no I / d. A
+    training set whose residuals at I / d bound its gradient within
+    the zero threshold (all exactly 0, say) has no gradient assembled
+    or solved, and its optimization stops at I / d. A gradient that
+    vanishes within the threshold is not solved either.
     """
     closed = noise.kind == "exact" and not any(p.x & p.z for p in support.effects)
-    dim = 1 << support.n
-    chunk = max(1, _STACK_ENTRIES // (dim * dim))
+    batch, dim = support.batch, 1 << support.n
+    chunk = max(1, _STACK_ENTRIES // (dim * max(dim, indices.shape[1])))
     for lo in range(0, len(indices), chunk):
         rows, vals = indices[lo:lo + chunk], values[lo:lo + chunk]
-        objs = [Objective(support.batch, idx, v) for idx, v in zip(rows, vals)]
-        atoms = (code_space_atoms(support.batch, rows, vals) if closed
-                 else [None] * len(objs))
-        grads = {}
-        if any(atom is None for atom in atoms):
-            mixed = maximally_mixed(support.n).matrix
-            for j, obj in enumerate(objs):
-                if atoms[j] is None and (r := obj.residuals(mixed)).any():
-                    grads[j] = obj.gradient(r)
-        live = [j for j, g in grads.items() if not _vanishes(g)]
-        solved = _smallest_built([grads[j] for j in live], tol=_EIG_TOL)
-        # d x d matrices up to dim 256, that the optimizer need not hold
-        del grads
-        for j, (v, _) in zip(live, solved):
-            atoms[j] = np.outer(v, v.conj())
-        for obj in objs:
-            # popped, so that no atom outlives its optimization
-            yield hazan_optimize(obj, k_max=k_max, first_atom=atoms.pop(0))
+        objs = [Objective(batch, idx, v) for idx, v in zip(rows, vals)]
+        vertices = (code_space_atoms(batch, rows, vals) if closed
+                    else [None] * len(objs))
+        start = [j for j, vertex in enumerate(vertices) if vertex is None]
+        if start:
+            r0 = batch.expected(maximally_mixed(support.n))[rows[start]] - vals[start]
+            grads = {j: objs[j].gradient(r)
+                     for j, r, still in zip(start, r0, _stationary(r0)) if not still}
+            live = [j for j, g in grads.items() if not _vanishes(g)]
+            solved = _smallest_built([grads[j] for j in live], tol=_EIG_TOL)
+            # d x d matrices up to dim 256, that the optimizer need not hold
+            del grads
+            for j, (v, _) in zip(live, solved):
+                vertices[j] = Vertex(v)
+        stepped = [j for j, vertex in enumerate(vertices) if vertex is not None]
+        r1 = {}
+        if stepped:
+            v, scale = _stacked([vertices[j] for j in stepped])
+            found = batch.vertex_expectations(v, scale, rows[stepped]) - vals[stepped]
+            r1 = dict(zip(stepped, found))
+        for j, obj in enumerate(objs):
+            yield hazan_optimize(obj, k_max=k_max, first_vertex=vertices[j],
+                                 first_residuals=r1.get(j))
 
 
 def support_residuals(sigma: DensityMatrix, state: DensityMatrix,
@@ -317,6 +400,23 @@ def support_residuals(sigma: DensityMatrix, state: DensityMatrix,
     predicted = (batch.expected(sigma) if sigma is maximally_mixed(dist.n)
                  else batch.expectations(sigma.matrix))
     return np.abs(predicted - batch.expected(state))
+
+
+def vertex_support_residuals(vertices: Sequence[Vertex], state: DensityMatrix,
+                             dist: MeasurementDistribution) -> np.ndarray:
+    """:func:`support_residuals` of each one-vertex hypothesis, as one
+    (T, |S|) array with no d x d matrix: row t has the bytes of
+    ``support_residuals`` of ``vertices[t]``'s sigma. The vertices are
+    scored in chunks whose (T, |S|, d) products hold at most
+    ``_STACK_ENTRIES`` entries, one
+    :meth:`EffectBatch.vertex_expectations` pass each."""
+    batch, expected = dist.batch, dist.batch.expected(state)
+    found = np.empty((len(vertices), len(batch)))
+    chunk = max(1, _STACK_ENTRIES // (len(batch) * batch.dim))
+    for lo in range(0, len(vertices), chunk):
+        v, scale = _stacked(vertices[lo:lo + chunk])
+        found[lo:lo + chunk] = np.abs(batch.vertex_expectations(v, scale) - expected)
+    return found
 
 
 def error_share(residuals: np.ndarray, gamma: float) -> Fraction:

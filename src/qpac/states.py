@@ -127,6 +127,35 @@ class EffectBatch:
         tr, traces = self._traces(sigma)
         return (tr + traces.real) / 2.0
 
+    def vertex_expectations(self, v: np.ndarray, scale: np.ndarray,
+                            rows: np.ndarray | None = None) -> np.ndarray:
+        """Tr(E_i sigma_t) of each sigma_t = scale_t v_t v_t^dag of a
+        (T, d) stack ``v``, with no d x d matrix: a (T, r) array, row t
+        over the batch rows ``rows[t]`` of a (T, r) index array, or over
+        every row of the batch when ``rows`` is None.
+
+        Entry [k, perm_k] of v v^dag is v_k conj(v_perm_k), so
+        Tr(P sigma) is ``(coeff * (v * v.conj()[perm])).sum()`` and the
+        trace ``(v * v.conj()).sum().real``. The products are built as
+        C-contiguous (T, r, d) rows and each row is summed alone, as
+        :meth:`expectations` sums its gathered rows, so where
+        ``scale_t`` is 1 each row has the bytes of
+        ``expectations(np.outer(v_t, v_t.conj()) + 0.0)``. Both sums are
+        scaled by ``scale_t`` afterwards; where v_t and scale_t are
+        dyadic, as a closed-form vertex's are, every sum is exact, so
+        the order of scaling and summing changes no bit either.
+        """
+        d = self.dim
+        table = self._gather_idx if rows is None else self._gather_idx[rows]
+        coeff = self._coeff if rows is None else self._coeff[rows]
+        # row t of the flattened conj(v) starts at t * d
+        perm = (table & (d - 1)) + (np.arange(len(v)) * d)[:, None, None]
+        products = coeff * (v[:, None, :] * v.conj().ravel()[perm])
+        traces = products.reshape(-1, d).sum(axis=1).real.reshape(len(v), -1)
+        traces *= scale[:, None]
+        tr = (v * v.conj()).sum(axis=1).real * scale
+        return (tr[:, None] + traces) / 2.0
+
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """Dense sum_i w_i E_i, assembled from the symbolic actions and
         added in row order: a Hermitian P holds conj(c_k) at

@@ -31,6 +31,23 @@ def _render(value) -> str:
     return s
 
 
+_BOOLS = {True: "true", False: "false"}
+
+
+def _render_column(values: tuple) -> list:
+    """``_render`` of every cell of one column: a column of Python ints,
+    floats or bools alone is rendered by one ``map``, any other cell by
+    cell."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {float}:
+        return list(map(float.__repr__, values))
+    if kinds == {bool}:
+        return list(map(_BOOLS.__getitem__, values))
+    return list(map(_render, values))
+
+
 def _parse(cell: str):
     if cell == "":
         return None
@@ -86,8 +103,8 @@ class ResultTable:
     def render(self) -> str:
         lines = ["# " + json.dumps(self.config, sort_keys=True, separators=(",", ":"))]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_render(v) for v in row))
+        # column by column, so that a column of one type renders in one map
+        lines += map(",".join, zip(*map(_render_column, zip(*self.rows))))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str) -> None:

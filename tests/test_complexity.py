@@ -133,23 +133,49 @@ class TestEstimateMinM:
         binary floats would blur the comparison (0.2 * 5 != 1 exactly)."""
 
         class StubCache(TrialCache):
-            """Fills real trials, but reads fixed error rates."""
+            """Fills real trials, but reads fixed error counts."""
 
             def __init__(self):
                 super().__init__(ghz_density(2), build_distribution(2, "d1"), k_max=1)
                 self.calls = []
 
-            def epsilon_estimate(self, seed, gamma):
-                m, i = seed[-2:]
-                self.calls.append((m, i))
+            def error_counts(self, root, m, count, gamma):
+                self.calls.append((m, count))
+                counts = np.zeros(count, dtype=np.int64)
                 if m == 1:
                     # exactly 1 failure out of 5: delta_est == 0.2 == delta
-                    return Fraction(1, 1) if i == 0 else Fraction(0, 1)
-                return Fraction(0, 1)
+                    counts[0] = len(self.dist)
+                return counts
 
         params = LearnParams(epsilon=0.5, gamma=0.3, delta=0.2, i_max=5)
-        got = estimate_min_m(StubCache(), params, [(1,)])
+        cache = StubCache()
+        got = estimate_min_m(cache, params, [(1,)])
         assert got == [2]  # m=1 ties delta exactly and must be rejected
+        assert cache.calls == [(1, 5), (2, 5)]
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.15, 0.2, 0.25, 1 / 3, 0.5, 0.9, 1.0])
+    def test_error_counts_decide_as_fractions(self, epsilon, monkeypatch):
+        # every count up to the support size: a trial fails exactly where
+        # the Fraction comparison fails it, and its error rate is float
+        # of the Fraction
+        class EveryCount(TrialCache):
+            def error_counts(self, root, m, count, gamma):
+                return np.arange(count)
+
+        monkeypatch.setattr(complexity, "fill_trials", lambda *args: None)
+        eps = Fraction(str(epsilon))
+        for n, label in product(range(2, 9), ("d1", "d2")):
+            dist = build_distribution(n, label)
+            size = len(dist)
+            rows = []
+            # a count of 0 never fails, so delta 1 stops the search at m = 1
+            params = LearnParams(epsilon=epsilon, gamma=0.5, delta=1.0, i_max=size + 1)
+            found = estimate_min_m(EveryCount(ghz_density(n), dist), params, [(0,)],
+                                   record=lambda *row: rows.append(row))
+            assert found == [1]
+            [(_, _, rates, failed)] = rows
+            assert rates.tolist() == [float(Fraction(c, size)) for c in range(size + 1)]
+            assert failed.tolist() == [Fraction(c, size) > eps for c in range(size + 1)]
 
     def test_monotone_under_relaxation_with_shared_cache(self):
         rho = ghz_density(3)
@@ -175,12 +201,16 @@ class TestEstimateMinM:
         dist = build_distribution(2, "d1")
         params = LearnParams(epsilon=0.15, gamma=0.2, delta=0.2, i_max=5)
         rows = []
-        estimate_min_m(TrialCache(rho, dist), params, [(8,)],
-                       record=lambda *row: rows.append(row))
+        cache = TrialCache(rho, dist)
+        estimate_min_m(cache, params, [(8,)], record=lambda *row: rows.append(row))
         assert {root for root, *_ in rows} == {(8,)}
-        ms = {m for _, m, *_ in rows}
-        assert all(len({i for _, m2, i, *_ in rows if m2 == m}) == 5 for m in ms)
-        assert all(0.0 <= eps <= 1.0 for *_, eps, _ in rows)
+        # one call per m read, in order, with the arrays of its 5 trials
+        assert [m for _, m, _, _ in rows] == list(range(1, len(rows) + 1))
+        for root, m, eps, failed in rows:
+            assert eps.shape == failed.shape == (5,)
+            want = [cache.epsilon_estimate((*root, m, i), 0.2) for i in range(5)]
+            assert eps.tolist() == [float(e) for e in want]
+            assert failed.tolist() == [e > Fraction("0.15") for e in want]
 
 
 class TestBatchFill:
@@ -212,9 +242,9 @@ class TestBatchFill:
     @staticmethod
     def _by_rule(rho, dist, m, seed, replacement):
         idx, vals = sample_training_set(dist, rho, m, seed=seed, replacement=replacement)
-        [atom] = learner.code_space_atoms(dist.batch, idx[None], vals[None])
-        assert atom is not None  # every GHZ d2 string has sign +1
-        return support_residuals(DensityMatrix(atom), rho, dist)
+        [vertex] = learner.code_space_atoms(dist.batch, idx[None], vals[None])
+        assert vertex is not None  # every GHZ d2 string has sign +1
+        return support_residuals(DensityMatrix(vertex.matrix()), rho, dist)
 
     @pytest.mark.parametrize("replacement", [True, False])
     @pytest.mark.parametrize("label", ["d1", "d2"])
@@ -483,10 +513,13 @@ class TestSearchGroups:
         else:
             assert estimate_min_m(group, params, roots, record=record) == [m for m, _ in want]
         for root, alone, (_, want_rows) in zip(roots, lone, want):
-            assert [row for row in rows if row[0] == root] == want_rows
-            for _, m, i, _, _ in want_rows:
-                trial = (*root, m, i)
-                assert group.residuals(trial).tobytes() == alone.residuals(trial).tobytes()
+            got = [row for row in rows if row[0] == root]
+            assert [(m, eps.tobytes(), failed.tobytes()) for _, m, eps, failed in got] == [
+                (m, eps.tobytes(), failed.tobytes()) for _, m, eps, failed in want_rows]
+            for _, m, eps, _ in want_rows:
+                for i in range(len(eps)):
+                    trial = (*root, m, i)
+                    assert group.residuals(trial).tobytes() == alone.residuals(trial).tobytes()
 
     def test_repeats_stop_at_different_m(self, monkeypatch):
         fills = []

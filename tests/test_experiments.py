@@ -215,10 +215,11 @@ class TestOneLearningPath:
     N, M = 4, 6
 
     def _atom(self, seed):
-        # the closed-form first vertex of the set drawn with this seed
+        # the first iterate at the closed-form vertex of the set drawn
+        # with this seed
         dist = build_distribution(self.N, "d2")
         idx, vals = sample_training_set(dist, ghz_density(self.N), self.M, seed=seed)
-        return learner.code_space_atoms(dist.batch, idx[None], vals[None])[0]
+        return learner.code_space_atoms(dist.batch, idx[None], vals[None])[0].matrix()
 
     def _scores(self, sigma):
         rho, dist = ghz_density(self.N), build_distribution(self.N, "d2")
@@ -321,13 +322,14 @@ class TestTrialRows:
     def test_sweep_errors(self, tmp_path, monkeypatch):
         # a row is scored at the gamma of the first search that read its trial
         first_gamma = {}
-        read = TrialCache.epsilon_estimate
+        read = TrialCache.error_counts
 
-        def spy(cache, seed, gamma):
-            first_gamma.setdefault(seed, gamma)
-            return read(cache, seed, gamma)
+        def spy(cache, root, m, count, gamma):
+            for i in range(count):
+                first_gamma.setdefault((*root, m, i), gamma)
+            return read(cache, root, m, count, gamma)
 
-        monkeypatch.setattr(TrialCache, "epsilon_estimate", spy)
+        monkeypatch.setattr(TrialCache, "error_counts", spy)
         path = tmp_path / "t.csv"
         run_sweep_errors(cfg(command="sweep-errors", n=2, dist="d1", sweep_param="gamma",
                              sweep_values=[0.3, 0.1], repeats=2, i_max=4, k_max=20,
@@ -375,6 +377,28 @@ class TestRunScaling:
         assert "n_min < n_max" in capsys.readouterr().err
         assert searches == []
         assert not (tmp_path / "sc.csv").exists()
+
+
+class TestTrialsTableOrder:
+    """The trials table sorts its rows as tuples: by n, m, trial,
+    epsilon_est, failed, then the seed as text, so at equal error rates
+    repeat 10 sorts before repeat 2 (FORMATS.md)."""
+
+    GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                          "scaling_n2_3_repeats11_trials.csv")
+
+    def test_eleven_repeats_keep_the_pinned_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        run_scaling(cfg(command="scaling", n_min=2, n_max=3, dist="d2", epsilon=0.15, gamma=0.2,
+                        delta=0.2, i_max=5, repeats=11, seed=1, threads=1,
+                        out=str(tmp_path / "s.csv"), trials_out=str(path)))
+        with open(self.GOLDEN, "rb") as fh:
+            assert path.read_bytes() == fh.read()
+        rows = read_table(path).rows
+        assert rows == sorted(rows)
+        # the text order of the seeds decides ties: (1;2;10;1;0) leads (1;2;1;1;0)
+        seeds = [seed for *_, seed in rows]
+        assert seeds.index("(1;2;10;1;0)") < seeds.index("(1;2;1;1;0)")
 
 
 class TestGeneratorQubitCount:

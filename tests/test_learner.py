@@ -253,11 +253,13 @@ class TestHazanOptimize:
             indices, values = draw_training_sets(dist, ghz_density(4), 5, [seed],
                                                  replacement=replacement)
             obj = Objective(dist.batch, indices[0], values[0])
-            [atom] = learner.code_space_atoms(dist.batch, indices, values)
-            hyp = hazan_optimize(obj, k_max=300, first_atom=atom)
+            [vertex] = learner.code_space_atoms(dist.batch, indices, values)
+            hyp = hazan_optimize(obj, k_max=300, first_vertex=vertex)
             assert hyp.iterations_used == 1
             assert hyp.final_objective == 0.0
-            assert hyp.sigma.matrix.tobytes() == atom.tobytes()
+            # the run stops on residuals of 0 and keeps its vertex
+            assert hyp.vertex is vertex
+            assert hyp.sigma.matrix.tobytes() == vertex.matrix().tobytes()
         assert builds == []
 
     def test_final_objective_reuses_the_stopping_residuals(self):
@@ -271,19 +273,19 @@ class TestHazanOptimize:
 
 
 class TestFirstStep:
-    """``hazan_optimize(obj, first_atom=atom)`` takes step 1 to the
+    """``hazan_optimize(obj, first_vertex=vertex)`` takes step 1 to the
     vertex it is handed; the eigen-step's vertex changes no bit of the
     result."""
 
     @staticmethod
-    def _first_atom(obj):
+    def _first_vertex(obj):
         # the vertex learn_each hands in, or None where the gradient at
         # I / d vanishes and no vertex may be handed in
         g = obj.gradient(obj.residuals(np.eye(obj.dim, dtype=np.complex128) / obj.dim))
         if learner._vanishes(g):
             return None
         v, _ = smallest_eigenvector(g, tol=1e-9)
-        return np.outer(v, v.conj())
+        return learner.Vertex(v)
 
     @staticmethod
     def _shots_objective():
@@ -323,52 +325,55 @@ class TestFirstStep:
         training = sample_training_set(dist, target, m, noise=noise, seed=seed)
         want = hazan_optimize(Objective(dist.batch, *training), k_max=k_max)
         obj = Objective(dist.batch, *training)
-        got = hazan_optimize(obj, k_max=k_max, first_atom=self._first_atom(obj))
+        got = hazan_optimize(obj, k_max=k_max, first_vertex=self._first_vertex(obj))
         assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
         assert got.iterations_used == want.iterations_used
         assert got.final_objective == want.final_objective
 
     def test_later_steps_solve_their_own(self, monkeypatch):
         obj = self._shots_objective()
-        atom = self._first_atom(obj)
-        assert atom is not None
+        vertex = self._first_vertex(obj)
+        assert vertex is not None
         eigen_steps = self._count(monkeypatch, learner, "_smallest_built")
         gradients = self._count(monkeypatch, Objective, "gradient")
-        hyp = hazan_optimize(obj, k_max=10, first_atom=atom)
+        hyp = hazan_optimize(obj, k_max=10, first_vertex=vertex)
         assert hyp.iterations_used == 10
         # steps 2..10 build and solve their gradients; step 1 builds none
         assert len(eigen_steps) == 9
         assert len(gradients) == 9
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-    def test_step_one_bytes(self, n, seed):
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 0.5, 2.0**-7, 1.0 / 3.0]))
+    def test_step_one_bytes(self, n, seed, scale):
         # real and imaginary parts from both signed zeros and a few
         # values, set part by part so that every -0.0 stays
         rng = np.random.default_rng(seed)
         parts = np.array([0.0, -0.0, 0.5, -0.25, 1.0 / 3.0, -2.0 / 7.0])
-        atom = np.empty((1 << n, 1 << n), dtype=np.complex128)
-        atom.real = rng.choice(parts, atom.shape)
-        atom.imag = rng.choice(parts, atom.shape)
+        v = np.empty(1 << n, dtype=np.complex128)
+        v.real = rng.choice(parts, v.shape)
+        v.imag = rng.choice(parts, v.shape)
         obj = objective(((P("Z" * n), 0.25),))
-        hyp = hazan_optimize(obj, k_max=1, first_atom=atom)
+        hyp = hazan_optimize(obj, k_max=1, first_vertex=learner.Vertex(v, scale))
+        # the atom as the closed form builds it: complex factors
+        atom = np.outer(v, v.conj()) * np.complex128(scale)
         want = (1.0 - 1.0) * maximally_mixed(n).matrix + 1.0 * atom
         assert hyp.sigma.matrix.tobytes() == want.tobytes()
         assert hyp.iterations_used == 1
 
     def test_stop_objective_stops_after_step_one(self):
         obj = self._shots_objective()
-        atom = self._first_atom(obj)
-        assert hazan_optimize(obj, k_max=10, first_atom=atom).iterations_used == 10
-        hyp = hazan_optimize(obj, k_max=10, first_atom=atom, stop_objective=float("inf"))
+        vertex = self._first_vertex(obj)
+        assert hazan_optimize(obj, k_max=10, first_vertex=vertex).iterations_used == 10
+        hyp = hazan_optimize(obj, k_max=10, first_vertex=vertex, stop_objective=float("inf"))
         assert hyp.iterations_used == 1
-        assert hyp.final_objective == obj.value(atom)
+        assert hyp.final_objective == obj.value(vertex.matrix())
 
     def test_handed_step_one_builds_no_mixed_state(self, monkeypatch):
         obj = self._shots_objective()
-        atom = self._first_atom(obj)
+        vertex = self._first_vertex(obj)
         built = self._count(monkeypatch, learner, "maximally_mixed")
-        hazan_optimize(obj, k_max=3, first_atom=atom)
+        hazan_optimize(obj, k_max=3, first_vertex=vertex)
         assert built == []
         # step 1 reads I / d to find its own vertex
         hazan_optimize(obj, k_max=3)
@@ -385,7 +390,7 @@ class TestFirstStep:
         # exact values of I / d are 1/2, which make a zero gradient
         dist = build_distribution(3, "d1")
         indices, values = draw_training_sets(dist, maximally_mixed(3), 6, [0, 1, 2])
-        assert all(self._first_atom(Objective(dist.batch, idx, vals)) is None
+        assert all(self._first_vertex(Objective(dist.batch, idx, vals)) is None
                    for idx, vals in zip(indices, values))
         # the one eigen-step entry of learn_each and of the later steps
         stacks = []
@@ -419,9 +424,11 @@ class TestLearnEach:
             for seed, hyp in zip(seeds, hyps):
                 idx, vals = sample_training_set(dist, rho, m, noise=noise, seed=seed)
                 if label == "d2" and noise.kind == "exact":
-                    [atom] = learner.code_space_atoms(dist.batch, idx[None], vals[None])
+                    [vertex] = learner.code_space_atoms(dist.batch, idx[None], vals[None])
                     assert hyp.iterations_used == 1
-                    assert hyp.sigma.matrix.tobytes() == atom.tobytes()
+                    assert hyp.vertex.v.tobytes() == vertex.v.tobytes()
+                    assert hyp.vertex.scale == vertex.scale
+                    assert hyp.sigma.matrix.tobytes() == vertex.matrix().tobytes()
                 else:
                     want = hazan_optimize(Objective(dist.batch, idx, vals), k_max=10)
                     assert hyp.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
@@ -468,7 +475,7 @@ def _generator_target(gens) -> np.ndarray:
 def _loop_atom(strings, idx, vals):
     # the reference: the closed form of one set, one factor per distinct
     # string in the order of first draw, applied in a Python loop to the
-    # action read from the string's masks
+    # action read from the string's masks; its w and 1 / <w|w>
     if not np.all(vals == 1.0):
         return None
     w = np.ones(1 << strings[0].n, dtype=np.complex128)
@@ -476,7 +483,7 @@ def _loop_atom(strings, idx, vals):
         perm, coeff = pauli_action(strings[i])
         w = (w + (coeff * w)[perm]) / 2.0
     norm2 = float(np.vdot(w, w).real)
-    return None if norm2 == 0.0 else np.outer(w, w.conj()) * (1.0 / norm2)
+    return None if norm2 == 0.0 else (w, 1.0 / norm2)
 
 
 class TestCodeSpaceAtom:
@@ -509,8 +516,8 @@ class TestCodeSpaceAtom:
         if atom is None:
             return
         want = np.outer(proj, proj.conj()) / norm2
-        assert np.max(np.abs(atom - want)) <= 1e-12
-        residuals = support_residuals(DensityMatrix(atom), rho, dist)
+        assert np.max(np.abs(atom.matrix() - want)) <= 1e-12
+        residuals = support_residuals(DensityMatrix(atom.matrix()), rho, dist)
         assert set(residuals.tolist()) <= {0.0, 0.5, 1.0}
 
     @settings(max_examples=80, deadline=None)
@@ -553,11 +560,11 @@ class TestCodeSpaceAtom:
             [lone] = learner.code_space_atoms(batch, idx[None], vals[None])
             assert (atom is None) == (lone is None)
             if atom is not None:
-                assert atom.tobytes() == lone.tobytes()
+                assert (atom.v.tobytes(), atom.scale) == (lone.v.tobytes(), lone.scale)
             want = _loop_atom(strings, idx, vals)
             assert (atom is None) == (want is None)
             if atom is not None:
-                assert atom.tobytes() == want.tobytes()
+                assert (atom.v.tobytes(), atom.scale) == (want[0].tobytes(), want[1])
 
     def test_uniform_vector_orthogonal_to_code_space(self):
         items = ((P("-XXX"), 1.0), (P("ZZI"), 1.0))
