@@ -186,9 +186,12 @@ def estimate_min_m(cache: TrialCache, params: LearnParams, roots: Sequence[tuple
     counts (:meth:`TrialCache.error_counts`): with epsilon = p / q
     exactly and support size |S|, a trial's count c fails when
     c q > p |S|, that is when c exceeds floor(p |S| / q), the
-    ``Fraction`` comparison c / |S| > p / q done in integers. The
-    roots search in lock-step: at each m, one :func:`fill_trials` call
-    learns the missing trials of every root still searching, so they
+    ``Fraction`` comparison c / |S| > p / q done in integers. Likewise,
+    with delta = a / b exactly, a (root, m) with f failing trials
+    passes when f b < a i_max, and its failure rate f / i_max enters
+    the trajectory correctly rounded. The roots search in lock-step:
+    at each m, one :func:`fill_trials` call learns the missing trials
+    of every root still searching, so they
     share one draw and one :func:`~qpac.learner.learn_each` call. Each
     root gets the minimum m that a search of it alone gives.
     ``record(root, m, epsilon_est, failed)`` is called once per
@@ -224,9 +227,9 @@ def estimate_min_m(cache: TrialCache, params: LearnParams, roots: Sequence[tuple
             failed = counts > tolerated
             if record is not None:
                 record(roots[j], m, counts / support, failed)
-            delta_est = Fraction(int(np.count_nonzero(failed)), params.i_max)
-            trajectories[j].append(float(delta_est))
-            if delta_est < delta:
+            failures = int(np.count_nonzero(failed))
+            trajectories[j].append(failures / params.i_max)
+            if failures * delta.denominator < delta.numerator * params.i_max:
                 found[j] = m
         searching = [j for j in searching if found[j] is None]
     if searching:

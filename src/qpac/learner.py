@@ -27,9 +27,10 @@ threshold therefore stops without building its gradient; that rule
 covers residuals that are all exactly 0, and every stop it takes is
 one that the built gradient would take too. Every step that builds
 its gradient reads it from :meth:`Objective.gradient`: up to dim 256 a
-dense matrix, above it an :class:`~qpac.states.EffectSum` of the same
-entries, so no step forms a d x d gradient unless the eigen-step's
-``eigh`` fallback asks for one.
+dense matrix, or one (T, d, d) array for a chunk's first steps, above
+it an :class:`~qpac.states.EffectSum` of the same entries, so no step
+forms a d x d gradient unless the eigen-step's ``eigh`` fallback asks
+for one.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ _EIG_TOL = 1e-9
 _DENSE_GRADIENT_MAX_DIM = 256
 # matrix entries of the stacks that learn_each and fill_trials build
 # for a chunk of training sets (2^16 complex128 entries, 1 MB): its
-# first-step gradients, T x d x d, and its vertex products, T x m x d
-# or T x |S| x d. That is 16 training sets at dim 64, and at dim 16 the
+# first-step gradients, T x d x d, with their gathered positions and
+# terms, T x m x d, and its vertex products, T x m x d or T x |S| x d.
+# That is 16 training sets at dim 64, and at dim 16 the
 # 200 trials of a search group of four repeats. It is the square of the
 # largest dense dim, so that above it a chunk holds one training set,
 # whose EffectSum _smallest_built must see alone
@@ -119,6 +121,10 @@ class Objective:
     support's ``batch`` (:meth:`EffectBatch.rows`), sliced on the first
     read of :attr:`batch`. Drawn indices name the support's effects by
     construction, so no item is checked.
+
+    Only :meth:`gradient` also reads a chunk of T training sets, (T, m)
+    indices and values as :func:`learn_each` builds one; every other
+    method reads one set.
     """
 
     def __init__(self, batch: EffectBatch, indices: np.ndarray, values: np.ndarray):
@@ -150,10 +156,20 @@ class Objective:
         """2 sum_i r_i E_i, the gradient at the sigma whose
         :meth:`residuals` are r, in the form the eigen-step reads: a
         dense Hermitian matrix up to dim 256, and above it the same sum
-        as an :class:`~qpac.states.EffectSum`, with no d x d matrix."""
+        as an :class:`~qpac.states.EffectSum`, with no d x d matrix.
+
+        An objective of a chunk of T training sets, (T, m) indices and
+        values as :func:`learn_each` builds one, takes (T, m) residuals
+        and returns the (T, d, d) stack of their gradients from one
+        :meth:`EffectBatch.weighted_sum` call; a lone set's matrix is the
+        T = 1 case of that call. Above dim 256 a chunk holds one set.
+        """
+        weights = 2.0 * residuals
         if self.dim > _DENSE_GRADIENT_MAX_DIM:
-            return self.batch.weighted_operator(2.0 * residuals)
-        return self.batch.weighted_sum(2.0 * residuals)
+            # one set's EffectSum: unpacking raises on a chunk of several
+            (idx,) = self.indices.reshape(-1, self.indices.shape[-1])
+            return self.support_batch.weighted_operator(weights.reshape(idx.shape), idx)
+        return self.support_batch.weighted_sum(weights, self.indices)
 
 
 def _stationary(r: np.ndarray) -> np.ndarray:
@@ -164,8 +180,11 @@ def _stationary(r: np.ndarray) -> np.ndarray:
     return 4.0 * np.abs(r).sum(axis=-1) <= _ZERO_GRADIENT_TOL
 
 
-def _vanishes(g: np.ndarray | EffectSum) -> bool:
-    top = g.max_entry if isinstance(g, EffectSum) else float(np.max(np.abs(g)))
+def _vanishes(g: np.ndarray | EffectSum) -> np.ndarray:
+    """Whether a gradient vanishes within the zero threshold: one
+    verdict for a matrix or an EffectSum, and one per item of a
+    (T, d, d) stack, from one modulus pass over it."""
+    top = g.max_entry if isinstance(g, EffectSum) else np.abs(g).max(axis=(-2, -1))
     return top <= _ZERO_GRADIENT_TOL
 
 
@@ -303,7 +322,9 @@ def hazan_optimize(
         g = obj.gradient(r)
         if _vanishes(g):
             break
-        [(v, _)] = _smallest_built([g], tol=_EIG_TOL)
+        # a matrix is a stack of one, and an EffectSum a list of one
+        [(v, _)] = _smallest_built(g[None] if isinstance(g, np.ndarray) else [g],
+                                   tol=_EIG_TOL)
         # the spent gradient, a d x d matrix up to dim 256, that the
         # update need not hold
         del g
@@ -344,9 +365,12 @@ def learn_each(
     (:meth:`EffectBatch.expected`). Training sets are learned in chunks
     whose stacks hold at most ``_STACK_ENTRIES`` entries: a chunk's
     closed forms are one :func:`code_space_atoms` call, its gradients
-    one eigen-step stack (``linalg._smallest_built``, each pair that of
-    :func:`~qpac.linalg.smallest_eigenvector`), which solves a repeated
-    gradient once, and the step-1 residuals of all its vertices one
+    one (T, d, d) array from one :meth:`Objective.gradient` call over
+    its rows, tested for vanishing in one modulus pass and handed to
+    the eigen-step as it is (``linalg._smallest_built``, each pair that
+    of :func:`~qpac.linalg.smallest_eigenvector`, with the certificate
+    run over the stack), which solves a repeated gradient once, and the
+    step-1 residuals of all its vertices one
     :meth:`EffectBatch.vertex_expectations` pass, handed to
     :func:`hazan_optimize`; above dim 256 a chunk holds one training
     set, whose gradient is an :class:`~qpac.states.EffectSum`. Each
@@ -368,14 +392,22 @@ def learn_each(
         start = [j for j, vertex in enumerate(vertices) if vertex is None]
         if start:
             r0 = batch.expected(maximally_mixed(support.n))[rows[start]] - vals[start]
-            grads = {j: objs[j].gradient(r)
-                     for j, r, still in zip(start, r0, _stationary(r0)) if not still}
-            live = [j for j, g in grads.items() if not _vanishes(g)]
-            solved = _smallest_built([grads[j] for j in live], tol=_EIG_TOL)
-            # d x d matrices up to dim 256, that the optimizer need not hold
-            del grads
-            for j, (v, _) in zip(live, solved):
-                vertices[j] = Vertex(v)
+            moving = ~_stationary(r0)
+            sets = np.array(start)[moving]
+            if sets.size:
+                grads = Objective(batch, rows[sets], vals[sets]).gradient(r0[moving])
+                # negated as an array: an EffectSum's verdict is a bool
+                live = ~np.atleast_1d(_vanishes(grads))
+                if isinstance(grads, EffectSum):
+                    # above dim 256 a chunk holds one training set
+                    grads = [grads] if live[0] else []
+                elif not live.all():
+                    grads = grads[live]
+                # the stack goes to the eigen-step as it is
+                for j, (v, _) in zip(sets[live].tolist(), _smallest_built(grads, tol=_EIG_TOL)):
+                    vertices[j] = Vertex(v)
+                # d x d matrices up to dim 256, that the optimizer need not hold
+                del grads
         stepped = [j for j, vertex in enumerate(vertices) if vertex is not None]
         r1 = {}
         if stepped:

@@ -41,9 +41,15 @@ a lone call stops; the others stay in the stacked kernel until they
 stop too. Only a stack of one starts on the scalar kernel, because a
 stacked sweep over one item costs about 3 times a scalar sweep. The
 pre-checks, the certificate, the restart and the fallback are one code
-path for both kernels. The pre-checks are one pass over the (T, d, d)
-stack, and each matrix's modulus is taken once, for the finiteness
-test, the largest entry and the shift c alike.
+path for both kernels, and each runs over the stack, not item by item.
+The learner's stack arrives as one complex (T, d, d) array, read as it
+is with no copy. The pre-checks are one pass over it, and each matrix's modulus is taken
+once, for the finiteness test, the largest entry and the shift c
+alike. The min-diagonal certificate tests every converged item of an
+attempt at once, and the accepted vectors are phase-normalized
+together: each row times |p| / p for its pivot p, with |p| taken by
+``np.hypot``, which rounds as ``abs`` of one complex scalar does, so
+every row gets the bytes of its lone rotation.
 ``tests/test_linalg.py`` keeps the allocating form as the reference
 both must match bit for bit.
 
@@ -99,23 +105,20 @@ def _hermitian(h) -> np.ndarray:
     return h
 
 
-def _hermitian_stack(hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A non-empty sequence of same-shape Hermitian matrices as one
-    complex (T, d, d) stack, with each item's largest entry modulus and
-    induced 1-norm (its largest column sum of moduli), read from one
-    modulus pass.
+def _hermitian_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's largest entry modulus and induced 1-norm (its largest
+    column sum of moduli) of a non-empty complex (T, d, d) stack of
+    Hermitian matrices, read from one modulus pass.
 
     Raises unless every item is finite; hermiticity is the caller's
-    (:func:`_hermitian`). A stack of one is a view of its matrix.
+    (:func:`_hermitian`).
     """
-    hs = [np.asarray(h, dtype=np.complex128) for h in hs]
-    h = hs[0][None] if len(hs) == 1 else np.stack(hs)
     modulus = np.abs(h)
     max_entry = np.max(modulus, axis=(1, 2))
     one_norm = np.max(np.sum(modulus, axis=1), axis=1)
     del modulus
     _finite_scale(max_entry)
-    return h, max_entry, one_norm
+    return max_entry, one_norm
 
 
 def _finite_scale(max_entry: np.ndarray) -> np.ndarray:
@@ -151,19 +154,25 @@ def sqrt_psd(h: np.ndarray) -> np.ndarray:
     return (vecs * root) @ vecs.conj().T
 
 
-def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude component is real and positive."""
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if pivot != 0:
-        v = v * (abs(pivot) / pivot)
-        v[k] = v[k].real
-    return v
+def _normalize_phases(v: np.ndarray) -> np.ndarray:
+    """Rotate each row of a (T, d) stack, in place, so that its
+    largest-magnitude component (the first of ties) is real and
+    positive: the row times |p| / p for its pivot p, then the pivot's
+    imaginary part set to +0.0. A zero row stays as it is.
 
-
-def _basis_vector(dim: int, k: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[k] = 1.0
+    |p| is ``np.hypot`` of p's parts, the bytes of ``abs`` of one
+    complex scalar; ``np.abs`` of a complex array may round otherwise.
+    So each row gets the bytes of rotating it alone.
+    """
+    k = np.argmax(np.abs(v), axis=1)
+    rows = np.arange(len(v))
+    pivot = v[rows, k]
+    live = np.flatnonzero(pivot != 0)
+    rows, k, pivot = rows[live], k[live], pivot[live]
+    # not *=: on a 1 x 1 stack the in-place complex multiply rounds
+    # otherwise than the lone rotation's product, which this one matches
+    v[rows] = v[rows] * (np.hypot(pivot.real, pivot.imag) / pivot)[:, None]
+    v[rows, k] = v[rows, k].real
     return v
 
 
@@ -209,15 +218,18 @@ def _column(x: np.ndarray) -> np.ndarray:
 
 def _power_iterate_stack(h, v, cs, tol, max_entry, max_sweeps):
     """:func:`_power_iterate` on each item of a (T, d, d) stack from
-    the (T, d) start vectors ``v``, in lock-step; returns its (v, lam,
-    converged) per item, in order. ``cs`` and ``max_entry`` hold each
-    item's shift and largest modulus.
+    the (T, d) start vectors ``v``, in lock-step; returns each item's
+    (v, lam, converged) as a (T, d), a (T,) and a (T,) bool array.
+    ``cs`` and ``max_entry`` hold each item's shift and largest modulus.
 
     A stack of one runs the scalar kernel.
     """
     if len(h) == 1:
-        return [_power_iterate(h[0], v[0], float(cs[0]), tol, float(max_entry[0]), max_sweeps)]
-    out = [None] * len(h)
+        v1, lam1, ok1 = _power_iterate(h[0], v[0], float(cs[0]), tol, float(max_entry[0]),
+                                       max_sweeps)
+        return v1[None], np.array([lam1]), np.array([ok1])
+    out_v, out_lam = np.empty_like(v), np.empty(len(h))
+    out_ok = np.zeros(len(h), dtype=bool)
     active = np.arange(len(h))
     c = _column(cs)
     lam = np.zeros(len(h))
@@ -231,68 +243,71 @@ def _power_iterate_stack(h, v, cs, tol, max_entry, max_sweeps):
         # a zero nrm means v is an exact top eigenvector; it stops too
         done |= nrm == 0.0
         if done.any():
-            for k in np.flatnonzero(done):
-                out[active[k]] = (v[k].copy(), float(lam[k]), True)
+            out = active[done]
+            out_v[out], out_lam[out], out_ok[out] = v[done], lam[done], True
             keep = ~done
             if not keep.any():
-                return out
+                return out_v, out_lam, out_ok
             active, h, v, w, c = active[keep], h[keep], v[keep], w[keep], c[keep]
             max_entry, lam, nrm = max_entry[keep], lam[keep], nrm[keep]
         np.divide(w, _column(nrm), v)
-    for k, j in enumerate(active):
-        out[j] = (v[k].copy(), float(lam[k]), False)
-    return out
+    out_v[active], out_lam[active] = v, lam
+    return out_v, out_lam, out_ok
 
 
-def _smallest(hs, tol: float, max_sweeps: int | None):
-    """The eigen-step rule on a non-empty sequence of Hermitian
-    matrices of one dimension, or on a lone operator (see
+def _smallest(h, tol: float, max_sweeps: int | None):
+    """The eigen-step rule on a non-empty (T, d, d) stack of Hermitian
+    matrices, or on a lone operator in a list of one (see
     :func:`_smallest_built`); returns ``(v, lam)`` per item.
+
+    The min-diagonal certificate and the phase normalization of each
+    start run over the stack's converged items at once.
     """
     # the shift c of each item is its induced 1-norm, which bounds its spectrum
-    if isinstance(hs[0], np.ndarray):
+    if isinstance(h, np.ndarray):
         op = None
-        h, max_entry, cs = _hermitian_stack(hs)
+        max_entry, cs = _hermitian_stack(h)
         diags = h.diagonal(axis1=1, axis2=2).real
     else:
-        (op,) = hs
+        (op,) = h
         # the operator stands for its stack of one; the loop below
         # never slices a stack of one, and the fallback densifies it
-        h, max_entry, cs = hs, np.array([op.max_entry]), np.array([op.one_norm])
+        max_entry, cs = np.array([op.max_entry]), np.array([op.one_norm])
         _finite_scale(max_entry)
         diags = op.diagonal[None]
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    dim = diags.shape[1]
+    count, dim = diags.shape
     if max_sweeps is None:
         max_sweeps = 10 * dim
 
-    results = [None] * len(h)
-    for j in np.flatnonzero(max_entry == 0.0):
-        results[j] = (_basis_vector(dim, 0), 0.0)
+    # a zero matrix's pair is (e_0, 0.0)
+    vs = np.zeros((count, dim), dtype=np.complex128)
+    lams = np.zeros(count)
+    vs[max_entry == 0.0, 0] = 1.0
     todo = np.flatnonzero(max_entry != 0.0)
     starts = np.full((len(todo), dim), 1.0 / np.sqrt(dim), dtype=np.complex128)
     for _ in range(2):
         if not todo.size:
             break
         # every item, the common case, needs no copy of the stack
-        stack = h if len(todo) == len(h) else h[todo]
-        found = _power_iterate_stack(stack, starts, cs[todo], tol, max_entry[todo], max_sweeps)
-        retry = []
-        for j, (v, lam, ok) in zip(todo.tolist(), found):
-            # necessary condition for the bottom eigenvalue: lam <= min h_kk
-            if ok and lam <= float(np.min(diags[j])) + tol * max(float(max_entry[j]), abs(lam)):
-                results[j] = (_normalize_phase(v), lam)
-            else:
-                retry.append(j)
-        todo = np.array(retry, dtype=np.intp)
+        stack = h if len(todo) == count else h[todo]
+        v, lam, ok = _power_iterate_stack(stack, starts, cs[todo], tol, max_entry[todo],
+                                          max_sweeps)
+        # necessary condition for the bottom eigenvalue: lam <= min h_kk
+        ok &= lam <= diags[todo].min(axis=1) + tol * np.maximum(max_entry[todo], np.abs(lam))
+        vs[todo[ok]] = _normalize_phases(v[ok])
+        lams[todo[ok]] = lam[ok]
+        todo = todo[~ok]
         starts = np.zeros((len(todo), dim), dtype=np.complex128)
         starts[np.arange(len(todo)), np.argmin(diags[todo], axis=1)] = 1.0
 
     for j in todo.tolist():
         vals, vecs = np.linalg.eigh(h[j] if op is None else op.dense())
-        results[j] = (_normalize_phase(vecs[:, 0].astype(np.complex128)), float(vals[0]))
-    return results
+        vs[j], lams[j] = vecs[:, 0], vals[0]
+    if todo.size:
+        vs[todo] = _normalize_phases(vs[todo])
+    return list(zip(vs, lams.tolist()))
 
 
 def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | None = None):
@@ -316,7 +331,7 @@ def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | Non
     to. Never raises for want of convergence: the fallback serves every
     dimension.
     """
-    return _smallest([_hermitian(h)], tol, max_sweeps)[0]
+    return _smallest(_hermitian(h)[None], tol, max_sweeps)[0]
 
 
 def _smallest_built(hs, tol: float = 1e-9):
@@ -326,31 +341,32 @@ def _smallest_built(hs, tol: float = 1e-9):
     without the h - h^dag pass. The modulus pass that sets each item's
     shift and tolerance scale stays.
 
-    The sweeps of the stack run in lock-step, which costs less per
+    ``hs`` is a complex (T, d, d) array, the learner's stack, which is
+    read as it is. The sweeps of the stack run in lock-step, which costs less per
     matrix than one call after another. Matrices with the same bytes
     are solved once, and each repeat gets its own copy of the pair.
 
-    Above dim 256 an item may instead be an operator, alone in its
-    stack: an object with ``dim``, ``diagonal`` (the real diagonal),
+    Above dim 256 ``hs`` may instead be a list of one operator: an
+    object with ``dim``, ``diagonal`` (the real diagonal),
     ``max_entry`` (the largest entry modulus), ``one_norm`` (the
     induced 1-norm), ``dot(v, out)`` (h v into ``out``) and ``dense()``
     (the d x d matrix), as :class:`~qpac.states.EffectSum` provides
     them. Only the ``eigh`` fallback reads a d x d matrix.
     """
-    if len(hs) < 2:
-        # a stack of one has no repeats to look for, so its matrix
-        # (16 MB at n = 10) is not hashed
-        return _smallest(hs, tol, None) if len(hs) else []
-    hs = [np.asarray(h, dtype=np.complex128) for h in hs]
+    if not len(hs):
+        return []
+    if len(hs) == 1:
+        # a stack of one, or a list of one operator, has no repeats to
+        # look for, so its matrix (16 MB at n = 10) is not hashed
+        return _smallest(hs, tol, None)
     # the first item with each item's bytes; the keys, as large as the
     # stack, are dropped before it is solved
     first: dict = {}
-    source = [first.setdefault((h.shape, h.tobytes()), j) for j, h in enumerate(hs)]
+    source = np.array([first.setdefault(h.tobytes(), j) for j, h in enumerate(hs)])
     del first
-    distinct = [j for j, k in enumerate(source) if k == j]
-    solved = dict(zip(distinct, _smallest([hs[j] for j in distinct], tol, None)))
-    pairs = []
-    for j, k in enumerate(source):
-        v, lam = solved[k]
-        pairs.append((v, lam) if k == j else (v.copy(), lam))
-    return pairs
+    distinct = np.flatnonzero(source == np.arange(len(hs)))
+    solved = _smallest(hs if len(distinct) == len(hs) else hs[distinct], tol, None)
+    # item j's pair is the solved pair of its first occurrence
+    at = np.searchsorted(distinct, source)
+    return [solved[k] if source[j] == j else (solved[k][0].copy(), solved[k][1])
+            for j, k in enumerate(at.tolist())]

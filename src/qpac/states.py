@@ -156,16 +156,34 @@ class EffectBatch:
         tr = (v * v.conj()).sum(axis=1).real * scale
         return (tr[:, None] + traces) / 2.0
 
-    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """Dense sum_i w_i E_i, assembled from the symbolic actions and
-        added in row order: a Hermitian P holds conj(c_k) at
-        [k, perm_k], the position that Tr(P sigma) reads."""
-        vals = (weights / 2.0)[:, None] * self._coeff
+    def weighted_sum(self, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Dense sum_i w_i E_i over the batch rows ``rows``, a Hermitian
+        P holding conj(c_k) at [k, perm_k], the position that
+        Tr(P sigma) reads: a (d, d) matrix for (m,) weights and rows,
+        and for (T, m) ones the (T, d, d) stack of the T sums, one per
+        row.
+
+        The stack is one ``np.add.at`` over the gathered (T, m, d)
+        positions, row t offset by t * d^2, then the identity term
+        Sum w / 2 of each sum on its diagonal. ``np.add.at`` adds in
+        index order, so each entry sums its terms in row order, and one
+        sum is the T = 1 case: every sum has the bytes of its lone call.
+        """
+        d = self.dim
+        rows = rows.reshape(-1, rows.shape[-1])
+        w = weights.reshape(rows.shape)
+        # fancy-indexed, so both are fresh arrays, offset and scaled in
+        # place; a real factor makes both cross products exact zeros, so
+        # coeff * (w / 2) has the bytes of (w / 2) * coeff on any kernel
+        gather = self._gather_idx[rows]
+        gather += (np.arange(len(rows)) * (d * d))[:, None, None]
+        vals = self._coeff[rows]
+        vals *= (w / 2.0)[:, :, None]
         np.conjugate(vals, out=vals)
-        g = np.zeros(self.dim * self.dim, dtype=np.complex128)
-        np.add.at(g, self._gather_idx.ravel(), vals.ravel())
-        g[self._diag_idx] += np.sum(weights) / 2.0
-        return g.reshape(self.dim, self.dim)
+        g = np.zeros((len(rows), d * d), dtype=np.complex128)
+        np.add.at(g.reshape(-1), gather.reshape(-1), vals.reshape(-1))
+        g[:, self._diag_idx] += (np.sum(w, axis=1) / 2.0)[:, None]
+        return g.reshape(weights.shape[:-1] + (d, d))
 
     def apply(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """P_rows[t] w[t] for each row t of a (T, d) stack ``w``: perm is
@@ -174,10 +192,10 @@ class EffectBatch:
         perm = (self._gather_idx[rows] & (self.dim - 1)) + (np.arange(len(w)) * self.dim)[:, None]
         return (self._coeff[rows] * w).ravel()[perm]
 
-    def weighted_operator(self, weights: np.ndarray) -> "EffectSum":
-        """sum_i w_i E_i for real weights as an :class:`EffectSum`, with
-        no d x d matrix: the entries of :meth:`weighted_sum`, added in
-        the same order.
+    def weighted_operator(self, weights: np.ndarray, rows: np.ndarray) -> "EffectSum":
+        """sum_i w_i E_i for real (m,) weights over the (m,) batch rows
+        ``rows`` as an :class:`EffectSum`, with no d x d matrix: the
+        entries of :meth:`weighted_sum`, added in the same order.
 
         The rows that share an X-mask x share a permutation, so their
         entries lie on one diagonal, [k ^ x, k]; each diagonal is one
@@ -185,11 +203,11 @@ class EffectBatch:
         coeff_i in row order and, on the identity's diagonal x = 0, the
         Sum w / 2 last, as :meth:`weighted_sum` adds them.
         """
-        vals = (weights[:, None] / 2.0) * self._coeff
+        vals = (weights[:, None] / 2.0) * self._coeff[rows]
         # row i's X-mask is where its permutation sends basis state 0;
         # sorted, so the identity's mask 0 leads (np.unique would import
         # numpy.ma, half a megabyte, for this)
-        x = self._gather_idx[:, 0]
+        x = self._gather_idx[rows, 0]
         present = np.zeros(self.dim, dtype=bool)
         present[x] = present[0] = True
         masks = np.flatnonzero(present)

@@ -31,9 +31,18 @@ from qpac import (
 )
 from qpac import PauliString, complexity, distribution_from_generators, learner, sampling
 from qpac.experiments import ExperimentConfig, run_command
+from qpac.repro import load_manifest
 from qpac.sampling import draw_training_sets
 
 from conftest import random_density
+
+
+# every delta a manifest scenario searches with
+_MANIFEST_DELTAS = sorted({value for entry in load_manifest().values()
+                           for value in [entry["config"].get("delta")]
+                           + (entry["config"]["sweep_values"]
+                              if entry["config"].get("sweep_param") == "delta" else [])
+                           if value is not None})
 
 
 class TestLearnParams:
@@ -176,6 +185,37 @@ class TestEstimateMinM:
             [(_, _, rates, failed)] = rows
             assert rates.tolist() == [float(Fraction(c, size)) for c in range(size + 1)]
             assert failed.tolist() == [Fraction(c, size) > eps for c in range(size + 1)]
+
+    @pytest.mark.parametrize("delta", _MANIFEST_DELTAS)
+    def test_delta_rule_decides_as_fractions(self, delta, monkeypatch):
+        # every failure count f <= i_max <= 200: a (root, m) passes
+        # exactly where Fraction(f, i_max) < delta, and the trajectory
+        # holds float of that Fraction
+        class Failures(TrialCache):
+            # root (f, top): f failing trials at m = 1, then top - m + 1
+            def error_counts(self, root, m, count, gamma):
+                counts = np.zeros(count, dtype=np.intp)
+                counts[:root[0] if m == 1 else root[1] - m + 1] = len(self.dist)
+                return counts
+
+        monkeypatch.setattr(complexity, "fill_trials", lambda *args: None)
+        cache = Failures(ghz_density(2), build_distribution(2, "d1"))
+        exact = Fraction(str(delta))
+        for i_max in range(1, 201):
+            rates = [Fraction(f, i_max) for f in range(i_max + 1)]
+            # each root holds its count at m = 1 and passes at m = 2
+            params = LearnParams(epsilon=0.5, gamma=0.5, delta=delta, i_max=i_max, m_cap=2)
+            found = estimate_min_m(cache, params, [(f, 1) for f in range(i_max + 1)])
+            assert found == [1 if rate < exact else 2 for rate in rates]
+            # counting down from i_max failures, the cap falls just before
+            # the first passing count, so the trajectory is every failing one
+            passing = max(f for f, rate in enumerate(rates) if rate < exact)
+            params = LearnParams(epsilon=0.5, gamma=0.5, delta=delta, i_max=i_max,
+                                 m_cap=i_max - passing)
+            with pytest.raises(SampleSizeCapError) as err:
+                estimate_min_m(cache, params, [(i_max, i_max)])
+            assert err.value.delta_trajectory == [float(r) for r in rates[:passing:-1]]
+            assert [f / i_max for f in range(i_max + 1)] == [float(r) for r in rates]
 
     def test_monotone_under_relaxation_with_shared_cache(self):
         rho = ghz_density(3)
@@ -349,9 +389,11 @@ class TestBatchFill:
         builds = []
         real = Objective.gradient
 
-        def counted(obj, *args, **kwargs):
-            builds.append(None)
-            return real(obj, *args, **kwargs)
+        def counted(obj, residuals):
+            # one built gradient per residual row: a chunk's (T, m)
+            # residuals build T in one call
+            builds.extend([None] * len(np.atleast_2d(residuals)))
+            return real(obj, residuals)
 
         monkeypatch.setattr(Objective, "gradient", counted)
         rho = ghz_density(3) if target == "ghz" else maximally_mixed(3)

@@ -239,7 +239,8 @@ def _stabilizer_sum(n: int, label: str, picks: list, weights: list) -> np.ndarra
     effects = build_distribution(n, label).effects
     chosen = [effects[i % len(effects)] for i in picks]
     # a repeated effect is a repeated draw: its weight adds up
-    return EffectBatch(chosen).weighted_sum(np.array(weights[: len(chosen)]))
+    return EffectBatch(chosen).weighted_sum(np.array(weights[: len(chosen)]),
+                                            np.arange(len(chosen)))
 
 
 def _solve_built(hs, tol=1e-9):
@@ -247,7 +248,7 @@ def _solve_built(hs, tol=1e-9):
     on bytewise Hermitian matrices, as the learner's gradients are, its
     pairs are those of ``smallest_eigenvector``."""
     assert all(np.array_equal(h, h.conj().T) for h in hs)
-    return linalg._smallest_built(hs, tol=tol)
+    return linalg._smallest_built(np.array(hs, dtype=np.complex128), tol=tol)
 
 
 def _assert_stack_same_bits(hs, tol=1e-9):
@@ -370,7 +371,8 @@ class TestSweepBitIdentity:
     def test_bad_item_rejected(self, bad, rng):
         # a built stack skips the h - h^dag check, not the finiteness check
         with pytest.raises(NonHermitianError):
-            linalg._smallest_built([random_hermitian(rng, 2), bad, np.eye(2)])
+            linalg._smallest_built(np.array([random_hermitian(rng, 2), bad, np.eye(2)],
+                                            dtype=np.complex128))
 
 
 class TestRepeatedItems:

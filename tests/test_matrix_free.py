@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qpac import (
     NoiseModel,
+    Objective,
     PauliString,
     build_distribution,
     ghz_density,
@@ -65,7 +66,7 @@ class TestWeightedSum:
         # the premise of the learner's eigen-step entry, which skips the
         # h - h^dag check
         batch, weights, _ = _batch_and_weights(case)
-        g = batch.weighted_sum(weights)
+        g = batch.weighted_sum(weights, np.arange(len(batch)))
         assert np.array_equal(g, g.conj().T)
 
     @settings(max_examples=100, deadline=None)
@@ -79,7 +80,7 @@ class TestWeightedSum:
             weights[weights == 0.0] = -0.0
         want = scattered_sum(strings, weights / 2.0)
         want[np.diag_indices(batch.dim)] += np.sum(weights) / 2.0
-        assert batch.weighted_sum(weights).tobytes() == want.tobytes()
+        assert batch.weighted_sum(weights, np.arange(len(batch))).tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(case=weighted_rows, scale=st.sampled_from([1.0, 1e4, 1e8]), negative_zero=st.booleans())
@@ -91,8 +92,9 @@ class TestWeightedSum:
         weights = scale * weights
         if negative_zero:
             weights[weights == 0.0] = -0.0
-        want = batch.weighted_sum(weights)
-        assert batch.weighted_operator(weights).dense().tobytes() == want.tobytes()
+        every = np.arange(len(batch))
+        want = batch.weighted_sum(weights, every)
+        assert batch.weighted_operator(weights, every).dense().tobytes() == want.tobytes()
 
     def test_only_the_learner_skips_the_check(self, monkeypatch):
         # at dim <= 256 the learner's dense gradients reach the eigen-step
@@ -116,8 +118,9 @@ class TestEffectSum:
     @given(case=weighted_rows)
     def test_matches_the_dense_sum(self, case):
         batch, weights, _ = _batch_and_weights(case)
-        g = batch.weighted_sum(weights)
-        op = batch.weighted_operator(weights)
+        every = np.arange(len(batch))
+        g = batch.weighted_sum(weights, every)
+        op = batch.weighted_operator(weights, every)
         assert isinstance(op, EffectSum) and op.dim == g.shape[0]
         # the fields the certificate and the zero test read: the same bytes
         assert op.max_entry == float(np.max(np.abs(g)))
@@ -139,7 +142,7 @@ class TestEffectSum:
         # lands on the main diagonal even where no Z-only row is drawn
         support = build_distribution(4, "d1")
         x_rows = [i for i, p in enumerate(support.effects) if p.x]
-        op = support.batch.rows(np.array(x_rows[:3])).weighted_operator(np.ones(3))
+        op = support.batch.weighted_operator(np.ones(3), np.array(x_rows[:3]))
         assert op._cols.shape == (2, 16)
         assert op.diagonal.tolist() == [1.5] * 16
 
@@ -181,6 +184,29 @@ class TestLearnPath:
         assert hyp.iterations_used == 3
         # the first step and both later ones
         assert solved == [EffectSum] * 3
+
+    def test_vanishing_operator_is_not_solved(self, monkeypatch):
+        # one effect drawn twice with shot outcomes that sum to 1: the
+        # residuals at I / d are not stationary, but the gradient's terms
+        # cancel, so no first step is solved and the hypothesis is I / d
+        support = build_distribution(9, "d1")
+        k = next(i for i, p in enumerate(support.effects) if p.x or p.z)
+        solved = self._refuse_dense(monkeypatch)
+        [hyp] = learner.learn_each(support, np.array([[k, k]]), np.array([[0.45, 0.55]]),
+                                   NoiseModel.with_shots(20), 1)
+        assert hyp.iterations_used == 0 and solved == []
+        assert hyp.final_objective == pytest.approx(2 * 0.05**2)
+
+    def test_operator_gradient_reads_one_set(self):
+        # above dim 256 the gradient is one set's EffectSum; a chunk of
+        # two would sum both sets, so it is refused
+        support = build_distribution(9, "d1")
+        indices, values = np.array([[1, 2], [3, 4]]), np.array([[0.5, 0.0], [1.0, 0.5]])
+        r = np.full((2, 2), 0.25)
+        assert isinstance(Objective(support.batch, indices[:1], values[:1]).gradient(r[:1]),
+                          EffectSum)
+        with pytest.raises(ValueError):
+            Objective(support.batch, indices, values).gradient(r)
 
     def test_chunk_above_dim_256_holds_one_training_set(self, monkeypatch):
         # _STACK_ENTRIES is the square of the largest dense dim, so each

@@ -246,8 +246,10 @@ class TestResidualBound:
         indices, values = draw_training_sets(dist, rho, 8, list(range(10)))
         builds = []
         real = Objective.gradient
+        # one built gradient per residual row: a chunk's (T, m) residuals
+        # build T in one call
         monkeypatch.setattr(Objective, "gradient",
-                            lambda obj, r: builds.append(r.copy()) or real(obj, r))
+                            lambda obj, r: builds.extend(np.atleast_2d(r)) or real(obj, r))
         hyps = list(learner.learn_each(dist, indices, values, NoiseModel.exact(), 300))
         assert [h.iterations_used for h in hyps] == [1] * 10
         # one gradient per set, at I / d
