@@ -9,14 +9,16 @@ hypothesis of one step is that vertex alone: a :class:`Vertex`, the
 vector v of the projector scale * v v^dag, from which
 :attr:`Hypothesis.sigma` builds the d x d matrix only when it is read.
 
-Every protocol learns through :func:`learn_each`, from the index and
-value rows of its drawn training sets; it owns the rule for the first
-step: exact data on a Y-free support takes the closed form
-:func:`code_space_atoms`, one stacked pass per chunk of training sets,
-and every other first step, and every later step, is the eigen-step.
-A chunk's step-1 residuals are one stacked pass over its vertices
-(:meth:`EffectBatch.vertex_expectations`), and a one-vertex
-hypothesis is scored against its support the same way
+Step 1 of every learn is :func:`_first_steps`, which takes it for a
+chunk of training sets at once: exact data on a Y-free support takes
+the closed form :func:`code_space_atoms`, and every other set the
+eigen-step of its gradient at I / d, all of the chunk's gradients one
+(T, d, d) array. Its step-1 residuals are one stacked pass over its
+vertices (:meth:`EffectBatch.vertex_expectations`). Every protocol
+learns through :func:`learn_each`, which hands each set its step 1 as
+``first=``; a lone :func:`hazan_optimize` takes step 1 as a chunk of
+one. Steps 2 onward are the eigen-step. A one-vertex hypothesis is
+scored against its support the same way
 (:func:`vertex_support_residuals`), so a trial that stops after step 1
 builds no d x d matrix.
 
@@ -30,7 +32,9 @@ its gradient reads it from :meth:`Objective.gradient`: up to dim 256 a
 dense matrix, or one (T, d, d) array for a chunk's first steps, above
 it an :class:`~qpac.states.EffectSum` of the same entries, so no step
 forms a d x d gradient unless the eigen-step's ``eigh`` fallback asks
-for one.
+for one. The eigen-step (``linalg._smallest_built``) takes that output
+as it is and owns the zero-gradient rule: a gradient whose largest
+entry modulus is at most the threshold vanishes, and is not solved.
 """
 
 from __future__ import annotations
@@ -42,16 +46,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import _smallest_built
+from .linalg import _ZERO_GRADIENT_TOL, _smallest_built
 from .sampling import MeasurementDistribution, NoiseModel
 from .states import DensityMatrix, EffectBatch, EffectSum, maximally_mixed
 
-_ZERO_GRADIENT_TOL = 1e-12
 _EIG_TOL = 1e-9
 # the largest dim whose gradients are dense matrices; above it they are
 # EffectSums
 _DENSE_GRADIENT_MAX_DIM = 256
-# matrix entries of the stacks that learn_each and fill_trials build
+# matrix entries of the stacks that _first_steps and fill_trials build
 # for a chunk of training sets (2^16 complex128 entries, 1 MB): its
 # first-step gradients, T x d x d, with their gathered positions and
 # terms, T x m x d, and its vertex products, T x m x d or T x |S| x d.
@@ -118,12 +121,12 @@ class Objective:
     """f(sigma) = sum_i (Tr(E_i sigma) - y_i)^2 for a training set drawn
     from a support: its support indices and observed values (one row of
     :func:`~qpac.sampling.draw_training_sets`), read as rows of the
-    support's ``batch`` (:meth:`EffectBatch.rows`), sliced on the first
-    read of :attr:`batch`. Drawn indices name the support's effects by
-    construction, so no item is checked.
+    support's ``batch`` (the ``rows`` of :meth:`EffectBatch.expectations`).
+    Drawn indices name the support's effects by construction, so no
+    item is checked.
 
     Only :meth:`gradient` also reads a chunk of T training sets, (T, m)
-    indices and values as :func:`learn_each` builds one; every other
+    indices and values as :func:`_first_steps` builds one; every other
     method reads one set.
     """
 
@@ -133,20 +136,8 @@ class Objective:
         self.values = values
         self.dim = batch.dim
 
-    @cached_property
-    def batch(self) -> EffectBatch:
-        """The training set's rows of the support's batch."""
-        return self.support_batch.rows(self.indices)
-
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
-        return self.batch.expectations(sigma) - self.values
-
-    def vertex_residuals(self, vertex: Vertex) -> np.ndarray:
-        """:meth:`residuals` at the first iterate ``vertex.matrix()``,
-        without that matrix (:meth:`EffectBatch.vertex_expectations`)."""
-        v, scale = _stacked([vertex])
-        [found] = self.support_batch.vertex_expectations(v, scale, self.indices[None])
-        return found - self.values
+        return self.support_batch.expectations(sigma, self.indices) - self.values
 
     def value(self, sigma: np.ndarray) -> float:
         r = self.residuals(sigma)
@@ -159,7 +150,7 @@ class Objective:
         as an :class:`~qpac.states.EffectSum`, with no d x d matrix.
 
         An objective of a chunk of T training sets, (T, m) indices and
-        values as :func:`learn_each` builds one, takes (T, m) residuals
+        values as :func:`_first_steps` builds one, takes (T, m) residuals
         and returns the (T, d, d) stack of their gradients from one
         :meth:`EffectBatch.weighted_sum` call; a lone set's matrix is the
         T = 1 case of that call. Above dim 256 a chunk holds one set.
@@ -178,14 +169,6 @@ def _stationary(r: np.ndarray) -> np.ndarray:
     has modulus at most 1, so 4 sum_i |r_i| <= the threshold leaves the
     gradient's entries at half of it, with room for rounding."""
     return 4.0 * np.abs(r).sum(axis=-1) <= _ZERO_GRADIENT_TOL
-
-
-def _vanishes(g: np.ndarray | EffectSum) -> np.ndarray:
-    """Whether a gradient vanishes within the zero threshold: one
-    verdict for a matrix or an EffectSum, and one per item of a
-    (T, d, d) stack, from one modulus pass over it."""
-    top = g.max_entry if isinstance(g, EffectSum) else np.abs(g).max(axis=(-2, -1))
-    return top <= _ZERO_GRADIENT_TOL
 
 
 def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
@@ -258,89 +241,119 @@ def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
     return atoms
 
 
+def _first_steps(batch: EffectBatch, rows: np.ndarray, values: np.ndarray,
+                 closed: bool) -> list[tuple[Vertex | None, np.ndarray]]:
+    """Step 1 of each training set of a chunk, the (T, m) index and
+    value arrays ``rows`` and ``values`` over ``batch``: per set, its
+    vertex, or None where it stops at I / d, and its residuals there.
+
+    With ``closed`` (exact data on a Y-free support), a set takes the
+    closed form of :func:`code_space_atoms` as its vertex where that
+    applies. Every other set reads its residuals at I / d from the
+    batch's table of I / d (:meth:`EffectBatch.expected`). A set whose
+    residuals there bound its gradient within the zero threshold (all
+    exactly 0, say) has no gradient built, and stops at I / d. The
+    others' gradients are one :meth:`Objective.gradient` call, a
+    (T, d, d) array up to dim 256 and above it one set's
+    :class:`~qpac.states.EffectSum`, handed to the eigen-step as it is
+    (``linalg._smallest_built``, each pair that of
+    :func:`~qpac.linalg.smallest_eigenvector`), which solves a repeated
+    gradient once and leaves a vanishing one at I / d. The step-1
+    residuals of all vertices are one
+    :meth:`EffectBatch.vertex_expectations` pass. A chunk whose
+    vertices are all closed forms builds no I / d.
+
+    Each set gets its own copy of its residual row, so that its
+    ``np.dot`` sums a fresh allocation as a lone run's does: under some
+    BLAS kernels ``ddot`` sums a row that starts off a 16-byte boundary
+    in another order.
+    """
+    vertices = code_space_atoms(batch, rows, values) if closed else [None] * len(rows)
+    residuals = np.empty(rows.shape)
+    start = [j for j, vertex in enumerate(vertices) if vertex is None]
+    if start:
+        mixed = maximally_mixed(batch.dim.bit_length() - 1)
+        residuals[start] = batch.expected(mixed)[rows[start]] - values[start]
+        sets = np.array(start)[~_stationary(residuals[start])]
+        if sets.size:
+            grads = Objective(batch, rows[sets], values[sets]).gradient(residuals[sets])
+            for j, pair in zip(sets.tolist(), _smallest_built(grads, tol=_EIG_TOL)):
+                if pair is not None:
+                    vertices[j] = Vertex(pair[0])
+            # d x d matrices up to dim 256, that the optimizer need not hold
+            del grads
+    stepped = [j for j, vertex in enumerate(vertices) if vertex is not None]
+    if stepped:
+        v, scale = _stacked([vertices[j] for j in stepped])
+        residuals[stepped] = batch.vertex_expectations(v, scale, rows[stepped]) - values[stepped]
+    return list(zip(vertices, map(np.array, residuals)))
+
+
 def hazan_optimize(
     obj: Objective,
     k_max: int = 300,
     *,
     stop_objective: float | None = None,
-    first_vertex: Vertex | None = None,
-    first_residuals: np.ndarray | None = None,
+    first: tuple[Vertex | None, np.ndarray] | None = None,
 ) -> Hypothesis:
     """Minimize the quadratic objective over unit-trace PSD matrices.
 
     The iterate starts at the maximally mixed state I / d. At step k it
     moves toward v v^dag with step 1/k, where v is the smallest
     eigenvector of the gradient; step 1 therefore replaces I / d
-    entirely, and is taken in one pass as ``atom + 0.0``, the bytes of
-    ``(1 - 1.0) I / d + 1.0 atom``.
+    entirely by its vertex.
 
-    Each step runs in one order: the residuals r at sigma; a stop when
-    r bounds the gradient within the zero threshold (4 sum |r_i| <= it,
-    which residuals of exactly 0 meet), so it is not built; the
-    gradient ``obj.gradient(r)``; a stop when it vanishes within the
-    threshold; then the eigen-step. At either stop sigma is optimal
-    (convex objective) and the iteration stops moving.
-    ``final_objective`` reuses r when sigma has not moved since.
+    Step 1 is ``first``, a (vertex, residuals) pair of
+    :func:`_first_steps`, as :func:`learn_each` hands it in; without it
+    the run takes :func:`_first_steps` of its own set, a chunk of one
+    with no closed form: the eigen-step. A vertex of None stops the run
+    at I / d with 0 iterations. The step-1 iterate is built
+    (:meth:`Vertex.matrix`, the bytes of ``(1 - 1.0) I / d + 1.0
+    atom``) only to take step 2, so a run that stops after step 1
+    returns the vertex as its hypothesis.
 
-    ``stop_objective`` stops the loop once the objective is at most its
-    value. No protocol sets it; it stays because the benchmark's
-    per-layer tracer (``perfbench/tracing.py``) reads it by name, to
-    tell a zero-gradient stop from a threshold stop.
+    Each later step runs in one order: a stop when the residuals r at
+    sigma bound the gradient within the zero threshold (4 sum |r_i| <=
+    it, which residuals of exactly 0 meet), so it is not built; the
+    gradient ``obj.gradient(r)``, handed to the eigen-step, which stops
+    the run when it vanishes within the threshold; then the update. At
+    either stop sigma is optimal (convex objective) and the iteration
+    stops moving. ``final_objective`` is read from the last residuals.
 
-    ``first_vertex`` hands in the vertex of step 1, solved by
-    :func:`learn_each`; the caller guarantees that the gradient at
-    I / d does not vanish, so step 1 neither builds nor tests it, and
-    I / d itself is not built. ``first_residuals`` are the training
-    residuals at that vertex, as :func:`learn_each` computes them for a
-    chunk at once; without them they are
-    :meth:`Objective.vertex_residuals`. The step-1 iterate is built
-    (:meth:`Vertex.matrix`, the bytes of ``atom + 0.0``) only to take
-    step 2, so a run that stops after step 1 returns the vertex as its
-    hypothesis. Handing in the eigen-step's ``Vertex(v)`` gives the
-    bytes of a run without it.
+    ``stop_objective`` stops the loop before a step once the objective
+    is at most its value. No protocol sets it; it stays because the
+    benchmark's per-layer tracer (``perfbench/tracing.py``) reads it by
+    name, to tell a zero-gradient stop from a threshold stop.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
+    if first is None:
+        [first] = _first_steps(obj.support_batch, obj.indices[None], obj.values[None], False)
+    vertex, r = first
+    if vertex is None:
+        return Hypothesis(maximally_mixed(obj.dim.bit_length() - 1).matrix, 0,
+                          float(np.dot(r, r)))
 
-    if first_vertex is None:
-        sigma, iterations, r = maximally_mixed(obj.dim.bit_length() - 1).matrix, 0, None
-    else:
-        # step 1 is taken; sigma_1, the vertex, is built where it is read
-        sigma, iterations = None, 1
-        r = obj.vertex_residuals(first_vertex) if first_residuals is None else first_residuals
-    for k in range(iterations + 1, k_max + 1):
-        if r is None:
-            r = obj.residuals(sigma)
-        if stop_objective is not None and iterations and float(np.dot(r, r)) <= stop_objective:
+    # sigma_1, the vertex, is built where it is read
+    sigma, iterations = None, 1
+    for k in range(2, k_max + 1):
+        if stop_objective is not None and float(np.dot(r, r)) <= stop_objective:
             break
         # either stop is a stationary point of a convex objective:
         # optimal, no movement this or any later step
         if _stationary(r):
             break
         if sigma is None:
-            sigma = first_vertex.matrix()
-        g = obj.gradient(r)
-        if _vanishes(g):
+            sigma = vertex.matrix()
+        [pair] = _smallest_built(obj.gradient(r), tol=_EIG_TOL)
+        if pair is None:
             break
-        # a matrix is a stack of one, and an EffectSum a list of one
-        [(v, _)] = _smallest_built(g[None] if isinstance(g, np.ndarray) else [g],
-                                   tol=_EIG_TOL)
-        # the spent gradient, a d x d matrix up to dim 256, that the
-        # update need not hold
-        del g
-        atom = np.outer(v, v.conj())
+        atom = np.outer(pair[0], pair[0].conj())
         alpha = 1.0 / k
-        # step 1 (alpha = 1) in one pass: atom + 0.0 is the bytes of
-        # (1 - 1.0) * sigma + 1.0 * atom, every nonzero kept and every
-        # zero +0.0
-        sigma = atom + 0.0 if k == 1 else (1.0 - alpha) * sigma + alpha * atom
-        r = None
-        iterations = k
-
-    if r is None:
+        sigma = (1.0 - alpha) * sigma + alpha * atom
         r = obj.residuals(sigma)
-    return Hypothesis(first_vertex if sigma is None else sigma, iterations,
-                      float(np.dot(r, r)))
+        iterations = k
+    return Hypothesis(vertex if sigma is None else sigma, iterations, float(np.dot(r, r)))
 
 
 def learn_each(
@@ -357,66 +370,20 @@ def learn_each(
     under ``noise``; each row's objective reads its rows of the
     support's batch (:class:`Objective`).
 
-    The first-step rule: on a Y-free support (every ``d2`` support), a
-    training set of exact data takes the closed form of
-    :func:`code_space_atoms` as its first vertex where that applies.
-    Every other training set takes the eigen-step of its gradient at
-    I / d, whose residuals are read from the support's table of I / d
-    (:meth:`EffectBatch.expected`). Training sets are learned in chunks
-    whose stacks hold at most ``_STACK_ENTRIES`` entries: a chunk's
-    closed forms are one :func:`code_space_atoms` call, its gradients
-    one (T, d, d) array from one :meth:`Objective.gradient` call over
-    its rows, tested for vanishing in one modulus pass and handed to
-    the eigen-step as it is (``linalg._smallest_built``, each pair that
-    of :func:`~qpac.linalg.smallest_eigenvector`, with the certificate
-    run over the stack), which solves a repeated gradient once, and the
-    step-1 residuals of all its vertices one
-    :meth:`EffectBatch.vertex_expectations` pass, handed to
-    :func:`hazan_optimize`; above dim 256 a chunk holds one training
-    set, whose gradient is an :class:`~qpac.states.EffectSum`. Each
-    training set gets the bytes that learning it alone gives. A chunk
-    whose first vertices are all closed forms builds no I / d. A
-    training set whose residuals at I / d bound its gradient within
-    the zero threshold (all exactly 0, say) has no gradient assembled
-    or solved, and its optimization stops at I / d. A gradient that
-    vanishes within the threshold is not solved either.
+    Training sets are learned in chunks whose stacks hold at most
+    ``_STACK_ENTRIES`` entries (above dim 256, one set). Step 1 of a
+    chunk is one :func:`_first_steps` call, with the closed form on a
+    Y-free support (every ``d2`` support) for exact data, and each set's
+    step 1 goes to its :func:`hazan_optimize` call as ``first=``. Each
+    training set gets the bytes that learning it alone gives.
     """
     closed = noise.kind == "exact" and not any(p.x & p.z for p in support.effects)
     batch, dim = support.batch, 1 << support.n
     chunk = max(1, _STACK_ENTRIES // (dim * max(dim, indices.shape[1])))
     for lo in range(0, len(indices), chunk):
         rows, vals = indices[lo:lo + chunk], values[lo:lo + chunk]
-        objs = [Objective(batch, idx, v) for idx, v in zip(rows, vals)]
-        vertices = (code_space_atoms(batch, rows, vals) if closed
-                    else [None] * len(objs))
-        start = [j for j, vertex in enumerate(vertices) if vertex is None]
-        if start:
-            r0 = batch.expected(maximally_mixed(support.n))[rows[start]] - vals[start]
-            moving = ~_stationary(r0)
-            sets = np.array(start)[moving]
-            if sets.size:
-                grads = Objective(batch, rows[sets], vals[sets]).gradient(r0[moving])
-                # negated as an array: an EffectSum's verdict is a bool
-                live = ~np.atleast_1d(_vanishes(grads))
-                if isinstance(grads, EffectSum):
-                    # above dim 256 a chunk holds one training set
-                    grads = [grads] if live[0] else []
-                elif not live.all():
-                    grads = grads[live]
-                # the stack goes to the eigen-step as it is
-                for j, (v, _) in zip(sets[live].tolist(), _smallest_built(grads, tol=_EIG_TOL)):
-                    vertices[j] = Vertex(v)
-                # d x d matrices up to dim 256, that the optimizer need not hold
-                del grads
-        stepped = [j for j, vertex in enumerate(vertices) if vertex is not None]
-        r1 = {}
-        if stepped:
-            v, scale = _stacked([vertices[j] for j in stepped])
-            found = batch.vertex_expectations(v, scale, rows[stepped]) - vals[stepped]
-            r1 = dict(zip(stepped, found))
-        for j, obj in enumerate(objs):
-            yield hazan_optimize(obj, k_max=k_max, first_vertex=vertices[j],
-                                 first_residuals=r1.get(j))
+        for idx, v, first in zip(rows, vals, _first_steps(batch, rows, vals, closed)):
+            yield hazan_optimize(Objective(batch, idx, v), k_max, first=first)
 
 
 def support_residuals(sigma: DensityMatrix, state: DensityMatrix,

@@ -65,7 +65,12 @@ public entries check h - h^dag, on their input, before the shared
 code. The learner reaches the eigen-step through ``_smallest_built``:
 its gradients are real-weighted sums of Pauli strings, Hermitian by
 construction, so no h - h^dag pass runs, while the modulus pass
-that sets the shift and the tolerance scale stays. Up to dim 256 the
+that sets the shift and the tolerance scale stays. That entry owns the
+zero-gradient rule: an item whose largest entry modulus, from that
+same pass, is at most ``_ZERO_GRADIENT_TOL`` (1e-12) vanishes; it is
+not solved, and its entry in the result is None. The public
+``smallest_eigenvector`` solves every nonzero matrix, however small,
+and returns (e_0, 0.0) for a zero one. Up to dim 256 the
 learner hands in dense gradients, and each pair is the pair of
 ``smallest_eigenvector``. Above dim 256 it hands in one operator, and
 no d x d gradient is formed unless the ``eigh`` fallback is taken: the
@@ -75,7 +80,7 @@ the ``zgemv`` of ``np.dot``, the certificate reads the operator's
 decomposes its ``dense()`` matrix (the duck type is spelled out at
 ``_smallest_built``; ``states.EffectSum`` is the one this package
 builds). Its ``max_entry``, ``diagonal`` and ``dense()`` have the bytes
-of the dense gradient's, so the zero-gradient test, the min-diagonal
+of the dense gradient's, so the zero-gradient rule, the min-diagonal
 certificate and the fallback decide as on the dense matrix; its
 products and its 1-norm round differently from ``zgemv`` and the
 dense column sums, so its power-iteration pairs may differ from the
@@ -89,6 +94,10 @@ import math
 import numpy as np
 
 from .errors import NonHermitianError
+
+# the zero-gradient threshold: a built gradient whose largest entry
+# modulus is at most this vanishes (:func:`_smallest_built`)
+_ZERO_GRADIENT_TOL = 1e-12
 
 
 def _hermitian(h) -> np.ndarray:
@@ -255,37 +264,36 @@ def _power_iterate_stack(h, v, cs, tol, max_entry, max_sweeps):
     return out_v, out_lam, out_ok
 
 
-def _smallest(h, tol: float, max_sweeps: int | None):
-    """The eigen-step rule on a non-empty (T, d, d) stack of Hermitian
-    matrices, or on a lone operator in a list of one (see
-    :func:`_smallest_built`); returns ``(v, lam)`` per item.
+def _smallest(h, tol: float, max_sweeps: int | None, floor: float = _ZERO_GRADIENT_TOL):
+    """The eigen-step rule on a (T, d, d) stack of Hermitian matrices,
+    a lone (d, d) matrix (a stack of one), or a lone operator (see
+    :func:`_smallest_built`); returns ``(v, lam)`` per item, and None
+    for each item whose largest entry modulus is at most ``floor``,
+    which is not solved.
 
     The min-diagonal certificate and the phase normalization of each
     start run over the stack's converged items at once.
     """
     # the shift c of each item is its induced 1-norm, which bounds its spectrum
     if isinstance(h, np.ndarray):
-        op = None
+        op, h = None, h.reshape(-1, *h.shape[-2:])
         max_entry, cs = _hermitian_stack(h)
         diags = h.diagonal(axis1=1, axis2=2).real
     else:
-        (op,) = h
-        # the operator stands for its stack of one; the loop below
-        # never slices a stack of one, and the fallback densifies it
+        # the operator stands for its stack of one, a list that the loop
+        # below never slices; the fallback densifies it
+        op, h, diags = h, [h], h.diagonal[None]
         max_entry, cs = np.array([op.max_entry]), np.array([op.one_norm])
         _finite_scale(max_entry)
-        diags = op.diagonal[None]
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     count, dim = diags.shape
     if max_sweeps is None:
         max_sweeps = 10 * dim
 
-    # a zero matrix's pair is (e_0, 0.0)
     vs = np.zeros((count, dim), dtype=np.complex128)
     lams = np.zeros(count)
-    vs[max_entry == 0.0, 0] = 1.0
-    todo = np.flatnonzero(max_entry != 0.0)
+    todo = np.flatnonzero(max_entry > floor)
     starts = np.full((len(todo), dim), 1.0 / np.sqrt(dim), dtype=np.complex128)
     for _ in range(2):
         if not todo.size:
@@ -307,7 +315,8 @@ def _smallest(h, tol: float, max_sweeps: int | None):
         vs[j], lams[j] = vecs[:, 0], vals[0]
     if todo.size:
         vs[todo] = _normalize_phases(vs[todo])
-    return list(zip(vs, lams.tolist()))
+    return [(v, lam) if top > floor else None
+            for v, lam, top in zip(vs, lams.tolist(), max_entry.tolist())]
 
 
 def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | None = None):
@@ -331,32 +340,38 @@ def smallest_eigenvector(h: np.ndarray, tol: float = 1e-9, max_sweeps: int | Non
     to. Never raises for want of convergence: the fallback serves every
     dimension.
     """
-    return _smallest(_hermitian(h)[None], tol, max_sweeps)[0]
+    h = _hermitian(h)
+    # the floor 0 leaves only a zero matrix unsolved; its pair is (e_0, 0.0)
+    pair = _smallest(h, tol, max_sweeps, 0.0)[0]
+    return pair or (np.eye(1, len(h), dtype=np.complex128)[0], 0.0)
 
 
 def _smallest_built(hs, tol: float = 1e-9):
-    """:func:`smallest_eigenvector` of each matrix in a stack of
-    same-dimension matrices the package built Hermitian by construction,
-    the learner's gradients, as a list of ``(v, lam)``: the same pairs,
-    without the h - h^dag pass. The modulus pass that sets each item's
-    shift and tolerance scale stays.
+    """:func:`smallest_eigenvector` of each matrix the package built
+    Hermitian by construction, the learner's gradients, as a list with
+    one entry per item: the same ``(v, lam)``, without the h - h^dag
+    pass, or None for an item whose gradient vanishes.
 
-    ``hs`` is a complex (T, d, d) array, the learner's stack, which is
-    read as it is. The sweeps of the stack run in lock-step, which costs less per
-    matrix than one call after another. Matrices with the same bytes
-    are solved once, and each repeat gets its own copy of the pair.
+    The zero rule: an item vanishes when its largest entry modulus is
+    at most ``_ZERO_GRADIENT_TOL`` (1e-12), read from the modulus pass
+    that also sets each item's shift and tolerance scale, or from an
+    operator's ``max_entry``. A vanishing item is not solved. Every
+    other item gets the pair of :func:`smallest_eigenvector`.
 
-    Above dim 256 ``hs`` may instead be a list of one operator: an
-    object with ``dim``, ``diagonal`` (the real diagonal),
-    ``max_entry`` (the largest entry modulus), ``one_norm`` (the
-    induced 1-norm), ``dot(v, out)`` (h v into ``out``) and ``dense()``
-    (the d x d matrix), as :class:`~qpac.states.EffectSum` provides
-    them. Only the ``eigh`` fallback reads a d x d matrix.
+    ``hs`` is what :meth:`~qpac.learner.Objective.gradient` returns,
+    read as it is: a complex (T, d, d) stack, a lone (d, d) matrix (a
+    stack of one), or above dim 256 a lone operator, an object with
+    ``dim``, ``diagonal`` (the real diagonal), ``max_entry`` (the
+    largest entry modulus), ``one_norm`` (the induced 1-norm),
+    ``dot(v, out)`` (h v into ``out``) and ``dense()`` (the d x d
+    matrix), as :class:`~qpac.states.EffectSum` provides them. Only the
+    ``eigh`` fallback reads an operator's d x d matrix. The sweeps of a
+    stack run in lock-step, which costs less per matrix than one call
+    after another. Matrices with the same bytes are solved once, and
+    each repeat gets its own copy of the pair.
     """
-    if not len(hs):
-        return []
-    if len(hs) == 1:
-        # a stack of one, or a list of one operator, has no repeats to
+    if not isinstance(hs, np.ndarray) or hs.ndim == 2 or len(hs) < 2:
+        # a lone matrix or operator, or a stack of one, has no repeats to
         # look for, so its matrix (16 MB at n = 10) is not hashed
         return _smallest(hs, tol, None)
     # the first item with each item's bytes; the keys, as large as the
@@ -368,5 +383,5 @@ def _smallest_built(hs, tol: float = 1e-9):
     solved = _smallest(hs if len(distinct) == len(hs) else hs[distinct], tol, None)
     # item j's pair is the solved pair of its first occurrence
     at = np.searchsorted(distinct, source)
-    return [solved[k] if source[j] == j else (solved[k][0].copy(), solved[k][1])
-            for j, k in enumerate(at.tolist())]
+    return [solved[k] if source[j] == j or solved[k] is None
+            else (solved[k][0].copy(), solved[k][1]) for j, k in enumerate(at.tolist())]

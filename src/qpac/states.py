@@ -41,12 +41,9 @@ class EffectBatch:
     (``MeasurementDistribution.batch``), and its tables serve every
     reader of that support: :meth:`expected` is the one Tr(E rho) table
     of a target state, which sampling and the support residuals read,
-    and :meth:`rows` slices the objective of a training set drawn from
-    the support out of it.
+    and a training set drawn from the support reads its rows through
+    the ``rows`` argument of :meth:`expectations`.
     """
-
-    # Tr(E_i rho) per live target state, made on the first :meth:`expected`
-    _targets: weakref.WeakKeyDictionary | None = None
 
     def __init__(self, effects: Sequence[PauliString]):
         effects = tuple(effects)
@@ -69,18 +66,19 @@ class EffectBatch:
             coeff[:] = np.where(np.bitwise_count(rows & p.z) % 2 == 0, 1.0, -1.0)
             coeff *= p.phase * (1j) ** ((p.x & p.z).bit_count() % 4)
         self._diag_idx = rows * self.dim + rows
+        # Tr(E_i rho) per live target state (:meth:`expected`)
+        self._targets = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self._coeff)
 
-    def rows(self, indices: Sequence[int] | np.ndarray) -> "EffectBatch":
-        """The batch of the effects at ``indices`` (a sequence or an
-        integer array), in that order and duplicates kept: rows of this
-        batch's tables, the same bytes that ``EffectBatch`` of those
-        effects builds (see :class:`_BatchRows`)."""
-        if len(indices) == 0:
-            raise ValueError("empty effect batch")
-        return _BatchRows(self, np.asarray(indices))
+    def _tables(self, rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The gather and coefficient tables of the batch rows ``rows``
+        (an integer array of any shape, duplicates kept), or of every
+        row when ``rows`` is None."""
+        if rows is None:
+            return self._gather_idx, self._coeff
+        return self._gather_idx[rows], self._coeff[rows]
 
     def expected(self, state: DensityMatrix) -> np.ndarray:
         """Read-only Tr(E_i rho) of a target state, computed once for as
@@ -91,8 +89,6 @@ class EffectBatch:
         1e-9 of [0, 1] are clamped into it; anything further out signals
         a non-physical state and raises.
         """
-        if self._targets is None:
-            self._targets = weakref.WeakKeyDictionary()
         found = self._targets.get(state)
         if found is None:
             if state.dim != self.dim:
@@ -111,20 +107,27 @@ class EffectBatch:
             self._targets[state] = found
         return found
 
-    def _traces(self, sigma: np.ndarray) -> tuple[float, np.ndarray]:
-        """Re Tr(sigma) and the complex Tr(P_i sigma) of every effect."""
+    def _traces(self, sigma: np.ndarray,
+                rows: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """Re Tr(sigma) and the complex Tr(P_i sigma) of each batch row
+        in ``rows``, or of every effect."""
         flat = sigma.ravel()
+        gather, coeff = self._tables(rows)
         # ndarray methods: np.sum's dispatch costs more than these small sums
         tr = flat[self._diag_idx].sum().real
-        return tr, (self._coeff * flat[self._gather_idx]).sum(axis=1)
+        return tr, (coeff * flat[gather]).sum(axis=1)
 
-    def expectations(self, sigma: np.ndarray) -> np.ndarray:
-        """All Tr(E_i sigma) = (Tr(sigma) + Tr(P_i sigma)) / 2.
+    def expectations(self, sigma: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Tr(E_i sigma) = (Tr(sigma) + Tr(P_i sigma)) / 2 of each batch
+        row in the (m,) index array ``rows``, in that order and
+        duplicates kept, or of every row when ``rows`` is None.
 
-        Valid for any square matrix, not just unit-trace ones, so the
-        objective stays an exact quadratic under off-plane probes.
+        Each gathered row is multiplied and summed as the whole batch's
+        row is, so it has the same bytes. Valid for any square matrix,
+        not just unit-trace ones, so the objective stays an exact
+        quadratic under off-plane probes.
         """
-        tr, traces = self._traces(sigma)
+        tr, traces = self._traces(sigma, rows)
         return (tr + traces.real) / 2.0
 
     def vertex_expectations(self, v: np.ndarray, scale: np.ndarray,
@@ -146,8 +149,7 @@ class EffectBatch:
         the order of scaling and summing changes no bit either.
         """
         d = self.dim
-        table = self._gather_idx if rows is None else self._gather_idx[rows]
-        coeff = self._coeff if rows is None else self._coeff[rows]
+        table, coeff = self._tables(rows)
         # row t of the flattened conj(v) starts at t * d
         perm = (table & (d - 1)) + (np.arange(len(v)) * d)[:, None, None]
         products = coeff * (v[:, None, :] * v.conj().ravel()[perm])
@@ -252,17 +254,6 @@ class EffectSum:
         h = np.zeros((self.dim, self.dim), dtype=np.complex128)
         h[np.arange(self.dim), self._cols] = self._entries
         return h
-
-
-class _BatchRows(EffectBatch):
-    """Rows of a whole batch, from :meth:`EffectBatch.rows`: slices of
-    its gather and coefficient tables."""
-
-    def __init__(self, whole: EffectBatch, idx: np.ndarray):
-        self.dim = whole.dim
-        self._gather_idx = whole._gather_idx[idx]
-        self._coeff = whole._coeff[idx]
-        self._diag_idx = whole._diag_idx
 
 
 @dataclass(frozen=True, eq=False)

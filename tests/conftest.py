@@ -1,14 +1,15 @@
 """Shared test helpers: an independent dense-matrix oracle for the
 symbolic Pauli algebra, random density-matrix generators, the
-learner's form of hand-built (effect, value) pairs, and the Frank-Wolfe
-iterates of a run rebuilt from its recorded vertices."""
+learner's form of hand-built (effect, value) pairs, the dense step 1
+of a training set, and the Frank-Wolfe iterates of a run rebuilt from
+its recorded vertices."""
 
 import functools
 
 import numpy as np
 import pytest
 
-from qpac import PauliString, learner
+from qpac import PauliString, learner, maximally_mixed, smallest_eigenvector
 from qpac.learner import Objective
 from qpac.states import EffectBatch
 
@@ -124,6 +125,24 @@ def objective(items):
     return Objective(batch, indices[0], values[0])
 
 
+def dense_first_step(obj: Objective):
+    """Step 1 of one training set as a dense loop takes it, the byte
+    reference of the learner's step 1: the residuals at the matrix
+    I / d, the dense gradient ``weighted_sum``, a vanishing test on its
+    largest entry modulus (at most 1e-12), the public
+    ``smallest_eigenvector``, the iterate ``np.outer(v, v^dag) + 0.0``
+    and its residuals. Returns (v, residuals, sigma); v is None, and
+    sigma the matrix I / d, where the gradient vanishes."""
+    mixed = maximally_mixed(obj.dim.bit_length() - 1).matrix
+    r = obj.residuals(mixed)
+    g = obj.support_batch.weighted_sum(2.0 * r, obj.indices)
+    if np.max(np.abs(g)) <= 1e-12:
+        return None, r, mixed
+    v, _ = smallest_eigenvector(g, tol=1e-9)
+    sigma = np.outer(v, v.conj()) + 0.0
+    return v, obj.residuals(sigma), sigma
+
+
 def record_vertices(monkeypatch) -> list:
     """Every eigenvector that ``learner._smallest_built`` returns, in
     order: the Frank-Wolfe vertices of the steps that solve their own."""
@@ -132,7 +151,8 @@ def record_vertices(monkeypatch) -> list:
 
     def recorded(hs, tol):
         pairs = real(hs, tol=tol)
-        vertices.extend(v for v, _ in pairs)
+        # a vanishing gradient has no vertex
+        vertices.extend(pair[0] for pair in pairs if pair is not None)
         return pairs
 
     monkeypatch.setattr(learner, "_smallest_built", recorded)

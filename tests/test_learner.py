@@ -20,15 +20,14 @@ from qpac import (
     hazan_optimize,
     maximally_mixed,
     sample_training_set,
-    smallest_eigenvector,
     support_residuals,
     fidelity,
 )
 from qpac import learner
 from qpac.sampling import draw_training_sets
 
-from conftest import (fw_iterates, index_rows, kron_dense, objective, pauli_action,
-                      random_density, record_vertices)
+from conftest import (dense_first_step, fw_iterates, index_rows, kron_dense, objective,
+                      pauli_action, random_density, record_vertices)
 from test_acceptance import per_shot_outcomes, shot_objective_value
 
 
@@ -113,8 +112,9 @@ class TestGradient:
 
 
 class TestEffectBatchRows:
-    """A training set drawn from a support reads its rows from the
-    support's batch; they are the bytes of a batch built fresh."""
+    """A training set drawn from a support reads its rows of the
+    support's batch, ``expectations(sigma, rows)``; they are the bytes
+    of a batch built fresh."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -125,28 +125,29 @@ class TestEffectBatchRows:
         picks = data.draw(st.lists(st.integers(0, len(dist) - 1), min_size=1, max_size=10))
         # duplicates, as draws with replacement give them
         picks = picks + picks[: data.draw(st.integers(0, len(picks)))]
-        part = learner.EffectBatch(dist.effects).rows(tuple(picks))
+        batch = learner.EffectBatch(dist.effects)
         fresh = learner.EffectBatch([dist.effects[i] for i in picks])
-        assert len(part) == len(fresh) and part.dim == fresh.dim
-        for name in ("_gather_idx", "_coeff", "_diag_idx"):
-            got, want = getattr(part, name), getattr(fresh, name)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sigma = random_density(rng, batch.dim)
+        got = batch.expectations(sigma, np.array(picks))
+        want = fresh.expectations(sigma)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_empty_selection(self):
         with pytest.raises(ValueError):
-            learner.EffectBatch(build_distribution(2, "d1").effects).rows(())
+            learner.EffectBatch(())
+        # no rows, no expectations
+        batch = learner.EffectBatch(build_distribution(2, "d1").effects)
+        got = batch.expectations(maximally_mixed(2).matrix, np.array([], dtype=np.int64))
+        assert got.shape == (0,)
 
-    def test_integer_array_selection(self):
-        # an index row of a drawn fill is an integer array, whose truth
-        # value is ambiguous
+    def test_integer_array_selection(self, rng):
+        # an index row of a drawn fill is an integer array; each row is
+        # summed alone, so it has the bytes of the whole batch's row
         batch = learner.EffectBatch(build_distribution(3, "d1").effects)
-        part, want = batch.rows(np.array([4, 0, 4])), batch.rows((4, 0, 4))
-        assert len(part) == len(want) == 3
-        for name in ("_gather_idx", "_coeff"):
-            assert getattr(part, name).tobytes() == getattr(want, name).tobytes()
-        with pytest.raises(ValueError):
-            batch.rows(np.array([], dtype=np.int64))
+        sigma = random_density(rng, 8)
+        got = batch.expectations(sigma, np.array([4, 0, 4]))
+        assert got.tobytes() == batch.expectations(sigma)[[4, 0, 4]].tobytes()
 
 
 class TestHazanOptimize:
@@ -254,7 +255,8 @@ class TestHazanOptimize:
                                                  replacement=replacement)
             obj = Objective(dist.batch, indices[0], values[0])
             [vertex] = learner.code_space_atoms(dist.batch, indices, values)
-            hyp = hazan_optimize(obj, k_max=300, first_vertex=vertex)
+            first = (vertex, obj.residuals(vertex.matrix()))
+            hyp = hazan_optimize(obj, k_max=300, first=first)
             assert hyp.iterations_used == 1
             assert hyp.final_objective == 0.0
             # the run stops on residuals of 0 and keeps its vertex
@@ -273,19 +275,72 @@ class TestHazanOptimize:
 
 
 class TestFirstStep:
-    """``hazan_optimize(obj, first_vertex=vertex)`` takes step 1 to the
-    vertex it is handed; the eigen-step's vertex changes no bit of the
-    result."""
+    """``hazan_optimize(obj, first=(vertex, residuals))`` takes step 1 to
+    the vertex it is handed; without it, the run takes its own step 1,
+    with the bytes of the dense step (``conftest.dense_first_step``)."""
 
     @staticmethod
-    def _first_vertex(obj):
-        # the vertex learn_each hands in, or None where the gradient at
-        # I / d vanishes and no vertex may be handed in
-        g = obj.gradient(obj.residuals(np.eye(obj.dim, dtype=np.complex128) / obj.dim))
-        if learner._vanishes(g):
-            return None
-        v, _ = smallest_eigenvector(g, tol=1e-9)
-        return learner.Vertex(v)
+    def _first(obj):
+        # the dense step 1 as a handed-in first step: the vertex, or None
+        # where the gradient at I / d vanishes, and the residuals there
+        v, r, _ = dense_first_step(obj)
+        return (None if v is None else learner.Vertex(v)), r
+
+    @staticmethod
+    def _assert_dense_step_one(dist, indices, values, noise):
+        # every set's step 1, in a lone run, in a learn_each chunk and as
+        # a row of an eigen-step chunk, has the bytes of the dense step
+        hyps = list(learner.learn_each(dist, indices, values, noise, 1))
+        closed = noise.kind == "exact" and not any(p.x & p.z for p in dist.effects)
+        atoms = (learner.code_space_atoms(dist.batch, indices, values) if closed
+                 else [None] * len(indices))
+        # above dim 256 a chunk holds one set
+        chunk = 1 if dist.batch.dim > 256 else len(indices)
+        rows = [first for t in range(0, len(indices), chunk) for first in learner._first_steps(
+            dist.batch, indices[t:t + chunk], values[t:t + chunk], False)]
+        for idx, vals, hyp, atom, (vertex, r) in zip(indices, values, hyps, atoms, rows):
+            obj = Objective(dist.batch, idx, vals)
+            v, want, sigma = dense_first_step(obj)
+            assert (vertex is None) == (v is None)
+            if v is not None:
+                assert vertex.v.tobytes() == v.tobytes() and vertex.scale == 1.0
+            assert r.tobytes() == want.tobytes()
+            # a closed-form set takes another vertex
+            for got in [hazan_optimize(obj, k_max=1)] + ([hyp] if atom is None else []):
+                assert got.iterations_used == (v is not None)
+                assert got.sigma.matrix.tobytes() == sigma.tobytes()
+                assert got.final_objective == float(np.dot(want, want))
+        return hyps
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), label=st.sampled_from(["d1", "d2"]),
+           noise=st.sampled_from([NoiseModel.exact(), NoiseModel.with_shots(20),
+                                  NoiseModel.gaussian(0.05)]),
+           replacement=st.booleans(), m=st.integers(1, 12), sets=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_step_one_is_the_dense_step(self, n, label, noise, replacement, m, sets, seed):
+        dist = build_distribution(n, label)
+        # exact GHZ values are all 1, so shots need a state whose values are not
+        rho = ghz_density(n) if noise.kind != "shots" else (
+            maximally_mixed(n) if n > 3 else DensityMatrix(
+                random_density(np.random.default_rng(n), 1 << n)))
+        m = m if replacement else min(m, len(dist))
+        indices, values = draw_training_sets(dist, rho, m, [(seed, t) for t in range(sets)],
+                                             noise, replacement)
+        self._assert_dense_step_one(dist, indices, values, noise)
+
+    def test_operator_step_one_is_the_dense_step(self):
+        # n = 9: the gradient is an EffectSum, whose GHZ products round as
+        # the dense zgemv's; one effect drawn twice with shot values that
+        # sum to 1 gives a gradient that vanishes, though its residuals
+        # at I / d are not stationary
+        dist, noise = build_distribution(9, "d1"), NoiseModel.gaussian(0.05)
+        indices, values = draw_training_sets(dist, ghz_density(9), 20, [(7, 0), (7, 1)], noise)
+        self._assert_dense_step_one(dist, indices, values, noise)
+        k = next(i for i, p in enumerate(dist.effects) if p.x or p.z)
+        [hyp] = self._assert_dense_step_one(dist, np.array([[k, k]]), np.array([[0.45, 0.55]]),
+                                            NoiseModel.with_shots(20))
+        assert hyp.iterations_used == 0
 
     @staticmethod
     def _shots_objective():
@@ -325,18 +380,18 @@ class TestFirstStep:
         training = sample_training_set(dist, target, m, noise=noise, seed=seed)
         want = hazan_optimize(Objective(dist.batch, *training), k_max=k_max)
         obj = Objective(dist.batch, *training)
-        got = hazan_optimize(obj, k_max=k_max, first_vertex=self._first_vertex(obj))
+        got = hazan_optimize(obj, k_max=k_max, first=self._first(obj))
         assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
         assert got.iterations_used == want.iterations_used
         assert got.final_objective == want.final_objective
 
     def test_later_steps_solve_their_own(self, monkeypatch):
         obj = self._shots_objective()
-        vertex = self._first_vertex(obj)
-        assert vertex is not None
+        first = self._first(obj)
+        assert first[0] is not None
         eigen_steps = self._count(monkeypatch, learner, "_smallest_built")
         gradients = self._count(monkeypatch, Objective, "gradient")
-        hyp = hazan_optimize(obj, k_max=10, first_vertex=vertex)
+        hyp = hazan_optimize(obj, k_max=10, first=first)
         assert hyp.iterations_used == 10
         # steps 2..10 build and solve their gradients; step 1 builds none
         assert len(eigen_steps) == 9
@@ -354,7 +409,8 @@ class TestFirstStep:
         v.real = rng.choice(parts, v.shape)
         v.imag = rng.choice(parts, v.shape)
         obj = objective(((P("Z" * n), 0.25),))
-        hyp = hazan_optimize(obj, k_max=1, first_vertex=learner.Vertex(v, scale))
+        vertex = learner.Vertex(v, scale)
+        hyp = hazan_optimize(obj, k_max=1, first=(vertex, obj.residuals(vertex.matrix())))
         # the atom as the closed form builds it: complex factors
         atom = np.outer(v, v.conj()) * np.complex128(scale)
         want = (1.0 - 1.0) * maximally_mixed(n).matrix + 1.0 * atom
@@ -363,17 +419,17 @@ class TestFirstStep:
 
     def test_stop_objective_stops_after_step_one(self):
         obj = self._shots_objective()
-        vertex = self._first_vertex(obj)
-        assert hazan_optimize(obj, k_max=10, first_vertex=vertex).iterations_used == 10
-        hyp = hazan_optimize(obj, k_max=10, first_vertex=vertex, stop_objective=float("inf"))
+        first = self._first(obj)
+        assert hazan_optimize(obj, k_max=10, first=first).iterations_used == 10
+        hyp = hazan_optimize(obj, k_max=10, first=first, stop_objective=float("inf"))
         assert hyp.iterations_used == 1
-        assert hyp.final_objective == obj.value(vertex.matrix())
+        assert hyp.final_objective == obj.value(first[0].matrix())
 
     def test_handed_step_one_builds_no_mixed_state(self, monkeypatch):
         obj = self._shots_objective()
-        vertex = self._first_vertex(obj)
+        first = self._first(obj)
         built = self._count(monkeypatch, learner, "maximally_mixed")
-        hazan_optimize(obj, k_max=3, first_vertex=vertex)
+        hazan_optimize(obj, k_max=3, first=first)
         assert built == []
         # step 1 reads I / d to find its own vertex
         hazan_optimize(obj, k_max=3)
@@ -390,7 +446,7 @@ class TestFirstStep:
         # exact values of I / d are 1/2, which make a zero gradient
         dist = build_distribution(3, "d1")
         indices, values = draw_training_sets(dist, maximally_mixed(3), 6, [0, 1, 2])
-        assert all(self._first_vertex(Objective(dist.batch, idx, vals)) is None
+        assert all(self._first(Objective(dist.batch, idx, vals))[0] is None
                    for idx, vals in zip(indices, values))
         # the one eigen-step entry of learn_each and of the later steps
         stacks = []

@@ -246,7 +246,8 @@ def _stabilizer_sum(n: int, label: str, picks: list, weights: list) -> np.ndarra
 def _solve_built(hs, tol=1e-9):
     """The learner's stacked eigen-step, which skips the h - h^dag check:
     on bytewise Hermitian matrices, as the learner's gradients are, its
-    pairs are those of ``smallest_eigenvector``."""
+    pairs are those of ``smallest_eigenvector``, and None for an item
+    that vanishes (largest entry modulus at most 1e-12)."""
     assert all(np.array_equal(h, h.conj().T) for h in hs)
     return linalg._smallest_built(np.array(hs, dtype=np.complex128), tol=tol)
 
@@ -255,11 +256,15 @@ def _assert_stack_same_bits(hs, tol=1e-9):
     got = _solve_built(hs, tol=tol)
     assert len(got) == len(hs)
     runs = []
-    for h, (v, lam) in zip(hs, got):
+    for h, pair in zip(hs, got):
         want_v, want_lam, attempts, fell_back = _reference_smallest(h, tol)
+        runs.append((attempts, fell_back))
+        assert (pair is None) == (np.max(np.abs(h)) <= 1e-12)
+        if pair is None:
+            continue
+        v, lam = pair
         assert v.tobytes() == want_v.tobytes()
         assert lam == want_lam and type(lam) is type(want_lam)
-        runs.append((attempts, fell_back))
     return runs
 
 
@@ -336,6 +341,7 @@ class TestSweepBitIdentity:
         runs = _assert_stack_same_bits(hs)
         assert runs[0] == (2, False)
         assert runs[2] == (2, True)
+        # the zero item: no pair from the stack, none solved alone
         assert runs[3] == (0, False)
 
     def test_items_leave_at_their_own_sweep(self, monkeypatch):
@@ -362,7 +368,7 @@ class TestSweepBitIdentity:
             assert v.tobytes() == want_v.tobytes() and lam == want_lam
 
     def test_empty_stack(self):
-        assert linalg._smallest_built([]) == []
+        assert linalg._smallest_built(np.empty((0, 2, 2), dtype=np.complex128)) == []
 
     @pytest.mark.parametrize("bad", [
         np.array([[np.nan, 0.0], [0.0, 1.0]]),
@@ -398,11 +404,16 @@ class TestRepeatedItems:
         hs = [pool[k].astype(np.complex128) for k in rng.integers(0, len(pool), size=count)]
         stacks, got = _stack_lengths(lambda: _solve_built(hs))
         assert stacks == [len({h.tobytes() for h in hs})]
-        for h, (v, lam) in zip(hs, got):
+        for h, pair in zip(hs, got):
+            # the zero matrices of the pool vanish
+            assert (pair is None) == (np.max(np.abs(h)) <= 1e-12)
+            if pair is None:
+                continue
+            v, lam = pair
             want_v, want_lam = smallest_eigenvector(h)
             assert v.tobytes() == want_v.tobytes()
             assert lam == want_lam and type(lam) is type(want_lam)
-        vectors = [v for v, _ in got]
+        vectors = [pair[0] for pair in got if pair is not None]
         assert not any(np.shares_memory(a, b)
                        for k, a in enumerate(vectors) for b in vectors[k + 1:])
 

@@ -67,13 +67,14 @@ def _chunk(case):
     return dist, indices, values, r
 
 
-def _lone_sum(batch, weights):
-    """Dense sum_i w_i E_i of one batch, one weighted row after another:
-    the lone assembly, as the byte reference of the stack."""
-    vals = (weights / 2.0)[:, None] * batch._coeff
+def _lone_sum(batch, rows, weights):
+    """Dense sum_i w_i E_i over the batch rows ``rows``, one weighted
+    row after another: the lone assembly, as the byte reference of the
+    stack."""
+    vals = (weights / 2.0)[:, None] * batch._coeff[rows]
     np.conjugate(vals, out=vals)
     g = np.zeros(batch.dim * batch.dim, dtype=np.complex128)
-    np.add.at(g, batch._gather_idx.ravel(), vals.ravel())
+    np.add.at(g, batch._gather_idx[rows].ravel(), vals.ravel())
     g[batch._diag_idx] += np.sum(weights) / 2.0
     return g.reshape(batch.dim, batch.dim)
 
@@ -86,7 +87,7 @@ class TestStackedAssembly:
         stack = Objective(dist.batch, indices, values).gradient(r)
         assert stack.shape == (len(indices), dist.batch.dim, dist.batch.dim)
         for g, idx, v, res in zip(stack, indices, values, r):
-            want = _lone_sum(dist.batch.rows(idx), 2.0 * res)
+            want = _lone_sum(dist.batch, idx, 2.0 * res)
             assert g.tobytes() == want.tobytes()
             # a lone objective is the T = 1 case of the same call
             lone = Objective(dist.batch, idx, v).gradient(res)
@@ -103,7 +104,7 @@ class TestStackedAssembly:
         r = np.array([[0.1, -0.3, 0.7, -0.0], [1e-17, 0.25, -0.0, 0.3]])
         stack = dist.batch.weighted_sum(2.0 * r, indices)
         for g, idx, res in zip(stack, indices, r):
-            assert g.tobytes() == _lone_sum(dist.batch.rows(idx), 2.0 * res).tobytes()
+            assert g.tobytes() == _lone_sum(dist.batch, idx, 2.0 * res).tobytes()
 
     def test_scaling_in_place_keeps_the_bytes(self):
         # coeff *= w / 2 multiplies as (w / 2) * coeff does, for the
@@ -127,11 +128,16 @@ class TestStackedEigenStep:
         stack = grads[[k % len(grads) for k in repeats]]
         got = linalg._smallest_built(stack)
         assert len(got) == len(stack)
-        for h, (v, lam) in zip(stack, got):
+        for h, pair in zip(stack, got):
+            # the zero rule; residuals of 0 make a zero gradient
+            assert (pair is None) == (np.max(np.abs(h)) <= 1e-12)
+            if pair is None:
+                continue
+            v, lam = pair
             w, mu = linalg.smallest_eigenvector(h)
             assert v.tobytes() == w.tobytes()
             assert lam == mu and type(lam) is type(mu)
-        vectors = [v for v, _ in got]
+        vectors = [pair[0] for pair in got if pair is not None]
         assert not any(np.shares_memory(a, b)
                        for k, a in enumerate(vectors) for b in vectors[k + 1:])
 
@@ -148,12 +154,76 @@ class TestStackedEigenStep:
         assert seen[0] is stack
 
     def test_vanishing_test_reads_the_stack(self):
+        # one verdict per item, each the verdict of the item alone
         dist = build_distribution(3, "d1")
         indices = np.array([[1, 2], [3, 4], [1, 1]])
         r = np.array([[0.5, -0.5], [0.0, -0.0], [1e-14, 0.0]])
         stack = dist.batch.weighted_sum(2.0 * r, indices)
-        assert learner._vanishes(stack).tolist() == [learner._vanishes(g) for g in stack]
-        assert learner._vanishes(stack).tolist() == [False, True, True]
+        got = [pair is None for pair in linalg._smallest_built(stack)]
+        assert got == [linalg._smallest_built(g) == [None] for g in stack]
+        assert got == [False, True, True]
+
+
+def _at_threshold(top: float) -> np.ndarray:
+    """A Hermitian 4 x 4 matrix whose largest entry modulus is ``top``."""
+    h = np.diag([0.0, 0.5 * top, -0.25 * top, 0.0]).astype(np.complex128)
+    h[0, 3], h[3, 0] = 1j * top, -1j * top
+    return h
+
+
+class TestZeroRule:
+    """The eigen-step leaves a gradient whose largest entry modulus is at
+    most 1e-12 unsolved, and solves one an ulp above it: on a stack, on
+    a stack with repeats, and on an operator."""
+
+    TOL = 1e-12
+    ABOVE, BELOW = np.nextafter(TOL, 1.0), np.nextafter(TOL, 0.0)
+
+    def _assert_verdicts(self, tops, got):
+        assert [pair is None for pair in got] == [top <= self.TOL for top in tops]
+        for top, pair in zip(tops, got):
+            if pair is not None:
+                v, lam = pair
+                want_v, want_lam = linalg.smallest_eigenvector(_at_threshold(top))
+                assert v.tobytes() == want_v.tobytes() and lam == want_lam
+
+    def test_dense_stack(self):
+        tops = [self.ABOVE, self.TOL, self.BELOW, 0.0]
+        stack = np.array([_at_threshold(t) for t in tops])
+        assert [np.max(np.abs(h)) for h in stack] == tops
+        self._assert_verdicts(tops, linalg._smallest_built(stack))
+        # a lone matrix, a stack of one
+        for top in tops:
+            self._assert_verdicts([top], linalg._smallest_built(_at_threshold(top)))
+
+    def test_stack_with_repeats(self):
+        tops = [self.TOL, self.ABOVE, self.TOL, self.BELOW, self.ABOVE, self.BELOW]
+        got = linalg._smallest_built(np.array([_at_threshold(t) for t in tops]))
+        self._assert_verdicts(tops, got)
+        # repeats still get pairs of their own
+        assert not np.shares_memory(got[1][0], got[4][0])
+
+    def test_operator(self):
+        # one X-type row with weight 2t: its diagonal holds t times the
+        # row's coefficients, and the identity's t lands on the main
+        # diagonal, so the largest entry modulus is t
+        support = build_distribution(4, "d1")
+        row = np.array([next(i for i, p in enumerate(support.effects) if p.x)])
+        for top in (self.ABOVE, self.TOL, self.BELOW):
+            op = support.batch.weighted_operator(np.array([2.0 * top]), row)
+            assert op.max_entry == top
+            got = linalg._smallest_built(op)
+            assert [pair is None for pair in got] == [top <= self.TOL]
+            assert got == [None] or got[0][0].tobytes() == linalg.smallest_eigenvector(
+                op.dense())[0].tobytes()
+
+    def test_public_entry_keeps_the_zero_pair(self):
+        # smallest_eigenvector solves a matrix below the threshold, and
+        # gives a zero matrix the pair (e_0, 0.0)
+        v, lam = linalg.smallest_eigenvector(_at_threshold(self.BELOW))
+        assert lam < 0.0
+        v, lam = linalg.smallest_eigenvector(np.zeros((3, 3)))
+        assert v.tolist() == [1.0, 0.0, 0.0] and lam == 0.0 and v.dtype == np.complex128
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
@@ -209,9 +279,13 @@ class TestStackedPhase:
         ])
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         hs = np.concatenate([hs, (a + a.conj().T)[None]])
-        for h, (v, lam) in zip(hs, linalg._smallest_built(hs)):
-            want_v, want_lam = linalg.smallest_eigenvector(h)
-            assert v.tobytes() == want_v.tobytes() and lam == want_lam
+        got = linalg._smallest_built(hs)
+        # the zero item vanishes, so it has no pair
+        assert got[1] is None
+        for h, pair in zip(hs, got):
+            if pair is not None:
+                want_v, want_lam = linalg.smallest_eigenvector(h)
+                assert pair[0].tobytes() == want_v.tobytes() and pair[1] == want_lam
 
 
 @pytest.mark.parametrize("noise", [NoiseModel.exact(), NoiseModel.gaussian(0.05)])

@@ -1,7 +1,8 @@
 """The array path of a one-step hypothesis: a learned vertex's step-1
 residuals, support scores and lazily built sigma against the dense
-matrix they stand for, byte for byte, and the residual bound that stops
-a step before its gradient is built."""
+matrix they stand for, byte for byte, a chunk's objectives against lone
+runs, and the residual bound that stops a step before its gradient is
+built."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qpac import (
     maximally_mixed,
     support_residuals,
 )
-from qpac import learner
+from qpac import learner, linalg
 from qpac.sampling import draw_training_sets
 from qpac.states import EffectBatch
 
@@ -64,13 +65,13 @@ def _draw(case):
 
 
 def _handed_in(monkeypatch) -> list:
-    """The (objective, vertex, step-1 residuals) that learn_each hands to
-    each hazan_optimize call, in order."""
+    """The objective and the step 1, a (vertex, residuals) pair, that
+    learn_each hands to each hazan_optimize call, in order."""
     calls = []
     real = learner.hazan_optimize
 
     def spy(obj, k_max=300, **kwargs):
-        calls.append((obj, kwargs.get("first_vertex"), kwargs.get("first_residuals")))
+        calls.append((obj, kwargs["first"]))
         return real(obj, k_max=k_max, **kwargs)
 
     monkeypatch.setattr(learner, "hazan_optimize", spy)
@@ -95,16 +96,33 @@ class TestStepOneResiduals:
             calls = _handed_in(mp)
             hyps = list(learner.learn_each(dist, indices, values, noise, 1))
         assert len(calls) == len(hyps) == len(indices)
-        for (obj, vertex, r), hyp in zip(calls, hyps):
+        for (obj, (vertex, r)), hyp in zip(calls, hyps):
+            # each set's residuals are an array of its own
+            assert r.base is None
             if vertex is None:
                 # a zero-step run, at I / d
-                assert r is None and hyp.iterations_used == 0
-                continue
-            want = obj.residuals(vertex.matrix())
+                want = obj.residuals(maximally_mixed(case["n"]).matrix)
+                assert hyp.iterations_used == 0
+            else:
+                want = obj.residuals(vertex.matrix())
+                assert hyp.vertex is vertex
             assert r.tobytes() == want.tobytes()
-            assert obj.vertex_residuals(vertex).tobytes() == want.tobytes()
-            assert hyp.vertex is vertex
             assert hyp.final_objective == float(np.dot(want, want))
+
+    def test_chunked_set_sums_its_objective_as_alone(self):
+        # n = 2, d1, 20 shots, m = 5: the residual row of the second set
+        # was a row of the chunk's (T, m) array that starts 8 bytes past
+        # a 16-byte boundary, and the Prescott OpenBLAS kernel's ddot
+        # summed it otherwise than the lone run's fresh row
+        # (0.5550000000000007 against 0.5550000000000006)
+        rho = DensityMatrix(random_density(np.random.default_rng(2), 4))
+        dist, noise = build_distribution(2, "d1"), NoiseModel.with_shots(20)
+        indices, values = draw_training_sets(dist, rho, 5, [(1, 0), (1, 1)], noise)
+        hyps = list(learner.learn_each(dist, indices, values, noise, 1))
+        assert [h.iterations_used for h in hyps] == [1, 1]
+        for idx, vals, hyp in zip(indices, values, hyps):
+            lone = learner.hazan_optimize(Objective(dist.batch, idx, vals), k_max=1)
+            assert hyp.final_objective == lone.final_objective
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_eigen_step_vertices_of_random_vectors(self, n):
@@ -229,7 +247,8 @@ class TestResidualBound:
         r *= scale / (4.0 * np.abs(r).sum()) if scale != 1.0 else 1.0
         for case in (r, np.nextafter(r, 0.0), np.nextafter(r, 2 * r)):
             if learner._stationary(case):
-                assert learner._vanishes(obj.gradient(case))
+                # the eigen-step's zero rule: no pair for a vanishing gradient
+                assert linalg._smallest_built(obj.gradient(case)) == [None]
 
     def test_all_zero_residuals_are_bounded(self):
         assert learner._stationary(np.zeros(5))
