@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SampleSizeCapError
-from .learner import error_share, learn_each, support_residuals, vertex_support_residuals
+from .learner import error_share, hypothesis_residuals, learn_each
 from .sampling import MeasurementDistribution, NoiseModel, draw_training_sets
 from .states import DensityMatrix
 
@@ -144,8 +144,8 @@ def fill_trials(cache: TrialCache, roots: Sequence[tuple], m: int, count: int) -
     arrays (:func:`~qpac.sampling.draw_training_sets`, each row drawn
     with the trial's seed ``(*root, m, i)``) and learned by one
     :func:`~qpac.learner.learn_each` call. The hypotheses of one
-    Frank-Wolfe step are scored together by
-    :func:`~qpac.learner.vertex_support_residuals`, so no d x d matrix
+    Frank-Wolfe step are scored together
+    (:func:`~qpac.learner.hypothesis_residuals`), so no d x d matrix
     is built for them; any other hypothesis is scored alone. Each
     trial's residuals are the bytes that learning it alone
     gives, so how many roots share a fill changes no result, only how
@@ -157,18 +157,7 @@ def fill_trials(cache: TrialCache, roots: Sequence[tuple], m: int, count: int) -
         cache.dist, cache.state, m, seeds, cache.noise, cache.replacement,
     )
     hyps = learn_each(cache.dist, indices, values, cache.noise, cache.k_max)
-    vertices = {}
-    for seed, hyp in zip(seeds, hyps):
-        if hyp.vertex is None:
-            found = support_residuals(hyp.sigma, cache.state, cache.dist)
-            found.setflags(write=False)
-            cache._residuals[seed] = found
-        else:
-            vertices[seed] = hyp.vertex
-    if vertices:
-        found = vertex_support_residuals(list(vertices.values()), cache.state, cache.dist)
-        found.setflags(write=False)
-        cache._residuals.update(zip(vertices, found))
+    cache._residuals.update(zip(seeds, hypothesis_residuals(hyps, cache.state, cache.dist)))
 
 
 Record = Callable[[tuple, int, np.ndarray, np.ndarray], None]

@@ -30,7 +30,14 @@ import numpy as np
 from . import __version__
 from .complexity import LearnParams, TrialCache, estimate_min_m, linear_fit, theorem_bound
 from .errors import ConfigError, StructureError
-from .learner import Objective, evaluate_epsilon, learn_each
+from .learner import (
+    Hypothesis,
+    Objective,
+    error_share,
+    evaluate_epsilon,
+    hypothesis_residuals,
+    learn_each,
+)
 from .pauli import PauliString, ghz_generators, stabilizer_group
 from .sampling import (
     FULL_STABILIZER,
@@ -379,10 +386,7 @@ def run_learn(config: ExperimentConfig) -> ResultTable:
     table = ResultTable(config=config.echo(), columns=LEARN_COLUMNS)
     table.append(
         "learned", n, config.m, config.k_max, hyp.iterations_used,
-        hyp.final_objective,
-        evaluate_epsilon(hyp.sigma, state, dist, config.gamma),
-        fidelity(hyp.sigma, state),
-        fidelity(hyp.sigma, mixed),
+        hyp.final_objective, *_scores([hyp], state, dist, config.gamma)[0],
     )
     table.append(
         "mixed_baseline", n, config.m, config.k_max, 0,
@@ -403,6 +407,21 @@ def _write_training(dist: MeasurementDistribution, indices: np.ndarray, values: 
     for i, val in zip(indices.tolist(), values.tolist()):
         table.append(str(dist.effects[i]), val, prov)
     table.write(config.training_out)
+
+
+def _scores(hyps: typing.Iterable[Hypothesis], state: DensityMatrix, dist: MeasurementDistribution,
+            gamma: float) -> list[tuple[float, float, float]]:
+    """(epsilon, F(sigma, target), F(sigma, I / d)) of each hypothesis,
+    each scored as it is read (:func:`~qpac.learner.hypothesis_residuals`):
+    a one-vertex hypothesis from its vector, with no d x d sigma."""
+    mixed = maximally_mixed(dist.n)
+    fidelities = []
+
+    def read(hyp: Hypothesis) -> None:
+        fidelities.append((fidelity(hyp.state, state), fidelity(hyp.state, mixed)))
+
+    found = hypothesis_residuals(hyps, state, dist, read)
+    return [(float(error_share(r, gamma)), *f) for r, f in zip(found, fidelities)]
 
 
 # -- sweep-m ---------------------------------------------------------------
@@ -433,17 +452,16 @@ def run_sweep_m(config: ExperimentConfig) -> ResultTable:
     for m in config.m_list:
         if m == 0:
             # m = 0 draws no training set
-            sigmas = [mixed] * config.repeats
+            scores = [(baseline_eps, fidelity(mixed, state), fidelity(mixed, mixed))]
+            scores *= config.repeats
         else:
             indices, values = draw_training_sets(
                 dist, state, m, [(config.seed, m, r) for r in range(config.repeats)],
                 noise, config.with_replacement(),
             )
-            sigmas = (hyp.sigma for hyp in learn_each(dist, indices, values, noise, config.k_max))
-        chunk = np.array([
-            (evaluate_epsilon(s, state, dist, config.gamma), fidelity(s, state), fidelity(s, mixed))
-            for s in sigmas
-        ])
+            scores = _scores(learn_each(dist, indices, values, noise, config.k_max),
+                             state, dist, config.gamma)
+        chunk = np.array(scores)
         means = chunk.mean(axis=0)
         stds = chunk.std(axis=0)
         table.append(

@@ -5,9 +5,10 @@ expectations and observed values. Each step moves toward the rank-1
 projector on the smallest eigenvector of the gradient with step 1/k,
 so every iterate is a convex combination of projectors: unit trace and
 PSD by construction. Step 1 replaces I / d by its vertex, so a
-hypothesis of one step is that vertex alone: a :class:`Vertex`, the
-vector v of the projector scale * v v^dag, from which
-:attr:`Hypothesis.sigma` builds the d x d matrix only when it is read.
+hypothesis of one step is that vertex alone: a
+:class:`~qpac.states.Vertex`, the vector v of the projector
+scale * v v^dag, from which :attr:`Hypothesis.sigma` builds the d x d
+matrix only when it is read.
 
 Step 1 of every learn is :func:`_first_steps`, which takes it for a
 chunk of training sets at once: exact data on a Y-free support takes
@@ -19,8 +20,9 @@ learns through :func:`learn_each`, which hands each set its step 1 as
 ``first=``; a lone :func:`hazan_optimize` takes step 1 as a chunk of
 one. Steps 2 onward are the eigen-step. A one-vertex hypothesis is
 scored against its support the same way
-(:func:`vertex_support_residuals`), so a trial that stops after step 1
-builds no d x d matrix.
+(:func:`vertex_support_residuals`, through
+:func:`hypothesis_residuals`), and :func:`~qpac.states.fidelity` reads
+its vertex, so a trial that stops after step 1 builds no d x d matrix.
 
 Residuals r bound the gradient 2 sum_i r_i E_i: every entry of an
 effect has modulus at most 1, so no gradient entry exceeds
@@ -42,13 +44,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .linalg import _ZERO_GRADIENT_TOL, _smallest_built
 from .sampling import MeasurementDistribution, NoiseModel
-from .states import DensityMatrix, EffectBatch, EffectSum, maximally_mixed
+from .states import DensityMatrix, EffectBatch, EffectSum, Vertex, maximally_mixed
 
 _EIG_TOL = 1e-9
 # the largest dim whose gradients are dense matrices; above it they are
@@ -63,27 +65,6 @@ _DENSE_GRADIENT_MAX_DIM = 256
 # largest dense dim, so that above it a chunk holds one training set,
 # whose EffectSum _smallest_built must see alone
 _STACK_ENTRIES = _DENSE_GRADIENT_MAX_DIM ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class Vertex:
-    """A Frank-Wolfe vertex scale * v v^dag, held as its vector: the
-    eigen-step's unit v with scale 1, or a closed form's w with its
-    exact scale 1 / <w|w> (:func:`code_space_atoms`)."""
-
-    v: np.ndarray
-    scale: float = 1.0
-
-    def matrix(self) -> np.ndarray:
-        """The first iterate at this vertex as a d x d matrix:
-        ``np.outer(v, v.conj())``, scaled in place, then + 0.0. That is
-        the bytes of step 1, ``(1 - 1.0) I / d + 1.0 atom``: every
-        nonzero kept and every zero +0.0."""
-        sigma = np.outer(self.v, self.v.conj())
-        if self.scale != 1.0:
-            sigma *= self.scale
-        sigma += 0.0
-        return sigma
 
 
 def _stacked(vertices: Sequence[Vertex]) -> tuple[np.ndarray, np.ndarray]:
@@ -109,6 +90,12 @@ class Hypothesis:
     def vertex(self) -> Vertex | None:
         """The one vertex that this hypothesis is, else None."""
         return self.iterate if isinstance(self.iterate, Vertex) else None
+
+    @property
+    def state(self) -> Vertex | DensityMatrix:
+        """The hypothesis as :func:`~qpac.states.fidelity` reads it: its
+        vertex, with no d x d matrix, else :attr:`sigma`."""
+        return self.vertex or self.sigma
 
     @cached_property
     def sigma(self) -> DensityMatrix:
@@ -136,8 +123,14 @@ class Objective:
         self.values = values
         self.dim = batch.dim
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        # the set's (m, d) table rows, gathered at the first residual
+        # pass and read by every later step
+        return self.support_batch._tables(self.indices)
+
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
-        return self.support_batch.expectations(sigma, self.indices) - self.values
+        return self.support_batch._expectations(sigma, *self._rows) - self.values
 
     def value(self, sigma: np.ndarray) -> float:
         r = self.residuals(sigma)
@@ -405,16 +398,53 @@ def vertex_support_residuals(vertices: Sequence[Vertex], state: DensityMatrix,
                              dist: MeasurementDistribution) -> np.ndarray:
     """:func:`support_residuals` of each one-vertex hypothesis, as one
     (T, |S|) array with no d x d matrix: row t has the bytes of
-    ``support_residuals`` of ``vertices[t]``'s sigma. The vertices are
-    scored in chunks whose (T, |S|, d) products hold at most
-    ``_STACK_ENTRIES`` entries, one
-    :meth:`EffectBatch.vertex_expectations` pass each."""
+    ``support_residuals`` of ``vertices[t]``'s sigma.
+
+    Each :meth:`EffectBatch.vertex_expectations` pass builds at most
+    ``_STACK_ENTRIES`` product entries: chunks of vertices times blocks
+    of support rows, one block of every row unless one vertex's
+    (|S|, d) products exceed that. Each row is summed alone, so the
+    blocks change no byte."""
     batch, expected = dist.batch, dist.batch.expected(state)
     found = np.empty((len(vertices), len(batch)))
-    chunk = max(1, _STACK_ENTRIES // (len(batch) * batch.dim))
+    step = max(1, _STACK_ENTRIES // batch.dim)
+    chunk, block = max(1, step // len(batch)), min(step, len(batch))
     for lo in range(0, len(vertices), chunk):
         v, scale = _stacked(vertices[lo:lo + chunk])
-        found[lo:lo + chunk] = np.abs(batch.vertex_expectations(v, scale) - expected)
+        for r in range(0, len(batch), block):
+            part = slice(r, r + block)
+            rows = None if block == len(batch) else part
+            found[lo:lo + chunk, part] = np.abs(batch.vertex_expectations(v, scale, rows)
+                                                - expected[part])
+    return found
+
+
+def hypothesis_residuals(hyps: Iterable[Hypothesis], state: DensityMatrix,
+                         dist: MeasurementDistribution,
+                         each: Callable[[Hypothesis], None] | None = None) -> list[np.ndarray]:
+    """The read-only :func:`support_residuals` of each hypothesis, in
+    order, each with the bytes of its lone ``support_residuals``.
+
+    The hypotheses are read one at a time, and ``each``, when given, is
+    called on each as it is read. Any other than a one-vertex
+    hypothesis is scored from its sigma then and not kept, so its d x d
+    iterate lives no longer than in a loop over lone calls; of the
+    one-vertex ones only the vectors are kept, scored together at the
+    end by :func:`vertex_support_residuals`, so that no d x d matrix
+    is built for them."""
+    found, vertices = [], []
+    for hyp in hyps:
+        if each is not None:
+            each(hyp)
+        if hyp.vertex is None:
+            found.append(support_residuals(hyp.sigma, state, dist))
+        else:
+            found.append(None)
+            vertices.append(hyp.vertex)
+    rows = iter(vertex_support_residuals(vertices, state, dist))
+    found = [next(rows) if x is None else x for x in found]
+    for row in found:
+        row.setflags(write=False)
     return found
 
 

@@ -7,6 +7,16 @@ A Pauli string is a signed permutation of the computational basis, so
 Tr(P rho) is a single O(2^n) gather along one matrix diagonal-like
 stripe; the package never forms a Pauli string as a dense 2^n x 2^n
 matrix.
+
+:func:`fidelity` of a pure pair with a sparse b (no more nonzeros of
+b^T than leaves) reads a only where b^T is nonzero and keeps the bytes
+of the dense sum ``np.sum(a * b^T)``: that sum is numpy's balanced
+pairwise tree over aligned 64-entry leaves, so a leaf where b^T is
+zero adds 0, a leaf with at most two nonzero products is their one
+rounded sum, and any other leaf is ``np.sum`` of its products
+(:class:`_Leaves`). A one-vertex state scale * v v^dag
+(:class:`Vertex`) supplies its entries from v, with no d x d matrix. A
+denser b takes the dense sum itself.
 """
 
 from __future__ import annotations
@@ -72,10 +82,10 @@ class EffectBatch:
     def __len__(self) -> int:
         return len(self._coeff)
 
-    def _tables(self, rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    def _tables(self, rows: np.ndarray | slice | None) -> tuple[np.ndarray, np.ndarray]:
         """The gather and coefficient tables of the batch rows ``rows``
-        (an integer array of any shape, duplicates kept), or of every
-        row when ``rows`` is None."""
+        (an integer array of any shape, duplicates kept, or a slice), or
+        of every row when ``rows`` is None."""
         if rows is None:
             return self._gather_idx, self._coeff
         return self._gather_idx[rows], self._coeff[rows]
@@ -94,7 +104,7 @@ class EffectBatch:
             if state.dim != self.dim:
                 raise ValueError(f"dimension mismatch: state of dim {state.dim}, "
                                  f"effects of dim {self.dim}")
-            tr, traces = self._traces(state.matrix)
+            tr, traces = self._traces(state.matrix, *self._tables(None))
             imag = traces.imag[np.abs(traces.imag) > 1e-9]
             if imag.size:
                 raise NonPhysicalStateError(f"Tr(P rho) has imaginary part {imag[0]}")
@@ -107,12 +117,11 @@ class EffectBatch:
             self._targets[state] = found
         return found
 
-    def _traces(self, sigma: np.ndarray,
-                rows: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """Re Tr(sigma) and the complex Tr(P_i sigma) of each batch row
-        in ``rows``, or of every effect."""
+    def _traces(self, sigma: np.ndarray, gather: np.ndarray,
+                coeff: np.ndarray) -> tuple[float, np.ndarray]:
+        """Re Tr(sigma) and the complex Tr(P_i sigma) of each row of the
+        gather and coefficient tables (:meth:`_tables`)."""
         flat = sigma.ravel()
-        gather, coeff = self._tables(rows)
         # ndarray methods: np.sum's dispatch costs more than these small sums
         tr = flat[self._diag_idx].sum().real
         return tr, (coeff * flat[gather]).sum(axis=1)
@@ -127,15 +136,22 @@ class EffectBatch:
         not just unit-trace ones, so the objective stays an exact
         quadratic under off-plane probes.
         """
-        tr, traces = self._traces(sigma, rows)
+        return self._expectations(sigma, *self._tables(rows))
+
+    def _expectations(self, sigma: np.ndarray, gather: np.ndarray,
+                      coeff: np.ndarray) -> np.ndarray:
+        """:meth:`expectations` from tables that :meth:`_tables` has
+        gathered, for a reader that reads the same rows at every step."""
+        tr, traces = self._traces(sigma, gather, coeff)
         return (tr + traces.real) / 2.0
 
     def vertex_expectations(self, v: np.ndarray, scale: np.ndarray,
-                            rows: np.ndarray | None = None) -> np.ndarray:
+                            rows: np.ndarray | slice | None = None) -> np.ndarray:
         """Tr(E_i sigma_t) of each sigma_t = scale_t v_t v_t^dag of a
         (T, d) stack ``v``, with no d x d matrix: a (T, r) array, row t
         over the batch rows ``rows[t]`` of a (T, r) index array, or over
-        every row of the batch when ``rows`` is None.
+        the batch rows of a slice, or every row, when ``rows`` is None,
+        for every t.
 
         Entry [k, perm_k] of v v^dag is v_k conj(v_perm_k), so
         Tr(P sigma) is ``(coeff * (v * v.conj()[perm])).sum()`` and the
@@ -300,23 +316,15 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    # rho == rho^T entrywise, so :func:`fidelity` may read rho as
-    # stored; only builders that know it (I / 2^n, a real stabilizer
-    # target) say so, and every other state reads as not symmetric
-    _symmetric = False
-
     @classmethod
-    def _built(cls, m: np.ndarray, symmetric: bool = False) -> "DensityMatrix":
+    def _built(cls, m: np.ndarray) -> "DensityMatrix":
         """Wrap a complex128 density matrix the package has just built,
         without validation. Takes ownership: ``m`` becomes read-only and
         no caller may keep writing to it. Each call site names the
-        invariant that makes its matrix a valid state, and passes
-        ``symmetric`` when it also makes m equal to its transpose."""
+        invariant that makes its matrix a valid state."""
         m.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "matrix", m)
-        if symmetric:
-            object.__setattr__(state, "_symmetric", True)
         return state
 
     @property
@@ -331,6 +339,116 @@ class DensityMatrix:
     def _purity(self) -> float:
         # Tr(rho^2) = ||rho||_F^2 for Hermitian rho
         return float(np.sum(np.abs(self.matrix) ** 2))
+
+    def _entries(self, positions: np.ndarray) -> np.ndarray:
+        """The entries at flat (row-major) positions."""
+        return self.matrix.reshape(-1)[positions]
+
+    @cached_property
+    def _transpose(self) -> "_Leaves | np.ndarray":
+        """rho^T as :func:`fidelity` reads it, found once (the matrix is
+        read-only): its :class:`_Leaves` when it holds no more nonzeros
+        than leaves (GHZ, I / d at n >= 6), else the dense matrix, read
+        as stored when it equals its transpose, as a real stabilizer
+        state does, since that product runs in memory order."""
+        bt = self.matrix.T
+        if np.count_nonzero(bt) <= bt.size // _leaf_size(bt.size):
+            return _Leaves(bt)
+        return self.matrix if np.array_equal(self.matrix, bt) else bt
+
+
+@dataclass(frozen=True, eq=False)
+class Vertex:
+    """A Frank-Wolfe vertex scale * v v^dag, held as its vector: the
+    eigen-step's unit v with scale 1, or a closed form's w with its
+    exact scale 1 / <w|w> (:func:`~qpac.learner.code_space_atoms`).
+    Pure by construction, so :func:`fidelity` tests no purity of it."""
+
+    v: np.ndarray
+    scale: float = 1.0
+
+    @property
+    def dim(self) -> int:
+        return len(self.v)
+
+    def matrix(self) -> np.ndarray:
+        """The first iterate at this vertex as a d x d matrix:
+        ``np.outer(v, v.conj())``, scaled in place, then + 0.0. That is
+        the bytes of step 1, ``(1 - 1.0) I / d + 1.0 atom``: every
+        nonzero kept and every zero +0.0."""
+        sigma = np.outer(self.v, self.v.conj())
+        if self.scale != 1.0:
+            sigma *= self.scale
+        sigma += 0.0
+        return sigma
+
+    def _entries(self, positions: np.ndarray) -> np.ndarray:
+        """The entries of :meth:`matrix` at flat positions, with its
+        bytes: v_i conj(v_j), scaled where the scale is not 1, + 0.0."""
+        rows, cols = np.divmod(positions, self.dim)
+        found = self.v[rows] * self.v[cols].conj()
+        if self.scale != 1.0:
+            found *= self.scale
+        found += 0.0
+        return found
+
+
+# complex entries per leaf of numpy's pairwise sum (128 doubles)
+_LEAF = 64
+
+
+def _leaf_size(size: int) -> int:
+    """The entries per leaf of the pairwise sum of ``size`` complex
+    entries: leaves of 64 tile a power-of-two size above 64, and any
+    other size reads as one leaf."""
+    return _LEAF if size > _LEAF and not size & (size - 1) else size
+
+
+class _Leaves:
+    """The nonzero pattern of a d x d matrix bt, as :func:`fidelity`
+    reads the overlap Sum_k a_k bt_k of a d x d matrix a, both flat and
+    row-major.
+
+    ``np.sum(a * bt)`` sums the real and the imaginary parts alone,
+    each as a balanced pairwise tree over aligned leaves
+    (:func:`_leaf_size`), and each leaf by numpy's unrolled loop. So a leaf with no nonzero
+    of bt adds 0, one with one or two adds their one rounded sum, in
+    any order, and any other is the ``np.sum`` of its products, with 0
+    where bt is 0. That changes no bit but, at most, the sign of a zero
+    sum.
+    """
+
+    def __init__(self, bt: np.ndarray):
+        self.positions = np.flatnonzero(bt != 0)
+        self.values = bt[np.divmod(self.positions, bt.shape[1])]
+        self.leaf = _leaf_size(bt.size)
+        self.count = bt.size // self.leaf
+        leaf = self.positions // self.leaf
+        held = np.bincount(leaf, minlength=self.count)
+        few = held[leaf] <= 2
+        self.few = np.flatnonzero(few)
+        self.few_leaf = leaf[few]
+        self.many = np.flatnonzero(~few)
+        self.many_leaves = np.flatnonzero(held > 2)
+        # where each product of a full leaf lies in the (leaves, leaf) block
+        self.many_at = (np.searchsorted(self.many_leaves, leaf[~few]) * self.leaf
+                        + self.positions[~few] % self.leaf)
+
+    def overlap(self, entries: np.ndarray) -> float:
+        """Re Sum_k a_k bt_k, from the entries of a at ``positions``,
+        with the bytes of ``np.sum(a * bt).real`` up to the sign of a
+        zero."""
+        products = entries * self.values
+        # np.add.at adds in index order, onto 0.0
+        sums = np.zeros(self.count)
+        np.add.at(sums, self.few_leaf, products.real[self.few])
+        if self.many.size:
+            block = np.zeros(len(self.many_leaves) * self.leaf, dtype=np.complex128)
+            block[self.many_at] = products[self.many]
+            sums[self.many_leaves] = block.reshape(-1, self.leaf).sum(axis=1).real
+        while len(sums) > 1:
+            sums = sums[0::2] + sums[1::2]
+        return float(sums[0])
 
 
 @lru_cache
@@ -371,13 +489,12 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
     # nonzero, so the build holds one d x d array and never writes the
     # zero rows of a sparse target (GHZ has two live rows), whose pages
     # stay unmapped; + 0.0 clears the -0.0 that the products write into zero entries
-    # and some imaginary parts, as the group average holds none. A real
-    # column makes rho real, and so equal to its transpose
+    # and some imaginary parts, as the group average holds none
     rho = np.zeros((dim, dim), dtype=np.complex128)
     live = (col != 0)[:, None]
     np.multiply(col[:, None], col.conj() / col[j0].real, out=rho, where=live)
     np.add(rho, 0.0, out=rho, where=live)
-    return DensityMatrix._built(rho, symmetric=not col.imag.any())
+    return DensityMatrix._built(rho)
 
 
 @lru_cache
@@ -387,7 +504,7 @@ def maximally_mixed(n: int) -> DensityMatrix:
         raise ValueError(f"need n >= 1, got {n}")
     dim = 1 << n
     # diagonal, nonnegative, trace 1
-    return DensityMatrix._built(np.eye(dim, dtype=np.complex128) / dim, symmetric=True)
+    return DensityMatrix._built(np.eye(dim, dtype=np.complex128) / dim)
 
 
 def expectation(effect: PauliString, state: DensityMatrix) -> float:
@@ -397,30 +514,36 @@ def expectation(effect: PauliString, state: DensityMatrix) -> float:
     return float(EffectBatch((effect,)).expected(state)[0])
 
 
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+def fidelity(a: DensityMatrix | Vertex, b: DensityMatrix) -> float:
     """Uhlmann fidelity F(a, b) = Tr sqrt(sqrt(a) b sqrt(a)).
 
     Amplitude convention (not squared). When either argument is pure
-    (purity >= 1 - 1e-10), F = sqrt(Re Tr(a b)), which for a = |psi><psi|
-    is sqrt(<psi| b |psi>); the trace is an O(d^2) elementwise sum, no
-    eigendecomposition and no BLAS call. It agrees with the general path
-    to 1e-8.
+    (a :class:`Vertex`, or purity >= 1 - 1e-10), F = sqrt(Re Tr(a b)),
+    which for a = |psi><psi| is sqrt(<psi| b |psi>); no
+    eigendecomposition and no BLAS call. It agrees with the general
+    path to 1e-8.
 
-    b's purity is tested first: the protocols pass the target or I / d
-    as b, each kept per process with its purity, so F(sigma, target)
-    computes no purity of sigma. The overlap Sum_ij a_ij b_ji reads a b
-    that the package built equal to its transpose (I / d, a real
-    stabilizer target) as stored, and any other b through the strided
-    view b^T, with no copy. Both paths sum the same products in the
-    same order, up to the sign of a zero, which can only flip the sign
-    of a zero sum; max(0, .) maps that to +0.0, so the result does not
-    depend on the path.
+    A vertex a is pure by construction, so no purity is computed; for
+    a state a, b's purity is tested first: the protocols pass the
+    target or I / d as b, each kept per process with its purity, so
+    F(sigma, target) computes no purity of sigma. The overlap
+    Sum_ij a_ij b_ji is ``np.sum(a * b.T)``, up to the sign of a zero
+    sum, which max(0, .) maps to +0.0. Where b^T holds no more nonzeros
+    than the sum has leaves, it reads a only there, by the leaf rule
+    (:class:`_Leaves`): the four corners of a GHZ target, the diagonal
+    of I / d; a vertex's entries there have the bytes of
+    :meth:`Vertex.matrix`. A denser b (a cluster state, |+...+>) takes
+    the dense sum, with a vertex's matrix built for it. b's pattern is
+    found once per state (``DensityMatrix._transpose``).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if _is_pure(b) or _is_pure(a):
-        bt = b.matrix if b._symmetric else b.matrix.T
-        overlap = float(np.real(np.sum(a.matrix * bt)))
+    if isinstance(a, Vertex) or _is_pure(b) or _is_pure(a):
+        bt = b._transpose
+        if isinstance(bt, _Leaves):
+            overlap = bt.overlap(a._entries(bt.positions))
+        else:
+            overlap = float(np.real(np.sum((a.matrix() if isinstance(a, Vertex) else a.matrix) * bt)))
         return _clamp_unit(np.sqrt(max(0.0, overlap)))
     return _general_fidelity(a, b)
 

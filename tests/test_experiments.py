@@ -255,6 +255,29 @@ class TestOneLearningPath:
                 row["fidelity_mixed_mean"]) == tuple(float(x) for x in means)
 
 
+class TestScoringBuildsNoSigma:
+    """A hypothesis of one Frank-Wolfe step is scored from its vertex:
+    support residuals and both fidelities read v, and no d x d sigma is
+    built. The tables keep the bytes that the dense sigma gave."""
+
+    GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+    @pytest.mark.parametrize("name,config", [
+        ("learn_n10_d1_m20", dict(command="learn", n=10, dist="d1", m=20, seed=3)),
+        ("sweep_m_ghz6_d2", dict(command="sweep-m", n=6, dist="d2", m_list=[0, 2, 5, 8],
+                                 repeats=3, seed=19)),
+    ])
+    def test_tables_from_vertices(self, name, config, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a d x d sigma built for a one-vertex hypothesis")
+
+        monkeypatch.setattr(learner.Vertex, "matrix", refuse)
+        out = tmp_path / f"{name}.csv"
+        run_command(ExperimentConfig(**config, threads=1, out=str(out)))
+        with open(os.path.join(self.GOLDEN, f"{name}.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+
 class TestRunSweepErrors:
     def test_monotone_and_trials_out(self, tmp_path):
         c = cfg(command="sweep-errors", n=2, dist="d1", sweep_param="delta",

@@ -25,6 +25,8 @@ from qpac.experiments import ExperimentConfig, run_command
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 CLUSTER_3 = ["XZI", "ZXZ", "IZX"]
+# (|0...0> + i|1...1>) / sqrt(2) on 9 qubits
+Y_TARGET_9 = ["Y" + "X" * 8] + ["I" * k + "ZZ" + "I" * (7 - k) for k in range(8)]
 
 CONFIGS = {
     "learn_n10_d1_m20": dict(command="learn", n=10, dist="d1", m=20, seed=3),
@@ -38,6 +40,13 @@ CONFIGS = {
                          gamma=0.2, delta=0.2, i_max=6, repeats=2, seed=13),
     "sweep_errors_n3": dict(command="sweep-errors", n=3, dist="d1", sweep_param="gamma",
                             sweep_values=[0.1, 0.3, 0.5], i_max=6, repeats=2, seed=17),
+    # a closed-form vertex, whose scale is not 1
+    "learn_n7_d2_m14": dict(command="learn", n=7, dist="d2", m=14, seed=5),
+    # a target with imaginary entries, which fidelity reads through b^T
+    "learn_n9_ytarget_m18": dict(command="learn", n=9, dist="d1", m=18, generators=Y_TARGET_9,
+                                 seed=5),
+    "sweep_m_ghz6_d2": dict(command="sweep-m", n=6, dist="d2", m_list=[0, 2, 5, 8], repeats=3,
+                            seed=19),
 }
 
 # every GHZ stabilizer has Tr(E rho) = 1, so its shot averages all read

@@ -416,10 +416,9 @@ def y_target(n):
 
 
 class TestFidelityOverlapBytes:
-    """The pure branch reads a b equal to its transpose as stored, and
-    any other b through the transpose: for learned hypotheses against
-    the states the protocols score them with, the overlap has the bytes
-    of np.sum(a * b^T), the sum that every b took before."""
+    """The pure branch reads a only where b^T is nonzero: for learned
+    hypotheses against the states the protocols score them with, the
+    overlap has the bytes of np.sum(a * b^T), the dense sum."""
 
     @staticmethod
     def transposed(a, b):
@@ -432,12 +431,8 @@ class TestFidelityOverlapBytes:
         symmetric = [maximally_mixed(n), ghz, stabilizer_state(group_closure(cluster_generators(n)))]
         for b in symmetric:
             # bytewise, signed zeros too, so the products are the same bytes
-            assert b._symmetric and b.matrix.tobytes() == b.matrix.T.tobytes()
+            assert b.matrix.tobytes() == b.matrix.T.tobytes()
         complex_target = y_target(n)
-        assert not complex_target._symmetric
-        # a state from outside the package is not tested: it reads as
-        # not symmetric, and takes the transpose, even when it is
-        assert not DensityMatrix(maximally_mixed(n).matrix)._symmetric
         for label in ("d1", "d2"):
             dist = build_distribution(n, label)
             for noise in (NoiseModel.exact(), NoiseModel.gaussian(0.05)):
@@ -447,7 +442,10 @@ class TestFidelityOverlapBytes:
                     # below takes the pure branch
                     assert hyp.iterations_used == 1
                     for b in symmetric + [complex_target]:
-                        assert fidelity(hyp.sigma, b) == self.transposed(hyp.sigma, b)
+                        want = self.transposed(hyp.sigma, b)
+                        assert fidelity(hyp.sigma, b) == want
+                        # and from the vertex, with no d x d sigma
+                        assert fidelity(hyp.vertex, b) == want
 
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_complex_target_takes_the_transpose(self, n):

@@ -4,6 +4,8 @@ matrix they stand for, byte for byte, a chunk's objectives against lone
 runs, and the residual bound that stops a step before its gradient is
 built."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,56 @@ class TestSupportScores:
             want = support_residuals(hyp.sigma, rho, dist)
             assert cache.residuals((3, 2, i)).tobytes() == want.tobytes()
             assert not cache.residuals((3, 2, i)).flags.writeable
+
+
+    def test_scores_in_row_blocks(self, monkeypatch):
+        # 3 rows of 8 products per pass: one vertex's 7 d1 rows exceed
+        # that, so each vertex is scored in blocks of 3, 3 and 1 rows
+        monkeypatch.setattr(learner, "_STACK_ENTRIES", 3 * 8)
+        rho, dist = ghz_density(3), build_distribution(3, "d1")
+        passes = []
+        real = EffectBatch.vertex_expectations
+
+        def spy(batch, v, scale, rows=None):
+            passes.append((len(v), rows))
+            return real(batch, v, scale, rows)
+
+        monkeypatch.setattr(EffectBatch, "vertex_expectations", spy)
+        indices, values = draw_training_sets(dist, rho, 2, [(5, i) for i in range(2)],
+                                             NOISES["exact"])
+        hyps = list(learner.learn_each(dist, indices, values, NOISES["exact"], 1))
+        passes.clear()
+        found = learner.vertex_support_residuals([h.vertex for h in hyps], rho, dist)
+        assert passes == [(1, slice(0, 3)), (1, slice(3, 6)), (1, slice(6, 9))] * 2
+        for hyp, row in zip(hyps, found):
+            assert row.tobytes() == support_residuals(hyp.sigma, rho, dist).tobytes()
+
+    def test_hypotheses_are_scored_as_they_are_read(self):
+        # noisy sets take later steps; each d x d iterate is scored as
+        # it is read and not kept, so the sigma two hypotheses back is
+        # gone when the next is learned
+        rho, dist = ghz_density(3), build_distribution(3, "d1")
+        noise = NOISES["gauss"]
+        indices, values = draw_training_sets(dist, rho, 4, [(9, i) for i in range(6)], noise)
+        read = []
+
+        def learned():
+            for i, hyp in enumerate(learner.learn_each(dist, indices, values, noise, 6)):
+                # every earlier hypothesis was read before this one
+                assert len(read) == i
+                assert i < 2 or read[-2]() is None
+                yield hyp
+
+        def each(hyp):
+            read.append(weakref.ref(hyp.sigma))
+
+        found = learner.hypothesis_residuals(learned(), rho, dist, each)
+        assert len(read) == 6
+        hyps = list(learner.learn_each(dist, indices, values, noise, 6))
+        assert any(hyp.vertex is None for hyp in hyps)
+        for hyp, row in zip(hyps, found):
+            assert row.tobytes() == support_residuals(hyp.sigma, rho, dist).tobytes()
+            assert not row.flags.writeable
 
 
 class TestLazySigma:
