@@ -400,11 +400,12 @@ def vertex_support_residuals(vertices: Sequence[Vertex], state: DensityMatrix,
     (T, |S|) array with no d x d matrix: row t has the bytes of
     ``support_residuals`` of ``vertices[t]``'s sigma.
 
-    Each :meth:`EffectBatch.vertex_expectations` pass builds at most
+    Each :meth:`EffectBatch.vertex_expectations` pass sums at most
     ``_STACK_ENTRIES`` product entries: chunks of vertices times blocks
     of support rows, one block of every row unless one vertex's
-    (|S|, d) products exceed that. Each row is summed alone, so the
-    blocks change no byte."""
+    (|S|, d) products exceed that. A block builds its products once per
+    distinct X-mask among its rows, which its rows then share. Each row
+    is summed alone, so the blocks change no byte."""
     batch, expected = dist.batch, dist.batch.expected(state)
     found = np.empty((len(vertices), len(batch)))
     step = max(1, _STACK_ENTRIES // batch.dim)

@@ -8,6 +8,15 @@ Tr(P rho) is a single O(2^n) gather along one matrix diagonal-like
 stripe; the package never forms a Pauli string as a dense 2^n x 2^n
 matrix.
 
+Strings that share an X-mask x share that permutation, k -> k ^ x.
+A stabilizer group's X-parts form a subspace of rank r_x, so each mask
+is shared by 2^(n - r_x) support rows (two masks serve all of GHZ's).
+:meth:`EffectBatch.vertex_expectations` scores a vertex v over the
+support by that rule: it builds the products v * conj(v[k ^ x]) once
+per distinct mask among the scored rows, and each row multiplies its
+coefficients into the products of its own mask. Where no mask repeats
+(a cluster state), each row's products are built in row order.
+
 :func:`fidelity` of a pure pair with a sparse b (no more nonzeros of
 b^T than leaves) reads a only where b^T is nonzero and keeps the bytes
 of the dense sum ``np.sum(a * b^T)``: that sum is numpy's balanced
@@ -46,13 +55,17 @@ class EffectBatch:
     Builds the signed permutation P|k> = c_k |perm_k> of every Pauli
     string, the package's only tables of them, as two (m, d) tables
     that only its methods read: the flat positions k * d + perm_k that
-    Tr(P sigma) reads, and the c_k. So all Tr(E_i sigma) evaluate as one
-    fancy-indexed contraction. A support owns one batch
+    Tr(P sigma) reads, and the c_k; and each row's X-mask x, with
+    perm_k = k ^ x. So all Tr(E_i sigma) evaluate as one fancy-indexed
+    contraction. A support owns one batch
     (``MeasurementDistribution.batch``), and its tables serve every
     reader of that support: :meth:`expected` is the one Tr(E rho) table
     of a target state, which sampling and the support residuals read,
-    and a training set drawn from the support reads its rows through
-    the ``rows`` argument of :meth:`expectations`.
+    and a training set drawn from the support gathers its rows' tables
+    once, with :meth:`_tables`, for every step of its objective. The
+    vertex passes, :meth:`apply` and :meth:`weighted_operator` read the
+    masks; only :meth:`_traces` and :meth:`weighted_sum` read the flat
+    positions.
     """
 
     def __init__(self, effects: Sequence[PauliString]):
@@ -75,6 +88,8 @@ class EffectBatch:
             gather[:] = rows * self.dim + (rows ^ p.x)
             coeff[:] = np.where(np.bitwise_count(rows & p.z) % 2 == 0, 1.0, -1.0)
             coeff *= p.phase * (1j) ** ((p.x & p.z).bit_count() % 4)
+        # row i's X-mask: its permutation sends |k> to |k ^ x_i>
+        self._x = np.array([p.x for p in effects], dtype=np.int64)
         self._diag_idx = rows * self.dim + rows
         # Tr(E_i rho) per live target state (:meth:`expected`)
         self._targets = weakref.WeakKeyDictionary()
@@ -153,11 +168,17 @@ class EffectBatch:
         the batch rows of a slice, or every row, when ``rows`` is None,
         for every t.
 
-        Entry [k, perm_k] of v v^dag is v_k conj(v_perm_k), so
-        Tr(P sigma) is ``(coeff * (v * v.conj()[perm])).sum()`` and the
-        trace ``(v * v.conj()).sum().real``. The products are built as
-        C-contiguous (T, r, d) rows and each row is summed alone, as
-        :meth:`expectations` sums its gathered rows, so where
+        Entry [k, k ^ x] of v v^dag is v_k conj(v_(k ^ x)), so
+        Tr(P sigma) is ``(coeff * (v * v.conj()[k ^ x])).sum()`` and the
+        trace ``(v * v.conj()).sum().real``. Over a slice or every row,
+        the products w_x = v * conj(v[k ^ x]) are built once per
+        distinct X-mask x among the rows and vertex, and each row reads
+        ``coeff * w_x`` of its own mask; where no mask repeats, each
+        row's w_x is built in row order and nothing is copied. Rows of
+        an index array build their own w_x, row by row. Each product is
+        the same multiplication of the same operands either way. The
+        products are C-contiguous (T, r, d) rows and each row is summed
+        alone, as :meth:`expectations` sums its gathered rows, so where
         ``scale_t`` is 1 each row has the bytes of
         ``expectations(np.outer(v_t, v_t.conj()) + 0.0)``. Both sums are
         scaled by ``scale_t`` afterwards; where v_t and scale_t are
@@ -165,13 +186,29 @@ class EffectBatch:
         the order of scaling and summing changes no bit either.
         """
         d = self.dim
-        table, coeff = self._tables(rows)
-        # row t of the flattened conj(v) starts at t * d
-        perm = (table & (d - 1)) + (np.arange(len(v)) * d)[:, None, None]
-        products = coeff * (v[:, None, :] * v.conj().ravel()[perm])
+        k = np.arange(d)
+        vc = v.conj()
+        if rows is None:
+            rows = slice(None)
+        x, coeff = self._x[rows], self._coeff[rows]
+        if isinstance(rows, np.ndarray):
+            # row t gathers from row t of the flattened conj(v): position
+            # t * d + (k ^ x) is k ^ (x + t * d), as k ^ x < d
+            products = vc.ravel()[k ^ (x + (np.arange(len(v)) * d)[:, None])[:, :, None]]
+            np.multiply(v[:, None, :], products, out=products)
+        else:
+            masks, at = _distinct_masks(x, d)
+            if len(masks) == len(x):
+                # no mask repeats: each row's products, in row order
+                masks, at = x, None
+            products = vc[:, k ^ masks[:, None]]
+            np.multiply(v[:, None, :], products, out=products)
+            if at is not None:
+                products = products[:, at]
+        np.multiply(coeff, products, out=products)
         traces = products.reshape(-1, d).sum(axis=1).real.reshape(len(v), -1)
         traces *= scale[:, None]
-        tr = (v * v.conj()).sum(axis=1).real * scale
+        tr = (v * vc).sum(axis=1).real * scale
         return (tr[:, None] + traces) / 2.0
 
     def weighted_sum(self, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -205,10 +242,11 @@ class EffectBatch:
 
     def apply(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """P_rows[t] w[t] for each row t of a (T, d) stack ``w``: perm is
-        an involution, so (P w)[k] = c_perm_k w[perm_k]. The offset t * d
-        reads row t of the flattened product."""
-        perm = (self._gather_idx[rows] & (self.dim - 1)) + (np.arange(len(w)) * self.dim)[:, None]
-        return (self._coeff[rows] * w).ravel()[perm]
+        an involution, so (P w)[k] = c_perm_k w[perm_k]. Row t of the
+        flattened product starts at t * d, so k ^ x reads there as
+        k ^ (x + t * d)."""
+        keys = self._x[rows] + np.arange(len(w)) * self.dim
+        return (self._coeff[rows] * w).ravel()[np.arange(self.dim) ^ keys[:, None]]
 
     def weighted_operator(self, weights: np.ndarray, rows: np.ndarray) -> "EffectSum":
         """sum_i w_i E_i for real (m,) weights over the (m,) batch rows
@@ -222,17 +260,22 @@ class EffectBatch:
         Sum w / 2 last, as :meth:`weighted_sum` adds them.
         """
         vals = (weights[:, None] / 2.0) * self._coeff[rows]
-        # row i's X-mask is where its permutation sends basis state 0;
-        # sorted, so the identity's mask 0 leads (np.unique would import
-        # numpy.ma, half a megabyte, for this)
-        x = self._gather_idx[rows, 0]
-        present = np.zeros(self.dim, dtype=bool)
-        present[x] = present[0] = True
-        masks = np.flatnonzero(present)
+        # sorted, so the identity's mask 0 leads
+        masks, at = _distinct_masks(np.append(self._x[rows], 0), self.dim)
         table = np.zeros((len(masks), self.dim), dtype=np.complex128)
-        np.add.at(table, np.searchsorted(masks, x), vals)
+        np.add.at(table, at[:-1], vals)
         table[0] += np.sum(weights) / 2.0
         return EffectSum(masks, table)
+
+
+def _distinct_masks(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct X-masks of the (r,) masks ``x``, sorted, and where
+    each entry of ``x`` lies among them, from one (dim,) presence array:
+    np.unique would import numpy.ma, half a megabyte, for this."""
+    present = np.zeros(dim, dtype=bool)
+    present[x] = True
+    masks = np.flatnonzero(present)
+    return masks, np.searchsorted(masks, x)
 
 
 class EffectSum:

@@ -1,8 +1,10 @@
 """The array path of a one-step hypothesis: a learned vertex's step-1
 residuals, support scores and lazily built sigma against the dense
-matrix they stand for, byte for byte, a chunk's objectives against lone
-runs, and the residual bound that stops a step before its gradient is
-built."""
+matrix they stand for, byte for byte, on supports whose X-masks repeat
+(GHZ, partial X-rank) and on ones where no mask repeats (cluster), a
+chunk's objectives against lone runs, the batch's X-mask array as the
+one Pauli action those passes read, and the residual bound that stops a
+step before its gradient is built."""
 
 import weakref
 
@@ -16,17 +18,21 @@ from qpac import (
     LearnParams,
     NoiseModel,
     Objective,
+    PauliString,
     TrialCache,
     build_distribution,
+    distribution_from_generators,
     estimate_min_m,
     fill_trials,
     ghz_density,
     maximally_mixed,
+    stabilizer_state,
     support_residuals,
 )
 from qpac import learner, linalg
+from qpac.pauli import stabilizer_group
 from qpac.sampling import draw_training_sets
-from qpac.states import EffectBatch
+from qpac.states import EffectBatch, EffectSum, Vertex, _distinct_masks
 
 from conftest import random_density
 
@@ -47,6 +53,36 @@ chunks = st.fixed_dictionaries(dict(
     sets=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 ))
+
+
+def _cluster_generators(n):
+    """X_q Z_(q-1) Z_(q+1): X-rank n, so no X-mask repeats on its supports."""
+    return tuple(PauliString.from_text("".join(
+        "X" if j == q else "Z" if abs(j - q) == 1 else "I" for j in range(n))) for q in range(n))
+
+
+def _partial_generators(n):
+    """XX I.., ZZ I.., then X on each even and Z on each odd qubit from
+    2 on (XXII, ZZII, IIXI, IIIZ at n = 4): X-rank 1 + (n - 2) // 2, so
+    each X-mask is shared by 2^(n - rank) group elements."""
+    return tuple(PauliString.from_text(s) for s in (
+        ["XX" + "I" * (n - 2), "ZZ" + "I" * (n - 2)]
+        + ["I" * q + "XZ"[q % 2] + "I" * (n - q - 1) for q in range(2, n)]))
+
+
+def _scored_target(kind, n, label):
+    """The support and target state of a GHZ, cluster or partial-X-rank target."""
+    if kind == "ghz":
+        return build_distribution(n, label), ghz_density(n)
+    gens = (_cluster_generators if kind == "cluster" else _partial_generators)(n)
+    return distribution_from_generators(gens, label), stabilizer_state(stabilizer_group(gens))
+
+
+def _random_vertices(rng, count, dim):
+    """Unit vectors with every entry nonzero, as the eigen-step's
+    vertices are, scale 1."""
+    v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return [Vertex(x / np.linalg.norm(x)) for x in v]
 
 
 def _target(n, noise):
@@ -201,6 +237,61 @@ class TestSupportScores:
         for hyp, row in zip(hyps, found):
             assert row.tobytes() == support_residuals(hyp.sigma, rho, dist).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["ghz", "cluster", "partial"]), n=st.integers(3, 8),
+           label=st.sampled_from(["d1", "d2"]), learned=st.booleans(),
+           count=st.integers(1, 4), m=st.integers(1, 6),
+           block=st.sampled_from([None, 1, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+    def test_scores_per_mask_are_the_lone_scores(self, kind, n, label, learned, count, m,
+                                                  block, seed):
+        # masks shared by half the rows (GHZ), by 2^(n - rank) rows
+        # (partial X-rank) and by none (cluster); eigen-step or closed-form
+        # vertices, or random unit vectors; passes of `block` rows, which
+        # straddle the groups of rows that share a mask
+        dist, rho = _scored_target(kind, n, label)
+        if learned:
+            indices, values = draw_training_sets(dist, rho, min(m, len(dist)),
+                                                 [(seed, t) for t in range(count)])
+            hyps = learner.learn_each(dist, indices, values, NOISES["exact"], 1)
+            vertices = [h.vertex for h in hyps if h.vertex]
+        else:
+            vertices = _random_vertices(np.random.default_rng(seed), count, dist.batch.dim)
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(learner, "_STACK_ENTRIES", block * dist.batch.dim)
+            found = learner.vertex_support_residuals(vertices, rho, dist)
+        assert found.shape == (len(vertices), len(dist))
+        for vertex, row in zip(vertices, found):
+            want = support_residuals(DensityMatrix._built(vertex.matrix()), rho, dist)
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["ghz", "cluster", "partial"])
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_closed_form_chunks_are_the_lone_scores(self, kind, block, monkeypatch):
+        # exact data on a Y-free support: each set's vertex is the closed
+        # form w with its exact scale 1 / <w|w>, scored as a chunk
+        dist, rho = _scored_target(kind, 6, "d2")
+        indices, values = draw_training_sets(dist, rho, 3, [(4, t) for t in range(6)])
+        hyps = list(learner.learn_each(dist, indices, values, NOISES["exact"], 1))
+        assert all(h.vertex for h in hyps)
+        assert any(h.vertex.scale != 1.0 for h in hyps)
+        if block:
+            monkeypatch.setattr(learner, "_STACK_ENTRIES", block * dist.batch.dim)
+        found = learner.vertex_support_residuals([h.vertex for h in hyps], rho, dist)
+        for hyp, row in zip(hyps, found):
+            assert row.tobytes() == support_residuals(hyp.sigma, rho, dist).tobytes()
+
+    @pytest.mark.parametrize("kind,label,masks", [
+        ("ghz", "d1", 2), ("ghz", "d2", 2), ("partial", "d1", 16), ("cluster", "d1", 255)])
+    def test_mask_groups_of_a_support(self, kind, label, masks):
+        # n = 8: GHZ's strings have X-mask 0 or 1...1, the partial target's
+        # X-rank is 4, so 2^4 masks, and the cluster's 255 strings have 255
+        batch = _scored_target(kind, 8, label)[0].batch
+        found, at = _distinct_masks(batch._x, batch.dim)
+        assert len(found) == masks
+        assert np.array_equal(found[at], batch._x)
+        assert np.all(np.diff(found) > 0)
+
     def test_hypotheses_are_scored_as_they_are_read(self):
         # noisy sets take later steps; each d x d iterate is scored as
         # it is read and not kept, so the sigma two hypotheses back is
@@ -227,6 +318,68 @@ class TestSupportScores:
         for hyp, row in zip(hyps, found):
             assert row.tobytes() == support_residuals(hyp.sigma, rho, dist).tobytes()
             assert not row.flags.writeable
+
+
+class _Unread:
+    """Stands in for a table that must not be read."""
+
+    def __getitem__(self, key):
+        pytest.fail("read the batch's gather table")
+
+    def __array__(self, *args, **kwargs):
+        pytest.fail("read the batch's gather table")
+
+
+class TestMaskReads:
+    """The vertex passes, apply and weighted_operator read each row's
+    X-mask from the batch's mask array, never the (|S|, d) gather table,
+    and give what the table gives."""
+
+    @pytest.mark.parametrize("kind,label", [
+        ("ghz", "d1"), ("ghz", "d2"), ("cluster", "d1"), ("partial", "d1"), ("partial", "d2")])
+    def test_passes_read_no_gather_table(self, kind, label, monkeypatch):
+        n = 5
+        dist, rho = _scored_target(kind, n, label)
+        batch, d = dist.batch, 1 << n
+        rng = np.random.default_rng(7)
+        vertices = _random_vertices(rng, 3, d)
+        v, scale = learner._stacked(vertices)
+        rows = rng.integers(len(batch), size=(3, 4))
+        w = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+        weights = rng.normal(size=4)
+        scores = learner.vertex_support_residuals(vertices, rho, dist)
+        step = batch.vertex_expectations(v, scale, rows)
+        # the table-derived forms: perm_k = table[k] & (d - 1), and row
+        # i's X-mask where its permutation sends |0>
+        table = batch._gather_idx
+        perm = (table[rows[:, 0]] & (d - 1)) + (np.arange(3) * d)[:, None]
+        applied = (batch._coeff[rows[:, 0]] * w).ravel()[perm]
+        x = table[rows[0], 0]
+        masks = np.union1d(x, [0])
+        diagonals = np.zeros((len(masks), d), dtype=np.complex128)
+        np.add.at(diagonals, np.searchsorted(masks, x), (weights[:, None] / 2.0) * batch._coeff[rows[0]])
+        diagonals[0] += np.sum(weights) / 2.0
+        want_op = EffectSum(masks, diagonals)
+        monkeypatch.setattr(batch, "_gather_idx", _Unread())
+        assert learner.vertex_support_residuals(vertices, rho, dist).tobytes() == scores.tobytes()
+        assert batch.vertex_expectations(v, scale, rows).tobytes() == step.tobytes()
+        assert np.array_equal(batch.apply(rows[:, 0], w), applied)
+        op = batch.weighted_operator(weights, rows[0])
+        assert np.array_equal(op._cols, want_op._cols)
+        assert np.array_equal(op._entries, want_op._entries)
+
+    def test_closed_first_steps_read_no_gather_table(self, monkeypatch):
+        # exact GHZ d2 data: every set's step 1 is a closed form, built
+        # by apply, and its residuals are one index-array vertex pass
+        dist, rho = _scored_target("ghz", 5, "d2")
+        indices, values = draw_training_sets(dist, rho, 3, [(2, t) for t in range(4)])
+        want = learner._first_steps(dist.batch, indices, values, True)
+        monkeypatch.setattr(dist.batch, "_gather_idx", _Unread())
+        for (vertex, r), (want_vertex, want_r) in zip(
+                learner._first_steps(dist.batch, indices, values, True), want):
+            assert vertex.v.tobytes() == want_vertex.v.tobytes()
+            assert vertex.scale == want_vertex.scale
+            assert r.tobytes() == want_r.tobytes()
 
 
 class TestLazySigma:
