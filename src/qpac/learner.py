@@ -123,14 +123,8 @@ class Objective:
         self.values = values
         self.dim = batch.dim
 
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        # the set's (m, d) table rows, gathered at the first residual
-        # pass and read by every later step
-        return self.support_batch._tables(self.indices)
-
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
-        return self.support_batch._expectations(sigma, *self._rows) - self.values
+        return self.support_batch.expectations(sigma, self.indices) - self.values
 
     def value(self, sigma: np.ndarray) -> float:
         r = self.residuals(sigma)
@@ -200,7 +194,8 @@ def code_space_atoms(batch: EffectBatch, indices: np.ndarray,
 
     The sets whose values are all 1 share one (T, d) stack of w, and
     factor k of every set is applied as one array step
-    (:meth:`EffectBatch.apply`, which alone reads the batch's tables).
+    (:meth:`EffectBatch.apply`, which alone reads the batch's masks and
+    coefficients here).
     Where item k
     repeats an earlier string of its set (a draw with replacement),
     ``np.where`` keeps that set's w as it was, so each set gets the

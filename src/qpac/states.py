@@ -52,20 +52,19 @@ _CLAMP_SLACK = 1e-9
 class EffectBatch:
     """Vectorized expectations of a fixed tuple of effects.
 
-    Builds the signed permutation P|k> = c_k |perm_k> of every Pauli
-    string, the package's only tables of them, as two (m, d) tables
-    that only its methods read: the flat positions k * d + perm_k that
-    Tr(P sigma) reads, and the c_k; and each row's X-mask x, with
-    perm_k = k ^ x. So all Tr(E_i sigma) evaluate as one fancy-indexed
-    contraction. A support owns one batch
-    (``MeasurementDistribution.batch``), and its tables serve every
-    reader of that support: :meth:`expected` is the one Tr(E rho) table
-    of a target state, which sampling and the support residuals read,
-    and a training set drawn from the support gathers its rows' tables
-    once, with :meth:`_tables`, for every step of its objective. The
-    vertex passes, :meth:`apply` and :meth:`weighted_operator` read the
-    masks; only :meth:`_traces` and :meth:`weighted_sum` read the flat
-    positions.
+    Holds the signed permutation P|k> = c_k |k ^ x> of every Pauli
+    string, the package's only table of them: the (m, d) coefficients
+    c_k and the (m,) X-masks x, which only its methods read. The one
+    rule of every reader: row i's entry k lies at column k ^ x_i, so
+    Tr(P_i sigma) reads sigma's flat positions k * d + (k ^ x_i), and
+    each reader derives the positions it reads from the masks. All
+    Tr(E_i sigma) evaluate as one fancy-indexed contraction. A support
+    owns one batch (``MeasurementDistribution.batch``), and its tables
+    serve every reader of that support: :meth:`expected` is the one
+    Tr(E rho) table of a target state, which sampling and the support
+    residuals read, and a training set reads its rows through the
+    ``rows`` of :meth:`expectations`, :meth:`weighted_sum`,
+    :meth:`weighted_operator` and the vertex passes.
     """
 
     def __init__(self, effects: Sequence[PauliString]):
@@ -76,34 +75,23 @@ class EffectBatch:
         if any(p.n != n for p in effects):
             raise ValueError("effect batch mixes qubit counts")
         self.dim = 1 << n
-        rows = np.arange(self.dim, dtype=np.int64)
-        # filled row by row, so that a build holds each table once
-        self._gather_idx = np.empty((len(effects), self.dim), dtype=np.int64)
+        k = np.arange(self.dim, dtype=np.int64)
+        # filled row by row, so that a build holds the table once
         self._coeff = np.empty((len(effects), self.dim), dtype=np.complex128)
-        for gather, coeff, p in zip(self._gather_idx, self._coeff, effects):
-            # P|k> = c_k |perm_k>, read from the masks of P = phase *
+        for coeff, p in zip(self._coeff, effects):
+            # P|k> = c_k |k ^ x>, read from the masks of P = phase *
             # i^|x&z| * X^x Z^z: Z^z signs |k> by (-1)^|k&z| and X^x
             # moves it to |k^x>. Factor 0 owns the most significant bit,
             # so this is the Kronecker product of the factors.
-            gather[:] = rows * self.dim + (rows ^ p.x)
-            coeff[:] = np.where(np.bitwise_count(rows & p.z) % 2 == 0, 1.0, -1.0)
+            coeff[:] = np.where(np.bitwise_count(k & p.z) % 2 == 0, 1.0, -1.0)
             coeff *= p.phase * (1j) ** ((p.x & p.z).bit_count() % 4)
         # row i's X-mask: its permutation sends |k> to |k ^ x_i>
         self._x = np.array([p.x for p in effects], dtype=np.int64)
-        self._diag_idx = rows * self.dim + rows
         # Tr(E_i rho) per live target state (:meth:`expected`)
         self._targets = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self._coeff)
-
-    def _tables(self, rows: np.ndarray | slice | None) -> tuple[np.ndarray, np.ndarray]:
-        """The gather and coefficient tables of the batch rows ``rows``
-        (an integer array of any shape, duplicates kept, or a slice), or
-        of every row when ``rows`` is None."""
-        if rows is None:
-            return self._gather_idx, self._coeff
-        return self._gather_idx[rows], self._coeff[rows]
 
     def expected(self, state: DensityMatrix) -> np.ndarray:
         """Read-only Tr(E_i rho) of a target state, computed once for as
@@ -119,7 +107,7 @@ class EffectBatch:
             if state.dim != self.dim:
                 raise ValueError(f"dimension mismatch: state of dim {state.dim}, "
                                  f"effects of dim {self.dim}")
-            tr, traces = self._traces(state.matrix, *self._tables(None))
+            tr, traces = self._traces(state.matrix, None)
             imag = traces.imag[np.abs(traces.imag) > 1e-9]
             if imag.size:
                 raise NonPhysicalStateError(f"Tr(P rho) has imaginary part {imag[0]}")
@@ -132,14 +120,21 @@ class EffectBatch:
             self._targets[state] = found
         return found
 
-    def _traces(self, sigma: np.ndarray, gather: np.ndarray,
-                coeff: np.ndarray) -> tuple[float, np.ndarray]:
-        """Re Tr(sigma) and the complex Tr(P_i sigma) of each row of the
-        gather and coefficient tables (:meth:`_tables`)."""
+    def _traces(self, sigma: np.ndarray, rows: np.ndarray | None) -> tuple[float, np.ndarray]:
+        """Re Tr(sigma) and the complex Tr(P_i sigma) of each batch row
+        in the (m,) index array ``rows``, or of every row when ``rows``
+        is None: row i reads sigma's flat entries k * d + (k ^ x_i),
+        built in place as one (m, d) array."""
+        d = self.dim
+        k = np.arange(d)
+        if rows is None:
+            rows = slice(None)
         flat = sigma.ravel()
+        at = k ^ self._x[rows][:, None]
+        at += k * d
         # ndarray methods: np.sum's dispatch costs more than these small sums
-        tr = flat[self._diag_idx].sum().real
-        return tr, (coeff * flat[gather]).sum(axis=1)
+        tr = flat[k * (d + 1)].sum().real
+        return tr, (self._coeff[rows] * flat[at]).sum(axis=1)
 
     def expectations(self, sigma: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Tr(E_i sigma) = (Tr(sigma) + Tr(P_i sigma)) / 2 of each batch
@@ -151,13 +146,7 @@ class EffectBatch:
         not just unit-trace ones, so the objective stays an exact
         quadratic under off-plane probes.
         """
-        return self._expectations(sigma, *self._tables(rows))
-
-    def _expectations(self, sigma: np.ndarray, gather: np.ndarray,
-                      coeff: np.ndarray) -> np.ndarray:
-        """:meth:`expectations` from tables that :meth:`_tables` has
-        gathered, for a reader that reads the same rows at every step."""
-        tr, traces = self._traces(sigma, gather, coeff)
+        tr, traces = self._traces(sigma, rows)
         return (tr + traces.real) / 2.0
 
     def vertex_expectations(self, v: np.ndarray, scale: np.ndarray,
@@ -213,31 +202,35 @@ class EffectBatch:
 
     def weighted_sum(self, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Dense sum_i w_i E_i over the batch rows ``rows``, a Hermitian
-        P holding conj(c_k) at [k, perm_k], the position that
+        P holding conj(c_k) at [k, k ^ x], the position that
         Tr(P sigma) reads: a (d, d) matrix for (m,) weights and rows,
         and for (T, m) ones the (T, d, d) stack of the T sums, one per
         row.
 
-        The stack is one ``np.add.at`` over the gathered (T, m, d)
-        positions, row t offset by t * d^2, then the identity term
-        Sum w / 2 of each sum on its diagonal. ``np.add.at`` adds in
-        index order, so each entry sums its terms in row order, and one
-        sum is the T = 1 case: every sum has the bytes of its lone call.
+        The stack is one ``np.add.at`` over the (T, m, d) positions
+        derived from the rows' masks, row t offset by t * d^2, then the
+        identity term Sum w / 2 of each sum on its diagonal.
+        ``np.add.at`` adds in index order, so each entry sums its terms
+        in row order, and one sum is the T = 1 case: every sum has the
+        bytes of its lone call.
         """
         d = self.dim
+        k = np.arange(d)
         rows = rows.reshape(-1, rows.shape[-1])
         w = weights.reshape(rows.shape)
-        # fancy-indexed, so both are fresh arrays, offset and scaled in
-        # place; a real factor makes both cross products exact zeros, so
-        # coeff * (w / 2) has the bytes of (w / 2) * coeff on any kernel
-        gather = self._gather_idx[rows]
-        gather += (np.arange(len(rows)) * (d * d))[:, None, None]
+        # row i of set t reads flat t * d^2 + k * d + (k ^ x_i), built in
+        # place; the coefficients are fancy-indexed, so a fresh array,
+        # scaled in place: a real factor makes both cross products exact
+        # zeros, so coeff * (w / 2) has the bytes of (w / 2) * coeff on
+        # any kernel
+        gather = k ^ self._x[rows][..., None]
+        gather += k * d + (np.arange(len(rows)) * (d * d))[:, None, None]
         vals = self._coeff[rows]
         vals *= (w / 2.0)[:, :, None]
         np.conjugate(vals, out=vals)
         g = np.zeros((len(rows), d * d), dtype=np.complex128)
         np.add.at(g.reshape(-1), gather.reshape(-1), vals.reshape(-1))
-        g[:, self._diag_idx] += (np.sum(w, axis=1) / 2.0)[:, None]
+        g[:, k * (d + 1)] += (np.sum(w, axis=1) / 2.0)[:, None]
         return g.reshape(weights.shape[:-1] + (d, d))
 
     def apply(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from qpac import (
 from qpac import learner, linalg
 from qpac.sampling import draw_training_sets
 
-from conftest import random_density
+from conftest import pauli_action, random_density
 
 NOISES = {
     "exact": NoiseModel.exact(),
@@ -67,16 +67,20 @@ def _chunk(case):
     return dist, indices, values, r
 
 
-def _lone_sum(batch, rows, weights):
-    """Dense sum_i w_i E_i over the batch rows ``rows``, one weighted
-    row after another: the lone assembly, as the byte reference of the
-    stack."""
+def _lone_sum(dist, rows, weights):
+    """Dense sum_i w_i E_i over the support rows ``rows``, one weighted
+    row after another at the positions k * d + perm_k of each string's
+    Pauli action (``conftest.pauli_action``): the lone assembly, as the
+    byte reference of the stack."""
+    batch, d = dist.batch, dist.batch.dim
+    k = np.arange(d)
     vals = (weights / 2.0)[:, None] * batch._coeff[rows]
     np.conjugate(vals, out=vals)
-    g = np.zeros(batch.dim * batch.dim, dtype=np.complex128)
-    np.add.at(g, batch._gather_idx[rows].ravel(), vals.ravel())
-    g[batch._diag_idx] += np.sum(weights) / 2.0
-    return g.reshape(batch.dim, batch.dim)
+    at = np.array([k * d + pauli_action(dist.effects[i])[0] for i in rows])
+    g = np.zeros(d * d, dtype=np.complex128)
+    np.add.at(g, at.ravel(), vals.ravel())
+    g[k * (d + 1)] += np.sum(weights) / 2.0
+    return g.reshape(d, d)
 
 
 class TestStackedAssembly:
@@ -87,7 +91,7 @@ class TestStackedAssembly:
         stack = Objective(dist.batch, indices, values).gradient(r)
         assert stack.shape == (len(indices), dist.batch.dim, dist.batch.dim)
         for g, idx, v, res in zip(stack, indices, values, r):
-            want = _lone_sum(dist.batch, idx, 2.0 * res)
+            want = _lone_sum(dist, idx, 2.0 * res)
             assert g.tobytes() == want.tobytes()
             # a lone objective is the T = 1 case of the same call
             lone = Objective(dist.batch, idx, v).gradient(res)
@@ -104,7 +108,7 @@ class TestStackedAssembly:
         r = np.array([[0.1, -0.3, 0.7, -0.0], [1e-17, 0.25, -0.0, 0.3]])
         stack = dist.batch.weighted_sum(2.0 * r, indices)
         for g, idx, res in zip(stack, indices, r):
-            assert g.tobytes() == _lone_sum(dist.batch, idx, 2.0 * res).tobytes()
+            assert g.tobytes() == _lone_sum(dist, idx, 2.0 * res).tobytes()
 
     def test_scaling_in_place_keeps_the_bytes(self):
         # coeff *= w / 2 multiplies as (w / 2) * coeff does, for the

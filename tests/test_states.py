@@ -200,26 +200,50 @@ class TestEffectBatchTables:
     @given(strings=signed_strings())
     @settings(max_examples=200, deadline=None)
     def test_row_is_its_one_effect_batch(self, strings):
-        """Row t of a batch's tables holds the bytes of the one-effect
-        batch of string t, whatever the other rows hold."""
+        """Row t of a batch's coefficient table and mask array holds the
+        bytes of the one-effect batch of string t, whatever the other
+        rows hold."""
         batch = EffectBatch(strings)
         for t, p in enumerate(strings):
             one = EffectBatch([p])
-            for name in ("_gather_idx", "_coeff"):
+            for name in ("_coeff", "_x"):
                 row, want = getattr(batch, name)[t], getattr(one, name)[0]
                 assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
 
     @given(strings=signed_strings())
     @settings(max_examples=100, deadline=None)
     def test_row_is_the_action_of_its_masks(self, strings):
-        """Row t holds the gather positions [k, k ^ x] and the
-        coefficients of string t, read from its masks."""
+        """Row t's X-mask gives the gather positions [k, k ^ x] of
+        string t, and its coefficient row the coefficients, both read
+        from the string's masks."""
         batch = EffectBatch(strings)
         k = np.arange(batch.dim)
         for t, p in enumerate(strings):
             perm, coeff = pauli_action(p)
-            assert np.array_equal(batch._gather_idx[t], k * batch.dim + perm)
+            assert np.array_equal(k * batch.dim + (k ^ batch._x[t]), k * batch.dim + perm)
             assert np.array_equal(batch._coeff[t], coeff)
+
+    @pytest.mark.parametrize("n,label", [(3, "d1"), (4, "d2"), (6, "d1")])
+    def test_one_coefficient_table_and_the_masks(self, n, label):
+        """A batch's arrays are its (|S|, d) complex128 coefficients and
+        its (|S|,) masks, and nothing more, also after every reader has
+        run: no second (|S|, d) table is kept."""
+        dist, rho = build_distribution(n, label), ghz_density(n)
+        batch, d = dist.batch, 1 << n
+        rows = np.arange(len(batch))[::2]
+        sigma = maximally_mixed(n).matrix
+        v = np.ones((1, d), dtype=np.complex128) / np.sqrt(d)
+        batch.expected(rho)
+        batch.expectations(sigma, rows)
+        batch.vertex_expectations(v, np.ones(1))
+        batch.weighted_sum(np.ones(len(rows)), rows)
+        batch.weighted_operator(np.ones(len(rows)), rows)
+        batch.apply(rows[:1], v)
+        arrays = {name: a for name, a in vars(batch).items() if isinstance(a, np.ndarray)}
+        assert sorted(arrays) == ["_coeff", "_x"]
+        assert arrays["_coeff"].dtype == np.complex128 and arrays["_coeff"].shape == (len(batch), d)
+        assert arrays["_x"].shape == (len(batch),)
+        assert sum(a.size for a in arrays.values()) == len(batch) * d + len(batch)
 
 
 def cluster_generators(n):

@@ -34,7 +34,7 @@ from qpac.pauli import stabilizer_group
 from qpac.sampling import draw_training_sets
 from qpac.states import EffectBatch, EffectSum, Vertex, _distinct_masks
 
-from conftest import random_density
+from conftest import pauli_action, random_density
 
 NOISES = {
     "exact": NoiseModel.exact(),
@@ -320,65 +320,80 @@ class TestSupportScores:
             assert not row.flags.writeable
 
 
-class _Unread:
-    """Stands in for a table that must not be read."""
-
-    def __getitem__(self, key):
-        pytest.fail("read the batch's gather table")
-
-    def __array__(self, *args, **kwargs):
-        pytest.fail("read the batch's gather table")
+def _row_expectations(strings, v, scale):
+    """Tr(E sigma) of sigma = scale v v^dag for each string, row by row
+    from ``conftest.pauli_action``: c * (v * conj(v)[perm]) summed
+    alone, then scaled, with the trace (v * conj(v)) summed and scaled
+    the same way. The reference of the vertex passes, built from no
+    table of the batch."""
+    tr = (v * v.conj()).sum().real * scale
+    found = []
+    for p in strings:
+        perm, c = pauli_action(p)
+        found.append((tr + (c * (v * v.conj()[perm])).sum().real * scale) / 2.0)
+    return np.array(found)
 
 
 class TestMaskReads:
     """The vertex passes, apply and weighted_operator read each row's
-    X-mask from the batch's mask array, never the (|S|, d) gather table,
-    and give what the table gives."""
+    X-mask and coefficients from the batch, and give what the Pauli
+    action of each row's string gives (``conftest.pauli_action``)."""
 
     @pytest.mark.parametrize("kind,label", [
         ("ghz", "d1"), ("ghz", "d2"), ("cluster", "d1"), ("partial", "d1"), ("partial", "d2")])
-    def test_passes_read_no_gather_table(self, kind, label, monkeypatch):
+    def test_passes_read_no_gather_table(self, kind, label):
         n = 5
         dist, rho = _scored_target(kind, n, label)
-        batch, d = dist.batch, 1 << n
+        batch, d, strings = dist.batch, 1 << n, dist.effects
         rng = np.random.default_rng(7)
         vertices = _random_vertices(rng, 3, d)
         v, scale = learner._stacked(vertices)
         rows = rng.integers(len(batch), size=(3, 4))
         w = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
         weights = rng.normal(size=4)
-        scores = learner.vertex_support_residuals(vertices, rho, dist)
-        step = batch.vertex_expectations(v, scale, rows)
-        # the table-derived forms: perm_k = table[k] & (d - 1), and row
-        # i's X-mask where its permutation sends |0>
-        table = batch._gather_idx
-        perm = (table[rows[:, 0]] & (d - 1)) + (np.arange(3) * d)[:, None]
-        applied = (batch._coeff[rows[:, 0]] * w).ravel()[perm]
-        x = table[rows[0], 0]
+        expected = batch.expected(rho)
+        want_scores = [np.abs(_row_expectations(strings, x.v, x.scale) - expected) for x in vertices]
+        want_step = [_row_expectations([strings[i] for i in r], x.v, x.scale)
+                     for r, x in zip(rows, vertices)]
+        # (P w)[k] = c_perm_k w[perm_k], perm an involution
+        applied = []
+        for t, i in enumerate(rows[:, 0]):
+            perm, c = pauli_action(strings[i])
+            applied.append((c * w[t])[perm])
+        # row i's entries lie on the diagonal of its X-mask, perm_0
+        actions = [pauli_action(strings[i]) for i in rows[0]]
+        x = np.array([perm[0] for perm, _ in actions])
         masks = np.union1d(x, [0])
         diagonals = np.zeros((len(masks), d), dtype=np.complex128)
-        np.add.at(diagonals, np.searchsorted(masks, x), (weights[:, None] / 2.0) * batch._coeff[rows[0]])
+        np.add.at(diagonals, np.searchsorted(masks, x),
+                  (weights[:, None] / 2.0) * np.array([c for _, c in actions]))
         diagonals[0] += np.sum(weights) / 2.0
         want_op = EffectSum(masks, diagonals)
-        monkeypatch.setattr(batch, "_gather_idx", _Unread())
-        assert learner.vertex_support_residuals(vertices, rho, dist).tobytes() == scores.tobytes()
-        assert batch.vertex_expectations(v, scale, rows).tobytes() == step.tobytes()
-        assert np.array_equal(batch.apply(rows[:, 0], w), applied)
+        assert learner.vertex_support_residuals(vertices, rho, dist).tobytes() == (
+            np.array(want_scores).tobytes())
+        assert batch.vertex_expectations(v, scale, rows).tobytes() == np.array(want_step).tobytes()
+        assert np.array_equal(batch.apply(rows[:, 0], w), np.array(applied))
         op = batch.weighted_operator(weights, rows[0])
         assert np.array_equal(op._cols, want_op._cols)
         assert np.array_equal(op._entries, want_op._entries)
 
-    def test_closed_first_steps_read_no_gather_table(self, monkeypatch):
+    def test_closed_first_steps_read_no_gather_table(self):
         # exact GHZ d2 data: every set's step 1 is a closed form, built
-        # by apply, and its residuals are one index-array vertex pass
+        # by apply, and its residuals are one index-array vertex pass;
+        # the reference applies each fresh string's (I + P) / 2 to
+        # |1...1> in draw order, from its Pauli action
         dist, rho = _scored_target("ghz", 5, "d2")
         indices, values = draw_training_sets(dist, rho, 3, [(2, t) for t in range(4)])
-        want = learner._first_steps(dist.batch, indices, values, True)
-        monkeypatch.setattr(dist.batch, "_gather_idx", _Unread())
-        for (vertex, r), (want_vertex, want_r) in zip(
-                learner._first_steps(dist.batch, indices, values, True), want):
-            assert vertex.v.tobytes() == want_vertex.v.tobytes()
-            assert vertex.scale == want_vertex.scale
+        steps = learner._first_steps(dist.batch, indices, values, True)
+        for (vertex, r), idx, vals in zip(steps, indices, values):
+            w = np.ones(dist.batch.dim, dtype=np.complex128)
+            for i in dict.fromkeys(idx.tolist()):
+                perm, c = pauli_action(dist.effects[i])
+                w = (w + (c * w)[perm]) / 2.0
+            scale = 1.0 / (w * w.conj()).real.sum()
+            want_r = _row_expectations([dist.effects[i] for i in idx], w, scale) - vals
+            assert vertex.v.tobytes() == w.tobytes()
+            assert vertex.scale == scale
             assert r.tobytes() == want_r.tobytes()
 
 
