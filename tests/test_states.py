@@ -243,7 +243,6 @@ class TestEffectBatchTables:
         assert sorted(arrays) == ["_coeff", "_x"]
         assert arrays["_coeff"].dtype == np.complex128 and arrays["_coeff"].shape == (len(batch), d)
         assert arrays["_x"].shape == (len(batch),)
-        assert sum(a.size for a in arrays.values()) == len(batch) * d + len(batch)
 
 
 def cluster_generators(n):
